@@ -1,9 +1,8 @@
 // Production-scale population bench: 10^6 pooled lite clients with
 // phase-shifted diurnal arrival curves over the 9-site grid5000 topology.
-// Runs the same workload through the stepper configurations —
+// Runs the same workload through both event-queue configurations —
 //   single : one global lane (BS_SIM_LANES=off equivalent, the oracle)
-//   lanes  : per-site lanes, serial sharded stepper
-//   threads:N : per-site lanes + windowed parallel stepper
+//   lanes  : per-site lanes
 // — asserting digest equality between them and reporting events/sec, wall
 // time and peak RSS per mode as JSON (redirect to BENCH_sim_lanes.json).
 //
@@ -30,7 +29,6 @@ struct Options {
   std::size_t clients = 1'000'000;
   std::size_t sites = 9;
   long sim_minutes = 120;
-  unsigned threads = 0;  // for the "threads" mode
   std::uint64_t seed = 0x11e7'c11e'7001ull;
   int repeat = 3;      // best-of-N wall time per mode (noise control)
   bool smoke = false;  // small population + fail on digest mismatch
@@ -42,7 +40,6 @@ struct ModeResult {
   std::uint64_t events;
   std::uint64_t ops;
   std::uint64_t digest;
-  std::uint64_t windows;
   long peak_rss_mb;
 };
 
@@ -64,14 +61,10 @@ long peak_rss_mb() {
   return kb < 0 ? -1 : kb / 1024;
 }
 
-ModeResult run_once(const char* mode, const Options& opt, unsigned threads,
-                    bool lanes) {
+ModeResult run_once(const char* mode, const Options& opt, bool lanes) {
   bs::sim::Simulation sim;
   bs::net::Topology topo = bs::net::Topology::grid5000(opt.sites);
-  if (lanes) {
-    sim.configure_sites(topo.site_count(), topo.min_cross_site_latency());
-    if (threads > 0) sim.set_worker_threads(threads);
-  }
+  if (lanes) sim.configure_sites(topo.site_count());
   bs::workload::LiteParams params;
   params.clients = opt.clients;
   params.end = bs::simtime::minutes(opt.sim_minutes);
@@ -89,7 +82,6 @@ ModeResult run_once(const char* mode, const Options& opt, unsigned threads,
   r.events = sim.events_processed();
   r.ops = pool.total_ops();
   r.digest = pool.digest();
-  r.windows = sim.windows_run();
   r.peak_rss_mb = peak_rss_mb();
   return r;
 }
@@ -97,11 +89,10 @@ ModeResult run_once(const char* mode, const Options& opt, unsigned threads,
 // Wall-clock noise control: the simulated run is bit-identical every time
 // (same digest, same event count — verified here), so repeats only sample
 // machine jitter and the fastest run is the honest throughput estimate.
-ModeResult run_mode(const char* mode, const Options& opt, unsigned threads,
-                    bool lanes) {
-  ModeResult best = run_once(mode, opt, threads, lanes);
+ModeResult run_mode(const char* mode, const Options& opt, bool lanes) {
+  ModeResult best = run_once(mode, opt, lanes);
   for (int i = 1; i < opt.repeat; ++i) {
-    const ModeResult r = run_once(mode, opt, threads, lanes);
+    const ModeResult r = run_once(mode, opt, lanes);
     if (r.digest != best.digest || r.events != best.events) {
       std::fprintf(stderr, "FAIL: %s mode not reproducible across repeats\n",
                    mode);
@@ -125,9 +116,6 @@ int main(int argc, char** argv) {
       opt.sites = std::strtoull(val().c_str(), nullptr, 10);
     } else if (arg.rfind("--sim-minutes=", 0) == 0) {
       opt.sim_minutes = std::strtol(val().c_str(), nullptr, 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = static_cast<unsigned>(
-          std::strtoul(val().c_str(), nullptr, 10));
     } else if (arg.rfind("--seed=", 0) == 0) {
       opt.seed = std::strtoull(val().c_str(), nullptr, 10);
     } else if (arg.rfind("--repeat=", 0) == 0) {
@@ -141,25 +129,16 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--clients=N] [--sites=N] [--sim-minutes=N] "
-                   "[--threads=N] [--seed=N] [--repeat=N] [--smoke]\n",
+                   "[--seed=N] [--repeat=N] [--smoke]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  ModeResult results[3];
-  int n = 0;
-  results[n++] = run_mode("single", opt, 0, /*lanes=*/false);
-  results[n++] = run_mode("lanes", opt, 0, /*lanes=*/true);
-  const unsigned threads = opt.threads > 0 ? opt.threads : (opt.smoke ? 4 : 0);
-  if (threads > 0) {
-    results[n++] = run_mode("threads", opt, threads, /*lanes=*/true);
-  }
-
-  bool digests_equal = true;
-  for (int i = 1; i < n; ++i) {
-    digests_equal = digests_equal && results[i].digest == results[0].digest;
-  }
+  const ModeResult results[] = {run_mode("single", opt, /*lanes=*/false),
+                                run_mode("lanes", opt, /*lanes=*/true)};
+  constexpr int n = 2;
+  const bool digests_equal = results[0].digest == results[1].digest;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"bench_million_clients\",\n");
@@ -174,11 +153,11 @@ int main(int argc, char** argv) {
     const ModeResult& r = results[i];
     std::printf("    {\"mode\": \"%s\", \"wall_s\": %.3f, "
                 "\"events\": %" PRIu64 ", \"events_per_sec\": %.0f, "
-                "\"ops\": %" PRIu64 ", \"windows\": %" PRIu64 ", "
+                "\"ops\": %" PRIu64 ", "
                 "\"digest\": \"%016" PRIx64 "\", \"peak_rss_mb\": %ld}%s\n",
                 r.mode, r.wall_s, r.events,
                 r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0,
-                r.ops, r.windows, r.digest, r.peak_rss_mb,
+                r.ops, r.digest, r.peak_rss_mb,
                 i + 1 < n ? "," : "");
   }
   std::printf("  ],\n");
@@ -190,7 +169,7 @@ int main(int argc, char** argv) {
   std::printf("}\n");
 
   if (!digests_equal) {
-    std::fprintf(stderr, "FAIL: digests differ across stepper modes\n");
+    std::fprintf(stderr, "FAIL: digests differ across queue modes\n");
     return 1;
   }
   return 0;

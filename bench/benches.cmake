@@ -35,8 +35,8 @@ bs_add_bench_smoke(bench_micro_flow)
 bs_add_bench_smoke(bench_micro_monitoring)
 
 # Custom-main population bench (not google-benchmark); --smoke shrinks the
-# population and fails on digest mismatch across stepper modes, giving
-# tier-1 coverage of the sharded and windowed steppers at workload scale.
+# population and fails on digest mismatch between the single-heap queue and
+# the sharded lanes, covering the lanes at workload scale.
 bs_add_bench(bench_million_clients bs_workload)
 add_test(NAME bench-smoke.bench_million_clients
          COMMAND bench_million_clients --smoke)

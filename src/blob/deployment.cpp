@@ -1,20 +1,14 @@
 #include "blob/deployment.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.hpp"
 
 namespace bs::blob {
 
 Deployment::Deployment(sim::Simulation& sim, DeploymentConfig config)
     : sim_(sim), config_(config) {
-  if (const char* env = std::getenv("BS_JOURNAL")) {
-    if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) {
-      config_.journal.enabled = true;
-    } else if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-      config_.journal.enabled = false;
-    }
-  }
+  config_.journal.enabled = env_switch("BS_JOURNAL", config_.journal.enabled);
   config_.vm_options.journal = config_.journal;
   cluster_ = std::make_unique<rpc::Cluster>(
       sim,

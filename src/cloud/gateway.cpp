@@ -2,27 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string_view>
 
+#include "common/env.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace bs::cloud {
 
-namespace {
-
-bool env_flag(const char* v) {
-  const std::string_view s(v);
-  return !(s == "off" || s == "0" || s == "false" || s == "no");
-}
-
-}  // namespace
-
 GatewayOptions apply_gateway_env(GatewayOptions base) {
-  if (const char* env = std::getenv("BS_GW_DEDUP")) {
-    base.dedup = env_flag(env);
-  }
+  base.dedup = env_switch("BS_GW_DEDUP", base.dedup);
   if (const char* env = std::getenv("BS_GW_CHUNK_KB")) {
     const std::uint64_t kb = std::strtoull(env, nullptr, 10);
     if (kb > 0) base.object_chunk_size = kb * units::KB;
@@ -30,9 +19,7 @@ GatewayOptions apply_gateway_env(GatewayOptions base) {
   if (const char* env = std::getenv("BS_GW_MAX_CLIENTS")) {
     base.max_user_clients = std::strtoull(env, nullptr, 10);
   }
-  if (const char* env = std::getenv("BS_GW_JOURNAL")) {
-    base.journal.enabled = env_flag(env);
-  }
+  base.journal.enabled = env_switch("BS_GW_JOURNAL", base.journal.enabled);
   return base;
 }
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
+
+#include "common/env.hpp"
 
 namespace bs::net {
 
@@ -26,9 +26,10 @@ bool id_less(const detail::Flow* a, const detail::Flow* b) {
 
 FlowScheduler::Options FlowScheduler::Options::from_env() {
   Options o;
-  if (const char* v = std::getenv("BS_FLOW_SCHED")) {
-    const std::string_view s(v);
-    if (s == "reference" || s == "global" || s == "0") o.incremental = false;
+  // Index 0 is the default; every other accepted value names the reference.
+  if (const auto v = env_choice("BS_FLOW_SCHED",
+                                {"incremental", "reference", "global", "0"})) {
+    o.incremental = *v == 0;
   }
   return o;
 }

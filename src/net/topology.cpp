@@ -24,8 +24,8 @@ SimDuration Topology::latency(SiteId a, SiteId b) const {
   assert(a < sites_.size() && b < sites_.size());
   if (a == b) return sites_[a].lan_latency;
   // The WAN matrix is symmetric by construction (set_inter_site_latency
-  // writes both triangles); the lookahead horizon derivation depends on it,
-  // so debug builds re-check the invariant on every read.
+  // writes both triangles); min_cross_site_latency() depends on it, so
+  // debug builds re-check the invariant on every read.
   assert(wan_[a][b] == wan_[b][a] && "WAN latency matrix must be symmetric");
   assert(wan_[a][b] > 0 && "cross-site latency must be positive");
   return wan_[a][b];

@@ -35,12 +35,10 @@ class Topology {
   /// One-way latency between two sites (LAN latency when a == b).
   [[nodiscard]] SimDuration latency(SiteId a, SiteId b) const;
 
-  /// Smallest one-way WAN latency between any pair of distinct sites — the
-  /// conservative lookahead horizon of the sharded simulation: an event
-  /// executing at time t on one site cannot affect another site before
-  /// t + min_cross_site_latency(), so site lanes whose heads fall inside
-  /// that horizon are causally independent. Returns simtime::kInfinite for
-  /// single-site topologies (no cross-site edge to bound the horizon).
+  /// Smallest one-way WAN latency between any pair of distinct sites: an
+  /// event executing at time t on one site cannot affect another site
+  /// before t + min_cross_site_latency(). Returns simtime::kInfinite for
+  /// single-site topologies (no cross-site edge).
   [[nodiscard]] SimDuration min_cross_site_latency() const;
 
   /// Shared WAN backbone bandwidth per distinct site pair, in bytes/s. The

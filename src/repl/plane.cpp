@@ -1,20 +1,16 @@
 #include "repl/plane.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
+#include "common/env.hpp"
 #include "fault/fault_plane.hpp"
 #include "obs/metrics.hpp"
 
 namespace bs::repl {
 
 ReplOptions repl_options_from_env(ReplOptions base) {
-  if (const char* v = std::getenv("BS_REPL")) {
-    const std::string_view s(v);
-    if (s == "off" || s == "0") base.enabled = false;
-    if (s == "on" || s == "1") base.enabled = true;
-  }
+  base.enabled = env_switch("BS_REPL", base.enabled);
   if (const char* v = std::getenv("BS_REPL_QUEUE")) {
     const long n = std::atol(v);
     if (n > 0) base.egress.queue_bound = static_cast<std::size_t>(n);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 
+#include "common/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace bs::rpc {
@@ -63,26 +62,9 @@ Cluster::Cluster(sim::Simulation& sim, net::Topology topology,
       flows_(sim),
       retry_rng_(fault_seed) {
   // Shard the simulation into per-site event lanes unless BS_SIM_LANES=off
-  // keeps the single-heap reference queue (the determinism oracle). The
-  // lookahead horizon is the topology's minimum WAN latency.
-  const char* lanes = std::getenv("BS_SIM_LANES");
-  if (lanes == nullptr || std::string_view(lanes) != "off") {
-    sim_.configure_sites(topology_.site_count(),
-                         topology_.min_cross_site_latency());
-  }
-  if (const char* threads = std::getenv("BS_SIM_THREADS")) {
-    const std::string_view tv(threads);
-    if (!tv.empty() && tv != "off" && tv != "0") {
-      unsigned n = 0;
-      for (const char c : tv) {
-        if (c < '0' || c > '9') {
-          n = 0;
-          break;
-        }
-        n = n * 10 + static_cast<unsigned>(c - '0');
-      }
-      if (n > 0) sim_.set_worker_threads(n);
-    }
+  // keeps the single-heap reference queue (the determinism oracle).
+  if (env_switch("BS_SIM_LANES", true)) {
+    sim_.configure_sites(topology_.site_count());
   }
 }
 

@@ -1,16 +1,12 @@
 #include "sim/frame_pool.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <new>
+
+#include "common/env.hpp"
 
 namespace bs::sim {
 
-FramePool::FramePool() {
-  if (const char* env = std::getenv("BS_FRAME_POOL")) {
-    enabled_ = !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0);
-  }
-}
+FramePool::FramePool() : enabled_(env_switch("BS_FRAME_POOL", true)) {}
 
 FramePool& FramePool::instance() {
   thread_local FramePool pool;

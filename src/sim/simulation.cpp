@@ -25,39 +25,24 @@ namespace bs::sim {
 // entries never survive a clock advance and the ring's implicit time stays
 // valid.
 
-namespace {
-constexpr bool par_of(std::uint64_t seq) { return (seq & (1ull << 63)) != 0; }
-}  // namespace
-
 Simulation::Simulation() : lanes_(1), heads_(1) {}
 
 void Simulation::schedule_at(SimTime t, Callback cb) {
-  if (in_worker()) {
-    par_schedule_current(t, std::move(cb));
-    return;
-  }
-  push_event(exec_lane_, t, next_seq(exec_par_), std::move(cb));
+  push_event(exec_lane_, t, std::move(cb));
 }
 
 void Simulation::schedule_resume(std::coroutine_handle<> h) {
-  if (in_worker()) {
-    par_schedule_resume(h);
-    return;
-  }
-  push_event(exec_lane_, now_, next_seq(exec_par_), Callback(ResumeThunk{h}));
+  push_event(exec_lane_, now_, Callback(ResumeThunk{h}));
 }
 
-void Simulation::configure_sites(std::size_t sites, SimDuration lookahead) {
+void Simulation::configure_sites(std::size_t sites, SimDuration) {
   if (lanes_.size() != 1) {
-    // A second cluster on the same simulation must agree on the shard
-    // count; the horizon tightens to the most conservative of the two.
+    // A second cluster on the same simulation must agree on the shard count.
     assert(lanes_.size() == sites + 1 && "conflicting site-lane configuration");
-    if (lookahead < lookahead_) lookahead_ = lookahead;
     return;
   }
   lanes_.resize(sites + 1);
   heads_.resize(sites + 1);
-  lookahead_ = lookahead;
   if (lane_load_hint_ >= kFarEngage) {
     for (Lane& ln : lanes_) engage_far(ln);
   }
@@ -71,41 +56,15 @@ void Simulation::hint_lane_load(std::size_t expected_pending_per_lane) {
 }
 
 void Simulation::schedule_on_site(std::size_t site, SimTime t, Callback cb) {
-  if (in_worker()) {
-    par_schedule_site(site, t, std::move(cb));
-    return;
-  }
   const std::size_t lane = site_lane(site);
-  if (lane != exec_lane_) {
-    ++cross_site_handoffs_;
-    // A parallel-safe event may only reach another site at or beyond the
-    // lookahead horizon — otherwise a window could have executed the
-    // target lane past the hand-off's arrival time.
-    assert(!exec_par_ || lookahead_ == simtime::kInfinite ||
-           t >= now() + lookahead_);
-  }
-  push_event(lane, t, next_seq(exec_par_), std::move(cb));
+  if (lane != exec_lane_) ++cross_site_handoffs_;
+  push_event(lane, t, std::move(cb));
 }
 
-void Simulation::schedule_par(std::size_t site, SimTime t, Callback cb) {
-  if (in_worker()) {
-    par_schedule_site(site, t, std::move(cb));
-    return;
-  }
-  const std::size_t lane = site_lane(site);
-  if (lane != exec_lane_) {
-    ++cross_site_handoffs_;
-    assert(!exec_par_ || lookahead_ == simtime::kInfinite ||
-           t >= now() + lookahead_);
-  }
-  push_event(lane, t, next_seq(true), std::move(cb));
-}
-
-void Simulation::push_event(std::size_t lane, SimTime t, std::uint64_t seq,
-                            Callback cb) {
+void Simulation::push_event(std::size_t lane, SimTime t, Callback cb) {
   assert(t >= now_ && "cannot schedule events in the past");
+  const std::uint64_t seq = seq_++;
   Lane& ln = lanes_[lane];
-  if (!par_of(seq)) ++ln.untagged;
   if (t <= now_) {
     ring_push(ln, now_, seq, std::move(cb));
     sync_head(lane);
@@ -236,15 +195,12 @@ void Simulation::heap_push(Lane& ln, SimTime t, std::uint64_t seq,
   maybe_raise_head(ln, t, seq);
 }
 
-Simulation::Callback Simulation::heap_pop(Lane& ln, SimTime* t,
-                                          std::uint64_t* seq) {
+Simulation::Callback Simulation::heap_pop(Lane& ln, SimTime* t) {
   const HeapEntry top = ln.heap.front();
   ln.heap.front() = ln.heap.back();
   ln.heap.pop_back();
   if (!ln.heap.empty()) sift_down(ln, 0);
   *t = top.time;
-  *seq = top.seq;
-  if (!par_of(top.seq)) --ln.untagged;
   Callback cb = std::move(ln.slots[top.slot]);
   ln.free_slots.push_back(top.slot);
   return cb;
@@ -288,10 +244,8 @@ void Simulation::ring_push(Lane& ln, SimTime at, std::uint64_t seq,
   maybe_raise_head(ln, at, seq);
 }
 
-Simulation::Callback Simulation::ring_pop(Lane& ln, std::uint64_t* seq) {
+Simulation::Callback Simulation::ring_pop(Lane& ln) {
   NowEvent& e = ln.ring[ln.ring_head];
-  *seq = e.seq;
-  if (!par_of(e.seq)) --ln.untagged;
   Callback cb = std::move(e.cb);
   ln.ring_head = (ln.ring_head + 1) & (ln.ring.size() - 1);
   --ln.ring_size;
@@ -309,7 +263,7 @@ void Simulation::ring_grow(Lane& ln) {
 }
 
 int Simulation::peek_near(const Lane& ln, SimTime at, SimTime* t,
-                          std::uint64_t* masked_seq) {
+                          std::uint64_t* seq) {
   int src = -1;
   SimTime bt = simtime::kInfinite;
   std::uint64_t bs = kNoSeq;
@@ -320,40 +274,23 @@ int Simulation::peek_near(const Lane& ln, SimTime at, SimTime* t,
   }
   if (!ln.heap.empty()) {
     const HeapEntry& root = ln.heap.front();
-    const std::uint64_t m = root.seq & kSeqMask;
-    if (root.time < bt || (root.time == bt && m < bs)) {
+    if (root.time < bt || (root.time == bt && root.seq < bs)) {
       bt = root.time;
-      bs = m;
+      bs = root.seq;
       src = kFromHeap;
     }
   }
   if (ln.stage_head != ln.stage.size()) {
     const FarEntry& front = ln.stage[ln.stage_head];
-    const std::uint64_t m = front.seq & kSeqMask;
-    if (front.time < bt || (front.time == bt && m < bs)) {
+    if (front.time < bt || (front.time == bt && front.seq < bs)) {
       bt = front.time;
-      bs = m;
+      bs = front.seq;
       src = kFromStage;
     }
   }
   *t = bt;
-  *masked_seq = bs;
+  *seq = bs;
   return src;
-}
-
-Simulation::Callback Simulation::pop_near(Lane& ln, int src, SimTime at,
-                                          SimTime* t, std::uint64_t* seq) {
-  if (src == kFromRing) {
-    *t = at;
-    return ring_pop(ln, seq);
-  }
-  if (src == kFromHeap) return heap_pop(ln, t, seq);
-  FarEntry& e = ln.stage[ln.stage_head];
-  ++ln.stage_head;
-  *t = e.time;
-  *seq = e.seq;
-  if (!par_of(e.seq)) --ln.untagged;
-  return std::move(e.cb);
 }
 
 void Simulation::recompute_head(std::size_t lane, SimTime at) {
@@ -402,55 +339,43 @@ bool Simulation::step() {
     if (far_live(ln) == 0) return false;
     refill(ln);
   }
-  // Three-way merge on (time, masked seq): ring entries all carry time ==
-  // now_, stage and heap carry their own keys. peek/pop are split so the
-  // windowed drain can bound the same selection by its horizon.
+  // Three-way merge on (time, seq): ring entries all carry time == now_,
+  // stage and heap carry their own keys.
   SimTime pt;
-  std::uint64_t pms;
-  const int src = peek_near(ln, now_, &pt, &pms);
+  std::uint64_t ps;
+  const int src = peek_near(ln, now_, &pt, &ps);
   assert(src >= 0);
   const std::size_t prev_lane = exec_lane_;
-  const bool prev_par = exec_par_;
   if (src == kFromStage) {
     // Stage events run in place: only refill() mutates the stage, and it
     // cannot run under a live rung, so the entry is stable for the whole
     // callback — no move-out, no per-event husk teardown (the rung is
     // destroyed wholesale at the next refill). The head cache refresh
-    // happens after the callback; nothing reads it mid-event in serial
-    // mode, and pushes from the callback only lower it monotonically.
+    // happens after the callback; nothing reads it mid-event, and pushes
+    // from the callback only lower it monotonically.
     FarEntry& e = ln.stage[ln.stage_head];
     ++ln.stage_head;
-    if (!par_of(e.seq)) --ln.untagged;
     assert(e.time >= now_);
     now_ = e.time;
     exec_lane_ = bi;
-    exec_par_ = par_of(e.seq);
     ++processed_;
     e.cb();
   } else {
-    SimTime t;
-    std::uint64_t seq;
-    Callback cb = pop_near(ln, src, now_, &t, &seq);
+    SimTime t = now_;  // ring entries carry the current time implicitly
+    Callback cb = src == kFromRing ? ring_pop(ln) : heap_pop(ln, &t);
     assert(t >= now_);
     now_ = t;
     exec_lane_ = bi;
-    exec_par_ = par_of(seq);
     ++processed_;
     cb();
   }
   recompute_head(bi, now_);
   exec_lane_ = prev_lane;
-  exec_par_ = prev_par;
   return true;
 }
 
 void Simulation::run() {
   stopped_ = false;
-  if (windowed()) {
-    while (!stopped_ && window_or_step()) {
-    }
-    return;
-  }
   while (!stopped_ && step()) {
   }
 }
@@ -502,22 +427,15 @@ void Simulation::clear_queue() noexcept {
     ln.stage.clear();
     ln.stage_keys.clear();
     ln.stage_head = 0;
-    while (ln.ring_size != 0) {
-      std::uint64_t seq;
-      ring_pop(ln, &seq);
-    }
+    while (ln.ring_size != 0) ring_pop(ln);
     ln.far_bar = simtime::kInfinite;  // parked
     ln.head_time = simtime::kInfinite;
     ln.head_seq = kNoSeq;
-    ln.untagged = 0;
   }
   for (HeadKey& h : heads_) h = HeadKey{};
 }
 
 Simulation::~Simulation() {
-  // Stop the worker pool before anything else: no thread may touch lanes
-  // while they are being torn down.
-  shutdown_workers();
   // Queued events hold resume handles into frames the roots own; drop them
   // first so nothing dangles, then destroy the still-suspended actor roots
   // (each cascades through the Task chain it owns). Frame-local RAII

@@ -4,7 +4,7 @@
 // resumption.
 //
 // Hot-path structure (see DESIGN.md "Event queue & memory model" and
-// "Sharded lanes & conservative lookahead"):
+// "Sharded lanes"):
 //  * The queue is a set of LANES — lane 0 is the control/default lane and
 //    lanes 1..S shard events per topology site. Each lane is the PR-5 pair:
 //    a 4-ary implicit heap of 24-byte (time, seq, slot) keys whose move-only
@@ -20,12 +20,6 @@
 //    handoffs (RPC envelopes crossing the WAN latency matrix) move lanes
 //    through schedule_on_site()/hop_to_site() and are stamped with the
 //    global sequence counter, keeping the merged order identical.
-//  * An opt-in windowed stepper (set_worker_threads / BS_SIM_THREADS) runs
-//    lanes whose heads fall inside the conservative lookahead horizon (the
-//    topology's minimum cross-site latency) on worker threads; only events
-//    scheduled through the parallel-safe APIs (schedule_par and their
-//    descendants) are eligible, everything else serializes. See
-//    lane_runtime.cpp for the barrier-merge determinism argument.
 //  * Events carry an InlineCallback (small-buffer-optimized, move-only)
 //    instead of a std::function, and coroutine frames come from the
 //    size-bucketed FramePool, so steady-state scheduling is allocation-free.
@@ -146,17 +140,6 @@ class InlineCallback {
   const Ops* ops_{nullptr};
 };
 
-namespace detail {
-/// Thread-local view of the lane a worker thread is currently executing
-/// inside a parallel window (null on the coordinator and in serial mode).
-/// Declared here so Simulation::now() stays inline; the full LaneRun lives
-/// in lane_runtime.cpp.
-struct LaneRunBase {
-  SimTime local_now{0};
-};
-inline thread_local LaneRunBase* t_lane_run = nullptr;
-}  // namespace detail
-
 class Simulation {
  public:
   using Callback = InlineCallback;
@@ -166,12 +149,7 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  [[nodiscard]] SimTime now() const {
-    if (par_active_) {
-      if (const auto* lr = detail::t_lane_run) return lr->local_now;
-    }
-    return now_;
-  }
+  [[nodiscard]] SimTime now() const { return now_; }
 
   void schedule_at(SimTime t, Callback cb);
   void schedule_in(SimDuration dt, Callback cb) {
@@ -191,15 +169,14 @@ class Simulation {
 
   // ------------------------------------------------------------- site lanes
 
-  /// Shards the queue into `sites` per-site lanes (plus the control lane 0)
-  /// with the given conservative lookahead horizon — normally the
-  /// topology's min_cross_site_latency(). Events already queued stay in
-  /// lane 0. Called by rpc::Cluster unless BS_SIM_LANES=off.
-  void configure_sites(std::size_t sites, SimDuration lookahead);
+  /// Shards the queue into `sites` per-site lanes (plus the control lane 0).
+  /// Events already queued stay in lane 0. Called by rpc::Cluster unless
+  /// BS_SIM_LANES=off. A second call must agree on the shard count.
+  // The duration is unread; perfbench/src/lite_population.cpp still passes it.
+  void configure_sites(std::size_t sites, SimDuration = 0);
   [[nodiscard]] std::size_t site_lane_count() const {
     return lanes_.size() - 1;
   }
-  [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
 
   /// Capacity hint from the workload layer: the expected steady-state
   /// number of pending events per site lane. A population-scale workload
@@ -221,13 +198,6 @@ class Simulation {
   /// order. With no site lanes configured this is schedule_at().
   void schedule_on_site(std::size_t site, SimTime t, Callback cb);
 
-  /// Parallel-safe schedule into site `s`'s lane: the event (and every
-  /// event it transitively schedules) is marked eligible for the windowed
-  /// parallel stepper. Contract — a parallel-safe callback must touch only
-  /// state owned by its site, must not log/trace, and a cross-site
-  /// schedule_par must carry at least lookahead() of delay.
-  void schedule_par(std::size_t site, SimTime t, Callback cb);
-
   /// Awaitable: suspend and resume in site `s`'s lane after `dt` — how an
   /// RPC envelope crosses the WAN latency matrix into its destination
   /// site's lane.
@@ -245,21 +215,10 @@ class Simulation {
     return Awaiter{this, site, dt};
   }
 
-  /// Cross-lane handoffs stamped so far (serial + windowed).
+  /// Cross-lane handoffs stamped so far.
   [[nodiscard]] std::uint64_t cross_site_handoffs() const {
     return cross_site_handoffs_;
   }
-
-  // --------------------------------------------------------------- threads
-
-  /// Enables the opt-in windowed parallel stepper with `n` worker threads
-  /// (0 disables it — the default). Only run() windows; run_until() and
-  /// step() always execute serially. Read from BS_SIM_THREADS by
-  /// rpc::Cluster.
-  void set_worker_threads(unsigned n);
-  [[nodiscard]] unsigned worker_threads() const { return workers_; }
-  /// Windows executed by the parallel stepper (0 in serial mode).
-  [[nodiscard]] std::uint64_t windows_run() const { return windows_run_; }
 
   // ------------------------------------------------------------- execution
 
@@ -332,27 +291,21 @@ class Simulation {
 
   // ------------------------------------------------------------ event queue
 
-  /// Bit 63 of an event's sequence word marks it parallel-safe; ordering
-  /// always compares the masked value, so the mark never perturbs the
-  /// global (time, seq) total order.
-  static constexpr std::uint64_t kParBit = 1ull << 63;
-  static constexpr std::uint64_t kSeqMask = kParBit - 1;
   static constexpr std::uint64_t kNoSeq = ~0ull;
 
   /// Heap key: 24 bytes, trivially movable. The callback body lives in
   /// lane.slots[slot]; sifting never touches it.
   struct HeapEntry {
     SimTime time;
-    std::uint64_t seq;  ///< kParBit | sequence
+    std::uint64_t seq;
     std::uint32_t slot;
   };
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
-    return (a.seq & kSeqMask) < (b.seq & kSeqMask);
+    return a.seq < b.seq;
   }
 
-  /// Same-time FIFO lane entry (time is implicitly the lane's current
-  /// time — now_ in serial mode, the worker's local clock in a window).
+  /// Same-time FIFO lane entry (time is implicitly now_).
   struct NowEvent {
     std::uint64_t seq;
     Callback cb;
@@ -379,7 +332,7 @@ class Simulation {
   /// One per-site event shard. Four tiers, one (time, seq) order:
   ///  * ring  — FIFO of events at the current time (implicit time).
   ///  * stage — the current ladder rung: the chunk of far-pool events below
-  ///            far_bar, sorted by (time, masked seq) at refill time and
+  ///            far_bar, sorted by (time, seq) at refill time and
   ///            consumed by a sequential cursor. Pops are a linear read
   ///            with the callback inline — no sift, no slot indirection.
   ///            (Gathering bodies at refill, not pop, is deliberate: the
@@ -420,15 +373,10 @@ class Simulation {
     /// empty, everything routes to the heap); engage_far() lowers it once
     /// the workload hints a large population, and afterwards it only rises.
     SimTime far_bar{simtime::kInfinite};
-    SimTime head_time{simtime::kInfinite};  ///< cached min key (masked seq)
+    SimTime head_time{simtime::kInfinite};  ///< cached min key
     std::uint64_t head_seq{kNoSeq};
-    std::size_t untagged{0};  ///< events without the parallel-safe mark
   };
 
-  [[nodiscard]] std::uint64_t next_seq(bool par) {
-    const std::uint64_t s = seq_++;
-    return par ? (s | kParBit) : s;
-  }
   [[nodiscard]] std::size_t site_lane(std::size_t site) const {
     if (lanes_.size() == 1) return 0;
     return site + 1 < lanes_.size() ? site + 1 : 0;
@@ -436,8 +384,8 @@ class Simulation {
 
   static void heap_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
   /// Pops the lane's heap root; returns its callback (slot recycled) and
-  /// the entry key. Does NOT refresh the head cache.
-  static Callback heap_pop(Lane& ln, SimTime* t, std::uint64_t* seq);
+  /// time. Does NOT refresh the head cache.
+  static Callback heap_pop(Lane& ln, SimTime* t);
   static void sift_up(Lane& ln, std::size_t i);
   static void sift_down(Lane& ln, std::size_t i);
 
@@ -466,19 +414,15 @@ class Simulation {
   [[nodiscard]] static std::size_t far_live(const Lane& ln) {
     return ln.far_keys.size() - ln.far_dead;
   }
-  /// Smallest (time, masked seq) key across the near tiers (`at` is the
-  /// implicit ring time). Returns the owning tier, or -1 when all empty.
+  /// Smallest (time, seq) key across the near tiers (`at` is the implicit
+  /// ring time). Returns the owning tier, or -1 when all empty.
   static int peek_near(const Lane& ln, SimTime at, SimTime* t,
-                       std::uint64_t* masked_seq);
-  /// Pops the entry peek_near() selected; returns its callback and raw key.
-  /// Does NOT refresh the head cache.
-  static Callback pop_near(Lane& ln, int src, SimTime at, SimTime* t,
-                           std::uint64_t* seq);
+                       std::uint64_t* seq);
 
   static void ring_push(Lane& ln, SimTime at, std::uint64_t seq, Callback cb);
-  static Callback ring_pop(Lane& ln, std::uint64_t* seq);
+  static Callback ring_pop(Lane& ln);
   [[nodiscard]] static std::uint64_t ring_front_seq(const Lane& ln) {
-    return ln.ring[ln.ring_head].seq & kSeqMask;
+    return ln.ring[ln.ring_head].seq;
   }
   static void ring_grow(Lane& ln);
 
@@ -492,45 +436,21 @@ class Simulation {
     heads_[lane] = HeadKey{ln.head_time, ln.head_seq};
   }
   static void maybe_raise_head(Lane& ln, SimTime t, std::uint64_t seq) {
-    const std::uint64_t m = seq & kSeqMask;
-    if (t < ln.head_time || (t == ln.head_time && m < ln.head_seq)) {
+    if (t < ln.head_time || (t == ln.head_time && seq < ln.head_seq)) {
       ln.head_time = t;
-      ln.head_seq = m;
+      ln.head_seq = seq;
     }
   }
 
-  /// Enqueues into `lane` at time t (ring when t <= now_). Serial only.
-  void push_event(std::size_t lane, SimTime t, std::uint64_t seq,
-                  Callback cb);
+  /// Enqueues into `lane` at time t (ring when t <= now_), stamped with the
+  /// next global sequence number.
+  void push_event(std::size_t lane, SimTime t, Callback cb);
   /// Lane index holding the globally smallest head key, or lanes_.size()
   /// when every lane is empty.
   [[nodiscard]] std::size_t best_lane() const;
 
   /// Drops every queued event without running it (teardown).
   void clear_queue() noexcept;
-
-  // -------------------------------------------------------- parallel window
-  // Implemented in lane_runtime.cpp (the only threaded file in src/sim).
-
-  struct ParRuntime;
-  friend struct ParRuntime;
-
-  [[nodiscard]] bool windowed() const {
-    return workers_ != 0 && lanes_.size() > 2;
-  }
-  /// True on a worker thread inside a parallel window — schedule_* calls
-  /// then route through the lane-local par_* paths.
-  [[nodiscard]] bool in_worker() const {
-    return par_active_ && detail::t_lane_run != nullptr;
-  }
-  /// One windowed iteration: runs a parallel window when eligible, else a
-  /// single serial step. Returns false when the queue is empty.
-  bool window_or_step();
-  /// Worker-context scheduling (routed from schedule_* when par_active_).
-  void par_schedule_current(SimTime t, Callback cb);
-  void par_schedule_site(std::size_t site, SimTime t, Callback cb);
-  void par_schedule_resume(std::coroutine_handle<> h);
-  void shutdown_workers() noexcept;
 
   // ---------------------------------------------------------- tracked roots
 
@@ -578,13 +498,11 @@ class Simulation {
   RootTask root_entry(Task<void> t) { co_await std::move(t); }
 
   /// 16-byte copy of each lane's cached head key. best_lane() runs once
-  /// per serial step, and scanning one flat array touches 2-3 cache lines
+  /// per step, and scanning one flat array touches 2-3 cache lines
   /// for a 9-site deployment instead of one — usually cold — line per
   /// Lane struct. The Lane fields stay the source of truth: the mirror is
-  /// resynced wherever a head can change under the serial stepper
-  /// (push_event, recompute_head, clear_queue); inside a parallel window
-  /// workers mutate only their own Lane's head, and the barrier resyncs
-  /// every drained lane via recompute_head before the next best_lane().
+  /// resynced wherever a head can change (push_event, recompute_head,
+  /// clear_queue).
   struct HeadKey {
     SimTime time{simtime::kInfinite};
     std::uint64_t seq{kNoSeq};
@@ -596,15 +514,9 @@ class Simulation {
   std::uint64_t seq_{0};
   std::uint64_t processed_{0};
   std::uint64_t cross_site_handoffs_{0};
-  std::uint64_t windows_run_{0};
-  SimDuration lookahead_{simtime::kInfinite};
   std::size_t lane_load_hint_{0};  ///< hint_lane_load(), kept for reconfigure
   std::size_t exec_lane_{0};  ///< lane of the event currently executing
-  bool exec_par_{false};      ///< it carries the parallel-safe mark
-  bool par_active_{false};    ///< a parallel window is in flight
   bool stopped_{false};
-  unsigned workers_{0};
-  ParRuntime* par_{nullptr};  // owned; deleted by shutdown_workers()
   RootTask::promise_type* roots_{nullptr};
   std::size_t live_roots_{0};
 };

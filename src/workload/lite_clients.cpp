@@ -37,13 +37,13 @@ LiteClientPool::LiteClientPool(sim::Simulation& sim,
 void LiteClientPool::start() {
   // Stagger every client's first wakeup across one mean period so the
   // population does not tick in lockstep; per-site Rng keeps the stagger
-  // identical regardless of lane or thread configuration.
+  // identical regardless of lane configuration.
   for (Shard& sh : shards_) {
     const auto n = static_cast<std::uint32_t>(sh.clients.size());
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto offset = static_cast<SimDuration>(
           sh.rng.next_double() * static_cast<double>(params_.mean_period));
-      sim_.schedule_par(sh.site, params_.start + offset, Tick{&sh, i});
+      sim_.schedule_on_site(sh.site, params_.start + offset, Tick{&sh, i});
     }
   }
 }
@@ -67,7 +67,7 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
       static_cast<std::uint32_t>(512 + shard.rng.next_below(4096));
   st.bytes += bytes;
   // Order-sensitive local mix: any reordering of this site's ticks changes
-  // the digest, pinning intra-lane execution order across stepper modes.
+  // the digest, pinning intra-lane execution order across queue modes.
   st.mix = fnv_mix(st.mix, (static_cast<std::uint64_t>(idx) << 20) ^ bytes);
 
   const std::size_t sites = shards_.size();
@@ -75,10 +75,9 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
     std::size_t dst = shard.rng.next_below(sites - 1);
     if (dst >= shard.site) ++dst;
     ++st.cross_sent;
-    // Arrival is one WAN latency out — by definition at or beyond the
-    // conservative lookahead horizon, so the hand-off is window-safe.
+    // The message lands in the destination site's lane one WAN latency out.
     const SimDuration wan = topo_.latency(shard.site, dst);
-    sim_.schedule_par(dst, now + wan, CrossMsg{&shards_[dst], bytes});
+    sim_.schedule_on_site(dst, now + wan, CrossMsg{&shards_[dst], bytes});
   }
 
   const double mean =
@@ -87,7 +86,7 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
   if (dt < 1) dt = 1;
   const SimTime next = now + dt;
   if (next <= params_.end) {
-    sim_.schedule_par(shard.site, next, Tick{&shard, idx});
+    sim_.schedule_on_site(shard.site, next, Tick{&shard, idx});
   }
 }
 

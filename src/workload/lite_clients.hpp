@@ -1,15 +1,15 @@
 // Pooled lightweight client actors for production-scale populations: one
 // flat POD record per client instead of a coroutine frame, woken by
-// InlineCallback ticks through the simulator's parallel-safe site lanes.
+// InlineCallback ticks scheduled into the simulator's per-site lanes.
 // 10^6 clients cost ~100 bytes each (record + one pending event), so the
 // million-client experiment of bench_million_clients fits comfortably in
 // memory where coroutine-frame actors (workload/clients.hpp) would not.
 //
-// Every tick is site-pure — it touches only its site's shard (stats,
-// per-site Rng) — and cross-site traffic goes through schedule_par with at
-// least the WAN latency of delay, so whole populations satisfy the
-// parallel-safe contract and shard across BS_SIM_THREADS workers while the
-// digest stays bit-identical to the serial and single-heap runs.
+// Every tick touches only its site's shard (stats, per-site Rng) and is
+// scheduled with schedule_on_site(); cross-site messages land in the
+// destination's lane one WAN latency out. The digest is bit-identical
+// between the sharded lanes and the single-heap oracle (DESIGN.md
+// "Sharded lanes").
 #pragma once
 
 #include <cstdint>
@@ -82,9 +82,8 @@ class LiteClientPool {
     std::uint32_t idx;
     void operator()() const { shard->pool->on_tick(*shard, idx); }
   };
-  /// Cross-site message: handler is commutative (integer adds only, no
-  /// Rng), as required for same-arrival-time hand-offs to be
-  /// order-insensitive under the windowed stepper.
+  /// Cross-site message: integer adds only, no Rng, so the receiving
+  /// site's stats do not depend on how same-time arrivals interleave.
   struct CrossMsg {
     Shard* dst;
     std::uint32_t bytes;

@@ -1,14 +1,11 @@
 // Tests for the remaining small common utilities: Result, strings, time
-// formatting, TimeSeries, TokenBucket, RingBuffer, ThreadPool, hashing.
+// formatting, TimeSeries, TokenBucket, RingBuffer, hashing.
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "common/hash.hpp"
 #include "common/result.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timeseries.hpp"
 #include "common/token_bucket.hpp"
 #include "common/types.hpp"
@@ -185,27 +182,6 @@ TEST(RingBuffer, PushEvict) {
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(*evicted, 1);
   EXPECT_EQ(rb.pop().value(), 2);
-}
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelFor) {
-  ThreadPool pool(3);
-  std::vector<int> out(50, 0);
-  pool.parallel_for(out.size(), [&out](std::size_t i) {
-    out[i] = static_cast<int>(i * 2);
-  });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * 2));
-  }
 }
 
 }  // namespace

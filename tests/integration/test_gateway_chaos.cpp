@@ -1,5 +1,5 @@
-// Seeded chaos for the S3 gateway (ctest labels: gateway, recovery, chaos,
-// lanes). Each seed derives a fault schedule that crashes data providers
+// Seeded chaos for the S3 gateway (ctest labels: gateway, recovery,
+// chaos). Each seed derives a fault schedule that crashes data providers
 // and the gateway itself (some crashes with torn journal tails) plus link
 // faults, while the trace-replay workload drives mixed tenant traffic —
 // puts, multipart uploads, delta syncs, range gets, pagination, deletes —
@@ -7,8 +7,8 @@
 //   * the same seed replays bit-identically, including the trace digest,
 //     the gateway's state digest, dedup/reclaim counters and recovery
 //     accounting;
-//   * the digest is identical with the sharded-lane stepper disabled
-//     (BS_SIM_LANES=off) and across worker-thread counts 1 and 4;
+//   * the digest is identical with the sharded lanes disabled
+//     (BS_SIM_LANES=off);
 //   * once the dust settles every object the gateway lists is fully
 //     readable with its recorded etag — refcounted dedup plus crash
 //     recovery never reclaims or loses a chunk a live manifest needs.
@@ -44,8 +44,7 @@ struct GatewayChaosOutcome {
 };
 
 GatewayChaosOutcome run_gateway_chaos(std::uint64_t seed,
-                                      bool lanes_off = false,
-                                      unsigned threads = 0) {
+                                      bool lanes_off = false) {
   // The lane config is read by the Cluster constructor, so the env toggle
   // must bracket Deployment construction.
   if (lanes_off) setenv("BS_SIM_LANES", "off", 1);
@@ -60,7 +59,6 @@ GatewayChaosOutcome run_gateway_chaos(std::uint64_t seed,
   cfg.journal.enabled = true;
   blob::Deployment dep(sim, cfg);
   if (lanes_off) unsetenv("BS_SIM_LANES");
-  if (threads > 0) sim.set_worker_threads(threads);
 
   rpc::Node* gw_node = dep.cluster().add_node(0);
   cloud::GatewayOptions gopts;
@@ -230,18 +228,12 @@ class GatewayChaosAblation : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(GatewayChaosAblation, StepperAndThreadsNeverChangeOutcomes) {
   // The gateway's coroutine fan-out (concurrent parts, parallel range
-  // reads, detached reclaims) must be invisible to the stepper choice.
+  // reads, detached reclaims) must be invisible to the queue choice.
   const std::uint64_t seed = GetParam();
   const GatewayChaosOutcome lanes = run_gateway_chaos(seed);
   const GatewayChaosOutcome single =
       run_gateway_chaos(seed, /*lanes_off=*/true);
-  const GatewayChaosOutcome t1 =
-      run_gateway_chaos(seed, /*lanes_off=*/false, /*threads=*/1);
-  const GatewayChaosOutcome t4 =
-      run_gateway_chaos(seed, /*lanes_off=*/false, /*threads=*/4);
   EXPECT_EQ(lanes.digest, single.digest) << "seed " << seed;
-  EXPECT_EQ(lanes.digest, t1.digest) << "seed " << seed;
-  EXPECT_EQ(lanes.digest, t4.digest) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(StepperAblation, GatewayChaosAblation,

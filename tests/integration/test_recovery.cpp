@@ -335,7 +335,9 @@ TEST(Recovery, SiteWidePowerLossRecoversEveryNode) {
 
   for (std::uint64_t i = 0; i < dep.cluster().node_count(); ++i) {
     rpc::Node* n = dep.cluster().node(NodeId{i});
-    if (n != nullptr) EXPECT_TRUE(n->up()) << "node " << i << " still down";
+    if (n != nullptr) {
+      EXPECT_TRUE(n->up()) << "node " << i << " still down";
+    }
   }
   for (const auto& op : ops) {
     if (!op.result.ok()) continue;

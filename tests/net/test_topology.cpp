@@ -1,8 +1,6 @@
 // Topology latency-matrix properties: the symmetric/positive invariants the
-// sharded simulation leans on, and a pinned grid5000 lookahead value so an
-// accidental change to the WAN matrix (which silently widens or shrinks the
-// conservative lookahead horizon) fails loudly instead of perturbing every
-// windowed run.
+// simulation leans on, and a pinned grid5000 minimum WAN latency so an
+// accidental change to the WAN matrix fails loudly.
 #include <gtest/gtest.h>
 
 #include "common/types.hpp"
@@ -12,9 +10,9 @@ namespace bs::net {
 namespace {
 
 TEST(Topology, Grid5000MinCrossSiteLatencyPinned) {
-  // The grid5000 WAN matrix is 4-12 ms; the minimum one-way edge — the
-  // conservative lookahead horizon — is exactly 4 ms. Pinned: changing the
-  // matrix changes every windowed schedule's eligibility.
+  // The grid5000 WAN matrix is 4-12 ms; the minimum one-way edge is
+  // exactly 4 ms. Pinned: changing the matrix changes every cross-site
+  // delivery time.
   const Topology topo = Topology::grid5000();
   EXPECT_EQ(topo.min_cross_site_latency(), simtime::millis(4.0));
 }
@@ -32,8 +30,7 @@ TEST(Topology, Grid5000MinIsTheMatrixMinimum) {
 }
 
 TEST(Topology, SingleSiteHasInfiniteLookahead) {
-  // No cross-site edge bounds the horizon: the sharded stepper must treat a
-  // single-site topology as "never window".
+  // No cross-site edge: the minimum over an empty set is kInfinite.
   const Topology topo = Topology::single_site();
   EXPECT_EQ(topo.min_cross_site_latency(), simtime::kInfinite);
 }
@@ -51,8 +48,7 @@ TEST(Topology, LatencyMatrixIsSymmetricAndPositive) {
 }
 
 TEST(Topology, WanEdgesDominateLanLatency) {
-  // Cross-site latency must exceed intra-site latency, otherwise the
-  // lookahead horizon would not bound same-site causality.
+  // Cross-site latency must exceed intra-site latency.
   const Topology topo = Topology::grid5000(9);
   for (SiteId a = 0; a < topo.site_count(); ++a) {
     for (SiteId b = 0; b < topo.site_count(); ++b) {

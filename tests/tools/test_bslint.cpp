@@ -479,62 +479,6 @@ TEST(BslintPerf, EnvelopeHandlersAreExemptFromByValueRuleToo) {
                   .empty());
 }
 
-// ---------------------------------------------- P: par-cross-site-schedule
-
-TEST(BslintPar, FlagsUnsitedScheduleCapturingShardState) {
-  EXPECT_TRUE(has_rule(
-      scan("src/x.cpp",
-           "void f() { sim.schedule_at(t, [&shard] { shard.ops++; }); }\n"),
-      "par-cross-site-schedule"));
-  EXPECT_TRUE(has_rule(
-      scan("src/x.cpp",
-           "void f() { sim.schedule_in(dt, [s = &dst_shard] { s->poke(); "
-           "}); }\n"),
-      "par-cross-site-schedule"));
-}
-
-TEST(BslintPar, SiteTaggedSchedulesAreClean) {
-  // schedule_on_site / schedule_par carry the owning lane explicitly.
-  EXPECT_TRUE(
-      scan("src/x.cpp",
-           "void f() { sim.schedule_on_site(s, t, [&shard] { shard.ops++; "
-           "}); }\n")
-          .empty());
-  EXPECT_TRUE(
-      scan("src/x.cpp",
-           "void f() { sim.schedule_par(s, t, [&shard] { shard.ops++; }); "
-           "}\n")
-          .empty());
-}
-
-TEST(BslintPar, ShardFreeCapturesAndSubscriptsAreClean) {
-  EXPECT_TRUE(scan("src/x.cpp",
-                   "void f() { sim.schedule_at(t, [&count] { ++count; }); }\n")
-                  .empty());
-  // A subscript expression inside the argument list is not a capture list.
-  EXPECT_TRUE(scan("src/x.cpp",
-                   "void f() { sim.schedule_at(t, cbs[shard_idx]); }\n")
-                  .empty());
-}
-
-TEST(BslintPar, UnsitedShardScheduleOnlyAppliesUnderSrc) {
-  EXPECT_FALSE(has_rule(
-      scan("tests/x.cpp",
-           "void f() { sim.schedule_at(t, [&shard] { shard.ops++; }); }\n"),
-      "par-cross-site-schedule"));
-}
-
-TEST(BslintPar, SuppressedUnsitedShardScheduleCounts) {
-  ScanStats stats;
-  auto fs = scan(
-      "src/x.cpp",
-      "// bslint: allow(par-cross-site-schedule): shard is lane-local here\n"
-      "void f() { sim.schedule_at(t, [&shard] { shard.ops++; }); }\n",
-      &stats);
-  EXPECT_FALSE(has_rule(fs, "par-cross-site-schedule"));
-  EXPECT_EQ(stats.suppressed, 1);
-}
-
 // ---------------------------------------------- C: coro-lambda-capture
 
 TEST(BslintCoro, FlagsRefCaptureLambdaCoroutine) {

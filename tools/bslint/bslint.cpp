@@ -88,13 +88,6 @@ const std::vector<RuleDesc>& rule_table() {
        "the caller passes an lvalue; share the batch as "
        "shared_ptr<const ...> (copy-free fan-out), or allow() with proof "
        "that every caller moves"},
-      {"par-cross-site-schedule", 'P',
-       "un-sited schedule reachable from site-sharded context",
-       "an event touching a site shard must go through schedule_on_site() "
-       "or schedule_par() so it executes in the owning site's lane; a bare "
-       "schedule_at/schedule_in runs it in the *current* lane, breaking the "
-       "site-purity contract the windowed stepper depends on — or allow() "
-       "with the argument for why the state is lane-local"},
       {"obs-unguarded", 'O',
        "unguarded dereference of the observability hook",
        "use `if (auto* ts = obs::sink()) { ... }` (same for obs::metrics()) "
@@ -136,7 +129,6 @@ class Scanner {
     check_journal_encoders();
     check_task_functions();
     check_lambdas();
-    check_par_schedules();
     check_view_temps();
     check_first_await_if();
     check_obs_guards();
@@ -526,49 +518,6 @@ class Scanner {
       if (is_serve_argument(i)) continue;
       report(t[i].line, t[i].col, "coro-lambda-capture",
              "lambda coroutine captures " + what);
-    }
-  }
-
-  /// par-cross-site-schedule (token level): a schedule_at/schedule_in call
-  /// whose callback lambda captures shard state (any capture-list identifier
-  /// containing "shard"). Such events must carry a site tag —
-  /// schedule_on_site() or schedule_par() — so they execute in the lane that
-  /// owns the shard; un-sited they land in whatever lane the caller happens
-  /// to run in. The flow pass extends this to whole call chains from
-  /// par-tagged roots.
-  void check_par_schedules() {
-    if (!scope_.in_src) return;
-    const auto& t = lex_.toks;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (t[i].kind != Tk::ident ||
-          (t[i].text != "schedule_at" && t[i].text != "schedule_in")) {
-        continue;
-      }
-      if (!is_punct(t[i + 1], "(")) continue;
-      const std::size_t close = match_forward(t, i + 1, "(", ")");
-      if (close >= t.size()) continue;
-      bool reported = false;
-      for (std::size_t j = i + 2; j < close && !reported; ++j) {
-        if (!is_punct(t[j], "[")) continue;
-        // Rule out subscripts and [[attributes]], as in check_lambdas().
-        if (t[j - 1].kind == Tk::ident || is_punct(t[j - 1], ")") ||
-            is_punct(t[j - 1], "]")) {
-          continue;
-        }
-        if (j + 1 < t.size() && is_punct(t[j + 1], "[")) continue;
-        const std::size_t cap_close = match_forward(t, j, "[", "]");
-        if (cap_close >= close) break;
-        for (std::size_t k = j + 1; k < cap_close; ++k) {
-          if (t[k].kind == Tk::ident &&
-              t[k].text.find("shard") != std::string::npos) {
-            report(t[i].line, t[i].col, "par-cross-site-schedule",
-                   t[i].text + "() lambda captures '" + t[k].text + "'");
-            reported = true;
-            break;
-          }
-        }
-        j = cap_close;
-      }
     }
   }
 

@@ -8,9 +8,8 @@
 //   pass 2 — flow rules over the linked cross-translation-unit call graph:
 //            reachability findings that carry the full call chain
 //            (`a() -> b() -> use of 'mt19937'`), so a wall clock two calls
-//            below a journal encoder or an un-sited schedule reached
-//            indirectly from a par-tagged functor no longer hides behind a
-//            function boundary. See index.hpp / graph.hpp / flow.hpp.
+//            below a journal encoder no longer hides behind a function
+//            boundary. See index.hpp / graph.hpp / flow.hpp.
 //
 // Rule families over src/, tests/ and bench/:
 //
@@ -21,7 +20,7 @@
 //                         coro-view-temp, coro-first-await-if,
 //                         coro-ref-escape
 //   O (observability)     obs-unguarded
-//   P (performance)       perf-large-byvalue, par-cross-site-schedule
+//   P (performance)       perf-large-byvalue
 //   H (hygiene)           hyg-iostream, hyg-using-namespace, hyg-bare-allow,
 //                         hyg-bad-allow
 //
@@ -33,8 +32,7 @@
 // A suppression without a rationale — or naming an unknown rule — is itself
 // a finding, so etiquette is machine-checked. A suppressed fact is treated
 // as a discharged proof obligation: the flow pass does not re-report it
-// through caller chains. `// bslint: par-root: rationale` above a function
-// definition tags it as a par-flow root (see flow.hpp).
+// through caller chains.
 //
 // Grandfathered findings live in a checked-in baseline
 // (path:line:rule[|chain], sorted); `--fix-baseline` regenerates it

@@ -116,14 +116,10 @@ std::string serialize_cache(std::vector<CachedFile> entries) {
     for (const std::string& r : e.index.allow_file) {
       out += "G\t" + r + "\n";
     }
-    for (const std::string& p : e.index.par_callables) {
-      out += "P\t" + esc(p) + "\n";
-    }
     for (const FuncDef& fd : e.index.funcs) {
       std::string flags;
       flags += fd.is_coroutine ? '1' : '0';
       flags += fd.returns_task ? '1' : '0';
-      flags += fd.par_root ? '1' : '0';
       flags += fd.takes_envelope ? '1' : '0';
       std::string params;
       for (const ParamShape& p : fd.params) {
@@ -218,11 +214,8 @@ bool parse_cache(std::string_view text,
     } else if (tag == "G") {
       if (parts.size() != 2) return false;
       cur->index.allow_file.insert(parts[1]);
-    } else if (tag == "P") {
-      if (parts.size() != 2) return false;
-      cur->index.par_callables.push_back(unesc(parts[1]));
     } else if (tag == "U") {
-      if (parts.size() != 7 || parts[5].size() != 4) return false;
+      if (parts.size() != 7 || parts[5].size() != 3) return false;
       FuncDef fd;
       fd.qname = unesc(parts[1]);
       fd.name = unesc(parts[2]);
@@ -231,8 +224,7 @@ bool parse_cache(std::string_view text,
       }
       fd.is_coroutine = parts[5][0] == '1';
       fd.returns_task = parts[5][1] == '1';
-      fd.par_root = parts[5][2] == '1';
-      fd.takes_envelope = parts[5][3] == '1';
+      fd.takes_envelope = parts[5][2] == '1';
       std::istringstream ss(parts[6]);
       std::string p;
       while (std::getline(ss, p, ',')) {

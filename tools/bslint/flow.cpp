@@ -13,36 +13,11 @@ bool name_has(const std::string& s, const char* needle) {
   return s.find(needle) != std::string::npos;
 }
 
-/// Siting barriers for the par flow: a chain that routes through one of
-/// these executes in the owning site's lane, which is exactly the contract
-/// par-cross-site-schedule verifies — so traversal stops there.
-bool is_barrier_call(const std::string& name) {
-  return name == "schedule_on_site" || name == "schedule_par" ||
-         name == "par_schedule_site";
-}
-
-bool is_par_root(const ProjectIndex& pi, const FuncDef& fd) {
-  if (fd.par_root) return true;
-  if (fd.name != "operator()") return false;
-  for (const std::string& t : pi.par_callables) {
-    const std::string suffix = t + "::operator()";
-    if (fd.qname == suffix) return true;
-    if (fd.qname.size() > suffix.size() + 2 &&
-        fd.qname.compare(fd.qname.size() - suffix.size() - 2, 2, "::") == 0 &&
-        fd.qname.compare(fd.qname.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
+/// A reachability rule. Facts in the root's own body are the token rules'
+/// job, so a flow finding always has at least one call edge in its chain.
 struct FlowRuleCfg {
   const char* rule;
   std::vector<FactKind> kinds;
-  bool include_root_facts;  ///< report depth-0 facts (par only: the direct
-                            ///< token rules own depth 0 everywhere else)
-  bool stop_at_barriers;
 };
 
 bool wants(const FlowRuleCfg& cfg, FactKind k) {
@@ -54,9 +29,6 @@ std::string rule_message(const std::string& rule, const FuncDef& root,
   if (rule == "det-journal-encode") {
     return "journal encoder '" + root.qname + "' transitively reaches " +
            detail;
-  }
-  if (rule == "par-cross-site-schedule") {
-    return "par-tagged '" + root.qname + "' reaches un-sited " + detail;
   }
   return "call chain from '" + root.qname + "' reaches " + detail;
 }
@@ -96,7 +68,7 @@ void run_reachability(const ProjectIndex& pi, const FlowRuleCfg& cfg,
       const FuncDef& fd = pi.at(cur);
       const std::size_t d = depth[cur];
       // Facts at this node.
-      if (d > 0 || cfg.include_root_facts) {
+      if (d > 0) {
         for (const Fact& fact : fd.facts) {
           if (!wants(cfg, fact.kind)) continue;
           // Chain root() -> ... -> node(), then the offending token.
@@ -121,20 +93,15 @@ void run_reachability(const ProjectIndex& pi, const FlowRuleCfg& cfg,
           cand.finding.rule = cfg.rule;
           cand.finding.message = rule_message(cfg.rule, root, fact.detail);
           cand.finding.chain = chain;
-          if (d == 0) {
-            cand.finding.line = fact.line;
-            cand.finding.col = fact.col;
-          } else {
-            // First edge out of the root: climb to the depth-1 node.
-            FuncRef hop = cur;
-            while (parent.find(hop) != parent.end() &&
-                   !(parent.at(hop) == root_ref)) {
-              hop = parent.at(hop);
-            }
-            const auto [l, c] = via.at(hop);
-            cand.finding.line = l;
-            cand.finding.col = c;
+          // First edge out of the root: climb to the depth-1 node.
+          FuncRef hop = cur;
+          while (parent.find(hop) != parent.end() &&
+                 !(parent.at(hop) == root_ref)) {
+            hop = parent.at(hop);
           }
+          const auto [l, c] = via.at(hop);
+          cand.finding.line = l;
+          cand.finding.col = c;
           cand.suppressed =
               root_file.allow_file.count(cfg.rule) != 0u ||
               [&] {
@@ -148,7 +115,6 @@ void run_reachability(const ProjectIndex& pi, const FlowRuleCfg& cfg,
       }
       // Expand edges.
       for (const CallSite& cs : fd.calls) {
-        if (cfg.stop_at_barriers && is_barrier_call(cs.name)) continue;
         const auto* cands = pi.candidates(cs.name);
         if (cands == nullptr) continue;  // unknown edge: nothing to widen
         for (const FuncRef next : *cands) {
@@ -240,7 +206,6 @@ FlowResult flow_analyze(const ProjectIndex& pi) {
 
   std::vector<FuncRef> sim_roots;
   std::vector<FuncRef> encoder_roots;
-  std::vector<FuncRef> par_roots;
   for (std::size_t f = 0; f < pi.files.size(); ++f) {
     for (std::size_t g = 0; g < pi.files[f].funcs.size(); ++g) {
       const FuncDef& fd = pi.files[f].funcs[g];
@@ -249,29 +214,19 @@ FlowResult flow_analyze(const ProjectIndex& pi) {
       if (name_has(fd.name, "encode") || name_has(fd.name, "checkpoint")) {
         encoder_roots.push_back(ref);
       }
-      if (is_par_root(pi, fd)) par_roots.push_back(ref);
     }
   }
 
-  run_reachability(pi,
-                   {"det-wallclock", {FactKind::wallclock}, false, false},
+  run_reachability(pi, {"det-wallclock", {FactKind::wallclock}}, sim_roots,
+                   &out);
+  run_reachability(pi, {"det-random", {FactKind::random}}, sim_roots, &out);
+  run_reachability(pi, {"det-unordered-iter", {FactKind::unordered_iter}},
                    sim_roots, &out);
-  run_reachability(pi, {"det-random", {FactKind::random}, false, false},
-                   sim_roots, &out);
-  run_reachability(
-      pi, {"det-unordered-iter", {FactKind::unordered_iter}, false, false},
-      sim_roots, &out);
   run_reachability(pi,
                    {"det-journal-encode",
                     {FactKind::wallclock, FactKind::random,
-                     FactKind::unordered_iter, FactKind::ptr_identity},
-                    false,
-                    false},
+                     FactKind::unordered_iter, FactKind::ptr_identity}},
                    encoder_roots, &out);
-  run_reachability(
-      pi,
-      {"par-cross-site-schedule", {FactKind::unsited_schedule}, true, true},
-      par_roots, &out);
   run_ref_escape(pi, &out);
 
   std::sort(out.findings.begin(), out.findings.end(), finding_less);

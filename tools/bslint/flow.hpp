@@ -11,13 +11,6 @@
 //       from every encoder root (name containing "encode" or "checkpoint")
 //       to any nondeterminism fact (wall clock, randomness, unordered
 //       iteration, pointer identity) in a callee.
-//   par-cross-site-schedule
-//       from every par-tagged root (explicit `// bslint: par-root` marker,
-//       or the operator() of a functor passed to schedule_par /
-//       schedule_on_site) to a bare schedule_at/schedule_in call anywhere in
-//       the chain; traversal stops at the siting barriers (schedule_on_site,
-//       schedule_par, par_schedule_site) — a chain routed through a barrier
-//       is the contract being honored.
 //   coro-ref-escape
 //       call-site rule, not reachability: a temporary argument bound to a
 //       reference/view parameter of a Task<>-returning definition dies at

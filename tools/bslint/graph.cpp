@@ -21,8 +21,6 @@ ProjectIndex link_index(std::vector<FileIndex> files) {
     for (std::size_t g = 0; g < pi.files[f].funcs.size(); ++g) {
       pi.by_name[pi.files[f].funcs[g].name].push_back({f, g});
     }
-    pi.par_callables.insert(pi.files[f].par_callables.begin(),
-                            pi.files[f].par_callables.end());
   }
   return pi;
 }

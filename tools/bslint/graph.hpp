@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,9 +30,6 @@ struct ProjectIndex {
   /// Unqualified name -> every definition carrying it, in (file, func)
   /// order — resolution and iteration both stay deterministic.
   std::map<std::string, std::vector<FuncRef>> by_name;
-  /// Union of every file's par_callables (type names whose operator() is a
-  /// par-tagged root).
-  std::set<std::string> par_callables;
 
   const FuncDef& at(FuncRef r) const { return files[r.file].funcs[r.func]; }
   const FileIndex& file_of(FuncRef r) const { return files[r.file]; }

@@ -1,7 +1,6 @@
 #include "index.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 namespace bs::lint {
 
@@ -11,15 +10,13 @@ const char* fact_kind_name(FactKind k) {
     case FactKind::random: return "random";
     case FactKind::unordered_iter: return "unordered-iter";
     case FactKind::ptr_identity: return "ptr-identity";
-    case FactKind::unsited_schedule: return "unsited-schedule";
   }
   return "?";
 }
 
 bool fact_kind_from_name(std::string_view s, FactKind* out) {
   for (FactKind k : {FactKind::wallclock, FactKind::random,
-                     FactKind::unordered_iter, FactKind::ptr_identity,
-                     FactKind::unsited_schedule}) {
+                     FactKind::unordered_iter, FactKind::ptr_identity}) {
     if (s == fact_kind_name(k)) {
       *out = k;
       return true;
@@ -34,7 +31,6 @@ const char* fact_suppressing_rule(FactKind k) {
     case FactKind::random: return "det-random";
     case FactKind::unordered_iter: return "det-unordered-iter";
     case FactKind::ptr_identity: return "det-journal-encode";
-    case FactKind::unsited_schedule: return "par-cross-site-schedule";
   }
   return "?";
 }
@@ -199,10 +195,6 @@ std::string brace_scope_name(const std::vector<Tok>& t, std::size_t i) {
   return "";
 }
 
-bool uppercase_initial(const std::string& s) {
-  return !s.empty() && std::isupper(static_cast<unsigned char>(s.front()));
-}
-
 /// True when [s, e) spells `std::move(...)` / `move(...)`.
 bool is_move_call(const std::vector<Tok>& t, std::size_t s, std::size_t e) {
   if (s < e && is_ident(t[s], "std") && s + 1 < e && is_punct(t[s + 1], "::")) {
@@ -282,7 +274,6 @@ FileIndex build_index(const std::string& path, const LexOut& lx,
   out.allow_file = lx.allow_file;
   if (!scope_of(path).in_src) return out;  // flow analysis is src/-only
   const auto& t = lx.toks;
-  const bool in_sim_core = path_starts_with(path, "src/sim/");
 
   // ---- recognize every function definition ----
   std::vector<FuncSpan> spans;
@@ -322,24 +313,6 @@ FileIndex build_index(const std::string& path, const LexOut& lx,
     }
   }
 
-  // ---- par-callable harvest: schedule_par / schedule_on_site args ----
-  std::set<std::string> par_callables;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Tk::ident ||
-        (t[i].text != "schedule_par" && t[i].text != "schedule_on_site")) {
-      continue;
-    }
-    if (!is_punct(t[i + 1], "(")) continue;
-    const std::size_t close = match_forward(t, i + 1, "(", ")");
-    for (std::size_t j = i + 2; j + 1 < close; ++j) {
-      if (t[j].kind == Tk::ident && uppercase_initial(t[j].text) &&
-          (is_punct(t[j + 1], "{") || is_punct(t[j + 1], "("))) {
-        par_callables.insert(t[j].text);
-      }
-    }
-  }
-  out.par_callables.assign(par_callables.begin(), par_callables.end());
-
   // ---- per-function extraction ----
   for (std::size_t s = 0; s < spans.size(); ++s) {
     const FuncSpan& fs = spans[s];
@@ -364,10 +337,6 @@ FileIndex build_index(const std::string& path, const LexOut& lx,
     }
     fd.params = parse_params(t, fs.params_open, fs.params_close,
                              &fd.takes_envelope);
-    // par-root marker: the comment covers the declarator line or the
-    // declaration statement's first line (multi-line signatures).
-    fd.par_root = lx.par_root_cover.count(fd.line) != 0u ||
-                  lx.par_root_cover.count(t[fs.decl_begin].line) != 0u;
 
     // Nested definitions (local-struct methods) are excluded from this
     // function's body scan; lambda bodies are deliberately included —
@@ -428,11 +397,6 @@ FileIndex build_index(const std::string& path, const LexOut& lx,
                  tk.text.find("%p") != std::string::npos) {
         add_fact(FactKind::ptr_identity, tk.line, tk.col,
                  "pointer format (\"%p\")");
-      } else if (!in_sim_core && tk.kind == Tk::ident &&
-                 (tk.text == "schedule_at" || tk.text == "schedule_in") &&
-                 j + 1 < fs.body_close && is_punct(t[j + 1], "(")) {
-        add_fact(FactKind::unsited_schedule, tk.line, tk.col,
-                 tk.text + "()");
       }
       // Call sites: every `name(` that is not a keyword. Member calls stay
       // as name-only edges; resolution against the project index happens in

@@ -35,8 +35,7 @@ enum class FactKind : std::uint8_t {
   wallclock,        ///< banned wall-clock token (det-wallclock family)
   random,           ///< non-seeded randomness token (det-random family)
   unordered_iter,   ///< loop ranging over an unordered container
-  ptr_identity,     ///< reinterpret_cast / uintptr_t / "%p" serialization
-  unsited_schedule  ///< bare schedule_at/schedule_in outside the sim core
+  ptr_identity      ///< reinterpret_cast / uintptr_t / "%p" serialization
 };
 
 /// Stable name used in the cache serialization.
@@ -79,7 +78,6 @@ struct FuncDef {
   int col{0};
   bool is_coroutine{false};
   bool returns_task{false};
-  bool par_root{false};  ///< tagged with `// bslint: par-root: ...`
   bool takes_envelope{false};  ///< handler idiom: exempt from escape rules
   std::vector<ParamShape> params;
   std::vector<CallSite> calls;
@@ -91,10 +89,6 @@ struct FuncDef {
 struct FileIndex {
   std::string path;
   std::vector<FuncDef> funcs;
-  /// Type names passed as callables into schedule_par/schedule_on_site
-  /// (`sim.schedule_par(site, t, Tick{...})` records "Tick"): their
-  /// operator() definitions become par-tagged flow roots.
-  std::vector<std::string> par_callables;
   /// Suppression state carried forward so the flow pass can honor allow()
   /// comments at the line a flow finding is attributed to.
   std::map<int, std::set<std::string>> allow_cover;

@@ -26,7 +26,6 @@ Finding comment_finding(const std::string& path, int line, const char* rule,
 /// Parses a `bslint:` suppression comment body. Grammar:
 ///   bslint: allow(rule[, rule...])[: rationale]
 ///   bslint: allow-file(rule[, rule...])[: rationale]
-///   bslint: par-root: rationale
 void parse_suppression(const std::string& path, std::string body, int line,
                        LexOut& out) {
   const auto pos = body.find("bslint:");
@@ -34,31 +33,15 @@ void parse_suppression(const std::string& path, std::string body, int line,
   body.erase(0, pos + 7);
   trim(body);
   bool file_scope = false;
-  if (body.rfind("par-root", 0) == 0) {
-    // Flow-root marker: tags the next function definition as a par-tagged
-    // reachability root (see flow.cpp). The rationale is mandatory — the
-    // tag asserts a scheduling contract the analyzer cannot infer.
-    body.erase(0, 8);
-    trim(body);
-    std::string rationale = body;
-    if (!rationale.empty() && rationale.front() == ':') rationale.erase(0, 1);
-    trim(rationale);
-    out.par_root_lines.insert(line);
-    if (rationale.empty()) {
-      out.comment_findings.push_back(
-        comment_finding(path, line, "hyg-bare-allow", "par-root marker has no rationale"));
-    }
-    return;
-  }
   if (body.rfind("allow-file", 0) == 0) {
     file_scope = true;
     body.erase(0, 10);
   } else if (body.rfind("allow", 0) == 0) {
     body.erase(0, 5);
   } else {
-    out.comment_findings.push_back(
-        comment_finding(path, line, "hyg-bad-allow", "malformed bslint comment (expected allow(...), allow-file(...) or "
-         "par-root)"));
+    out.comment_findings.push_back(comment_finding(
+        path, line, "hyg-bad-allow",
+        "malformed bslint comment (expected allow(...) or allow-file(...))"));
     return;
   }
   trim(body);
@@ -450,18 +433,12 @@ const char* banned_det_ident(const std::vector<Tok>& t, std::size_t i,
 
 void finalize_suppressions(LexOut& out) {
   out.allow_cover.clear();
-  out.par_root_cover.clear();
   for (const auto& [line, rules] : out.allow) {
     out.allow_cover[line].insert(rules.begin(), rules.end());
     auto next = out.code_lines.upper_bound(line);
     if (next != out.code_lines.end()) {
       out.allow_cover[*next].insert(rules.begin(), rules.end());
     }
-  }
-  for (int line : out.par_root_lines) {
-    out.par_root_cover.insert(line);
-    auto next = out.code_lines.upper_bound(line);
-    if (next != out.code_lines.end()) out.par_root_cover.insert(*next);
   }
 }
 

@@ -8,8 +8,6 @@
 // Beyond plain tokenization this layer owns the `bslint:` comment grammar:
 //   // bslint: allow(rule[, rule...]): rationale       (line scope)
 //   // bslint: allow-file(rule[, rule...]): rationale  (file scope)
-//   // bslint: par-root: rationale                     (marks the next
-//                 function definition as a par-tagged flow root)
 // and resolves line-scoped suppressions into an explicit coverage map
 // (`allow_cover`): an allow comment covers its own line and the next *code*
 // line, so the rule engine and the cross-TU flow pass share one membership
@@ -47,10 +45,6 @@ struct LexOut {
   // next code line)
   std::map<int, std::set<std::string>> allow_cover;
   std::set<std::string> allow_file;
-  // lines carrying a `par-root` marker (covers the next code line, like
-  // allow); the index pass tags the function whose declarator it covers
-  std::set<int> par_root_lines;
-  std::set<int> par_root_cover;
   // parse problems found in suppression comments: (line, rule-id, bad?)
   std::vector<Finding> comment_findings;
   // raw #include targets: (line, header-name, angled?)
@@ -113,8 +107,8 @@ const char* banned_det_ident(const std::vector<Tok>& t, std::size_t i,
 
 // ------------------------------------------------------- suppression cover
 
-/// Resolves `allow` / `par_root_lines` into `allow_cover` / `par_root_cover`
-/// (each marker covers its own line and the next code line after it).
+/// Resolves `allow` into `allow_cover` (each comment covers its own line and
+/// the next code line after it).
 void finalize_suppressions(LexOut& out);
 
 /// Membership test used by the rule engine and the flow pass.
