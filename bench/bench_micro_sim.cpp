@@ -78,6 +78,44 @@ void BM_ActorSpawn(benchmark::State& state) {
 }
 BENCHMARK(BM_ActorSpawn)->Arg(1000);
 
+// Arm-then-cancel, the whole life of an RPC timeout watcher whose call
+// settles first, against a standing population of `live` armed timers
+// with spread deadlines (so each cancel sifts through a real heap). A
+// cancel frees its slot and heap entry for the next arm: the probe must
+// see zero allocations per pair once the population is in place.
+void BM_TimerArmCancel(benchmark::State& state) {
+  const auto live = static_cast<std::size_t>(state.range(0));
+  sim::Simulation sim;
+  std::vector<sim::TimerId> ids(live);
+  int fired = 0;
+  auto arm = [&](std::size_t i) {
+    ids[i] = sim.schedule_timer_in(
+        simtime::seconds(30) + static_cast<SimDuration>(i * 7919 % live),
+        [&fired] { ++fired; });
+  };
+  for (std::size_t i = 0; i < live; ++i) arm(i);
+  sim.cancel(ids[0]);  // the first cancel sizes the free-slot list
+  arm(0);
+  std::uint64_t allocs = 0;
+  std::uint64_t ops = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = bench::alloc_probe::allocations();
+    for (int k = 0; k < 1000; ++k) {
+      sim.cancel(ids[next]);
+      arm(next);
+      next = next + 1 == live ? 0 : next + 1;
+    }
+    allocs += bench::alloc_probe::allocations() - before;
+    ops += 1000;
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) / static_cast<double>(ops);
+}
+BENCHMARK(BM_TimerArmCancel)->Arg(1000)->Arg(100000);
+
 void BM_CoroutinePingPong(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

@@ -7,8 +7,9 @@
 #
 # Subcommands (suites):
 #   run_benches.sh sim-kernel   — measure the simulator hot-path benches
-#     (event queue, same-time lane, actor spawn, RPC round trip) plus the
-#     e2e wall times and emit build/BENCH_sim_kernel.json. The committed
+#     (event queue, same-time lane, actor spawn, timer arm/cancel, RPC
+#     round trip) plus the e2e wall times and emit
+#     build/BENCH_sim_kernel.json. The committed
 #     repo-root BENCH_sim_kernel.json is the curated before/after snapshot;
 #     this regenerates the "after" side on the current tree.
 #   run_benches.sh sim-lanes    — run bench_million_clients at full scale
@@ -43,7 +44,7 @@ run_sim_kernel() {
   out=build/BENCH_sim_kernel.json
   micro=build/bench_micro_sim.json
   ./build/bench/bench_micro_sim \
-    --benchmark_filter='BM_EventQueue|BM_SameTimeLane|BM_ActorSpawn|BM_RpcRoundTrip$' \
+    --benchmark_filter='BM_EventQueue|BM_SameTimeLane|BM_ActorSpawn|BM_TimerArmCancel|BM_RpcRoundTrip$' \
     --benchmark_min_time=0.1 --benchmark_format=json > "$micro"
   for b in bench_dos_throughput bench_detection_delay; do
     start=$(date +%s%N)

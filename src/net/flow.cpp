@@ -339,6 +339,11 @@ void FlowScheduler::arm_wakeup() {
   next_wakeup_ = top;
   // Superseded wakeups (a later refill armed an earlier time) fire as
   // zombies; the guard makes them O(1) instead of a full pop-scan.
+  // They stay lazy, not cancellable timers, on purpose: once the earlier
+  // wakeup has run and re-armed the superseded time, the old wakeup passes
+  // the guard again and runs on_wakeup() at its own, older seq. Cancelling
+  // it would move that run to the re-armed wakeup's later seq, reordering
+  // same-time completions and changing digests.
   auto wakeup = [this, top] {
     if (top == next_wakeup_) on_wakeup();
   };

@@ -60,6 +60,7 @@ Cluster::Cluster(sim::Simulation& sim, net::Topology topology,
     : sim_(sim),
       topology_(std::move(topology)),
       flows_(sim),
+      wan_links_(topology_.site_count() * topology_.site_count(), nullptr),
       retry_rng_(fault_seed) {
   // Shard the simulation into per-site event lanes unless BS_SIM_LANES=off
   // keeps the single-heap reference queue (the determinism oracle).
@@ -106,19 +107,18 @@ sim::Task<void> Cluster::transmit(Node& a, Node& b, std::uint64_t bytes,
 
 net::Resource* Cluster::wan_link(net::SiteId a, net::SiteId b) {
   if (a == b || topology_.wan_bandwidth() <= 0) return nullptr;
-  const std::uint64_t lo = a < b ? a : b;
-  const std::uint64_t hi = a < b ? b : a;
-  const std::uint64_t key = (hi << 32) | lo;
-  auto it = wan_links_.find(key);
-  if (it == wan_links_.end()) {
-    it = wan_links_
-             .emplace(key, flows_.create_resource(
-                               "wan." + std::to_string(lo) + "-" +
-                                   std::to_string(hi),
-                               topology_.wan_bandwidth()))
-             .first;
+  const std::size_t sites = topology_.site_count();
+  net::Resource*& link = wan_links_[a * sites + b];
+  if (link == nullptr) {
+    // Created on first use, so resource order and names follow traffic.
+    const net::SiteId lo = a < b ? a : b;
+    const net::SiteId hi = a < b ? b : a;
+    link = flows_.create_resource(
+        "wan." + std::to_string(lo) + "-" + std::to_string(hi),
+        topology_.wan_bandwidth());
+    wan_links_[b * sites + a] = link;
   }
-  return it->second;
+  return link;
 }
 
 // bslint: allow(coro-ref-param): see rpc.hpp — cluster-owned node
@@ -172,6 +172,9 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_attempt(
   auto state = std::make_shared<CallState>(sim_);
   sim_.spawn(call_body(state, &src, node(dst), type, name, std::move(req),
                        req_bytes, payload_to_disk, opts));
+  // The watcher is a cancellable timer, disarmed once the call settles:
+  // its CallState reference and queue entry go at once.
+  sim::TimerId watch;
   if (opts.timeout > 0 && opts.timeout < simtime::kInfinite) {
     auto watcher = [this, state] {
       if (!state->settled) {
@@ -184,9 +187,10 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_attempt(
     };
     static_assert(sim::InlineCallback::fits_inline<decltype(watcher)>(),
                   "per-call timeout watcher must not allocate");
-    sim_.schedule_in(opts.timeout, std::move(watcher));
+    watch = sim_.schedule_timer_in(opts.timeout, std::move(watcher));
   }
   co_await state->done.wait();
+  sim_.cancel(watch);  // false when the watcher itself settled the call
   co_return state->result;
 }
 

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -355,7 +354,9 @@ class Cluster {
   net::Topology topology_;
   net::FlowScheduler flows_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<std::uint64_t, net::Resource*> wan_links_;  ///< by site pair key
+  /// Dense S x S backbone table, both orientations of a pair filled on
+  /// first use (nullptr until then).
+  std::vector<net::Resource*> wan_links_;
   LinkFaultFn link_fault_;
   RetryPolicy default_retry_{};
   Rng retry_rng_;

@@ -9,6 +9,11 @@
 
 namespace bs::sim {
 
+namespace {
+// Sift hook for the lane heaps, which keep no position index.
+constexpr auto kUnindexed = [](const auto&, std::size_t) {};
+}  // namespace
+
 // ---------------------------------------------------------------- event queue
 //
 // Lanes share one total order. Every event gets a sequence number from the
@@ -191,7 +196,7 @@ void Simulation::heap_push(Lane& ln, SimTime t, std::uint64_t seq,
     ln.slots.push_back(std::move(cb));
   }
   ln.heap.push_back(HeapEntry{t, seq, slot});
-  sift_up(ln, ln.heap.size() - 1);
+  sift_up(ln.heap, ln.heap.size() - 1, kUnindexed);
   maybe_raise_head(ln, t, seq);
 }
 
@@ -199,40 +204,120 @@ Simulation::Callback Simulation::heap_pop(Lane& ln, SimTime* t) {
   const HeapEntry top = ln.heap.front();
   ln.heap.front() = ln.heap.back();
   ln.heap.pop_back();
-  if (!ln.heap.empty()) sift_down(ln, 0);
+  if (!ln.heap.empty()) sift_down(ln.heap, 0, kUnindexed);
   *t = top.time;
   Callback cb = std::move(ln.slots[top.slot]);
   ln.free_slots.push_back(top.slot);
   return cb;
 }
 
-void Simulation::sift_up(Lane& ln, std::size_t i) {
-  const HeapEntry e = ln.heap[i];
+template <class Placed>
+void Simulation::sift_up(std::vector<HeapEntry>& heap, std::size_t i,
+                         Placed placed) {
+  const HeapEntry e = heap[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!earlier(e, ln.heap[parent])) break;
-    ln.heap[i] = ln.heap[parent];
+    if (!earlier(e, heap[parent])) break;
+    heap[i] = heap[parent];
+    placed(heap[i], i);
     i = parent;
   }
-  ln.heap[i] = e;
+  heap[i] = e;
+  placed(e, i);
 }
 
-void Simulation::sift_down(Lane& ln, std::size_t i) {
-  const std::size_t n = ln.heap.size();
-  const HeapEntry e = ln.heap[i];
+template <class Placed>
+void Simulation::sift_down(std::vector<HeapEntry>& heap, std::size_t i,
+                           Placed placed) {
+  const std::size_t n = heap.size();
+  const HeapEntry e = heap[i];
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
     const std::size_t last = first + 4 < n ? first + 4 : n;
     std::size_t best = first;
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(ln.heap[c], ln.heap[best])) best = c;
+      if (earlier(heap[c], heap[best])) best = c;
     }
-    if (!earlier(ln.heap[best], e)) break;
-    ln.heap[i] = ln.heap[best];
+    if (!earlier(heap[best], e)) break;
+    heap[i] = heap[best];
+    placed(heap[i], i);
     i = best;
   }
-  ln.heap[i] = e;
+  heap[i] = e;
+  placed(e, i);
+}
+
+// ---------------------------------------------------------------------- timers
+//
+// A timer is an event that can be taken back. It draws its seq from the
+// shared counter when armed and records the arming lane, and step() merges
+// the timer root against the best lane head by (time, seq) — so a timer
+// that fires runs exactly where a schedule_in() event would have, and one
+// that is cancelled leaves the rest of the order untouched.
+
+TimerId Simulation::schedule_timer_in(SimDuration dt, Callback cb) {
+  assert(dt >= 0 && "cannot arm timers in the past");
+  std::uint32_t slot;
+  if (!free_timers_.empty()) {
+    slot = free_timers_.back();
+    free_timers_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(timer_slots_.size());
+    timer_slots_.emplace_back();
+  }
+  TimerSlot& s = timer_slots_[slot];
+  s.cb = std::move(cb);
+  s.lane = static_cast<std::uint32_t>(exec_lane_);
+  timer_heap_.push_back(HeapEntry{now_ + dt, seq_++, slot});
+  sift_up(timer_heap_, timer_heap_.size() - 1, TimerPlaced{this});
+  return TimerId{slot, s.gen};
+}
+
+bool Simulation::cancel(TimerId id) {
+  if (id.slot >= timer_slots_.size() || timer_slots_[id.slot].gen != id.gen) {
+    return false;
+  }
+  const std::size_t pos = timer_slots_[id.slot].pos;
+  // The body dies on return, after the heap is consistent again.
+  const Callback doomed = release_timer(id.slot);
+  erase_timer(pos);
+  return true;
+}
+
+Simulation::Callback Simulation::release_timer(std::uint32_t slot) {
+  TimerSlot& s = timer_slots_[slot];
+  if (++s.gen == 0) s.gen = 1;  // 0 is reserved for the default TimerId
+  free_timers_.push_back(slot);
+  return std::move(s.cb);
+}
+
+void Simulation::erase_timer(std::size_t i) {
+  const HeapEntry last = timer_heap_.back();
+  timer_heap_.pop_back();
+  if (i == timer_heap_.size()) return;
+  timer_heap_[i] = last;
+  if (i > 0 && earlier(last, timer_heap_[(i - 1) / 4])) {
+    sift_up(timer_heap_, i, TimerPlaced{this});
+  } else {
+    sift_down(timer_heap_, i, TimerPlaced{this});
+  }
+}
+
+void Simulation::fire_timer() {
+  const HeapEntry top = timer_heap_.front();
+  const std::size_t lane = timer_slots_[top.slot].lane;
+  // Released before it runs: a cancel() of its own id, from the body or
+  // after it, finds the timer gone.
+  Callback cb = release_timer(top.slot);
+  erase_timer(0);
+  assert(top.time >= now_);
+  now_ = top.time;
+  const std::size_t prev_lane = exec_lane_;
+  exec_lane_ = lane;
+  ++processed_;
+  cb();
+  exec_lane_ = prev_lane;
 }
 
 void Simulation::ring_push(Lane& ln, SimTime at, std::uint64_t seq,
@@ -328,10 +413,12 @@ std::size_t Simulation::best_lane() const {
 bool Simulation::step() {
   // Single-lane deployments keep the PR-5 hot path: no head scan at all.
   std::size_t bi = 0;
-  if (lanes_.size() > 1) {
-    bi = best_lane();
-    if (bi == lanes_.size()) return false;
+  if (lanes_.size() > 1) bi = best_lane();
+  if (timer_first(bi)) {
+    fire_timer();
+    return true;
   }
+  if (bi == lanes_.size()) return false;
   Lane& ln = lanes_[bi];
   // A lane whose cached head points into the far pool (near tiers empty)
   // must be refilled before the merge below can see the event.
@@ -383,12 +470,13 @@ void Simulation::run() {
 void Simulation::run_until(SimTime t) {
   stopped_ = false;
   if (lanes_.size() == 1) {
-    // Single-lane fast path, identical to the PR-5 loop.
+    // Single-lane fast path: ring, heap root and timer root, no head scan.
     Lane& ln = lanes_[0];
     while (!stopped_) {
       if (ln.ring_size != 0) {
         if (now_ > t) break;
-      } else if (ln.heap.empty() || ln.heap.front().time > t) {
+      } else if ((ln.heap.empty() || ln.heap.front().time > t) &&
+                 !timer_due(t)) {
         break;
       }
       step();
@@ -398,7 +486,10 @@ void Simulation::run_until(SimTime t) {
       const std::size_t bi = best_lane();
       // A non-empty ring pins its lane's cached head at the now_ it was
       // pushed at, so "next event time" is just the winning cached head.
-      if (bi == lanes_.size() || lanes_[bi].head_time > t) break;
+      if ((bi == lanes_.size() || lanes_[bi].head_time > t) &&
+          !timer_due(t)) {
+        break;
+      }
       step();
     }
   }
@@ -406,7 +497,7 @@ void Simulation::run_until(SimTime t) {
 }
 
 std::size_t Simulation::pending() const {
-  std::size_t n = 0;
+  std::size_t n = timer_heap_.size();
   for (const Lane& ln : lanes_) {
     n += ln.heap.size() + ln.ring_size + far_live(ln) +
          (ln.stage.size() - ln.stage_head);
@@ -433,6 +524,12 @@ void Simulation::clear_queue() noexcept {
     ln.head_seq = kNoSeq;
   }
   for (HeadKey& h : heads_) h = HeadKey{};
+  // Timer slots are released, not dropped, so their generations keep
+  // rising and an id that outlives the clear can never name a later timer.
+  // The heap is swapped out first: a dying body may arm a new timer.
+  std::vector<HeapEntry> timers;
+  timers.swap(timer_heap_);
+  for (const HeapEntry& e : timers) release_timer(e.slot);
 }
 
 Simulation::~Simulation() {

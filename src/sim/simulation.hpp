@@ -20,6 +20,10 @@
 //    handoffs (RPC envelopes crossing the WAN latency matrix) move lanes
 //    through schedule_on_site()/hop_to_site() and are stamped with the
 //    global sequence counter, keeping the merged order identical.
+//  * Cancellable timers (schedule_timer_in/cancel) sit in one indexed 4-ary
+//    heap beside the lanes, merged by the same (time, seq) key. Each slot
+//    records its entry's heap position, so cancel() removes the entry and
+//    destroys its callback at once: a settled RPC leaves nothing queued.
 //  * Events carry an InlineCallback (small-buffer-optimized, move-only)
 //    instead of a std::function, and coroutine frames come from the
 //    size-bucketed FramePool, so steady-state scheduling is allocation-free.
@@ -140,6 +144,14 @@ class InlineCallback {
   const Ops* ops_{nullptr};
 };
 
+/// Names a timer armed by Simulation::schedule_timer_in(). The generation
+/// makes an id stale once its timer fires or is cancelled, even after the
+/// slot is reused; a default id names no timer.
+struct TimerId {
+  std::uint32_t slot{0};
+  std::uint32_t gen{0};  ///< live generations start at 1
+};
+
 class Simulation {
  public:
   using Callback = InlineCallback;
@@ -167,6 +179,17 @@ class Simulation {
   }
   void schedule_resume(std::coroutine_handle<> h);
 
+  /// Arms a cancellable timer that runs `cb` after `dt`. The timer takes
+  /// its sequence number now and fires in the current lane, so one that is
+  /// never cancelled runs at exactly the (time, seq) position schedule_in()
+  /// would have given it.
+  TimerId schedule_timer_in(SimDuration dt, Callback cb);
+
+  /// Disarms a pending timer and destroys its callback before returning.
+  /// Returns false when `id` names no pending timer: it already fired, was
+  /// cancelled, or is a default id.
+  bool cancel(TimerId id);
+
   // ------------------------------------------------------------- site lanes
 
   /// Shards the queue into `sites` per-site lanes (plus the control lane 0).
@@ -182,14 +205,16 @@ class Simulation {
   /// number of pending events per site lane. A population-scale workload
   /// (LiteClientPool) declares its size so sharded lanes engage the far
   /// staging ladder up front; RPC-style services never call it and run on
-  /// the pure per-lane heaps. The queue cannot make this call from its own
-  /// shape: an RPC-heavy service keeps hundreds of thousands of far-future
-  /// timeout watchers queued — size, span and depth histograms match a
-  /// million-client population — but engaging the ladder there costs
-  /// 10-20% end-to-end (pool sweeps evict the service working set) while
-  /// parking it on a real million-client population forfeits a 2x win.
-  /// The workload knows which shape it is. Order-independent with
-  /// configure_sites(); a no-op below kFarEngage or in single-lane mode.
+  /// the pure per-lane heaps, where an engaged ladder cost 10-20%
+  /// end-to-end (pool sweeps evict the service working set). The hint
+  /// exists because queue shape alone once could not tell the two apart:
+  /// RPC timeout watchers lingered in the lanes as zombies long after
+  /// their calls settled, mimicking a million-client population. They are
+  /// now cancellable timers outside the lanes, so lane occupancy counts
+  /// live work; whether the ladder can engage by detection instead is
+  /// unmeasured, and until it is the declaration stays the only trigger.
+  /// Order-independent with configure_sites(); a no-op below kFarEngage or
+  /// in single-lane mode.
   void hint_lane_load(std::size_t expected_pending_per_lane);
 
   /// Schedules `cb` into site `s`'s lane at absolute time `t` — the
@@ -386,8 +411,15 @@ class Simulation {
   /// Pops the lane's heap root; returns its callback (slot recycled) and
   /// time. Does NOT refresh the head cache.
   static Callback heap_pop(Lane& ln, SimTime* t);
-  static void sift_up(Lane& ln, std::size_t i);
-  static void sift_down(Lane& ln, std::size_t i);
+  /// 4-ary sifts shared by the lane heaps and the timer heap. `placed(e, i)`
+  /// hears the final index of every entry the sift writes: the timer heap's
+  /// position index; the lanes pass a no-op.
+  template <class Placed>
+  static void sift_up(std::vector<HeapEntry>& heap, std::size_t i,
+                      Placed placed);
+  template <class Placed>
+  static void sift_down(std::vector<HeapEntry>& heap, std::size_t i,
+                        Placed placed);
 
   static void far_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
   /// Cuts the earliest half of the far pool into the stage rung with
@@ -448,6 +480,45 @@ class Simulation {
   /// Lane index holding the globally smallest head key, or lanes_.size()
   /// when every lane is empty.
   [[nodiscard]] std::size_t best_lane() const;
+
+  // ----------------------------------------------------------------- timers
+
+  /// A timer's body and bookkeeping. `pos` is its entry's index in
+  /// timer_heap_, kept current by every sift; `gen` is what a TimerId must
+  /// quote to name it, bumped whenever the slot is released.
+  struct TimerSlot {
+    Callback cb;
+    std::uint32_t pos{0};
+    std::uint32_t gen{1};
+    std::uint32_t lane{0};  ///< lane that armed the timer; it fires there
+  };
+  /// Sift hook that keeps TimerSlot::pos current.
+  struct TimerPlaced {
+    Simulation* sim;
+    void operator()(const HeapEntry& e, std::size_t i) const {
+      sim->timer_slots_[e.slot].pos = static_cast<std::uint32_t>(i);
+    }
+  };
+
+  /// Whether the timer root runs before lane `bi`'s head (`bi` is the best
+  /// lane, or lanes_.size() when every lane is empty).
+  [[nodiscard]] bool timer_first(std::size_t bi) const {
+    if (timer_heap_.empty()) return false;
+    if (bi == lanes_.size()) return true;
+    const HeapEntry& r = timer_heap_.front();
+    return r.time < heads_[bi].time ||
+           (r.time == heads_[bi].time && r.seq < heads_[bi].seq);
+  }
+  [[nodiscard]] bool timer_due(SimTime t) const {
+    return !timer_heap_.empty() && timer_heap_.front().time <= t;
+  }
+  /// Pops and runs the timer root in the lane that armed it.
+  void fire_timer();
+  /// Frees a slot for reuse, staling every id that names it, and hands
+  /// back the body. The caller still owns the heap entry.
+  Callback release_timer(std::uint32_t slot);
+  /// Removes timer_heap_[i], restoring heap order and position indexes.
+  void erase_timer(std::size_t i);
 
   /// Drops every queued event without running it (teardown).
   void clear_queue() noexcept;
@@ -510,6 +581,9 @@ class Simulation {
 
   std::vector<Lane> lanes_;  ///< lane 0 = control; 1..S = sites
   std::vector<HeadKey> heads_;  ///< parallel to lanes_
+  std::vector<HeapEntry> timer_heap_;  ///< 4-ary; slot indexes timer_slots_
+  std::vector<TimerSlot> timer_slots_;
+  std::vector<std::uint32_t> free_timers_;
   SimTime now_{0};
   std::uint64_t seq_{0};
   std::uint64_t processed_{0};

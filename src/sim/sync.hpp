@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
@@ -49,7 +50,9 @@ class Event {
  private:
   Simulation* sim_;
   bool set_{false};
-  std::deque<std::coroutine_handle<>> waiters_;
+  // A vector, not a deque: an empty vector owns no memory, while a deque
+  // allocates a node and its map up front — about 0.6 KB per RPC call.
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Counting semaphore with FIFO handoff (a release is given directly to the
@@ -222,7 +225,7 @@ class WaitGroup {
 
   Simulation& sim_;
   int count_{0};
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;  // see Event::waiters_
 };
 
 }  // namespace bs::sim

@@ -124,6 +124,24 @@ TEST_F(RpcTest, TimeoutFires) {
   EXPECT_EQ(sim_.now(), simtime::seconds(5));
 }
 
+TEST_F(RpcTest, SettledCallsLeaveNoTimeoutWatcherQueued) {
+  // Each call arms a 30 s timeout watcher (the default) and disarms it
+  // when the call settles, so nothing stays queued behind a finished call
+  // and the clock is not dragged to the dead watchers' deadlines.
+  for (int i = 0; i < 3; ++i) {
+    auto r = test::run_task(
+        sim_, cluster_.call<EchoReq, EchoResp>(*client_, server_->id(),
+                                               EchoReq{i}));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(sim_.pending(), 0u) << "call " << i;
+  }
+  const SimTime settled = sim_.now();
+  sim_.run();
+  EXPECT_EQ(sim_.now(), settled);
+  EXPECT_EQ(cluster_.calls_started(), 3u);
+  EXPECT_EQ(cluster_.calls_timed_out(), 0u);
+}
+
 TEST_F(RpcTest, AdmissionHookRejectsCheaply) {
   server_->set_admission(
       [](const Envelope& env, const char*) -> Result<void> {
