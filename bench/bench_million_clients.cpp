@@ -1,16 +1,21 @@
 // Production-scale population bench: 10^6 pooled lite clients with
 // phase-shifted diurnal arrival curves over the 9-site grid5000 topology.
 // Runs the same workload through both event-queue configurations —
-//   single : one global lane (BS_SIM_LANES=off equivalent, the oracle)
-//   lanes  : per-site lanes
-// — asserting digest equality between them and reporting events/sec, wall
-// time and peak RSS per mode as JSON (redirect to BENCH_sim_lanes.json).
+//   heap   : the pool does not declare its size; the queue stays the pure
+//            4-ary heap (the oracle)
+//   ladder : the pool declares its size (Simulation::reserve), engaging the
+//            far ladder
+// — asserting digest and event-count equality between them and reporting
+// events/sec, wall time, peak RSS per mode and the host fingerprint as JSON
+// (redirect to BENCH_sim_queue.json).
 //
 // Not a google-benchmark binary: one run is tens of millions of events, so
 // the bench controls its own repetitions and measures whole-run wall time.
 //
 // bslint: allow-file(det-wallclock): benchmark harness timing; the
 // simulated workload itself is wall-clock-free.
+
+#include <unistd.h>
 
 #include <cinttypes>
 #include <chrono>
@@ -44,9 +49,6 @@ struct ModeResult {
 };
 
 long peak_rss_mb() {
-  // VmHWM is the process high-water mark — monotonic across modes, so later
-  // modes inherit earlier peaks; the first (largest-footprint) mode defines
-  // it in practice.
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return -1;
   char line[256];
@@ -61,14 +63,44 @@ long peak_rss_mb() {
   return kb < 0 ? -1 : kb / 1024;
 }
 
-ModeResult run_once(const char* mode, const Options& opt, bool lanes) {
+// Resets the VmHWM high-water mark to the current RSS, so each mode reports
+// its own peak rather than inheriting an earlier mode's. Best effort: where
+// the kernel refuses, later modes read the process-wide peak.
+void reset_peak_rss() {
+  if (std::FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", f);
+    std::fclose(f);
+  }
+}
+
+std::string cpu_model() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  char line[512];
+  std::string model = "unknown";
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) == 0) {
+      const char* colon = std::strchr(line, ':');
+      if (colon == nullptr) break;
+      model = colon + 1;
+      model.erase(0, model.find_first_not_of(" \t"));
+      model.erase(model.find_last_not_of(" \t\n") + 1);
+      break;
+    }
+  }
+  std::fclose(f);
+  return model;
+}
+
+ModeResult run_once(const char* mode, const Options& opt, bool ladder) {
+  reset_peak_rss();
   bs::sim::Simulation sim;
   bs::net::Topology topo = bs::net::Topology::grid5000(opt.sites);
-  if (lanes) sim.configure_sites(topo.site_count());
   bs::workload::LiteParams params;
   params.clients = opt.clients;
   params.end = bs::simtime::minutes(opt.sim_minutes);
   params.seed = opt.seed;
+  params.reserve_queue = ladder;
   bs::workload::LiteClientPool pool(sim, topo, params);
   pool.start();
 
@@ -89,10 +121,10 @@ ModeResult run_once(const char* mode, const Options& opt, bool lanes) {
 // Wall-clock noise control: the simulated run is bit-identical every time
 // (same digest, same event count — verified here), so repeats only sample
 // machine jitter and the fastest run is the honest throughput estimate.
-ModeResult run_mode(const char* mode, const Options& opt, bool lanes) {
-  ModeResult best = run_once(mode, opt, lanes);
+ModeResult run_mode(const char* mode, const Options& opt, bool ladder) {
+  ModeResult best = run_once(mode, opt, ladder);
   for (int i = 1; i < opt.repeat; ++i) {
-    const ModeResult r = run_once(mode, opt, lanes);
+    const ModeResult r = run_once(mode, opt, ladder);
     if (r.digest != best.digest || r.events != best.events) {
       std::fprintf(stderr, "FAIL: %s mode not reproducible across repeats\n",
                    mode);
@@ -135,19 +167,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  const ModeResult results[] = {run_mode("single", opt, /*lanes=*/false),
-                                run_mode("lanes", opt, /*lanes=*/true)};
+  const ModeResult results[] = {run_mode("heap", opt, /*ladder=*/false),
+                                run_mode("ladder", opt, /*ladder=*/true)};
   constexpr int n = 2;
   const bool digests_equal = results[0].digest == results[1].digest;
+  const bool events_equal = results[0].events == results[1].events;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"bench_million_clients\",\n");
+  std::printf("  \"host\": {\"cpu\": \"%s\", \"nproc\": %ld, "
+              "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n",
+              cpu_model().c_str(), sysconf(_SC_NPROCESSORS_ONLN), __VERSION__,
+              BS_BUILD_TYPE);
   std::printf("  \"clients\": %zu,\n", opt.clients);
   std::printf("  \"sites\": %zu,\n", opt.sites);
   std::printf("  \"sim_minutes\": %ld,\n", opt.sim_minutes);
   std::printf("  \"seed\": %" PRIu64 ",\n", opt.seed);
   std::printf("  \"repeat\": %d,\n", opt.repeat);
   std::printf("  \"digests_equal\": %s,\n", digests_equal ? "true" : "false");
+  std::printf("  \"events_equal\": %s,\n", events_equal ? "true" : "false");
   std::printf("  \"modes\": [\n");
   for (int i = 0; i < n; ++i) {
     const ModeResult& r = results[i];
@@ -165,11 +203,12 @@ int main(int argc, char** argv) {
       results[0].wall_s > 0 && results[1].wall_s > 0
           ? results[0].wall_s / results[1].wall_s
           : 0.0;
-  std::printf("  \"lanes_speedup_over_single\": %.2f\n", speedup);
+  std::printf("  \"ladder_speedup_over_heap\": %.2f\n", speedup);
   std::printf("}\n");
 
-  if (!digests_equal) {
-    std::fprintf(stderr, "FAIL: digests differ across queue modes\n");
+  if (!digests_equal || !events_equal) {
+    std::fprintf(stderr,
+                 "FAIL: digests or event counts differ across queue modes\n");
     return 1;
   }
   return 0;

@@ -35,9 +35,12 @@ bs_add_bench_smoke(bench_micro_flow)
 bs_add_bench_smoke(bench_micro_monitoring)
 
 # Custom-main population bench (not google-benchmark); --smoke shrinks the
-# population and fails on digest mismatch between the single-heap queue and
-# the sharded lanes, covering the lanes at workload scale.
+# population and fails on any digest or event-count mismatch between the
+# pure heap and the engaged far ladder, covering the ladder at workload
+# scale. The JSON names the build type it was compiled with.
 bs_add_bench(bench_million_clients bs_workload)
+target_compile_definitions(bench_million_clients PRIVATE
+  BS_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
 add_test(NAME bench-smoke.bench_million_clients
          COMMAND bench_million_clients --smoke)
 set_tests_properties(bench-smoke.bench_million_clients

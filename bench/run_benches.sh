@@ -12,10 +12,11 @@
 #     build/BENCH_sim_kernel.json. The committed
 #     repo-root BENCH_sim_kernel.json is the curated before/after snapshot;
 #     this regenerates the "after" side on the current tree.
-#   run_benches.sh sim-lanes    — run bench_million_clients at full scale
-#     (10^6 clients, 9-site grid5000, best-of-3 per stepper mode) and emit
-#     build/BENCH_sim_lanes.json. The committed repo-root
-#     BENCH_sim_lanes.json is the curated snapshot of the same run.
+#   run_benches.sh sim-queue    — run bench_million_clients at full scale
+#     (10^6 clients, 9-site grid5000, best-of-3 with the pure heap and with
+#     the far ladder engaged) and emit build/BENCH_sim_queue.json. The
+#     committed repo-root BENCH_sim_queue.json is the curated snapshot of
+#     the same run.
 #   run_benches.sh recovery     — run bench_recovery (journal-length sweep
 #     x cold/warm/wiped/slow restarts + site power loss, all in simulated
 #     time) and emit build/BENCH_recovery.json. The committed repo-root
@@ -77,8 +78,8 @@ PY
   rm -f build/e2e_wall_ms.txt
 }
 
-run_sim_lanes() {
-  out=build/BENCH_sim_lanes.json
+run_sim_queue() {
+  out=build/BENCH_sim_queue.json
   ./build/bench/bench_million_clients > "$out"
   echo "wrote $out"
 }
@@ -147,12 +148,12 @@ if [ $# -gt 0 ]; then
   for suite in "$@"; do
     case "$suite" in
       sim-kernel) run_sim_kernel ;;
-      sim-lanes)  run_sim_lanes ;;
+      sim-queue)  run_sim_queue ;;
       recovery)   run_recovery ;;
       repl)       run_repl ;;
       gateway)    run_gateway ;;
       lint)       run_lint ;;
-      *) echo "unknown suite: $suite (known: sim-kernel sim-lanes recovery repl gateway lint)" >&2
+      *) echo "unknown suite: $suite (known: sim-kernel sim-queue recovery repl gateway lint)" >&2
          exit 2 ;;
     esac
   done

@@ -1,7 +1,8 @@
 #include "cloud/gateway.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 
 #include "common/env.hpp"
 #include "common/log.hpp"
@@ -12,13 +13,15 @@ namespace bs::cloud {
 
 GatewayOptions apply_gateway_env(GatewayOptions base) {
   base.dedup = env_switch("BS_GW_DEDUP", base.dedup);
-  if (const char* env = std::getenv("BS_GW_CHUNK_KB")) {
-    const std::uint64_t kb = std::strtoull(env, nullptr, 10);
-    if (kb > 0) base.object_chunk_size = kb * units::KB;
+  // 0 is below the chunk knob's minimum, so it can only mean "unset".
+  if (const auto kb = env_count("BS_GW_CHUNK_KB", 0, 1,
+                                std::numeric_limits<std::uint64_t>::max() /
+                                    units::KB)) {
+    base.object_chunk_size = kb * units::KB;
   }
-  if (const char* env = std::getenv("BS_GW_MAX_CLIENTS")) {
-    base.max_user_clients = std::strtoull(env, nullptr, 10);
-  }
+  // 0 is a valid bound here: it means "no bound".
+  base.max_user_clients =
+      env_count("BS_GW_MAX_CLIENTS", base.max_user_clients, 0);
   base.journal.enabled = env_switch("BS_GW_JOURNAL", base.journal.enabled);
   return base;
 }

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -21,5 +23,12 @@ std::optional<std::size_t> env_choice(
 /// On/off switch taking exactly on|1|off|0; `fallback` when unset.
 /// Exits with status 2 on any other value.
 bool env_switch(const char* name, bool fallback);
+
+/// Count taking exactly a string of decimal digits whose value lies in
+/// [min, max]; `fallback` when unset. Exits with status 2 on any other
+/// value, so a typo such as `abc` can never read as 0.
+std::uint64_t env_count(
+    const char* name, std::uint64_t fallback, std::uint64_t min,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace bs

@@ -1,7 +1,7 @@
 #include "repl/plane.hpp"
 
-#include <cstdlib>
-#include <string_view>
+#include <cstdint>
+#include <limits>
 
 #include "common/env.hpp"
 #include "fault/fault_plane.hpp"
@@ -10,24 +10,25 @@
 namespace bs::repl {
 
 ReplOptions repl_options_from_env(ReplOptions base) {
+  // Largest millisecond count whose nanosecond SimDuration stays in range.
+  constexpr std::uint64_t kMaxMs =
+      std::numeric_limits<SimDuration>::max() / simtime::kNanosPerMilli;
   base.enabled = env_switch("BS_REPL", base.enabled);
-  if (const char* v = std::getenv("BS_REPL_QUEUE")) {
-    const long n = std::atol(v);
-    if (n > 0) base.egress.queue_bound = static_cast<std::size_t>(n);
+  base.egress.queue_bound =
+      env_count("BS_REPL_QUEUE", base.egress.queue_bound, 1);
+  if (const auto v = env_choice("BS_REPL_POLICY",
+                                {"spill", "drop_newest", "drop_oldest"})) {
+    constexpr OverflowPolicy kPolicies[] = {OverflowPolicy::spill,
+                                            OverflowPolicy::drop_newest,
+                                            OverflowPolicy::drop_oldest};
+    base.egress.overflow = kPolicies[*v];
   }
-  if (const char* v = std::getenv("BS_REPL_POLICY")) {
-    const std::string_view s(v);
-    if (s == "spill") base.egress.overflow = OverflowPolicy::spill;
-    if (s == "drop_newest") base.egress.overflow = OverflowPolicy::drop_newest;
-    if (s == "drop_oldest") base.egress.overflow = OverflowPolicy::drop_oldest;
+  // 0 is below each knob's minimum, so it can only mean "unset".
+  if (const auto ms = env_count("BS_REPL_TIMEOUT_MS", 0, 1, kMaxMs)) {
+    base.egress.custody_timeout = simtime::millis(double(ms));
   }
-  if (const char* v = std::getenv("BS_REPL_TIMEOUT_MS")) {
-    const long n = std::atol(v);
-    if (n > 0) base.egress.custody_timeout = simtime::millis(double(n));
-  }
-  if (const char* v = std::getenv("BS_REPL_RECONCILE_MS")) {
-    const long n = std::atol(v);
-    if (n > 0) base.reconcile.interval = simtime::millis(double(n));
+  if (const auto ms = env_count("BS_REPL_RECONCILE_MS", 0, 1, kMaxMs)) {
+    base.reconcile.interval = simtime::millis(double(ms));
   }
   return base;
 }

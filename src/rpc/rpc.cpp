@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace bs::rpc {
@@ -61,13 +60,7 @@ Cluster::Cluster(sim::Simulation& sim, net::Topology topology,
       topology_(std::move(topology)),
       flows_(sim),
       wan_links_(topology_.site_count() * topology_.site_count(), nullptr),
-      retry_rng_(fault_seed) {
-  // Shard the simulation into per-site event lanes unless BS_SIM_LANES=off
-  // keeps the single-heap reference queue (the determinism oracle).
-  if (env_switch("BS_SIM_LANES", true)) {
-    sim_.configure_sites(topology_.site_count());
-  }
-}
+      retry_rng_(fault_seed) {}
 
 Node* Cluster::add_node(net::SiteId site, const NodeSpec& spec) {
   assert(site < topology_.site_count());
@@ -246,9 +239,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
   env.sent_at = sim_.now();
   env.parent_span = opts.parent_span;
 
-  // Crossing the WAN moves the envelope into the destination site's event
-  // lane — the site-tagged hand-off the sharded stepper merges on.
-  co_await sim_.hop_to_site(dst->site(), latency);
+  co_await sim_.delay(latency);
   co_await transmit(*src, *dst, req_bytes,
                     payload_to_disk ? dst->disk() : nullptr);
   if (!dst_alive()) {
@@ -372,7 +363,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
     }
     resp_latency += lf.extra_latency;
   }
-  co_await sim_.hop_to_site(src->site(), resp_latency);
+  co_await sim_.delay(resp_latency);
   co_await transmit(*dst, *src, resp.wire_size,
                     resp.from_disk ? dst->disk() : nullptr);
   if (!dst_alive()) co_return;  // crashed before the last byte left

@@ -10,127 +10,89 @@
 namespace bs::sim {
 
 namespace {
-// Sift hook for the lane heaps, which keep no position index.
+// Sift hook for the event heap, which keeps no position index.
 constexpr auto kUnindexed = [](const auto&, std::size_t) {};
 }  // namespace
 
 // ---------------------------------------------------------------- event queue
 //
-// Lanes share one total order. Every event gets a sequence number from the
-// shared counter at schedule time; each lane's heap orders by (time, seq)
-// and its ring is FIFO (so seq-ordered) at time == now_. step() first picks
-// the lane whose cached head is the globally smallest (time, seq) key, then
-// merges that lane's heap root against its ring head under the same key —
-// which reproduces exactly the pop order of one single heap over all
-// events, independent of how they were sharded.
+// Every event gets a sequence number from one counter at schedule time; the
+// heap, the stage rung and the far pool order by (time, seq), and the ring
+// is FIFO (so seq-ordered) at time == now_. run_next() merges the near
+// tiers and the timer root under the same key, which is exactly the pop
+// order of one heap over all events, wherever each one was placed.
 //
-// Clock invariant: now_ only advances when the globally minimal key sits in
-// a heap strictly above now_ — at that moment every ring in every lane is
-// empty (a non-empty ring pins its lane's cached head at now_), so ring
-// entries never survive a clock advance and the ring's implicit time stays
-// valid.
-
-Simulation::Simulation() : lanes_(1), heads_(1) {}
+// Clock invariant: now_ only advances when the minimal key sits in the
+// heap, the stage or the timer heap strictly above now_ — at that moment
+// the ring is empty (its entries carry now_), so ring entries never survive
+// a clock advance and the ring's implicit time stays valid.
 
 void Simulation::schedule_at(SimTime t, Callback cb) {
-  push_event(exec_lane_, t, std::move(cb));
+  assert(t >= now_ && "cannot schedule events in the past");
+  const std::uint64_t seq = seq_++;
+  if (t <= now_) {
+    ring_push(seq, std::move(cb));
+  } else if (t >= q_.far_bar) {
+    // A parked ladder (far_bar == kInfinite) routes every future event to
+    // the heap through this same comparison.
+    far_push(t, seq, std::move(cb));
+  } else {
+    heap_push(t, seq, std::move(cb));
+  }
 }
 
 void Simulation::schedule_resume(std::coroutine_handle<> h) {
-  push_event(exec_lane_, now_, Callback(ResumeThunk{h}));
+  schedule_at(now_, Callback(ResumeThunk{h}));
 }
 
-void Simulation::configure_sites(std::size_t sites, SimDuration) {
-  if (lanes_.size() != 1) {
-    // A second cluster on the same simulation must agree on the shard count.
-    assert(lanes_.size() == sites + 1 && "conflicting site-lane configuration");
-    return;
-  }
-  lanes_.resize(sites + 1);
-  heads_.resize(sites + 1);
-  if (lane_load_hint_ >= kFarEngage) {
-    for (Lane& ln : lanes_) engage_far(ln);
-  }
+void Simulation::reserve(std::size_t pending) {
+  if (pending < kFarEngage) return;
+  // Reserved up front: growing a million-entry callback array relocates
+  // every body through its ops table at each doubling.
+  q_.far_keys.reserve(pending);
+  q_.far_cbs.reserve(pending);
+  engage_far();
 }
 
-void Simulation::hint_lane_load(std::size_t expected_pending_per_lane) {
-  lane_load_hint_ = expected_pending_per_lane;
-  if (lanes_.size() > 1 && lane_load_hint_ >= kFarEngage) {
-    for (Lane& ln : lanes_) engage_far(ln);
-  }
-}
-
-void Simulation::schedule_on_site(std::size_t site, SimTime t, Callback cb) {
-  const std::size_t lane = site_lane(site);
-  if (lane != exec_lane_) ++cross_site_handoffs_;
-  push_event(lane, t, std::move(cb));
-}
-
-void Simulation::push_event(std::size_t lane, SimTime t, Callback cb) {
-  assert(t >= now_ && "cannot schedule events in the past");
-  const std::uint64_t seq = seq_++;
-  Lane& ln = lanes_[lane];
-  if (t <= now_) {
-    ring_push(ln, now_, seq, std::move(cb));
-    sync_head(lane);
-    return;
-  }
-  // Sharded mode stages events beyond the near horizon in the far pool;
-  // the single-lane oracle keeps the pure one-heap kernel. A parked ladder
-  // (far_bar == kInfinite) routes everything to the heap through the same
-  // comparison.
-  if (lanes_.size() > 1 && t >= ln.far_bar) {
-    far_push(ln, t, seq, std::move(cb));
-    sync_head(lane);
-    return;
-  }
-  heap_push(ln, t, seq, std::move(cb));
-  sync_head(lane);
-}
-
-void Simulation::engage_far(Lane& ln) {
-  if (ln.far_bar != simtime::kInfinite) return;
-  assert(far_live(ln) == 0 && "parked ladder with a non-empty far pool");
+void Simulation::engage_far() {
+  if (q_.far_bar != simtime::kInfinite) return;
+  assert(far_live() == 0 && "parked ladder with a non-empty far pool");
   SimTime mx = 0;
-  for (const HeapEntry& e : ln.heap) mx = std::max(mx, e.time);
-  if (ln.stage_head != ln.stage.size()) {
-    mx = std::max(mx, ln.stage.back().time);
+  for (const HeapEntry& e : q_.heap) mx = std::max(mx, e.time);
+  if (q_.stage_head != q_.stage.size()) {
+    mx = std::max(mx, q_.stage.back().time);
   }
-  ln.far_bar = mx < simtime::kInfinite - 1 ? mx + 1 : simtime::kInfinite;
+  q_.far_bar = mx < simtime::kInfinite - 1 ? mx + 1 : simtime::kInfinite;
 }
 
-void Simulation::far_push(Lane& ln, SimTime t, std::uint64_t seq,
-                          Callback cb) {
-  ln.far_keys.push_back(FarKey{t, seq});
-  ln.far_cbs.push_back(std::move(cb));
-  // Cheap head maintenance: a no-op while the near tiers are occupied
-  // (their keys are < far_bar <= t), and the true far minimum once the
-  // lane is otherwise empty.
-  maybe_raise_head(ln, t, seq);
+void Simulation::far_push(SimTime t, std::uint64_t seq, Callback cb) {
+  q_.far_keys.push_back(FarKey{t, seq});
+  q_.far_cbs.push_back(std::move(cb));
 }
 
-void Simulation::refill(Lane& ln) {
-  assert(ln.stage_head == ln.stage.size() && "refill under a live stage");
-  assert(far_live(ln) != 0 && "refill on an empty far pool");
+void Simulation::refill() {
+  Queue& q = q_;
+  assert(q.stage_head == q.stage.size() && "refill under a live stage");
+  assert(far_live() != 0 && "refill on an empty far pool");
   // Amortized compaction, at rung boundaries only: the consumed stage held
   // slot references into the pool, so the arrays may move exactly now, when
   // no rung is live. Rewriting both arrays only once half the pool is
   // tombstones keeps the per-event move count O(1).
-  if (ln.far_dead * 2 > ln.far_keys.size()) {
+  if (q.far_dead * 2 > q.far_keys.size()) {
     std::size_t w = 0;
-    for (std::size_t r = 0; r < ln.far_keys.size(); ++r) {
-      if (ln.far_keys[r].seq == kNoSeq) continue;
+    for (std::size_t r = 0; r < q.far_keys.size(); ++r) {
+      if (q.far_keys[r].seq == kNoSeq) continue;
       if (w != r) {
-        ln.far_keys[w] = ln.far_keys[r];
-        ln.far_cbs[w] = std::move(ln.far_cbs[r]);
+        q.far_keys[w] = q.far_keys[r];
+        q.far_cbs[w] = std::move(q.far_cbs[r]);
       }
       ++w;
     }
-    ln.far_keys.resize(w);
-    ln.far_cbs.resize(w);
-    ln.far_dead = 0;
+    q.far_keys.resize(w);
+    q.far_cbs.resize(w);
+    q.far_dead = 0;
   }
-  assert(ln.far_keys.size() <= 0xffffffffu &&
+  assert(q.far_keys.size() <= 0xffffffffu &&
          "far pool exceeds 32-bit indexing");
   // Build the next ladder rung from 24-byte (time, seq, index) keys — not
   // the 72-byte entries. Gather every live key once, then cut an exactly
@@ -139,75 +101,72 @@ void Simulation::refill(Lane& ln) {
   // heuristic to mistune and no second scan. Rung size scaling with the
   // pool keeps the total scan work per drained event O(1): a pool of P is
   // rescanned ~log P times in geometrically shrinking halves.
-  ln.stage_keys.clear();
-  for (std::size_t i = 0; i < ln.far_keys.size(); ++i) {
-    const FarKey& k = ln.far_keys[i];
+  q.stage_keys.clear();
+  for (std::size_t i = 0; i < q.far_keys.size(); ++i) {
+    const FarKey& k = q.far_keys[i];
     if (k.seq != kNoSeq) {
-      ln.stage_keys.push_back(
+      q.stage_keys.push_back(
           HeapEntry{k.time, k.seq, static_cast<std::uint32_t>(i)});
     }
   }
-  const std::size_t live = ln.stage_keys.size();
+  const std::size_t live = q.stage_keys.size();
   const std::size_t target = std::max<std::size_t>(4096, live / 2);
   SimTime bar = 0;  // sentinel: stage-all, patched to max+1 below
   if (live > target) {
     const auto mid =
-        ln.stage_keys.begin() + static_cast<std::ptrdiff_t>(target);
+        q.stage_keys.begin() + static_cast<std::ptrdiff_t>(target);
     std::nth_element(
-        ln.stage_keys.begin(), mid, ln.stage_keys.end(),
+        q.stage_keys.begin(), mid, q.stage_keys.end(),
         [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
     bar = mid->time;
-    ln.stage_keys.resize(target);
+    q.stage_keys.resize(target);
   }
   std::sort(
-      ln.stage_keys.begin(), ln.stage_keys.end(),
+      q.stage_keys.begin(), q.stage_keys.end(),
       [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
   // Reuse the stage storage: move-assigning over a consumed husk destroys
   // it on the same cache line the new entry is about to occupy, so the
   // teardown of the previous rung rides the gather's own write misses
   // instead of a separate clear() pass over cold memory.
-  ln.stage.resize(ln.stage_keys.size());
-  ln.stage_head = 0;
-  for (std::size_t i = 0; i < ln.stage_keys.size(); ++i) {
-    const HeapEntry& k = ln.stage_keys[i];
-    ln.stage[i] = FarEntry{k.time, k.seq, std::move(ln.far_cbs[k.slot])};
-    ln.far_keys[k.slot] = FarKey{simtime::kInfinite, kNoSeq};
+  q.stage.resize(q.stage_keys.size());
+  q.stage_head = 0;
+  for (std::size_t i = 0; i < q.stage_keys.size(); ++i) {
+    const HeapEntry& k = q.stage_keys[i];
+    q.stage[i] = FarEntry{k.time, k.seq, std::move(q.far_cbs[k.slot])};
+    q.far_keys[k.slot] = FarKey{simtime::kInfinite, kNoSeq};
   }
-  ln.far_dead += ln.stage.size();
+  q.far_dead += q.stage.size();
   if (bar == 0) {
     // The whole pool was staged; any bar above the rung maximum is correct,
     // and max+1 is the lowest such bar, which steers near-future pushes to
-    // the cache-resident heap while the lane's far traffic is this light.
-    const SimTime tmax = ln.stage_keys.back().time;
+    // the cache-resident heap while the far traffic is this light.
+    const SimTime tmax = q.stage_keys.back().time;
     bar = tmax < simtime::kInfinite - 1 ? tmax + 1 : simtime::kInfinite;
   }
-  ln.far_bar = bar;
+  q.far_bar = bar;
 }
 
-void Simulation::heap_push(Lane& ln, SimTime t, std::uint64_t seq,
-                           Callback cb) {
+void Simulation::heap_push(SimTime t, std::uint64_t seq, Callback cb) {
   std::uint32_t slot;
-  if (!ln.free_slots.empty()) {
-    slot = ln.free_slots.back();
-    ln.free_slots.pop_back();
-    ln.slots[slot] = std::move(cb);
+  if (!q_.free_slots.empty()) {
+    slot = q_.free_slots.back();
+    q_.free_slots.pop_back();
+    q_.slots[slot] = std::move(cb);
   } else {
-    slot = static_cast<std::uint32_t>(ln.slots.size());
-    ln.slots.push_back(std::move(cb));
+    slot = static_cast<std::uint32_t>(q_.slots.size());
+    q_.slots.push_back(std::move(cb));
   }
-  ln.heap.push_back(HeapEntry{t, seq, slot});
-  sift_up(ln.heap, ln.heap.size() - 1, kUnindexed);
-  maybe_raise_head(ln, t, seq);
+  q_.heap.push_back(HeapEntry{t, seq, slot});
+  sift_up(q_.heap, q_.heap.size() - 1, kUnindexed);
 }
 
-Simulation::Callback Simulation::heap_pop(Lane& ln, SimTime* t) {
-  const HeapEntry top = ln.heap.front();
-  ln.heap.front() = ln.heap.back();
-  ln.heap.pop_back();
-  if (!ln.heap.empty()) sift_down(ln.heap, 0, kUnindexed);
-  *t = top.time;
-  Callback cb = std::move(ln.slots[top.slot]);
-  ln.free_slots.push_back(top.slot);
+Simulation::Callback Simulation::heap_pop() {
+  const HeapEntry top = q_.heap.front();
+  q_.heap.front() = q_.heap.back();
+  q_.heap.pop_back();
+  if (!q_.heap.empty()) sift_down(q_.heap, 0, kUnindexed);
+  Callback cb = std::move(q_.slots[top.slot]);
+  q_.free_slots.push_back(top.slot);
   return cb;
 }
 
@@ -251,10 +210,10 @@ void Simulation::sift_down(std::vector<HeapEntry>& heap, std::size_t i,
 // ---------------------------------------------------------------------- timers
 //
 // A timer is an event that can be taken back. It draws its seq from the
-// shared counter when armed and records the arming lane, and step() merges
-// the timer root against the best lane head by (time, seq) — so a timer
-// that fires runs exactly where a schedule_in() event would have, and one
-// that is cancelled leaves the rest of the order untouched.
+// shared counter when armed, and run_next() merges the timer root against
+// the queue head by (time, seq) — so a timer that fires runs exactly where
+// a schedule_in() event would have, and one that is cancelled leaves the
+// rest of the order untouched.
 
 TimerId Simulation::schedule_timer_in(SimDuration dt, Callback cb) {
   assert(dt >= 0 && "cannot arm timers in the past");
@@ -268,7 +227,6 @@ TimerId Simulation::schedule_timer_in(SimDuration dt, Callback cb) {
   }
   TimerSlot& s = timer_slots_[slot];
   s.cb = std::move(cb);
-  s.lane = static_cast<std::uint32_t>(exec_lane_);
   timer_heap_.push_back(HeapEntry{now_ + dt, seq_++, slot});
   sift_up(timer_heap_, timer_heap_.size() - 1, TimerPlaced{this});
   return TimerId{slot, s.gen};
@@ -306,67 +264,61 @@ void Simulation::erase_timer(std::size_t i) {
 
 void Simulation::fire_timer() {
   const HeapEntry top = timer_heap_.front();
-  const std::size_t lane = timer_slots_[top.slot].lane;
   // Released before it runs: a cancel() of its own id, from the body or
   // after it, finds the timer gone.
   Callback cb = release_timer(top.slot);
   erase_timer(0);
   assert(top.time >= now_);
   now_ = top.time;
-  const std::size_t prev_lane = exec_lane_;
-  exec_lane_ = lane;
   ++processed_;
   cb();
-  exec_lane_ = prev_lane;
 }
 
-void Simulation::ring_push(Lane& ln, SimTime at, std::uint64_t seq,
-                           Callback cb) {
-  if (ln.ring_size == ln.ring.size()) ring_grow(ln);
-  const std::size_t tail = (ln.ring_head + ln.ring_size) & (ln.ring.size() - 1);
-  ln.ring[tail] = NowEvent{seq, std::move(cb)};
-  ++ln.ring_size;
-  maybe_raise_head(ln, at, seq);
+void Simulation::ring_push(std::uint64_t seq, Callback cb) {
+  if (q_.ring_size == q_.ring.size()) ring_grow();
+  const std::size_t tail =
+      (q_.ring_head + q_.ring_size) & (q_.ring.size() - 1);
+  q_.ring[tail] = NowEvent{seq, std::move(cb)};
+  ++q_.ring_size;
 }
 
-Simulation::Callback Simulation::ring_pop(Lane& ln) {
-  NowEvent& e = ln.ring[ln.ring_head];
+Simulation::Callback Simulation::ring_pop() {
+  NowEvent& e = q_.ring[q_.ring_head];
   Callback cb = std::move(e.cb);
-  ln.ring_head = (ln.ring_head + 1) & (ln.ring.size() - 1);
-  --ln.ring_size;
+  q_.ring_head = (q_.ring_head + 1) & (q_.ring.size() - 1);
+  --q_.ring_size;
   return cb;
 }
 
-void Simulation::ring_grow(Lane& ln) {
-  const std::size_t cap = ln.ring.empty() ? 64 : ln.ring.size() * 2;
+void Simulation::ring_grow() {
+  const std::size_t cap = q_.ring.empty() ? 64 : q_.ring.size() * 2;
   std::vector<NowEvent> grown(cap);
-  for (std::size_t i = 0; i < ln.ring_size; ++i) {
-    grown[i] = std::move(ln.ring[(ln.ring_head + i) & (ln.ring.size() - 1)]);
+  for (std::size_t i = 0; i < q_.ring_size; ++i) {
+    grown[i] = std::move(q_.ring[(q_.ring_head + i) & (q_.ring.size() - 1)]);
   }
-  ln.ring = std::move(grown);
-  ln.ring_head = 0;
+  q_.ring = std::move(grown);
+  q_.ring_head = 0;
 }
 
-int Simulation::peek_near(const Lane& ln, SimTime at, SimTime* t,
-                          std::uint64_t* seq) {
+int Simulation::peek_near(SimTime* t, std::uint64_t* seq) const {
   int src = -1;
   SimTime bt = simtime::kInfinite;
   std::uint64_t bs = kNoSeq;
-  if (ln.ring_size != 0) {
-    bt = at;
-    bs = ring_front_seq(ln);
+  if (q_.ring_size != 0) {
+    bt = now_;  // ring entries carry the current time implicitly
+    bs = q_.ring[q_.ring_head].seq;
     src = kFromRing;
   }
-  if (!ln.heap.empty()) {
-    const HeapEntry& root = ln.heap.front();
+  if (!q_.heap.empty()) {
+    const HeapEntry& root = q_.heap.front();
     if (root.time < bt || (root.time == bt && root.seq < bs)) {
       bt = root.time;
       bs = root.seq;
       src = kFromHeap;
     }
   }
-  if (ln.stage_head != ln.stage.size()) {
-    const FarEntry& front = ln.stage[ln.stage_head];
+  if (q_.stage_head != q_.stage.size()) {
+    const FarEntry& front = q_.stage[q_.stage_head];
     if (front.time < bt || (front.time == bt && front.seq < bs)) {
       bt = front.time;
       bs = front.seq;
@@ -378,86 +330,39 @@ int Simulation::peek_near(const Lane& ln, SimTime at, SimTime* t,
   return src;
 }
 
-void Simulation::recompute_head(std::size_t lane, SimTime at) {
-  Lane& ln = lanes_[lane];
-  // The cached head is min over the near tiers; that is only the true lane
-  // minimum while one of them is occupied, so an empty near side pulls the
-  // next far rung in first.
-  if (near_empty(ln) && far_live(ln) != 0) refill(ln);
-  SimTime t;
-  std::uint64_t s;
-  if (peek_near(ln, at, &t, &s) < 0) {
-    t = simtime::kInfinite;
-    s = kNoSeq;
+bool Simulation::run_next(SimTime limit) {
+  SimTime pt;
+  std::uint64_t ps;
+  int src = peek_near(&pt, &ps);
+  // The near minimum is the queue head only while a near tier is occupied;
+  // an empty near side pulls the next far rung in first.
+  if (src < 0 && far_live() != 0) {
+    refill();
+    src = peek_near(&pt, &ps);
   }
-  ln.head_time = t;
-  ln.head_seq = s;
-  heads_[lane] = HeadKey{t, s};
-}
-
-std::size_t Simulation::best_lane() const {
-  std::size_t best = lanes_.size();
-  SimTime bt = simtime::kInfinite;
-  std::uint64_t bs = kNoSeq;
-  for (std::size_t i = 0; i < heads_.size(); ++i) {
-    if (heads_[i].time < bt ||
-        (heads_[i].time == bt && heads_[i].seq < bs)) {
-      bt = heads_[i].time;
-      bs = heads_[i].seq;
-      best = i;
-    }
-  }
-  return best;
-}
-
-bool Simulation::step() {
-  // Single-lane deployments keep the PR-5 hot path: no head scan at all.
-  std::size_t bi = 0;
-  if (lanes_.size() > 1) bi = best_lane();
-  if (timer_first(bi)) {
+  // An empty near side peeks as (kInfinite, kNoSeq), which any timer
+  // precedes.
+  if (!timer_heap_.empty() && earlier(timer_heap_.front(), {pt, ps, 0})) {
+    if (timer_heap_.front().time > limit) return false;
     fire_timer();
     return true;
   }
-  if (bi == lanes_.size()) return false;
-  Lane& ln = lanes_[bi];
-  // A lane whose cached head points into the far pool (near tiers empty)
-  // must be refilled before the merge below can see the event.
-  if (near_empty(ln)) {
-    if (far_live(ln) == 0) return false;
-    refill(ln);
-  }
-  // Three-way merge on (time, seq): ring entries all carry time == now_,
-  // stage and heap carry their own keys.
-  SimTime pt;
-  std::uint64_t ps;
-  const int src = peek_near(ln, now_, &pt, &ps);
-  assert(src >= 0);
-  const std::size_t prev_lane = exec_lane_;
+  if (src < 0 || pt > limit) return false;
+  assert(pt >= now_);
+  now_ = pt;
+  ++processed_;
   if (src == kFromStage) {
     // Stage events run in place: only refill() mutates the stage, and it
     // cannot run under a live rung, so the entry is stable for the whole
     // callback — no move-out, no per-event husk teardown (the rung is
-    // destroyed wholesale at the next refill). The head cache refresh
-    // happens after the callback; nothing reads it mid-event, and pushes
-    // from the callback only lower it monotonically.
-    FarEntry& e = ln.stage[ln.stage_head];
-    ++ln.stage_head;
-    assert(e.time >= now_);
-    now_ = e.time;
-    exec_lane_ = bi;
-    ++processed_;
+    // destroyed wholesale at the next refill).
+    FarEntry& e = q_.stage[q_.stage_head];
+    ++q_.stage_head;
     e.cb();
   } else {
-    SimTime t = now_;  // ring entries carry the current time implicitly
-    Callback cb = src == kFromRing ? ring_pop(ln) : heap_pop(ln, &t);
-    assert(t >= now_);
-    now_ = t;
-    exec_lane_ = bi;
-    ++processed_;
+    Callback cb = src == kFromRing ? ring_pop() : heap_pop();
     cb();
   }
-  recompute_head(bi, now_);
-  exec_lane_ = prev_lane;
   return true;
 }
 
@@ -469,61 +374,30 @@ void Simulation::run() {
 
 void Simulation::run_until(SimTime t) {
   stopped_ = false;
-  if (lanes_.size() == 1) {
-    // Single-lane fast path: ring, heap root and timer root, no head scan.
-    Lane& ln = lanes_[0];
-    while (!stopped_) {
-      if (ln.ring_size != 0) {
-        if (now_ > t) break;
-      } else if ((ln.heap.empty() || ln.heap.front().time > t) &&
-                 !timer_due(t)) {
-        break;
-      }
-      step();
-    }
-  } else {
-    while (!stopped_) {
-      const std::size_t bi = best_lane();
-      // A non-empty ring pins its lane's cached head at the now_ it was
-      // pushed at, so "next event time" is just the winning cached head.
-      if ((bi == lanes_.size() || lanes_[bi].head_time > t) &&
-          !timer_due(t)) {
-        break;
-      }
-      step();
-    }
+  while (!stopped_ && run_next(t)) {
   }
   if (!stopped_ && now_ < t) now_ = t;
 }
 
 std::size_t Simulation::pending() const {
-  std::size_t n = timer_heap_.size();
-  for (const Lane& ln : lanes_) {
-    n += ln.heap.size() + ln.ring_size + far_live(ln) +
-         (ln.stage.size() - ln.stage_head);
-  }
-  return n;
+  return timer_heap_.size() + q_.heap.size() + q_.ring_size + far_live() +
+         (q_.stage.size() - q_.stage_head);
 }
 
 // ------------------------------------------------------------------- teardown
 
 void Simulation::clear_queue() noexcept {
-  for (Lane& ln : lanes_) {
-    ln.heap.clear();
-    ln.slots.clear();
-    ln.free_slots.clear();
-    ln.far_keys.clear();
-    ln.far_cbs.clear();
-    ln.far_dead = 0;
-    ln.stage.clear();
-    ln.stage_keys.clear();
-    ln.stage_head = 0;
-    while (ln.ring_size != 0) ring_pop(ln);
-    ln.far_bar = simtime::kInfinite;  // parked
-    ln.head_time = simtime::kInfinite;
-    ln.head_seq = kNoSeq;
-  }
-  for (HeadKey& h : heads_) h = HeadKey{};
+  q_.heap.clear();
+  q_.slots.clear();
+  q_.free_slots.clear();
+  q_.far_keys.clear();
+  q_.far_cbs.clear();
+  q_.far_dead = 0;
+  q_.stage.clear();
+  q_.stage_keys.clear();
+  q_.stage_head = 0;
+  while (q_.ring_size != 0) ring_pop();
+  q_.far_bar = simtime::kInfinite;  // parked
   // Timer slots are released, not dropped, so their generations keep
   // rising and an id that outlives the clear can never name a later timer.
   // The heap is swapped out first: a dying body may arm a new timer.

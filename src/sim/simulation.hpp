@@ -1,27 +1,20 @@
-// Deterministic discrete-event simulation kernel, sharded into per-site
-// event lanes. Every event is totally ordered by a global (time, insertion
-// sequence) key; coroutine actors suspend on awaitables that schedule their
-// resumption.
+// Deterministic discrete-event simulation kernel: one event queue, totally
+// ordered by a global (time, insertion sequence) key; coroutine actors
+// suspend on awaitables that schedule their resumption.
 //
-// Hot-path structure (see DESIGN.md "Event queue & memory model" and
-// "Sharded lanes"):
-//  * The queue is a set of LANES — lane 0 is the control/default lane and
-//    lanes 1..S shard events per topology site. Each lane is the PR-5 pair:
-//    a 4-ary implicit heap of 24-byte (time, seq, slot) keys whose move-only
-//    callbacks sit in a slot pool on the side, plus a growable FIFO ring for
+// Hot-path structure (see DESIGN.md "Event queue & memory model" and "One
+// event queue and the far ladder"):
+//  * Future events sit in a 4-ary implicit heap of 24-byte (time, seq,
+//    slot) keys whose move-only callbacks live in a slot pool on the side;
 //    events at the *current* time (coroutine wakeups through
-//    schedule_resume(), zero-delay reschedules) that bypasses the heap.
-//  * All lanes share the global sequence counter, and step() executes the
-//    lane whose cached head carries the globally smallest (time, seq) key —
-//    so the sharded execution order is *exactly* the pop order of one big
-//    heap, while sifts touch a per-site heap that is S times smaller and
-//    idle sites cost nothing beyond one cached-head compare.
-//  * Events scheduled while a lane-L event runs stay in lane L; cross-site
-//    handoffs (RPC envelopes crossing the WAN latency matrix) move lanes
-//    through schedule_on_site()/hop_to_site() and are stamped with the
-//    global sequence counter, keeping the merged order identical.
+//    schedule_resume(), zero-delay reschedules) bypass it through a
+//    growable FIFO ring.
+//  * A population-scale workload declares its expected queue size with
+//    reserve(), which engages the far ladder: events beyond a moving bar
+//    append to an unsorted pool and reach execution through sorted rungs,
+//    instead of sifting through a million-entry heap.
 //  * Cancellable timers (schedule_timer_in/cancel) sit in one indexed 4-ary
-//    heap beside the lanes, merged by the same (time, seq) key. Each slot
+//    heap beside the queue, merged by the same (time, seq) key. Each slot
 //    records its entry's heap position, so cancel() removes the entry and
 //    destroys its callback at once: a settled RPC leaves nothing queued.
 //  * Events carry an InlineCallback (small-buffer-optimized, move-only)
@@ -156,7 +149,7 @@ class Simulation {
  public:
   using Callback = InlineCallback;
 
-  Simulation();
+  Simulation() = default;
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -180,9 +173,8 @@ class Simulation {
   void schedule_resume(std::coroutine_handle<> h);
 
   /// Arms a cancellable timer that runs `cb` after `dt`. The timer takes
-  /// its sequence number now and fires in the current lane, so one that is
-  /// never cancelled runs at exactly the (time, seq) position schedule_in()
-  /// would have given it.
+  /// its sequence number now, so one that is never cancelled runs at
+  /// exactly the (time, seq) position schedule_in() would have given it.
   TimerId schedule_timer_in(SimDuration dt, Callback cb);
 
   /// Disarms a pending timer and destroys its callback before returning.
@@ -190,60 +182,19 @@ class Simulation {
   /// cancelled, or is a default id.
   bool cancel(TimerId id);
 
-  // ------------------------------------------------------------- site lanes
+  /// Capacity declaration from the workload layer: the expected number of
+  /// events queued at once. At or above kFarEngage it reserves that much
+  /// far-pool storage and engages the far ladder (see Queue); below it, or
+  /// never called, the queue stays the pure heap. A population-scale
+  /// workload (LiteClientPool) declares its size before it floods the
+  /// queue; RPC-style services never call it, because an engaged ladder
+  /// cost them 10-20% end-to-end (pool sweeps evict the service working
+  /// set). Tier placement never changes the (time, seq) execution order,
+  /// so this may come at any time, before or after events are queued.
+  void reserve(std::size_t pending);
 
-  /// Shards the queue into `sites` per-site lanes (plus the control lane 0).
-  /// Events already queued stay in lane 0. Called by rpc::Cluster unless
-  /// BS_SIM_LANES=off. A second call must agree on the shard count.
-  // The duration is unread; perfbench/src/lite_population.cpp still passes it.
-  void configure_sites(std::size_t sites, SimDuration = 0);
-  [[nodiscard]] std::size_t site_lane_count() const {
-    return lanes_.size() - 1;
-  }
-
-  /// Capacity hint from the workload layer: the expected steady-state
-  /// number of pending events per site lane. A population-scale workload
-  /// (LiteClientPool) declares its size so sharded lanes engage the far
-  /// staging ladder up front; RPC-style services never call it and run on
-  /// the pure per-lane heaps, where an engaged ladder cost 10-20%
-  /// end-to-end (pool sweeps evict the service working set). The hint
-  /// exists because queue shape alone once could not tell the two apart:
-  /// RPC timeout watchers lingered in the lanes as zombies long after
-  /// their calls settled, mimicking a million-client population. They are
-  /// now cancellable timers outside the lanes, so lane occupancy counts
-  /// live work; whether the ladder can engage by detection instead is
-  /// unmeasured, and until it is the declaration stays the only trigger.
-  /// Order-independent with configure_sites(); a no-op below kFarEngage or
-  /// in single-lane mode.
-  void hint_lane_load(std::size_t expected_pending_per_lane);
-
-  /// Schedules `cb` into site `s`'s lane at absolute time `t` — the
-  /// cross-site handoff: the event is stamped with the global sequence
-  /// counter, so the merged execution order is exactly the single-heap
-  /// order. With no site lanes configured this is schedule_at().
-  void schedule_on_site(std::size_t site, SimTime t, Callback cb);
-
-  /// Awaitable: suspend and resume in site `s`'s lane after `dt` — how an
-  /// RPC envelope crosses the WAN latency matrix into its destination
-  /// site's lane.
-  auto hop_to_site(std::size_t site, SimDuration dt) {
-    struct Awaiter {
-      Simulation* s;
-      std::size_t site;
-      SimDuration dt;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        s->schedule_on_site(site, s->now() + dt, Callback(ResumeThunk{h}));
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, site, dt};
-  }
-
-  /// Cross-lane handoffs stamped so far.
-  [[nodiscard]] std::uint64_t cross_site_handoffs() const {
-    return cross_site_handoffs_;
-  }
+  // Empty: perfbench/src/lite_population.cpp still calls it.
+  void configure_sites(std::size_t, SimDuration = 0) {}
 
   // ------------------------------------------------------------- execution
 
@@ -254,7 +205,7 @@ class Simulation {
   void run_until(SimTime t);
 
   /// Runs one event; returns false if the queue was empty.
-  bool step();
+  bool step() { return run_next(simtime::kInfinite); }
 
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }
@@ -286,7 +237,7 @@ class Simulation {
 
   /// Awaitable: suspend until the given absolute simulated time. A time
   /// already past clamps to a zero-delay reschedule: the waiter re-enters
-  /// the same-time FIFO lane at now() and resumes after everything already
+  /// the same-time FIFO ring at now() and resumes after everything already
   /// queued at the current instant (pinned by the FIFO regression tests).
   auto delay_until(SimTime t) {
     const SimTime n = now();
@@ -319,7 +270,7 @@ class Simulation {
   static constexpr std::uint64_t kNoSeq = ~0ull;
 
   /// Heap key: 24 bytes, trivially movable. The callback body lives in
-  /// lane.slots[slot]; sifting never touches it.
+  /// q_.slots[slot]; sifting never touches it.
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
@@ -330,7 +281,7 @@ class Simulation {
     return a.seq < b.seq;
   }
 
-  /// Same-time FIFO lane entry (time is implicitly now_).
+  /// Same-time FIFO ring entry (time is implicitly now_).
   struct NowEvent {
     std::uint64_t seq;
     Callback cb;
@@ -354,7 +305,7 @@ class Simulation {
     std::uint64_t seq;
   };
 
-  /// One per-site event shard. Four tiers, one (time, seq) order:
+  /// The event queue. Four tiers, one (time, seq) order:
   ///  * ring  — FIFO of events at the current time (implicit time).
   ///  * stage — the current ladder rung: the chunk of far-pool events below
   ///            far_bar, sorted by (time, seq) at refill time and
@@ -365,24 +316,24 @@ class Simulation {
   ///            but a tight gather loop keeps those misses back-to-back
   ///            where the prefetcher can overlap them, while a pop-time
   ///            fetch would eat one isolated cold miss per event.)
-  ///  * heap  — 4-ary heap + slot pool for LATE insertions: events
-  ///            scheduled after the rung was built whose time still falls
-  ///            below far_bar. Usually a few percent of traffic, so it
-  ///            stays tiny and cache-resident.
-  ///  * far   — unsorted staging pool for everything beyond far_bar; only
-  ///            exists in sharded mode (the single-lane oracle keeps the
-  ///            pure PR-5 heap) and only once the workload engages it via
-  ///            hint_lane_load(). When the near tiers drain, a refill cuts
-  ///            the half-pool of earliest far events into the stage with
-  ///            nth_element and advances far_bar — each event is appended
-  ///            once and moved ~once, instead of sifting through a
-  ///            million-entry heap.
+  ///  * heap  — 4-ary heap + slot pool: every future event while the
+  ///            ladder is parked, and afterwards only the LATE insertions —
+  ///            events scheduled after the rung was built whose time still
+  ///            falls below far_bar. With the ladder engaged that is
+  ///            usually a few percent of traffic, so the heap stays tiny
+  ///            and cache-resident.
+  ///  * far   — unsorted staging pool for everything at or beyond far_bar;
+  ///            empty until reserve() engages the ladder. When the near
+  ///            tiers drain, a refill cuts the half-pool of earliest far
+  ///            events into the stage with nth_element and advances
+  ///            far_bar — each event is appended once and moved ~once,
+  ///            instead of sifting through a million-entry heap.
   /// Invariant: far_bar rises monotonically; every stage and heap entry was
   /// placed with time < far_bar and every far entry with time >= far_bar,
-  /// so min(ring, stage front, heap root) is the true lane head whenever a
+  /// so min(ring, stage front, heap root) is the true queue head whenever a
   /// near tier is non-empty.
-  struct Lane {
-    std::vector<HeapEntry> heap;  // 4-ary implicit heap (late insertions)
+  struct Queue {
+    std::vector<HeapEntry> heap;  // 4-ary implicit heap
     std::vector<Callback> slots;  // heap callback bodies
     std::vector<std::uint32_t> free_slots;
     std::vector<NowEvent> ring;   // power-of-two capacity
@@ -396,24 +347,16 @@ class Simulation {
     std::size_t ring_size{0};
     /// Near/far boundary. kInfinite means the ladder is parked (pool
     /// empty, everything routes to the heap); engage_far() lowers it once
-    /// the workload hints a large population, and afterwards it only rises.
+    /// reserve() declares a large population, and afterwards it only rises.
     SimTime far_bar{simtime::kInfinite};
-    SimTime head_time{simtime::kInfinite};  ///< cached min key
-    std::uint64_t head_seq{kNoSeq};
   };
 
-  [[nodiscard]] std::size_t site_lane(std::size_t site) const {
-    if (lanes_.size() == 1) return 0;
-    return site + 1 < lanes_.size() ? site + 1 : 0;
-  }
-
-  static void heap_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
-  /// Pops the lane's heap root; returns its callback (slot recycled) and
-  /// time. Does NOT refresh the head cache.
-  static Callback heap_pop(Lane& ln, SimTime* t);
-  /// 4-ary sifts shared by the lane heaps and the timer heap. `placed(e, i)`
+  void heap_push(SimTime t, std::uint64_t seq, Callback cb);
+  /// Pops the heap root; returns its callback (slot recycled).
+  Callback heap_pop();
+  /// 4-ary sifts shared by the event heap and the timer heap. `placed(e, i)`
   /// hears the final index of every entry the sift writes: the timer heap's
-  /// position index; the lanes pass a no-op.
+  /// position index; the event heap passes a no-op.
   template <class Placed>
   static void sift_up(std::vector<HeapEntry>& heap, std::size_t i,
                       Placed placed);
@@ -421,65 +364,36 @@ class Simulation {
   static void sift_down(std::vector<HeapEntry>& heap, std::size_t i,
                         Placed placed);
 
-  static void far_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
+  void far_push(SimTime t, std::uint64_t seq, Callback cb);
   /// Cuts the earliest half of the far pool into the stage rung with
   /// nth_element and advances far_bar to the first excluded key's time.
   /// Guarantees at least one event moves when the far pool is non-empty.
-  static void refill(Lane& ln);
-  /// Hinted per-lane load at or above which hint_lane_load() engages the
-  /// far ladders. Below it the pure per-lane heap is both faster and far
-  /// gentler on the workload's working set (no pool sweeps).
+  void refill();
+  /// Declared load at or above which reserve() engages the far ladder.
+  /// Below it the pure heap is both faster and far gentler on the
+  /// workload's working set (no pool sweeps).
   static constexpr std::size_t kFarEngage = 16384;
-  /// Engages a lane's far ladder: lowers far_bar from kInfinite to just
-  /// above every queued near key — the lowest bar that preserves
-  /// "stage and heap keys < far_bar <= far keys" with the pool empty, so
-  /// all traffic beyond it builds the ladder. Idempotent.
-  static void engage_far(Lane& ln);
+  /// Engages the far ladder: lowers far_bar from kInfinite to just above
+  /// every queued near key — the lowest bar that preserves "stage and heap
+  /// keys < far_bar <= far keys" with the pool empty, so all traffic
+  /// beyond it builds the ladder. Idempotent.
+  void engage_far();
 
-  /// Which near tier peek_near() found the lane minimum in.
+  /// Which near tier peek_near() found the queue minimum in.
   enum NearSource : int { kFromRing = 0, kFromHeap = 1, kFromStage = 2 };
-  [[nodiscard]] static bool near_empty(const Lane& ln) {
-    return ln.ring_size == 0 && ln.heap.empty() &&
-           ln.stage_head == ln.stage.size();
-  }
   /// Live (non-tombstone) far-pool population.
-  [[nodiscard]] static std::size_t far_live(const Lane& ln) {
-    return ln.far_keys.size() - ln.far_dead;
+  [[nodiscard]] std::size_t far_live() const {
+    return q_.far_keys.size() - q_.far_dead;
   }
-  /// Smallest (time, seq) key across the near tiers (`at` is the implicit
-  /// ring time). Returns the owning tier, or -1 when all empty.
-  static int peek_near(const Lane& ln, SimTime at, SimTime* t,
-                       std::uint64_t* seq);
+  /// Smallest (time, seq) key across the near tiers. Returns the owning
+  /// tier, or -1 with (kInfinite, kNoSeq) when all are empty.
+  int peek_near(SimTime* t, std::uint64_t* seq) const;
+  /// Runs the next event if its time is <= `limit`; returns whether one ran.
+  bool run_next(SimTime limit);
 
-  static void ring_push(Lane& ln, SimTime at, std::uint64_t seq, Callback cb);
-  static Callback ring_pop(Lane& ln);
-  [[nodiscard]] static std::uint64_t ring_front_seq(const Lane& ln) {
-    return ln.ring[ln.ring_head].seq;
-  }
-  static void ring_grow(Lane& ln);
-
-  /// Refreshes lane `lane`'s cached head key from the ring front / heap
-  /// root and resyncs its heads_ mirror entry. `at` is the time every ring
-  /// entry carries (the lane's current time).
-  void recompute_head(std::size_t lane, SimTime at);
-  /// Copies a lane's cached head into the dense heads_ mirror.
-  void sync_head(std::size_t lane) {
-    const Lane& ln = lanes_[lane];
-    heads_[lane] = HeadKey{ln.head_time, ln.head_seq};
-  }
-  static void maybe_raise_head(Lane& ln, SimTime t, std::uint64_t seq) {
-    if (t < ln.head_time || (t == ln.head_time && seq < ln.head_seq)) {
-      ln.head_time = t;
-      ln.head_seq = seq;
-    }
-  }
-
-  /// Enqueues into `lane` at time t (ring when t <= now_), stamped with the
-  /// next global sequence number.
-  void push_event(std::size_t lane, SimTime t, Callback cb);
-  /// Lane index holding the globally smallest head key, or lanes_.size()
-  /// when every lane is empty.
-  [[nodiscard]] std::size_t best_lane() const;
+  void ring_push(std::uint64_t seq, Callback cb);
+  Callback ring_pop();
+  void ring_grow();
 
   // ----------------------------------------------------------------- timers
 
@@ -490,7 +404,6 @@ class Simulation {
     Callback cb;
     std::uint32_t pos{0};
     std::uint32_t gen{1};
-    std::uint32_t lane{0};  ///< lane that armed the timer; it fires there
   };
   /// Sift hook that keeps TimerSlot::pos current.
   struct TimerPlaced {
@@ -500,19 +413,7 @@ class Simulation {
     }
   };
 
-  /// Whether the timer root runs before lane `bi`'s head (`bi` is the best
-  /// lane, or lanes_.size() when every lane is empty).
-  [[nodiscard]] bool timer_first(std::size_t bi) const {
-    if (timer_heap_.empty()) return false;
-    if (bi == lanes_.size()) return true;
-    const HeapEntry& r = timer_heap_.front();
-    return r.time < heads_[bi].time ||
-           (r.time == heads_[bi].time && r.seq < heads_[bi].seq);
-  }
-  [[nodiscard]] bool timer_due(SimTime t) const {
-    return !timer_heap_.empty() && timer_heap_.front().time <= t;
-  }
-  /// Pops and runs the timer root in the lane that armed it.
+  /// Pops and runs the timer root.
   void fire_timer();
   /// Frees a slot for reuse, staling every id that names it, and hands
   /// back the body. The caller still owns the heap entry.
@@ -568,28 +469,13 @@ class Simulation {
 
   RootTask root_entry(Task<void> t) { co_await std::move(t); }
 
-  /// 16-byte copy of each lane's cached head key. best_lane() runs once
-  /// per step, and scanning one flat array touches 2-3 cache lines
-  /// for a 9-site deployment instead of one — usually cold — line per
-  /// Lane struct. The Lane fields stay the source of truth: the mirror is
-  /// resynced wherever a head can change (push_event, recompute_head,
-  /// clear_queue).
-  struct HeadKey {
-    SimTime time{simtime::kInfinite};
-    std::uint64_t seq{kNoSeq};
-  };
-
-  std::vector<Lane> lanes_;  ///< lane 0 = control; 1..S = sites
-  std::vector<HeadKey> heads_;  ///< parallel to lanes_
+  Queue q_;
   std::vector<HeapEntry> timer_heap_;  ///< 4-ary; slot indexes timer_slots_
   std::vector<TimerSlot> timer_slots_;
   std::vector<std::uint32_t> free_timers_;
   SimTime now_{0};
   std::uint64_t seq_{0};
   std::uint64_t processed_{0};
-  std::uint64_t cross_site_handoffs_{0};
-  std::size_t lane_load_hint_{0};  ///< hint_lane_load(), kept for reconfigure
-  std::size_t exec_lane_{0};  ///< lane of the event currently executing
   bool stopped_{false};
   RootTask::promise_type* roots_{nullptr};
   std::size_t live_roots_{0};

@@ -29,21 +29,20 @@ LiteClientPool::LiteClientPool(sim::Simulation& sim,
     sh.clients.resize(base + (s < extra ? 1 : 0));
   }
   // Every client keeps roughly one pending wakeup, so the steady-state
-  // per-lane load is the per-site population. Declaring it lets sharded
-  // lanes engage their far staging ladders before start() floods them.
-  sim_.hint_lane_load(base + (extra != 0 ? 1 : 0));
+  // queue holds the whole population. Declaring it lets the simulator
+  // engage its far ladder before start() floods the queue.
+  if (params_.reserve_queue) sim_.reserve(params_.clients);
 }
 
 void LiteClientPool::start() {
   // Stagger every client's first wakeup across one mean period so the
-  // population does not tick in lockstep; per-site Rng keeps the stagger
-  // identical regardless of lane configuration.
+  // population does not tick in lockstep.
   for (Shard& sh : shards_) {
     const auto n = static_cast<std::uint32_t>(sh.clients.size());
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto offset = static_cast<SimDuration>(
           sh.rng.next_double() * static_cast<double>(params_.mean_period));
-      sim_.schedule_on_site(sh.site, params_.start + offset, Tick{&sh, i});
+      sim_.schedule_at(params_.start + offset, Tick{&sh, i});
     }
   }
 }
@@ -67,7 +66,7 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
       static_cast<std::uint32_t>(512 + shard.rng.next_below(4096));
   st.bytes += bytes;
   // Order-sensitive local mix: any reordering of this site's ticks changes
-  // the digest, pinning intra-lane execution order across queue modes.
+  // the digest, pinning execution order across queue tiers.
   st.mix = fnv_mix(st.mix, (static_cast<std::uint64_t>(idx) << 20) ^ bytes);
 
   const std::size_t sites = shards_.size();
@@ -75,9 +74,9 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
     std::size_t dst = shard.rng.next_below(sites - 1);
     if (dst >= shard.site) ++dst;
     ++st.cross_sent;
-    // The message lands in the destination site's lane one WAN latency out.
+    // The message lands at the destination site one WAN latency out.
     const SimDuration wan = topo_.latency(shard.site, dst);
-    sim_.schedule_on_site(dst, now + wan, CrossMsg{&shards_[dst], bytes});
+    sim_.schedule_at(now + wan, CrossMsg{&shards_[dst], bytes});
   }
 
   const double mean =
@@ -86,7 +85,7 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
   if (dt < 1) dt = 1;
   const SimTime next = now + dt;
   if (next <= params_.end) {
-    sim_.schedule_on_site(shard.site, next, Tick{&shard, idx});
+    sim_.schedule_at(next, Tick{&shard, idx});
   }
 }
 

@@ -1,15 +1,15 @@
 // Pooled lightweight client actors for production-scale populations: one
 // flat POD record per client instead of a coroutine frame, woken by
-// InlineCallback ticks scheduled into the simulator's per-site lanes.
-// 10^6 clients cost ~100 bytes each (record + one pending event), so the
-// million-client experiment of bench_million_clients fits comfortably in
-// memory where coroutine-frame actors (workload/clients.hpp) would not.
+// InlineCallback ticks on the simulator's event queue. 10^6 clients cost
+// ~100 bytes each (record + one pending event), so the million-client
+// experiment of bench_million_clients fits comfortably in memory where
+// coroutine-frame actors (workload/clients.hpp) would not.
 //
-// Every tick touches only its site's shard (stats, per-site Rng) and is
-// scheduled with schedule_on_site(); cross-site messages land in the
-// destination's lane one WAN latency out. The digest is bit-identical
-// between the sharded lanes and the single-heap oracle (DESIGN.md
-// "Sharded lanes").
+// Every tick touches only its site's shard (stats, per-site Rng); a
+// cross-site message lands at the destination one WAN latency out. The pool
+// declares its size to the simulator, which engages the far ladder at
+// population scale; the digest is bit-identical with the ladder engaged or
+// parked (DESIGN.md "One event queue and the far ladder").
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,10 @@ struct LiteParams {
   /// Fraction of requests that also message a random remote site.
   double cross_site_fraction{0.05};
   std::uint64_t seed{0x11e7'c11e'7001ull};
+  /// Declare the population to Simulation::reserve(), which engages the
+  /// far ladder at scale. bench_million_clients turns it off for its
+  /// pure-heap oracle run.
+  bool reserve_queue{true};
 };
 
 /// A population of pooled clients over a multi-site topology, with a
@@ -60,7 +64,7 @@ class LiteClientPool {
   [[nodiscard]] std::uint64_t total_ops() const;
 
   /// FNV-1a over per-site stats in site order — insensitive to how
-  /// non-interacting lanes interleave, sensitive to any change in what a
+  /// different sites' ticks interleave, sensitive to any change in what a
   /// site's clients actually did (including local tick order via `mix`).
   [[nodiscard]] std::uint64_t digest() const;
 
@@ -72,7 +76,7 @@ class LiteClientPool {
     LiteClientPool* pool{nullptr};
     std::size_t site{0};
     double phase{0};  ///< diurnal phase shift in [0, 1)
-    Rng rng;          ///< consumed only by this site's ticks, in lane order
+    Rng rng;          ///< consumed only by this site's ticks, in order
     std::vector<Client> clients;
     SiteStats stats;
   };

@@ -7,14 +7,11 @@
 //   * the same seed replays bit-identically, including the trace digest,
 //     the gateway's state digest, dedup/reclaim counters and recovery
 //     accounting;
-//   * the digest is identical with the sharded lanes disabled
-//     (BS_SIM_LANES=off);
 //   * once the dust settles every object the gateway lists is fully
 //     readable with its recorded etag — refcounted dedup plus crash
 //     recovery never reclaims or loses a chunk a live manifest needs.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -43,11 +40,7 @@ struct GatewayChaosOutcome {
   bool trace_done{false};
 };
 
-GatewayChaosOutcome run_gateway_chaos(std::uint64_t seed,
-                                      bool lanes_off = false) {
-  // The lane config is read by the Cluster constructor, so the env toggle
-  // must bracket Deployment construction.
-  if (lanes_off) setenv("BS_SIM_LANES", "off", 1);
+GatewayChaosOutcome run_gateway_chaos(std::uint64_t seed) {
   sim::Simulation sim;
 
   blob::DeploymentConfig cfg;
@@ -58,7 +51,6 @@ GatewayChaosOutcome run_gateway_chaos(std::uint64_t seed,
   cfg.fault_seed = seed ^ 0x6A7Eull;
   cfg.journal.enabled = true;
   blob::Deployment dep(sim, cfg);
-  if (lanes_off) unsetenv("BS_SIM_LANES");
 
   rpc::Node* gw_node = dep.cluster().add_node(0);
   cloud::GatewayOptions gopts;
@@ -222,22 +214,6 @@ TEST_P(GatewayChaosSeeds, ReplayIsBitIdenticalAndNoListedObjectIsLost) {
 // 50 seeded schedules in the gateway chaos gate.
 INSTANTIATE_TEST_SUITE_P(Seeds, GatewayChaosSeeds,
                          ::testing::Range<std::uint64_t>(1, 51));
-
-class GatewayChaosAblation : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(GatewayChaosAblation, StepperAndThreadsNeverChangeOutcomes) {
-  // The gateway's coroutine fan-out (concurrent parts, parallel range
-  // reads, detached reclaims) must be invisible to the queue choice.
-  const std::uint64_t seed = GetParam();
-  const GatewayChaosOutcome lanes = run_gateway_chaos(seed);
-  const GatewayChaosOutcome single =
-      run_gateway_chaos(seed, /*lanes_off=*/true);
-  EXPECT_EQ(lanes.digest, single.digest) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(StepperAblation, GatewayChaosAblation,
-                         ::testing::Values(3ull, 19ull, 37ull));
 
 }  // namespace
 }  // namespace bs

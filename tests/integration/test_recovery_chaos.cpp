@@ -6,13 +6,10 @@
 // service journals and replays on restart. Invariants:
 //   * replaying the same seed twice is bit-identical, including the
 //     recovery counters (replay bytes, torn tails truncated);
-//   * the digest is identical with the sharded lanes disabled
-//     (BS_SIM_LANES=off);
 //   * every published version is fully readable after the dust settles —
 //     crash-recovery never loses an acked write or resurrects a torn one.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "blob/deployment.hpp"
@@ -35,11 +32,7 @@ struct RecoveryChaosOutcome {
   std::uint64_t faults_applied{0};
 };
 
-RecoveryChaosOutcome run_recovery_chaos(std::uint64_t seed,
-                                        bool lanes_off = false) {
-  // The lane config is read by the Cluster constructor, so the env toggle
-  // must bracket Deployment construction.
-  if (lanes_off) setenv("BS_SIM_LANES", "off", 1);
+RecoveryChaosOutcome run_recovery_chaos(std::uint64_t seed) {
   sim::Simulation sim;
 
   blob::DeploymentConfig cfg;
@@ -52,7 +45,6 @@ RecoveryChaosOutcome run_recovery_chaos(std::uint64_t seed,
   cfg.vm_options.write_lease = simtime::seconds(30);
   cfg.vm_options.sweep_interval = simtime::seconds(5);
   blob::Deployment dep(sim, cfg);
-  if (lanes_off) unsetenv("BS_SIM_LANES");
 
   const int n_clients = 4;
   std::vector<blob::BlobClient*> clients;
@@ -191,24 +183,6 @@ TEST_P(RecoveryChaosSeeds, ReplayIsBitIdenticalAndRecoveryLosesNothing) {
 // 50 seeded schedules in the recovery/chaos gate.
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryChaosSeeds,
                          ::testing::Range<std::uint64_t>(1, 51));
-
-class RecoveryChaosAblation : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(RecoveryChaosAblation, StepperAndThreadsNeverChangeRecoveryOutcomes) {
-  // The recovery paths (replay coroutines, fsync barriers, checkpoint
-  // writes) must be invisible to the queue choice: the single-heap
-  // reference queue and the sharded lanes replay bit-identically.
-  const std::uint64_t seed = GetParam();
-  const RecoveryChaosOutcome lanes = run_recovery_chaos(seed);
-  const RecoveryChaosOutcome single =
-      run_recovery_chaos(seed, /*lanes_off=*/true);
-  EXPECT_EQ(lanes.digest, single.digest) << "seed " << seed;
-  EXPECT_GT(lanes.recoveries, 0u) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(StepperAblation, RecoveryChaosAblation,
-                         ::testing::Values(5ull, 17ull, 41ull));
 
 }  // namespace
 }  // namespace bs

@@ -5,7 +5,7 @@
 // (torn tails, at most one store wipe) layered on the usual provider
 // hazards. Invariants:
 //   * replaying a seed twice is bit-identical, custody and version-map
-//     state included, and the digest survives the lanes on/off ablation;
+//     state included;
 //   * after the dust settles every remote site's version map is coherent
 //     against the origin — whatever custody lost, reconciliation found;
 //   * every published version stays fully readable (the partitions never
@@ -17,7 +17,6 @@
 // back to coherence within a bounded reconciliation window after the heal.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "blob/deployment.hpp"
@@ -43,10 +42,7 @@ struct ReplChaosOutcome {
   std::uint64_t faults_applied{0};
 };
 
-ReplChaosOutcome run_repl_chaos(std::uint64_t seed, bool lanes_off = false) {
-  // The lane config is read by the Cluster constructor, so the env toggle
-  // must bracket Deployment construction.
-  if (lanes_off) setenv("BS_SIM_LANES", "off", 1);
+ReplChaosOutcome run_repl_chaos(std::uint64_t seed) {
   sim::Simulation sim;
 
   blob::DeploymentConfig cfg;
@@ -59,7 +55,6 @@ ReplChaosOutcome run_repl_chaos(std::uint64_t seed, bool lanes_off = false) {
   cfg.vm_options.write_lease = simtime::seconds(30);
   cfg.vm_options.sweep_interval = simtime::seconds(5);
   blob::Deployment dep(sim, cfg);
-  if (lanes_off) unsetenv("BS_SIM_LANES");
 
   // The plane goes up right after the deployment (before clients), so its
   // egress node ids are stable for the crash schedule below.
@@ -220,23 +215,6 @@ TEST_P(ReplChaosSeeds, ReplayIsBitIdenticalAndReconciliationConverges) {
 // 50 seeded schedules in the repl/chaos gate.
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplChaosSeeds,
                          ::testing::Range<std::uint64_t>(1, 51));
-
-class ReplChaosAblation : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ReplChaosAblation, StepperAndThreadsNeverChangeReplOutcomes) {
-  // Custody drains, map exchanges and catch-up transfers are cross-site
-  // by construction — exactly the traffic the sharded lanes split up most
-  // aggressively. Lanes and the single-heap queue must agree bit-for-bit.
-  const std::uint64_t seed = GetParam();
-  const ReplChaosOutcome lanes = run_repl_chaos(seed);
-  const ReplChaosOutcome single =
-      run_repl_chaos(seed, /*lanes_off=*/true);
-  EXPECT_EQ(lanes.digest, single.digest) << "seed " << seed;
-  EXPECT_TRUE(lanes.coherent) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(StepperAblation, ReplChaosAblation,
-                         ::testing::Values(5ull, 17ull, 41ull));
 
 // ------------------------------------------------- 30-minute partition
 // Acceptance scenario from the disruption-tolerance brief: a WAN cut

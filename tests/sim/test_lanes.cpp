@@ -1,9 +1,9 @@
-// Sharded-lane determinism properties: the per-site event lanes (stage rung
-// + late-insertion heap + far pool, see DESIGN.md "Sharded lanes") must
-// reproduce the single-heap oracle's pop order *exactly* — same events, same
-// interleave, same clock — and the pooled lite-client workload must digest
-// identically on the single heap and the sharded lanes, and to the value
-// pinned below.
+// Far-ladder determinism properties: with the ladder engaged by reserve()
+// (stage rung + late-insertion heap + far pool, see DESIGN.md "One event
+// queue and the far ladder") the queue must reproduce the pure heap's pop
+// order *exactly* — same events, same interleave, same clock — whole or in
+// run_until() slices, and the pooled lite-client workload must digest
+// identically either way, and to the value pinned below.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,14 +18,17 @@
 namespace bs::sim {
 namespace {
 
-constexpr std::size_t kSites = 4;
+/// A declared load far above the engage threshold.
+constexpr std::size_t kLargeLoad = std::size_t{1} << 20;
 
 // Self-similar random scenario: every executed event records its id and
-// schedules rng-driven follow-ups across sites and time scales. Delays mix
-// zero (same-time ring), sub-rung (late heap insertions behind far_bar),
-// in-rung, and beyond-rung (far pool) so all four tiers participate. The
-// rng is consumed in execution order, so any ordering divergence between
-// two runs cascades — making the order vector a very sensitive probe.
+// schedules rng-driven follow-ups across time scales. Delays mix zero
+// (same-time ring), sub-rung (late heap insertions behind far_bar),
+// in-rung, and beyond-rung (far pool) so all four tiers participate; the
+// longer ones are whole milliseconds, so many events share a time and
+// every tier has to break ties by seq. The rng is consumed in execution
+// order, so any ordering divergence between two runs cascades — making
+// the order vector a very sensitive probe.
 struct Scenario {
   Simulation* sim{nullptr};
   Rng rng{0};
@@ -44,47 +47,43 @@ struct Scenario {
     order.push_back(id);
     const std::size_t fanout = rng.next_below(3);  // 0..2 follow-ups
     for (std::size_t i = 0; i < fanout && budget != 0; ++i, --budget) {
-      const std::size_t site = rng.next_below(kSites);
       SimDuration dt = 0;
       switch (rng.next_below(4)) {
         case 0: dt = 0; break;                                   // ring
         case 1: dt = 1 + rng.next_below(2'000'000); break;       // < 2 ms
-        case 2: dt = simtime::millis(rng.uniform(2, 80)); break; // in-rung
-        default: dt = simtime::millis(rng.uniform(80, 400)); break;  // far
+        case 2: dt = simtime::millis(2 + rng.next_below(78)); break;
+        default: dt = simtime::millis(80 + rng.next_below(320)); break;
       }
-      sim->schedule_on_site(site, sim->now() + dt, Ev{this, next_id++});
+      sim->schedule_at(sim->now() + dt, Ev{this, next_id++});
     }
   }
 
-  void seed_initial(std::size_t n) {
-    for (std::size_t i = 0; i < n && budget != 0; ++i, --budget) {
-      const std::size_t site = rng.next_below(kSites);
-      const SimTime t = simtime::millis(rng.uniform(0, 250));
-      sim->schedule_on_site(site, t, Ev{this, next_id++});
+  /// Queues `initial` events in the first 250 ms; 4000 follow-ups remain.
+  void start(Simulation& s, std::uint64_t seed, std::size_t initial) {
+    sim = &s;
+    rng = Rng(seed);
+    budget = 4000;
+    for (std::size_t i = 0; i < initial; ++i) {
+      const SimTime t = simtime::millis(rng.next_below(250));
+      sim->schedule_at(t, Ev{this, next_id++});
     }
   }
 };
 
-std::vector<std::uint32_t> run_scenario(bool sharded, std::uint64_t seed,
+std::vector<std::uint32_t> run_scenario(bool ladder, std::uint64_t seed,
                                         SimTime* end_clock = nullptr,
                                         SimTime run_until_step = 0,
-                                        bool engage_ladder = true) {
+                                        std::size_t initial = 64) {
   Simulation sim;
-  if (sharded) {
-    sim.configure_sites(kSites);
-    // Declare a population-scale load so the far ladders engage; without
-    // the hint sharded lanes run on their pure heaps and the far tier
-    // would lose coverage.
-    if (engage_ladder) sim.hint_lane_load(std::size_t{1} << 20);
-  }
+  if (ladder) sim.reserve(kLargeLoad);
   Scenario sc;
-  sc.sim = &sim;
-  sc.rng = Rng(seed);
-  sc.budget = 4000;
-  sc.seed_initial(64);
+  sc.start(sim, seed, initial);
   if (run_until_step > 0) {
-    // Exercise the run_until() boundary logic mid-rung.
-    while (sim.pending() != 0) sim.run_until(sim.now() + run_until_step);
+    // Exercise the run_until() boundary logic mid-rung. The horizon is far
+    // past the last event, and bounds the loop should run_until() miss one.
+    while (sim.pending() != 0 && sim.now() < simtime::minutes(60)) {
+      sim.run_until(sim.now() + run_until_step);
+    }
   } else {
     sim.run();
   }
@@ -93,132 +92,69 @@ std::vector<std::uint32_t> run_scenario(bool sharded, std::uint64_t seed,
   return sc.order;
 }
 
-TEST(SimLanes, ShardedOrderMatchesSingleHeapOracle) {
-  for (const std::uint64_t seed : {1ull, 42ull, 0xbadc0deull}) {
-    SimTime oracle_end = 0;
-    SimTime sharded_end = 0;
-    SimTime parked_end = 0;
-    const auto oracle = run_scenario(false, seed, &oracle_end);
-    const auto sharded = run_scenario(true, seed, &sharded_end);
-    // Tier placement must never affect execution order: a parked ladder
-    // (no capacity hint, everything on the per-lane heaps) replays the
-    // same total order as the engaged one.
-    const auto parked = run_scenario(true, seed, &parked_end, 0, false);
-    ASSERT_EQ(oracle.size(), sharded.size()) << "seed " << seed;
-    EXPECT_EQ(oracle, sharded) << "seed " << seed;
-    EXPECT_EQ(oracle, parked) << "seed " << seed;
-    EXPECT_EQ(oracle_end, sharded_end) << "seed " << seed;
-    EXPECT_EQ(oracle_end, parked_end) << "seed " << seed;
+TEST(SimLanes, LadderOrderMatchesHeapOracle) {
+  // Tier placement must never affect execution order: the engaged ladder
+  // replays the same total order and ends on the same clock as the heap.
+  // 12000 initial events, ~48 per millisecond, fill the far pool past one
+  // rung, so refill cuts it with nth_element right through a tie.
+  for (const std::size_t initial : {std::size_t{64}, std::size_t{12000}}) {
+    for (const std::uint64_t seed : {1ull, 42ull, 0xbadc0deull}) {
+      SimTime oracle_end = 0;
+      SimTime ladder_end = 0;
+      const auto oracle = run_scenario(false, seed, &oracle_end, 0, initial);
+      const auto ladder = run_scenario(true, seed, &ladder_end, 0, initial);
+      ASSERT_GT(oracle.size(), 1000u) << "seed " << seed;
+      EXPECT_EQ(oracle, ladder) << "seed " << seed << " initial " << initial;
+      EXPECT_EQ(oracle_end, ladder_end) << "seed " << seed;
+    }
   }
 }
 
 TEST(SimLanes, RunUntilAgreesWithOracleMidRung) {
   // Stepping the clock in 7 ms slices cuts through stage rungs and forces
-  // refills at arbitrary boundaries; the order must not change.
-  const auto whole = run_scenario(true, 7);
-  const auto sliced = run_scenario(true, 7, nullptr, simtime::millis(7));
-  EXPECT_EQ(whole, sliced);
-  const auto oracle = run_scenario(false, 7, nullptr, simtime::millis(7));
-  EXPECT_EQ(oracle, sliced);
-}
-
-TEST(SimLanes, SameTimeEventsKeepScheduleOrderAcrossLanes) {
-  // Events at one instant execute in schedule (sequence) order even when
-  // they alternate between lanes — the cached-head tie-break is the
-  // sequence number, exactly like the single heap.
-  for (const bool sharded : {false, true}) {
-    Simulation sim;
-    if (sharded) sim.configure_sites(kSites);
-    std::vector<int> order;
-    struct Rec {
-      std::vector<int>* order;
-      int id;
-      void operator()() const { order->push_back(id); }
-    };
-    const SimTime t = simtime::seconds(1);
-    for (int i = 0; i < 12; ++i) {
-      sim.schedule_on_site(static_cast<std::size_t>(i) % kSites, t,
-                           Rec{&order, i});
-    }
-    sim.run();
-    ASSERT_EQ(order.size(), 12u);
-    for (int i = 0; i < 12; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  // refills at arbitrary boundaries; the order must not change. run_until()
+  // has to look past the ring and heap into the stage and the far pool,
+  // or a sliced ladder run returns with everything still queued.
+  for (const std::uint64_t seed : {7ull, 42ull}) {
+    const auto oracle = run_scenario(false, seed);
+    EXPECT_EQ(run_scenario(true, seed, nullptr, simtime::millis(7)), oracle)
+        << "seed " << seed;
+    EXPECT_EQ(run_scenario(false, seed, nullptr, simtime::millis(7)), oracle)
+        << "seed " << seed;
   }
 }
 
-TEST(SimLanes, HintLaneLoadOrderIndependentOfConfigure) {
-  // The capacity hint may arrive before sharding is configured (a workload
-  // pool built before the cluster): configure_sites() applies the stored
-  // hint, and the execution order matches hint-after-configure exactly.
-  auto run = [](bool hint_first) {
+TEST(SimLanes, ReserveAfterQueuedKeepsOrder) {
+  // The declaration may arrive after events are queued (and after some
+  // have run): engaging then lifts the bar above every queued key, and the
+  // execution order matches the pure heap exactly.
+  auto run = [](int reserve_after) {
     Simulation sim;
-    if (hint_first) sim.hint_lane_load(std::size_t{1} << 20);
-    sim.configure_sites(kSites);
-    if (!hint_first) sim.hint_lane_load(std::size_t{1} << 20);
     Scenario sc;
-    sc.sim = &sim;
-    sc.rng = Rng(7);
-    sc.budget = 4000;
-    sc.seed_initial(64);
+    sc.start(sim, 7, 64);
+    for (int i = 0; i < reserve_after && sim.step(); ++i) {
+    }
+    sim.reserve(kLargeLoad);
     sim.run();
+    EXPECT_EQ(sim.pending(), 0u);
     return sc.order;
   };
-  EXPECT_EQ(run(true), run(false));
-  EXPECT_EQ(run(true), run_scenario(false, 7));
-}
-
-TEST(SimLanes, ConfigureSitesTightensLookahead) {
-  Simulation sim;
-  sim.configure_sites(kSites);
-  EXPECT_EQ(sim.site_lane_count(), kSites);
-  // A second cluster on the same simulation keeps the shard count.
-  sim.configure_sites(kSites);
-  EXPECT_EQ(sim.site_lane_count(), kSites);
-}
-
-TEST(SimLanes, CrossSiteHandoffsCounted) {
-  Simulation sim;
-  sim.configure_sites(kSites);
-  struct Ctx {
-    Simulation* sim;
-    int same_site_fired{0};
-  } ctx{&sim, 0};
-  struct SameSite {
-    Ctx* ctx;
-    void operator()() const { ++ctx->same_site_fired; }
-  };
-  struct Hop {
-    Ctx* ctx;
-    void operator()() const {
-      // Executing in site 1's lane: a same-site follow-up is not a handoff,
-      // a site-2 follow-up is.
-      ctx->sim->schedule_on_site(1, ctx->sim->now() + 10, SameSite{ctx});
-      ctx->sim->schedule_on_site(2, ctx->sim->now() + simtime::millis(5),
-                                 SameSite{ctx});
-    }
-  };
-  // Scheduling from outside any event executes in lane 0 context: both
-  // site-bound schedules below are handoffs.
-  sim.schedule_on_site(1, simtime::millis(1), Hop{&ctx});
-  const std::uint64_t after_seed = sim.cross_site_handoffs();
-  EXPECT_EQ(after_seed, 1u);
-  sim.run();
-  EXPECT_EQ(ctx.same_site_fired, 2);
-  EXPECT_EQ(sim.cross_site_handoffs(), after_seed + 1);
+  const auto oracle = run_scenario(false, 7);
+  EXPECT_EQ(run(0), oracle);
+  EXPECT_EQ(run(100), oracle);
+  EXPECT_EQ(run(1000), oracle);
 }
 
 TEST(SimLanes, PendingCountsAllTiers) {
   Simulation sim;
-  sim.configure_sites(kSites);
-  sim.hint_lane_load(std::size_t{1} << 20);  // engage so far tier is occupied
+  sim.reserve(kLargeLoad);  // engage so the far tier is occupied
   struct Nop {
     void operator()() const {}
   };
-  // Spread schedules across sites and time scales; pending() must count
-  // ring, stage, heap and far occupants alike.
+  // Spread schedules across time scales; pending() must count ring,
+  // stage, heap and far occupants alike.
   for (int i = 0; i < 100; ++i) {
-    sim.schedule_on_site(static_cast<std::size_t>(i) % kSites,
-                         simtime::millis(i * 3), Nop{});
+    sim.schedule_at(simtime::millis(i * 3), Nop{});
   }
   EXPECT_EQ(sim.pending(), 100u);
   sim.run_until(simtime::millis(150));
@@ -229,18 +165,14 @@ TEST(SimLanes, PendingCountsAllTiers) {
 
 // ---------------------------------------------------------------- lite pool
 
-std::uint64_t lite_digest(bool lanes, std::uint64_t seed,
-                          std::uint64_t* events = nullptr,
-                          bool engage_ladder = true) {
+std::uint64_t lite_digest(bool ladder, std::uint64_t seed,
+                          std::uint64_t* events = nullptr) {
   Simulation sim;
+  // 5000 clients is below the engage threshold, so the pool's own
+  // declaration leaves the ladder parked; force-engage it to cover the far
+  // tier at test scale.
+  if (ladder) sim.reserve(kLargeLoad);
   const net::Topology topo = net::Topology::grid5000(9);
-  if (lanes) {
-    sim.configure_sites(topo.site_count());
-    // 5000 clients over 9 sites is below the pool's own hint threshold;
-    // force-engage so the far tier stays covered at test scale (the
-    // engage_ladder=false runs cover the parked configuration).
-    if (engage_ladder) sim.hint_lane_load(std::size_t{1} << 20);
-  }
   workload::LiteParams params;
   params.clients = 5000;
   params.end = simtime::minutes(3);
@@ -254,15 +186,11 @@ std::uint64_t lite_digest(bool lanes, std::uint64_t seed,
 }
 
 TEST(SimLanes, LitePoolDigestStableAcrossSteppers) {
-  std::uint64_t ev_single = 0;
-  std::uint64_t ev_lanes = 0;
-  const std::uint64_t single = lite_digest(false, 99, &ev_single);
-  const std::uint64_t lanes = lite_digest(true, 99, &ev_lanes);
-  const std::uint64_t parked = lite_digest(true, 99, nullptr,
-                                           /*engage_ladder=*/false);
-  EXPECT_EQ(single, lanes);
-  EXPECT_EQ(single, parked);
-  EXPECT_EQ(ev_single, ev_lanes);
+  std::uint64_t ev_heap = 0;
+  std::uint64_t ev_ladder = 0;
+  EXPECT_EQ(lite_digest(false, 99, &ev_heap),
+            lite_digest(true, 99, &ev_ladder));
+  EXPECT_EQ(ev_heap, ev_ladder);
 }
 
 TEST(SimLanes, LitePoolDigestGolden) {
@@ -278,8 +206,7 @@ class LaneReplaySeeds : public ::testing::TestWithParam<int> {};
 
 TEST_P(LaneReplaySeeds, FiftySeedReplayDigestsMatch) {
   // 10 seeds per shard x 5 shards = the 50-seed replay matrix. Every seed
-  // must digest identically between the single-heap oracle and the sharded
-  // lanes.
+  // must digest identically between the pure heap and the engaged ladder.
   const int shard = GetParam();
   for (int i = 0; i < 10; ++i) {
     const std::uint64_t seed =

@@ -1,8 +1,8 @@
 // Cancellable kernel timers (Simulation::schedule_timer_in / cancel): a
 // cancelled timer leaves the queue and drops its callback at once, ids go
 // stale when their timer fires or is cancelled, and timers interleave with
-// ordinary events in exactly the single-heap (time, seq) order — on one
-// heap and on sharded lanes alike.
+// ordinary events in exactly the single-heap (time, seq) order — with the
+// far ladder parked and engaged alike.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,7 +20,8 @@
 namespace bs::sim {
 namespace {
 
-constexpr std::size_t kSites = 4;
+/// A declared load far above the far ladder's engage threshold.
+constexpr std::size_t kLargeLoad = std::size_t{1} << 20;
 
 struct Rec {
   std::vector<int>* order;
@@ -87,18 +88,18 @@ TEST(SimTimers, SameTimeTimersKeepScheduleOrderWithEvents) {
   // instant they run exactly where a plain event armed at that moment
   // would: between the heap entries, and between ring entries when armed
   // with zero delay from inside an event.
-  for (const bool sharded : {false, true}) {
+  for (const bool ladder : {false, true}) {
     Simulation sim;
-    if (sharded) sim.configure_sites(kSites);
+    if (ladder) sim.reserve(kLargeLoad);
     std::vector<int> order;
     const SimTime t = simtime::seconds(1);
-    sim.schedule_on_site(0, t, Rec{&order, 0});
+    sim.schedule_at(t, Rec{&order, 0});
     sim.schedule_timer_in(t, Rec{&order, 1});
-    sim.schedule_on_site(1, t, Rec{&order, 2});
+    sim.schedule_at(t, Rec{&order, 2});
     const TimerId gone = sim.schedule_timer_in(t, Rec{&order, -1});
-    sim.schedule_on_site(2, t, Rec{&order, 3});
+    sim.schedule_at(t, Rec{&order, 3});
     sim.schedule_timer_in(t, Rec{&order, 4});
-    sim.schedule_on_site(3, t, [&sim, &order] {
+    sim.schedule_at(t, [&sim, &order] {
       order.push_back(5);
       sim.schedule_at(sim.now(), Rec{&order, 6});
       sim.schedule_timer_in(0, Rec{&order, 7});
@@ -108,33 +109,15 @@ TEST(SimTimers, SameTimeTimersKeepScheduleOrderWithEvents) {
     EXPECT_TRUE(sim.cancel(gone));
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{-2, 0, 1, 2, 3, 4, 5, 6, 7, 8}))
-        << (sharded ? "lanes" : "single heap");
+        << (ladder ? "ladder" : "heap");
     EXPECT_EQ(sim.now(), t);
   }
 }
 
-TEST(SimTimers, FireInTheLaneThatArmedThem) {
-  // A timer runs in its arming lane, exactly like a schedule_in() event
-  // armed there would.
-  Simulation sim;
-  sim.configure_sites(kSites);
-  std::vector<int> order;
-  sim.schedule_on_site(2, 1, [&sim, &order] {
-    sim.schedule_timer_in(5, [&sim, &order] {
-      sim.schedule_on_site(2, sim.now() + 1, Rec{&order, 1});
-    });
-  });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  // Only the first hop into site 2 crossed lanes: the timer ran in site
-  // 2's lane, so its follow-up to the same site is lane-local.
-  EXPECT_EQ(sim.cross_site_handoffs(), 1u);
-}
-
 TEST(SimTimers, RunUntilFiresOnlyDueTimers) {
-  for (const bool sharded : {false, true}) {
+  for (const bool ladder : {false, true}) {
     Simulation sim;
-    if (sharded) sim.configure_sites(kSites);
+    if (ladder) sim.reserve(kLargeLoad);
     std::vector<int> fired;
     sim.schedule_timer_in(simtime::millis(10), Rec{&fired, 10});
     sim.schedule_timer_in(simtime::millis(20), Rec{&fired, 20});
@@ -229,8 +212,9 @@ struct TimerScenario {
     switch (rng.next_below(4)) {
       case 0: return 0;
       case 1: return 1 + rng.next_below(2'000'000);
-      case 2: return simtime::millis(rng.uniform(2, 80));
-      default: return simtime::millis(rng.uniform(80, 400));
+      // Whole milliseconds, so timers and events often share a time.
+      case 2: return simtime::millis(2 + rng.next_below(78));
+      default: return simtime::millis(80 + rng.next_below(320));
     }
   }
 
@@ -266,12 +250,10 @@ struct TimerScenario {
     order.emplace_back(id, sim->now());
     const std::size_t fanout = rng.next_below(4);  // 0..3 follow-ups
     for (std::size_t i = 0; i < fanout && budget != 0; ++i, --budget) {
-      const std::size_t site = rng.next_below(kSites);
       switch (rng.next_below(4)) {
         case 0:
         case 1:
-          sim->schedule_on_site(site, sim->now() + delay(),
-                                Ev{this, next_id++});
+          sim->schedule_in(delay(), Ev{this, next_id++});
           break;
         case 2: arm(delay()); break;
         default: cancel_one(); break;
@@ -281,25 +263,25 @@ struct TimerScenario {
 };
 
 std::vector<std::pair<std::uint32_t, SimTime>> run_timer_scenario(
-    bool sharded, bool zombies, std::uint64_t seed, SimDuration slice = 0) {
+    bool ladder, bool zombies, std::uint64_t seed, SimDuration slice = 0) {
   Simulation sim;
-  if (sharded) {
-    sim.configure_sites(kSites);
-    sim.hint_lane_load(std::size_t{1} << 20);  // far tiers take part too
-  }
+  if (ladder) sim.reserve(kLargeLoad);  // far tiers take part too
   TimerScenario sc;
   sc.sim = &sim;
   sc.zombies = zombies;
   sc.rng = Rng(seed);
   sc.budget = 4000;
   for (std::size_t i = 0; i < 48; ++i) {
-    const std::size_t site = sc.rng.next_below(kSites);
-    sim.schedule_on_site(site, simtime::millis(sc.rng.uniform(0, 250)),
-                         TimerScenario::Ev{&sc, sc.next_id++});
+    sim.schedule_at(simtime::millis(sc.rng.next_below(250)),
+                    TimerScenario::Ev{&sc, sc.next_id++});
   }
   for (std::size_t i = 0; i < 16; ++i) sc.arm(sc.delay());
   if (slice > 0) {
-    while (sim.pending() != 0) sim.run_until(sim.now() + slice);
+    // The horizon is far past the last event, and bounds the loop should
+    // run_until() miss one.
+    while (sim.pending() != 0 && sim.now() < simtime::minutes(60)) {
+      sim.run_until(sim.now() + slice);
+    }
   } else {
     sim.run();
   }
@@ -308,14 +290,14 @@ std::vector<std::pair<std::uint32_t, SimTime>> run_timer_scenario(
   return sc.order;
 }
 
-TEST(SimTimers, MixedOrderMatchesZombieOracleOnSingleHeapAndLanes) {
+TEST(SimTimers, MixedOrderMatchesZombieOracleOnHeapAndLadder) {
   for (const std::uint64_t seed : {1ull, 42ull, 0xbadc0deull}) {
     const auto oracle = run_timer_scenario(false, true, seed);
     ASSERT_GT(oracle.size(), 1000u) << "seed " << seed;
     EXPECT_EQ(run_timer_scenario(true, true, seed), oracle) << seed;
     EXPECT_EQ(run_timer_scenario(false, false, seed), oracle) << seed;
     EXPECT_EQ(run_timer_scenario(true, false, seed), oracle) << seed;
-    // run_until() slices cut between timers and lane events alike.
+    // run_until() slices cut between timers and queued events alike.
     EXPECT_EQ(run_timer_scenario(false, false, seed, simtime::millis(7)),
               oracle)
         << seed;
