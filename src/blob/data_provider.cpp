@@ -2,35 +2,21 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace bs::blob {
 
 DataProvider::DataProvider(rpc::Node& node, Options options)
-    : node_(node), options_(options), journal_(options.journal) {
+    : node_(node), options_(options), durable_(node, options.journal, *this) {
   register_handlers();
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
     stop_heartbeats();
-    if (journal_.enabled()) {
-      // The in-memory image dies with the process; what survives is the
-      // journal's durable prefix, replayed (at disk cost) on restart.
-      wipe();
-      journal_.crash(c.lose_storage, c.torn_tail);
-      recovering_ = true;
-    } else if (c.lose_storage) {
-      wipe();
-    }
+    if (!durable_.crash(c) && c.lose_storage) wipe();
   });
   node_.add_restart_listener([this] {
-    if (journal_.enabled()) {
-      node_.cluster().sim().spawn(recover(node_.incarnation()));
-    } else if (pm_node_.valid()) {
-      // Re-register with the last known manager; the registration carries
-      // the surviving store (or a zeroed one after a wipe).
-      start_heartbeats(pm_node_);
-    }
+    // Journaled, on_readable() re-registers once the replay is done.
+    // Otherwise re-register with the last known manager at once; the
+    // registration carries the surviving store (or a zeroed one after a
+    // wipe).
+    if (!durable_.restart() && pm_node_.valid()) start_heartbeats(pm_node_);
   });
 }
 
@@ -67,55 +53,7 @@ DataProvider::encode_checkpoint() const {
   return image;
 }
 
-void DataProvider::maybe_checkpoint() {
-  if (!journal_.checkpoint_due()) return;
-  if (!journal_.install_checkpoint(encode_checkpoint())) return;
-  obs::count("journal.checkpoints");
-  charge_checkpoint_write(node_, journal_.checkpoint_bytes());
-}
-
-sim::Task<void> DataProvider::recover(std::uint64_t incarnation) {
-  auto& sim = node_.cluster().sim();
-  const SimTime t0 = sim.now();
-  const ReplayPlan plan = journal_.replay_plan();
-  obs::SpanId span = 0;
-  if (auto* ts = obs::sink()) {
-    span = ts->begin_span(
-        "recovery.replay", "recovery", 0,
-        {"node", static_cast<std::int64_t>(node_.id().value)},
-        {"records", static_cast<std::int64_t>(plan.total_records())});
-  }
-  if (!co_await journal_replay_cost(node_, journal_.options().disk, plan) ||
-      node_.incarnation() != incarnation) {
-    // Crashed again mid-replay; the next restart starts recovery over.
-    if (auto* ts = obs::sink()) ts->end_span(span, "aborted");
-    co_return;
-  }
-  const auto outcome = journal_.finish_recovery();
-  if (outcome.torn_bytes > 0) {
-    ++rec_stats_.torn_tails_truncated;
-    obs::count("recovery.torn_tails");
-  }
-  if (outcome.wiped) ++rec_stats_.cold_starts;
-  journal_.replay([this](const JournalRecord& rec) { apply_record(rec); });
-  recovering_ = false;
-  ++rec_stats_.recoveries;
-  rec_stats_.replay_bytes += plan.total_bytes();
-  rec_stats_.replay_records += plan.total_records();
-  rec_stats_.last_time_to_readable = sim.now() - t0;
-  rec_stats_.total_time_to_readable += rec_stats_.last_time_to_readable;
-  obs::count("recovery.replays");
-  obs::count("recovery.replay_bytes", plan.total_bytes());
-  obs::count("recovery.replay_records", plan.total_records());
-  obs::observe("recovery.time_to_readable_ms",
-               static_cast<double>(rec_stats_.last_time_to_readable) /
-                   static_cast<double>(simtime::kNanosPerMilli),
-               0.0, 60000.0, 120);
-  if (auto* ts = obs::sink()) ts->end_span(span, "ok");
-  BS_INFO("recovery", "node %llu readable after %llu records / %llu bytes",
-          (unsigned long long)node_.id().value,
-          (unsigned long long)plan.total_records(),
-          (unsigned long long)plan.total_bytes());
+void DataProvider::on_readable(const RecoveryOutcome&) {
   if (used_ > 0) notify_storage(static_cast<std::int64_t>(used_));
   if (pm_node_.valid()) start_heartbeats(pm_node_);
 }
@@ -136,7 +74,7 @@ void DataProvider::register_handlers() {
   node_.serve<HasChunkReq, HasChunkResp>(
       [this](const HasChunkReq& req,
              const rpc::Envelope&) -> sim::Task<Result<HasChunkResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "store recovering"};
         }
         HasChunkResp resp;
@@ -154,7 +92,7 @@ void DataProvider::register_handlers() {
   node_.serve<RemoveBlobChunksReq, RemoveBlobChunksResp>(
       [this](const RemoveBlobChunksReq& req, const rpc::Envelope&)
           -> sim::Task<Result<RemoveBlobChunksResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "store recovering"};
         }
         RemoveBlobChunksResp resp;
@@ -172,24 +110,14 @@ void DataProvider::register_handlers() {
             ++it;
           }
         }
-        if (journal_.enabled() && !removed.empty()) {
-          std::sort(removed.begin(), removed.end());
-          std::uint64_t bytes = 0;
-          for (const ChunkKey& key : removed) {
-            JournalRecord rec;
-            rec.kind = JournalRecord::Kind::remove;
-            rec.key = key;
-            bytes += record_bytes(rec);
-            journal_.append(std::move(rec), record_bytes(rec));
-          }
-          const std::uint64_t seq = journal_.tail_seq();
-          if (!co_await journal_fsync(node_, journal_.options().disk,
-                                      bytes)) {
-            co_return Error{Errc::unavailable, "crashed before commit"};
-          }
-          journal_.seal(seq);
-          maybe_checkpoint();
+        std::sort(removed.begin(), removed.end());
+        std::vector<JournalRecord> recs(removed.size());
+        for (std::size_t i = 0; i < removed.size(); ++i) {
+          recs[i].kind = JournalRecord::Kind::remove;
+          recs[i].key = removed[i];
         }
+        auto sealed = co_await durable_.commit(std::move(recs));
+        if (!sealed.ok()) co_return sealed.error();
         if (resp.bytes_freed > 0) {
           notify_storage(-static_cast<std::int64_t>(resp.bytes_freed));
         }
@@ -199,7 +127,7 @@ void DataProvider::register_handlers() {
   node_.serve<ProviderStatusReq, ProviderStatusResp>(
       [this](const ProviderStatusReq&,
              const rpc::Envelope&) -> sim::Task<Result<ProviderStatusResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "store recovering"};
         }
         ProviderStatusResp resp;
@@ -211,7 +139,7 @@ void DataProvider::register_handlers() {
   node_.serve<ListChunksReq, ListChunksResp>(
       [this](const ListChunksReq&,
              const rpc::Envelope&) -> sim::Task<Result<ListChunksResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "store recovering"};
         }
         ListChunksResp resp;
@@ -253,7 +181,7 @@ void DataProvider::notify_access(const ChunkKey& key, std::uint64_t bytes,
 
 sim::Task<Result<PutChunkResp>> DataProvider::handle_put(PutChunkReq req,
                                                          ClientId client) {
-  if (recovering_) co_return Error{Errc::unavailable, "store recovering"};
+  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it != chunks_.end()) {
     // Chunks are immutable: a re-put (retry, abort-repair) is idempotent.
@@ -266,21 +194,14 @@ sim::Task<Result<PutChunkResp>> DataProvider::handle_put(PutChunkReq req,
   stores_.add(node_.cluster().sim().now(),
               static_cast<double>(req.payload.size));
   chunks_.emplace(req.key, req.payload);
-  if (journal_.enabled()) {
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::put;
-    rec.key = req.key;
-    rec.payload = req.payload;
-    const std::uint64_t bytes = record_bytes(rec);
-    const std::uint64_t seq = journal_.append(std::move(rec), bytes);
-    if (!co_await journal_fsync(node_, journal_.options().disk, bytes)) {
-      // Crashed before the commit barrier: the put was never durable and
-      // the crash already rolled the in-memory image back.
-      co_return Error{Errc::unavailable, "crashed before commit"};
-    }
-    journal_.seal(seq);
-    maybe_checkpoint();
-  }
+  JournalRecord rec;
+  rec.kind = JournalRecord::Kind::put;
+  rec.key = req.key;
+  rec.payload = req.payload;
+  // A crash before the commit barrier leaves the put never durable, and
+  // the crash already rolled the in-memory image back.
+  auto sealed = co_await durable_.commit(std::move(rec));
+  if (!sealed.ok()) co_return sealed.error();
   notify_storage(static_cast<std::int64_t>(req.payload.size));
   notify_access(req.key, req.payload.size, /*write=*/true, client);
   co_return PutChunkResp{};
@@ -288,7 +209,7 @@ sim::Task<Result<PutChunkResp>> DataProvider::handle_put(PutChunkReq req,
 
 sim::Task<Result<GetChunkResp>> DataProvider::handle_get(GetChunkReq req,
                                                          ClientId client) {
-  if (recovering_) co_return Error{Errc::unavailable, "store recovering"};
+  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it == chunks_.end()) {
     co_return Error{Errc::not_found, "chunk not stored here"};
@@ -319,31 +240,24 @@ sim::Task<Result<GetChunkResp>> DataProvider::handle_get(GetChunkReq req,
 
 sim::Task<Result<RemoveChunkResp>> DataProvider::handle_remove(
     RemoveChunkReq req) {
-  if (recovering_) co_return Error{Errc::unavailable, "store recovering"};
+  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it == chunks_.end()) co_return RemoveChunkResp{false};
   used_ -= it->second.size;
   const auto delta = -static_cast<std::int64_t>(it->second.size);
   chunks_.erase(it);
-  if (journal_.enabled()) {
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::remove;
-    rec.key = req.key;
-    const std::uint64_t bytes = record_bytes(rec);
-    const std::uint64_t seq = journal_.append(std::move(rec), bytes);
-    if (!co_await journal_fsync(node_, journal_.options().disk, bytes)) {
-      co_return Error{Errc::unavailable, "crashed before commit"};
-    }
-    journal_.seal(seq);
-    maybe_checkpoint();
-  }
+  JournalRecord rec;
+  rec.kind = JournalRecord::Kind::remove;
+  rec.key = req.key;
+  auto sealed = co_await durable_.commit(std::move(rec));
+  if (!sealed.ok()) co_return sealed.error();
   notify_storage(delta);
   co_return RemoveChunkResp{true};
 }
 
 sim::Task<Result<ReplicateChunkResp>> DataProvider::handle_replicate(
     ReplicateChunkReq req) {
-  if (recovering_) co_return Error{Errc::unavailable, "store recovering"};
+  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it == chunks_.end()) {
     co_return Error{Errc::not_found, "chunk not stored here"};

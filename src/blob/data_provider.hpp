@@ -91,11 +91,11 @@ class DataProvider {
   /// Failure injection: drops all stored chunks (models a disk loss).
   void wipe();
 
-  /// True between a journaled restart and the end of journal replay; every
+  /// True between a journaled crash and the end of journal replay; every
   /// request is rejected `unavailable` until the store is readable again.
-  [[nodiscard]] bool recovering() const { return recovering_; }
+  [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
-    return rec_stats_;
+    return durable_.stats();
   }
 
   /// One write-ahead-journal record of the chunk store: puts carry the
@@ -108,6 +108,8 @@ class DataProvider {
   };
 
  private:
+  friend class Durable<JournalRecord>;
+
   void register_handlers();
   sim::Task<void> heartbeat_loop(NodeId provider_manager,
                                  std::uint64_t generation);
@@ -125,19 +127,17 @@ class DataProvider {
   sim::Task<Result<RemoveChunkResp>> handle_remove(RemoveChunkReq req);
   sim::Task<Result<ReplicateChunkResp>> handle_replicate(ReplicateChunkReq req);
 
+  // Durable<JournalRecord> hooks.
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
   [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint()
       const;
-  void maybe_checkpoint();
-  sim::Task<void> recover(std::uint64_t incarnation);
+  void on_readable(const RecoveryOutcome& outcome);
 
   rpc::Node& node_;
   Options options_;
   std::unordered_map<ChunkKey, Payload> chunks_;
-  Journal<JournalRecord> journal_;
-  bool recovering_{false};
-  RecoveryStats rec_stats_;
+  Durable<JournalRecord> durable_;
   std::uint64_t used_{0};
   SlidingWindowCounter stores_{simtime::seconds(10)};
   bool heartbeats_on_{false};

@@ -3,84 +3,54 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace bs::blob {
 
 MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
-    : node_(node), options_(options), journal_(options.journal) {
+    : node_(node), options_(options), durable_(node, options.journal, *this) {
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
-    if (journal_.enabled()) {
-      // In-memory image dies with the process; the journal's durable
-      // prefix is what a restart replays (at disk cost).
-      wipe();
-      journal_.crash(c.lose_storage, c.torn_tail);
-      recovering_ = true;
-    } else if (c.lose_storage) {
-      wipe();
-    }
+    if (!durable_.crash(c) && c.lose_storage) wipe();
   });
-  node_.add_restart_listener([this] {
-    if (journal_.enabled()) {
-      node_.cluster().sim().spawn(recover(node_.incarnation()));
-    }
-  });
+  node_.add_restart_listener([this] { durable_.restart(); });
   node_.serve<MetaPutReq, MetaPutResp>(
       [this](const MetaPutReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaPutResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "metadata store recovering"};
         }
         auto [it, inserted] = nodes_.insert_or_assign(req.key, req.node);
         if (inserted) bytes_ += req.node.wire_size();
-        if (journal_.enabled()) {
-          JournalRecord rec;
-          rec.kind = JournalRecord::Kind::put;
-          rec.key = req.key;
-          rec.node = req.node;
-          const std::uint64_t bytes = record_bytes(rec);
-          const std::uint64_t seq = journal_.append(std::move(rec), bytes);
-          if (!co_await journal_fsync(node_, journal_.options().disk,
-                                      bytes)) {
-            co_return Error{Errc::unavailable, "crashed before commit"};
-          }
-          journal_.seal(seq);
-          maybe_checkpoint();
-        }
+        JournalRecord rec;
+        rec.kind = JournalRecord::Kind::put;
+        rec.key = req.key;
+        rec.node = req.node;
+        auto sealed = co_await durable_.commit(std::move(rec));
+        if (!sealed.ok()) co_return sealed.error();
         co_return MetaPutResp{};
       });
   node_.serve<MetaRemoveReq, MetaRemoveResp>(
       [this](const MetaRemoveReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaRemoveResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "metadata store recovering"};
         }
         auto it = nodes_.find(req.key);
         if (it == nodes_.end()) co_return MetaRemoveResp{false};
         bytes_ -= it->second.wire_size();
         nodes_.erase(it);
-        if (journal_.enabled()) {
-          JournalRecord rec;
-          rec.kind = JournalRecord::Kind::remove;
-          rec.key = req.key;
-          const std::uint64_t bytes = record_bytes(rec);
-          const std::uint64_t seq = journal_.append(std::move(rec), bytes);
-          if (!co_await journal_fsync(node_, journal_.options().disk,
-                                      bytes)) {
-            co_return Error{Errc::unavailable, "crashed before commit"};
-          }
-          journal_.seal(seq);
-          maybe_checkpoint();
-        }
+        JournalRecord rec;
+        rec.kind = JournalRecord::Kind::remove;
+        rec.key = req.key;
+        auto sealed = co_await durable_.commit(std::move(rec));
+        if (!sealed.ok()) co_return sealed.error();
         co_return MetaRemoveResp{true};
       });
 
   node_.serve<MetaGetReq, MetaGetResp>(
       [this](const MetaGetReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaGetResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "metadata store recovering"};
         }
         auto it = nodes_.find(req.key);
@@ -128,55 +98,6 @@ MetadataProvider::encode_checkpoint() const {
     image.push_back({std::move(rec), bytes});
   }
   return image;
-}
-
-void MetadataProvider::maybe_checkpoint() {
-  if (!journal_.checkpoint_due()) return;
-  if (!journal_.install_checkpoint(encode_checkpoint())) return;
-  obs::count("journal.checkpoints");
-  charge_checkpoint_write(node_, journal_.checkpoint_bytes());
-}
-
-sim::Task<void> MetadataProvider::recover(std::uint64_t incarnation) {
-  auto& sim = node_.cluster().sim();
-  const SimTime t0 = sim.now();
-  const ReplayPlan plan = journal_.replay_plan();
-  obs::SpanId span = 0;
-  if (auto* ts = obs::sink()) {
-    span = ts->begin_span(
-        "recovery.replay", "recovery", 0,
-        {"node", static_cast<std::int64_t>(node_.id().value)},
-        {"records", static_cast<std::int64_t>(plan.total_records())});
-  }
-  if (!co_await journal_replay_cost(node_, journal_.options().disk, plan) ||
-      node_.incarnation() != incarnation) {
-    if (auto* ts = obs::sink()) ts->end_span(span, "aborted");
-    co_return;
-  }
-  const auto outcome = journal_.finish_recovery();
-  if (outcome.torn_bytes > 0) {
-    ++rec_stats_.torn_tails_truncated;
-    obs::count("recovery.torn_tails");
-  }
-  if (outcome.wiped) ++rec_stats_.cold_starts;
-  journal_.replay([this](const JournalRecord& rec) { apply_record(rec); });
-  recovering_ = false;
-  ++rec_stats_.recoveries;
-  rec_stats_.replay_bytes += plan.total_bytes();
-  rec_stats_.replay_records += plan.total_records();
-  rec_stats_.last_time_to_readable = sim.now() - t0;
-  rec_stats_.total_time_to_readable += rec_stats_.last_time_to_readable;
-  obs::count("recovery.replays");
-  obs::count("recovery.replay_bytes", plan.total_bytes());
-  obs::count("recovery.replay_records", plan.total_records());
-  obs::observe("recovery.time_to_readable_ms",
-               static_cast<double>(rec_stats_.last_time_to_readable) /
-                   static_cast<double>(simtime::kNanosPerMilli),
-               0.0, 60000.0, 120);
-  if (auto* ts = obs::sink()) ts->end_span(span, "ok");
-  BS_INFO("recovery", "meta node %llu readable after %llu records",
-          (unsigned long long)node_.id().value,
-          (unsigned long long)plan.total_records());
 }
 
 RemoteMetadataStore::RemoteMetadataStore(rpc::Node& self,

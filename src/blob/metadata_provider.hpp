@@ -35,10 +35,10 @@ class MetadataProvider {
     bytes_ = 0;
   }
 
-  /// True between a journaled restart and the end of journal replay.
-  [[nodiscard]] bool recovering() const { return recovering_; }
+  /// True between a journaled crash and the end of journal replay.
+  [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
-    return rec_stats_;
+    return durable_.stats();
   }
 
   /// One write-ahead-journal record of the tree-node store.
@@ -50,19 +50,19 @@ class MetadataProvider {
   };
 
  private:
+  friend class Durable<JournalRecord>;
+
+  // Durable<JournalRecord> hooks (wipe() is public).
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
   [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint()
       const;
-  void maybe_checkpoint();
-  sim::Task<void> recover(std::uint64_t incarnation);
+  void on_readable(const RecoveryOutcome&) {}
 
   rpc::Node& node_;
   Options options_;
   std::unordered_map<NodeKey, TreeNode> nodes_;
-  Journal<JournalRecord> journal_;
-  bool recovering_{false};
-  RecoveryStats rec_stats_;
+  Durable<JournalRecord> durable_;
   std::uint64_t bytes_{0};
 };
 

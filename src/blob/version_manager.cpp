@@ -10,58 +10,34 @@
 namespace bs::blob {
 
 VersionManager::VersionManager(rpc::Node& node, Options opts)
-    : node_(node), opts_(opts), journal_(opts.journal) {
+    : node_(node), opts_(opts), durable_(node, opts.journal, *this) {
   register_handlers();
-  node_.add_crash_listener([this](const rpc::CrashOptions& c) {
-    if (!journal_.enabled()) return;
-    // Wake every parked commit handler: they resume (via the event queue,
-    // after this listener), find the blob gone, and their responses are
-    // discarded by the RPC layer's incarnation pinning anyway.
-    for (auto& [id, b] : blobs_) {
-      for (auto& [v, w] : b.pending) {
-        if (w.decision && !w.decision->is_set()) w.decision->set();
-      }
-    }
-    blobs_.clear();
-    next_blob_ = 1;
-    journal_.crash(c.lose_storage, c.torn_tail);
-    recovering_ = true;
-  });
-  // The sweeper dies with the node; a restart revives it. With the journal
-  // disabled blob state itself survives crashes intact (the paper's durable
-  // version manager); enabled, a restart replays the journal first.
+  // With the journal disabled blob state survives every crash intact, a
+  // lost store included (the paper's durable version manager).
+  node_.add_crash_listener(
+      [this](const rpc::CrashOptions& c) { durable_.crash(c); });
+  // The sweeper dies with the node; a restart revives it (after the replay,
+  // in on_readable(), when journaled).
   node_.add_restart_listener([this] {
-    if (journal_.enabled()) {
-      node_.cluster().sim().spawn(recover(node_.incarnation()));
-    } else if (sweeper_enabled_) {
-      start_lease_sweeper();
-    }
+    if (!durable_.restart() && sweeper_enabled_) start_lease_sweeper();
   });
 }
 
-sim::Task<bool> VersionManager::journal_commit(VmRecord rec) {
-  if (!journal_.enabled()) co_return true;
-  const std::uint64_t bytes = record_bytes(rec);
-  const std::uint64_t seq = journal_.append(rec, bytes);
-  if (!co_await journal_fsync(node_, journal_.options().disk, bytes)) {
-    co_return false;
+void VersionManager::wipe() {
+  // Wake every parked commit handler: they resume (via the event queue,
+  // after the crash listeners), find the blob gone, and their responses
+  // are discarded by the RPC layer's incarnation pinning anyway.
+  for (auto& [id, b] : blobs_) {
+    for (auto& [v, w] : b.pending) {
+      if (w.decision && !w.decision->is_set()) w.decision->set();
+    }
   }
-  journal_.seal(seq);
-  maybe_checkpoint();
-  co_return true;
+  blobs_.clear();
+  next_blob_ = 1;
 }
 
-sim::Task<bool> VersionManager::journal_sync_tail() {
-  if (!journal_.enabled()) co_return true;
-  const std::uint64_t seq = journal_.tail_seq();
-  const std::uint64_t bytes =
-      (journal_.tail_records() - journal_.durable_records()) * 64;
-  if (!co_await journal_fsync(node_, journal_.options().disk, bytes)) {
-    co_return false;
-  }
-  journal_.seal(seq);
-  maybe_checkpoint();
-  co_return true;
+void VersionManager::on_readable(const RecoveryOutcome&) {
+  if (sweeper_enabled_) start_lease_sweeper();
 }
 
 void VersionManager::apply_record(const VmRecord& rec) {
@@ -205,55 +181,6 @@ VersionManager::encode_checkpoint() const {
   return image;
 }
 
-void VersionManager::maybe_checkpoint() {
-  if (!journal_.checkpoint_due()) return;
-  if (!journal_.install_checkpoint(encode_checkpoint())) return;
-  obs::count("journal.checkpoints");
-  charge_checkpoint_write(node_, journal_.checkpoint_bytes());
-}
-
-sim::Task<void> VersionManager::recover(std::uint64_t incarnation) {
-  auto& sim = node_.cluster().sim();
-  const SimTime t0 = sim.now();
-  const ReplayPlan plan = journal_.replay_plan();
-  obs::SpanId span = 0;
-  if (auto* ts = obs::sink()) {
-    span = ts->begin_span(
-        "recovery.replay", "recovery", 0,
-        {"node", static_cast<std::int64_t>(node_.id().value)},
-        {"records", static_cast<std::int64_t>(plan.total_records())});
-  }
-  if (!co_await journal_replay_cost(node_, journal_.options().disk, plan) ||
-      node_.incarnation() != incarnation) {
-    if (auto* ts = obs::sink()) ts->end_span(span, "aborted");
-    co_return;
-  }
-  const auto outcome = journal_.finish_recovery();
-  if (outcome.torn_bytes > 0) {
-    ++rec_stats_.torn_tails_truncated;
-    obs::count("recovery.torn_tails");
-  }
-  if (outcome.wiped) ++rec_stats_.cold_starts;
-  journal_.replay([this](const VmRecord& rec) { apply_record(rec); });
-  recovering_ = false;
-  ++rec_stats_.recoveries;
-  rec_stats_.replay_bytes += plan.total_bytes();
-  rec_stats_.replay_records += plan.total_records();
-  rec_stats_.last_time_to_readable = sim.now() - t0;
-  rec_stats_.total_time_to_readable += rec_stats_.last_time_to_readable;
-  obs::count("recovery.replays");
-  obs::count("recovery.replay_bytes", plan.total_bytes());
-  obs::count("recovery.replay_records", plan.total_records());
-  obs::observe("recovery.time_to_readable_ms",
-               static_cast<double>(rec_stats_.last_time_to_readable) /
-                   static_cast<double>(simtime::kNanosPerMilli),
-               0.0, 60000.0, 120);
-  if (auto* ts = obs::sink()) ts->end_span(span, "ok");
-  BS_INFO("recovery", "version manager readable after %llu records",
-          (unsigned long long)plan.total_records());
-  if (sweeper_enabled_) start_lease_sweeper();
-}
-
 void VersionManager::start_lease_sweeper() {
   sweeper_enabled_ = true;
   if (sweeper_running_) return;
@@ -320,7 +247,7 @@ void VersionManager::register_handlers() {
   node_.serve<CreateBlobReq, CreateBlobResp>(
       [this](const CreateBlobReq& req,
              const rpc::Envelope&) -> sim::Task<Result<CreateBlobResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         if (req.chunk_size == 0) {
@@ -345,16 +272,15 @@ void VersionManager::register_handlers() {
         rec.created_at = b.created_at;
         rec.ttl = b.ttl;
         blobs_.emplace(id.value, std::move(b));
-        if (!co_await journal_commit(rec)) {
-          co_return Error{Errc::unavailable, "crashed before commit"};
-        }
+        auto sealed = co_await durable_.commit(rec);
+        if (!sealed.ok()) co_return sealed.error();
         co_return CreateBlobResp{id};
       });
 
   node_.serve<BlobInfoReq, BlobInfoResp>(
       [this](const BlobInfoReq& req,
              const rpc::Envelope&) -> sim::Task<Result<BlobInfoResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         auto it = blobs_.find(req.blob.value);
@@ -407,7 +333,7 @@ void VersionManager::register_handlers() {
   node_.serve<ListBlobsReq, ListBlobsResp>(
       [this](const ListBlobsReq&,
              const rpc::Envelope&) -> sim::Task<Result<ListBlobsResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         ListBlobsResp resp;
@@ -430,7 +356,7 @@ void VersionManager::register_handlers() {
   node_.serve<BlobVersionsReq, BlobVersionsResp>(
       [this](const BlobVersionsReq& req,
              const rpc::Envelope&) -> sim::Task<Result<BlobVersionsResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         auto it = blobs_.find(req.blob.value);
@@ -445,7 +371,7 @@ void VersionManager::register_handlers() {
   node_.serve<TrimBlobReq, TrimBlobResp>(
       [this](const TrimBlobReq& req,
              const rpc::Envelope&) -> sim::Task<Result<TrimBlobResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         auto it = blobs_.find(req.blob.value);
@@ -512,26 +438,16 @@ void VersionManager::register_handlers() {
           ++resp.versions_removed;
           pit = b.published.erase(pit);
         }
-        if (journal_.enabled() && !removed.empty()) {
-          // One trim_mark per removed version (walked in version order),
-          // sealed by a single group-commit fsync.
-          std::uint64_t bytes = 0;
-          for (Version v : removed) {
-            VmRecord rec;
-            rec.kind = VmRecord::Kind::trim_mark;
-            rec.blob = req.blob.value;
-            rec.version = v;
-            bytes += record_bytes(rec);
-            journal_.append(rec, record_bytes(rec));
-          }
-          const std::uint64_t seq = journal_.tail_seq();
-          if (!co_await journal_fsync(node_, journal_.options().disk,
-                                      bytes)) {
-            co_return Error{Errc::unavailable, "crashed before commit"};
-          }
-          journal_.seal(seq);
-          maybe_checkpoint();
+        // One trim_mark per removed version (walked in version order),
+        // sealed by a single group-commit fsync.
+        std::vector<VmRecord> marks(removed.size());
+        for (std::size_t i = 0; i < removed.size(); ++i) {
+          marks[i].kind = VmRecord::Kind::trim_mark;
+          marks[i].blob = req.blob.value;
+          marks[i].version = removed[i];
         }
+        auto sealed = co_await durable_.commit(std::move(marks));
+        if (!sealed.ok()) co_return sealed.error();
         if (geo_hooks_.trimmed) {
           for (Version v : removed) geo_hooks_.trimmed(req.blob, v);
         }
@@ -541,7 +457,7 @@ void VersionManager::register_handlers() {
   node_.serve<SetReplicationReq, SetReplicationResp>(
       [this](const SetReplicationReq& req,
              const rpc::Envelope&) -> sim::Task<Result<SetReplicationResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         auto it = blobs_.find(req.blob.value);
@@ -556,16 +472,15 @@ void VersionManager::register_handlers() {
         rec.kind = VmRecord::Kind::set_replication;
         rec.blob = req.blob.value;
         rec.replication = req.replication;
-        if (!co_await journal_commit(rec)) {
-          co_return Error{Errc::unavailable, "crashed before commit"};
-        }
+        auto sealed = co_await durable_.commit(rec);
+        if (!sealed.ok()) co_return sealed.error();
         co_return SetReplicationResp{};
       });
 
   node_.serve<DeleteBlobReq, DeleteBlobResp>(
       [this](const DeleteBlobReq& req,
              const rpc::Envelope&) -> sim::Task<Result<DeleteBlobResp>> {
-        if (recovering_) {
+        if (recovering()) {
           co_return Error{Errc::unavailable, "version manager recovering"};
         }
         auto it = blobs_.find(req.blob.value);
@@ -576,9 +491,8 @@ void VersionManager::register_handlers() {
         VmRecord rec;
         rec.kind = VmRecord::Kind::delete_blob;
         rec.blob = req.blob.value;
-        if (!co_await journal_commit(rec)) {
-          co_return Error{Errc::unavailable, "crashed before commit"};
-        }
+        auto sealed = co_await durable_.commit(rec);
+        if (!sealed.ok()) co_return sealed.error();
         if (geo_hooks_.deleted) geo_hooks_.deleted(req.blob);
         co_return DeleteBlobResp{};
       });
@@ -586,7 +500,7 @@ void VersionManager::register_handlers() {
 
 sim::Task<Result<StartWriteResp>> VersionManager::handle_start(
     StartWriteReq req, ClientId writer) {
-  if (recovering_) {
+  if (recovering()) {
     co_return Error{Errc::unavailable, "version manager recovering"};
   }
   auto it = blobs_.find(req.blob.value);
@@ -637,15 +551,14 @@ sim::Task<Result<StartWriteResp>> VersionManager::handle_start(
   b.pending.emplace(v, std::move(w));
   // The reservation must be durable before the writer sees it: a version
   // number handed out and then forgotten by a crash would be reused.
-  if (!co_await journal_commit(rec)) {
-    co_return Error{Errc::unavailable, "crashed before commit"};
-  }
+  auto sealed = co_await durable_.commit(rec);
+  if (!sealed.ok()) co_return sealed.error();
   co_return resp;
 }
 
 sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
     CommitWriteReq req) {
-  if (recovering_) {
+  if (recovering()) {
     co_return Error{Errc::unavailable, "version manager recovering"};
   }
   auto it = blobs_.find(req.blob.value);
@@ -661,9 +574,8 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
       resp.info = pub->second;
       // The publish record may still be volatile (racing group commit);
       // an acked publish must never be lost to a crash.
-      if (!co_await journal_sync_tail()) {
-        co_return Error{Errc::unavailable, "crashed before commit"};
-      }
+      auto sealed = co_await durable_.commit_tail();
+      if (!sealed.ok()) co_return sealed.error();
       co_return resp;
     }
     co_return Error{Errc::conflict, "no such pending write"};
@@ -694,9 +606,8 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
       CommitWriteResp resp;
       resp.published = true;
       resp.info = pub->second;
-      if (!co_await journal_sync_tail()) {
-        co_return Error{Errc::unavailable, "crashed before commit"};
-      }
+      auto sealed = co_await durable_.commit_tail();
+      if (!sealed.ok()) co_return sealed.error();
       co_return resp;
     }
     co_return Error{Errc::conflict, "write aborted before publication"};
@@ -709,9 +620,8 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
     b2.pending.erase(pit);
     // publish_one appended the publish record synchronously; make it (and
     // everything before it) durable before the writer hears "published".
-    if (!co_await journal_sync_tail()) {
-      co_return Error{Errc::unavailable, "crashed before commit"};
-    }
+    auto sealed = co_await durable_.commit_tail();
+    if (!sealed.ok()) co_return sealed.error();
     co_return resp;
   }
   resp.rebuild_needed = true;
@@ -726,7 +636,7 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
 
 sim::Task<Result<AbortWriteResp>> VersionManager::handle_abort(
     AbortWriteReq req) {
-  if (recovering_) {
+  if (recovering()) {
     co_return Error{Errc::unavailable, "version manager recovering"};
   }
   auto it = blobs_.find(req.blob.value);
@@ -746,9 +656,8 @@ sim::Task<Result<AbortWriteResp>> VersionManager::handle_abort(
   force_abort(b, req.version);
   // force_abort appended the abort record; an acked abort must survive a
   // crash (the version must not resurrect as pending).
-  if (!co_await journal_sync_tail()) {
-    co_return Error{Errc::unavailable, "crashed before commit"};
-  }
+  auto sealed = co_await durable_.commit_tail();
+  if (!sealed.ok()) co_return sealed.error();
   co_return AbortWriteResp{};
 }
 
@@ -771,16 +680,14 @@ void VersionManager::force_abort(BlobState& b, Version v) {
   b.pending.erase(pit);
   remove_from_history(b, v);
   ++b.abort_epoch;
-  if (journal_.enabled()) {
-    // Appended here (synchronous call sites: abort handler, lease
-    // sweeper); sealed by the next group-commit fsync. A lease-expiry
-    // abort lost to a crash just expires again after replay.
-    VmRecord rec;
-    rec.kind = VmRecord::Kind::abort;
-    rec.blob = b.id.value;
-    rec.version = v;
-    journal_.append(rec, record_bytes(rec));
-  }
+  // Appended here (synchronous call sites: abort handler, lease sweeper);
+  // sealed by the next group-commit fsync. A lease-expiry abort lost to a
+  // crash just expires again after replay.
+  VmRecord rec;
+  rec.kind = VmRecord::Kind::abort;
+  rec.blob = b.id.value;
+  rec.version = v;
+  durable_.append(rec);
   // Recompute the append frontier without the aborted reservation.
   std::uint64_t end = b.latest_size;
   for (const auto& e : b.history) {
@@ -829,17 +736,15 @@ void VersionManager::publish_one(BlobState& b, Version v, PendingWrite& w) {
   b.published.emplace(v, info);
   b.latest = v;
   b.latest_size = info.size;
-  if (journal_.enabled()) {
-    // Volatile until the commit handler's group-commit fsync; the writer
-    // is only acked after that barrier.
-    VmRecord rec;
-    rec.kind = VmRecord::Kind::publish;
-    rec.blob = b.id.value;
-    rec.version = v;
-    rec.bytes = info.size;
-    rec.extent = w.extent;
-    journal_.append(rec, record_bytes(rec));
-  }
+  // Volatile until the commit handler's group-commit fsync; the writer is
+  // only acked after that barrier.
+  VmRecord rec;
+  rec.kind = VmRecord::Kind::publish;
+  rec.blob = b.id.value;
+  rec.version = v;
+  rec.bytes = info.size;
+  rec.extent = w.extent;
+  durable_.append(rec);
   obs::count("vm.versions_published");
   if (auto* ts = obs::sink()) {
     ts->instant("vm.publish", "vm", 0, "",

@@ -88,10 +88,10 @@ class VersionManager {
   /// Pending (started, unsettled) write count across all blobs.
   [[nodiscard]] std::size_t pending_writes() const;
 
-  /// True between a journaled restart and the end of journal replay.
-  [[nodiscard]] bool recovering() const { return recovering_; }
+  /// True between a journaled crash and the end of journal replay.
+  [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
-    return rec_stats_;
+    return durable_.stats();
   }
 
   /// One write-ahead-journal record of the version-metadata store. Fixed
@@ -121,6 +121,8 @@ class VersionManager {
   };
 
  private:
+  friend class Durable<VmRecord>;
+
   struct PendingWrite {
     WriteExtent extent;
     std::uint64_t end_bytes{0};
@@ -176,25 +178,18 @@ class VersionManager {
   void force_abort(BlobState& b, Version v);
   sim::Task<void> lease_sweeper_loop();
 
+  // Durable<VmRecord> hooks.
   static std::uint64_t record_bytes(const VmRecord&) { return 64; }
   void apply_record(const VmRecord& rec);
   [[nodiscard]] std::vector<Journal<VmRecord>::Entry> encode_checkpoint()
       const;
-  void maybe_checkpoint();
-  sim::Task<void> recover(std::uint64_t incarnation);
-  /// append + (awaitable) fsync + seal of one record — the common commit
-  /// barrier every mutating handler runs before acking.
-  sim::Task<bool> journal_commit(VmRecord rec);
-  /// Group-commit barrier over whatever is volatile in the journal (e.g.
-  /// publish/abort records appended by the synchronous publication walk).
-  sim::Task<bool> journal_sync_tail();
+  void wipe();
+  void on_readable(const RecoveryOutcome&);
 
   rpc::Node& node_;
   Options opts_;
   std::map<std::uint64_t, BlobState> blobs_;  // by BlobId value
-  Journal<VmRecord> journal_;
-  bool recovering_{false};
-  RecoveryStats rec_stats_;
+  Durable<VmRecord> durable_;
   std::uint64_t next_blob_{1};
   std::uint64_t leases_expired_{0};
   bool sweeper_enabled_{false};

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/env.hpp"
-#include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -29,27 +28,17 @@ GatewayOptions apply_gateway_env(GatewayOptions base) {
 S3Gateway::S3Gateway(rpc::Node& node, blob::BlobClient::Endpoints endpoints,
                      GatewayOptions options)
     : node_(node), endpoints_(std::move(endpoints)),
-      options_(apply_gateway_env(options)), journal_(options_.journal) {
+      options_(apply_gateway_env(options)),
+      durable_(node, options_.journal, *this) {
   register_handlers();
+  // Journaled, handlers suspended mid-await across a crash keep running as
+  // zombies (the RPC layer discards their results): every handler
+  // re-checks the node incarnation after each await and bails before
+  // touching rebuilt state.
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
-    if (journal_.enabled()) {
-      // The in-memory image dies with the process; the journal's durable
-      // prefix is replayed on restart. Handlers suspended mid-await keep
-      // running as zombies (the RPC layer discards their results) — every
-      // handler re-checks the node incarnation after each await and bails
-      // before touching rebuilt state.
-      wipe();
-      journal_.crash(c.lose_storage, c.torn_tail);
-      recovering_ = true;
-    } else if (c.lose_storage) {
-      wipe();
-    }
+    if (!durable_.crash(c) && c.lose_storage) wipe();
   });
-  node_.add_restart_listener([this] {
-    if (journal_.enabled()) {
-      node_.cluster().sim().spawn(recover(node_.incarnation()));
-    }
-  });
+  node_.add_restart_listener([this] { durable_.restart(); });
 }
 
 void S3Gateway::wipe() {
@@ -174,7 +163,7 @@ sim::Task<Result<BlobId>> S3Gateway::ensure_store_blob() {
     if (store_creating_) {
       auto ev = store_creating_;
       co_await ev->wait();
-      if (node_.incarnation() != inc || recovering_) {
+      if (node_.incarnation() != inc || recovering()) {
         co_return Error{Errc::unavailable, "gateway restarted"};
       }
       continue;
@@ -185,7 +174,7 @@ sim::Task<Result<BlobId>> S3Gateway::ensure_store_blob() {
       ClientLease store = lease_client(options_.store_identity);
       auto created = co_await (*store).create(options_.object_chunk_size,
                                               options_.replication);
-      if (node_.incarnation() != inc || recovering_) {
+      if (node_.incarnation() != inc || recovering()) {
         ev->set();  // wake fellow zombies so they bail too
         co_return Error{Errc::unavailable, "gateway restarted"};
       }
@@ -197,10 +186,8 @@ sim::Task<Result<BlobId>> S3Gateway::ensure_store_blob() {
     GwRecord rec;
     rec.kind = GwRecord::Kind::store_blob;
     rec.a = store_blob_.value;
-    std::vector<GwRecord> recs;
-    recs.push_back(std::move(rec));
-    auto jc = co_await journal_commit(std::move(recs));
-    if (!jc.ok()) co_return jc.error();
+    auto sealed = co_await durable_.commit(std::move(rec));
+    if (!sealed.ok()) co_return sealed.error();
   }
   co_return store_blob_;
 }
@@ -216,7 +203,7 @@ sim::Task<Result<S3Gateway::IngestResult>> S3Gateway::ingest_chunks(
 
   auto sb = co_await ensure_store_blob();
   if (!sb.ok()) co_return sb.error();
-  if (node_.incarnation() != inc || recovering_) {
+  if (node_.incarnation() != inc || recovering()) {
     co_return Error{Errc::unavailable, "gateway restarted"};
   }
 
@@ -269,7 +256,7 @@ sim::Task<Result<S3Gateway::IngestResult>> S3Gateway::ingest_chunks(
           chunk_index_.pin(h);
           auto present =
               co_await client.chunk_present(e->ref.store_key(), e->replicas);
-          if (node_.incarnation() != inc || recovering_) {
+          if (node_.incarnation() != inc || recovering()) {
             co_return Error{Errc::unavailable, "gateway restarted"};
           }
           ChunkIndex::Entry* e2 = chunk_index_.find(h);
@@ -304,7 +291,7 @@ sim::Task<Result<S3Gateway::IngestResult>> S3Gateway::ingest_chunks(
       if (auto pit = pending_stores_.find(h); pit != pending_stores_.end()) {
         auto ev = pit->second;
         co_await ev->wait();
-        if (node_.incarnation() != inc || recovering_) {
+        if (node_.incarnation() != inc || recovering()) {
           co_return Error{Errc::unavailable, "gateway restarted"};
         }
         continue;  // the storer finished (or failed); re-resolve
@@ -329,7 +316,7 @@ sim::Task<Result<S3Gateway::IngestResult>> S3Gateway::ingest_chunks(
     }
     auto receipt =
         co_await client.append_chunks(store_blob_, cs, std::move(payloads));
-    if (node_.incarnation() != inc || recovering_) {
+    if (node_.incarnation() != inc || recovering()) {
       // The crash wiped the index and the pending-store map; waiters were
       // woken by the crash listener. Nothing of ours survived to clean up.
       co_return Error{Errc::unavailable, "gateway restarted"};
@@ -529,7 +516,7 @@ S3Gateway::encode_checkpoint() const {
   // The checkpoint is the full gateway metadata image — buckets, objects
   // with manifests, the refcounted dedup index, live multipart uploads and
   // the id counters — encoded over ordered containers only, so the image
-  // is byte-deterministic across replays and stepper modes.
+  // is byte-deterministic across replays.
   std::vector<blob::Journal<GwRecord>::Entry> image;
   auto push = [&image](GwRecord rec) {
     const std::uint64_t bytes = record_bytes(rec);
@@ -595,70 +582,10 @@ S3Gateway::encode_checkpoint() const {
   return image;
 }
 
-void S3Gateway::maybe_checkpoint() {
-  if (!journal_.checkpoint_due()) return;
-  if (!journal_.install_checkpoint(encode_checkpoint())) return;
-  obs::count("journal.checkpoints");
-  blob::charge_checkpoint_write(node_, journal_.checkpoint_bytes());
-}
-
-// bslint: allow(perf-large-byvalue): every caller moves its record batch
-sim::Task<Result<void>> S3Gateway::journal_commit(
-    std::vector<GwRecord> records) {
-  if (!journal_.enabled() || records.empty()) co_return ok_result();
-  std::uint64_t bytes = 0;
-  for (GwRecord& rec : records) {
-    const std::uint64_t b = record_bytes(rec);
-    bytes += b;
-    journal_.append(std::move(rec), b);
+void S3Gateway::on_readable(const blob::RecoveryOutcome&) {
+  if (options_.verify_hits_after_recovery) {
+    chunk_index_.invalidate_verification();
   }
-  const std::uint64_t seq = journal_.tail_seq();
-  if (!co_await blob::journal_fsync(node_, journal_.options().disk, bytes)) {
-    co_return Error{Errc::unavailable, "crashed before commit"};
-  }
-  journal_.seal(seq);
-  maybe_checkpoint();
-  co_return ok_result();
-}
-
-sim::Task<void> S3Gateway::recover(std::uint64_t incarnation) {
-  auto& sim = node_.cluster().sim();
-  const SimTime t0 = sim.now();
-  const blob::ReplayPlan plan = journal_.replay_plan();
-  obs::SpanId span = 0;
-  if (auto* ts = obs::sink()) {
-    span = ts->begin_span(
-        "recovery.replay", "recovery", 0,
-        {"node", static_cast<std::int64_t>(node_.id().value)},
-        {"records", static_cast<std::int64_t>(plan.total_records())});
-  }
-  if (!co_await blob::journal_replay_cost(node_, journal_.options().disk,
-                                          plan) ||
-      node_.incarnation() != incarnation) {
-    if (auto* ts = obs::sink()) ts->end_span(span, "aborted");
-    co_return;
-  }
-  const auto outcome = journal_.finish_recovery();
-  if (outcome.torn_bytes > 0) {
-    ++rec_stats_.torn_tails_truncated;
-    obs::count("recovery.torn_tails");
-  }
-  if (outcome.wiped) ++rec_stats_.cold_starts;
-  journal_.replay([this](const GwRecord& rec) { apply_record(rec); });
-  if (options_.verify_hits_after_recovery) chunk_index_.invalidate_verification();
-  recovering_ = false;
-  ++rec_stats_.recoveries;
-  rec_stats_.replay_bytes += plan.total_bytes();
-  rec_stats_.replay_records += plan.total_records();
-  rec_stats_.last_time_to_readable = sim.now() - t0;
-  rec_stats_.total_time_to_readable += rec_stats_.last_time_to_readable;
-  obs::count("recovery.replays");
-  obs::count("recovery.replay_bytes", plan.total_bytes());
-  obs::count("recovery.replay_records", plan.total_records());
-  if (auto* ts = obs::sink()) ts->end_span(span, "ok");
-  BS_INFO("gateway", "gateway %llu readable after %llu records",
-          (unsigned long long)node_.id().value,
-          (unsigned long long)plan.total_records());
 }
 
 // ------------------------------------------------------------------ digest
@@ -709,7 +636,7 @@ void S3Gateway::register_handlers() {
       [this](const S3CreateBucketReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3CreateBucketResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         if (req.bucket.empty()) {
           co_return Error{Errc::invalid_argument, "empty bucket name"};
         }
@@ -727,10 +654,8 @@ void S3Gateway::register_handlers() {
         rec.a = static_cast<std::uint64_t>(b.info.created_at);
         rec.acl = b.acl;
         buckets_.emplace(req.bucket, std::move(b));
-        std::vector<GwRecord> recs;
-        recs.push_back(std::move(rec));
-        auto jc = co_await journal_commit(std::move(recs));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(rec));
+        if (!sealed.ok()) co_return sealed.error();
         co_return S3CreateBucketResp{};
       });
 
@@ -738,7 +663,7 @@ void S3Gateway::register_handlers() {
       [this](const S3DeleteBucketReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3DeleteBucketResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::full_control);
         if (!bucket.ok()) co_return bucket.error();
@@ -749,10 +674,8 @@ void S3Gateway::register_handlers() {
         GwRecord rec;
         rec.kind = GwRecord::Kind::delete_bucket;
         rec.bucket = req.bucket;
-        std::vector<GwRecord> recs;
-        recs.push_back(std::move(rec));
-        auto jc = co_await journal_commit(std::move(recs));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(rec));
+        if (!sealed.ok()) co_return sealed.error();
         co_return S3DeleteBucketResp{};
       });
 
@@ -760,7 +683,7 @@ void S3Gateway::register_handlers() {
       [this](const S3ListBucketsReq&, const rpc::Envelope& env)
           -> sim::Task<Result<S3ListBucketsResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         S3ListBucketsResp resp;
         for (const auto& [name, b] : buckets_) {
           if (b.acl.check(env.client, Permission::read)) {
@@ -774,7 +697,7 @@ void S3Gateway::register_handlers() {
       [this](const S3SetAclReq& req,
              const rpc::Envelope& env) -> sim::Task<Result<S3SetAclResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::full_control);
         if (!bucket.ok()) co_return bucket.error();
@@ -792,10 +715,8 @@ void S3Gateway::register_handlers() {
         rec.kind = GwRecord::Kind::set_acl;
         rec.bucket = req.bucket;
         rec.acl = bucket.value()->acl;
-        std::vector<GwRecord> recs;
-        recs.push_back(std::move(rec));
-        auto jc = co_await journal_commit(std::move(recs));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(rec));
+        if (!sealed.ok()) co_return sealed.error();
         co_return S3SetAclResp{};
       });
 
@@ -803,7 +724,7 @@ void S3Gateway::register_handlers() {
       [this](const S3PutObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3PutObjectResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -817,7 +738,7 @@ void S3Gateway::register_handlers() {
         ClientLease client = lease_client(env.client);
         auto ing = co_await ingest_chunks(*client, std::move(split.value()));
         if (!ing.ok()) co_return ing.error();
-        if (node_.incarnation() != inc || recovering_) {
+        if (node_.incarnation() != inc || recovering()) {
           co_return Error{Errc::unavailable, "gateway restarted"};
         }
         Bucket* b = find_bucket(req.bucket);
@@ -873,8 +794,8 @@ void S3Gateway::register_handlers() {
         stats_.bytes_ingested += req.payload.size;
         obs::count("gateway.puts");
 
-        auto jc = co_await journal_commit(std::move(records));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(records));
+        if (!sealed.ok()) co_return sealed.error();
         reclaim(std::move(reclaims));
 
         S3PutObjectResp resp;
@@ -889,7 +810,7 @@ void S3Gateway::register_handlers() {
       [this](const S3GetObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3GetObjectResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::read);
         if (!bucket.ok()) co_return bucket.error();
@@ -960,7 +881,7 @@ void S3Gateway::register_handlers() {
           }
           co_await wg.wait();
         }
-        if (node_.incarnation() != inc || recovering_) {
+        if (node_.incarnation() != inc || recovering()) {
           co_return Error{Errc::unavailable, "gateway restarted"};
         }
         std::vector<ChunkIndex::Entry> reclaims;
@@ -996,7 +917,7 @@ void S3Gateway::register_handlers() {
       [this](const S3HeadObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3HeadObjectResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::read);
         if (!bucket.ok()) co_return bucket.error();
@@ -1011,7 +932,7 @@ void S3Gateway::register_handlers() {
       [this](const S3DeleteObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3DeleteObjectResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1033,8 +954,8 @@ void S3Gateway::register_handlers() {
         b->objects.erase(oit);
         ++stats_.deletes;
         obs::count("gateway.deletes");
-        auto jc = co_await journal_commit(std::move(records));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(records));
+        if (!sealed.ok()) co_return sealed.error();
         reclaim(std::move(reclaims));
         co_return S3DeleteObjectResp{};
       });
@@ -1043,7 +964,7 @@ void S3Gateway::register_handlers() {
       [this](const S3ListObjectsReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3ListObjectsResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::read);
         if (!bucket.ok()) co_return bucket.error();
@@ -1075,7 +996,7 @@ void S3Gateway::register_handlers() {
       [this](const S3CreateMultipartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3CreateMultipartResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1093,10 +1014,8 @@ void S3Gateway::register_handlers() {
         rec.bucket = req.bucket;
         rec.key = req.key;
         rec.b = env.client.value;
-        std::vector<GwRecord> recs;
-        recs.push_back(std::move(rec));
-        auto jc = co_await journal_commit(std::move(recs));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(rec));
+        if (!sealed.ok()) co_return sealed.error();
         co_return S3CreateMultipartResp{id};
       });
 
@@ -1104,7 +1023,7 @@ void S3Gateway::register_handlers() {
       [this](const S3UploadPartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3UploadPartResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1152,7 +1071,7 @@ void S3Gateway::register_handlers() {
                        static_cast<double>(stats_.parts_in_flight),
                        node_.cluster().sim().now());
         if (!ing.ok()) co_return ing.error();
-        if (node_.incarnation() != inc || recovering_) {
+        if (node_.incarnation() != inc || recovering()) {
           co_return Error{Errc::unavailable, "gateway restarted"};
         }
         mit = mpus_.find(req.upload_id);
@@ -1194,8 +1113,8 @@ void S3Gateway::register_handlers() {
         stats_.bytes_ingested += req.payload.size;
         obs::count("gateway.parts");
 
-        auto jc = co_await journal_commit(std::move(records));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(records));
+        if (!sealed.ok()) co_return sealed.error();
         reclaim(std::move(reclaims));
 
         S3UploadPartResp resp;
@@ -1209,7 +1128,7 @@ void S3Gateway::register_handlers() {
       [this](const S3CompleteMultipartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3CompleteMultipartResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1285,8 +1204,8 @@ void S3Gateway::register_handlers() {
         drop.a = req.upload_id;
         records.push_back(std::move(drop));
 
-        auto jc = co_await journal_commit(std::move(records));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(records));
+        if (!sealed.ok()) co_return sealed.error();
         reclaim(std::move(reclaims));
 
         S3CompleteMultipartResp resp;
@@ -1300,7 +1219,7 @@ void S3Gateway::register_handlers() {
       [this](const S3AbortMultipartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3AbortMultipartResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1323,8 +1242,8 @@ void S3Gateway::register_handlers() {
         drop.a = req.upload_id;
         records.push_back(std::move(drop));
         mpus_.erase(mit);
-        auto jc = co_await journal_commit(std::move(records));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(records));
+        if (!sealed.ok()) co_return sealed.error();
         reclaim(std::move(reclaims));
         co_return S3AbortMultipartResp{};
       });
@@ -1333,7 +1252,7 @@ void S3Gateway::register_handlers() {
       [this](const S3PutDeltaReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3PutDeltaResp>> {
         ++requests_;
-        if (recovering_) co_return Error{Errc::unavailable, "recovering"};
+        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1382,7 +1301,7 @@ void S3Gateway::register_handlers() {
         if (!payloads.empty()) {
           auto ing = co_await ingest_chunks(*client, std::move(payloads));
           if (!ing.ok()) co_return ing.error();
-          if (node_.incarnation() != inc || recovering_) {
+          if (node_.incarnation() != inc || recovering()) {
             co_return Error{Errc::unavailable, "gateway restarted"};
           }
           ingested = std::move(ing.value());
@@ -1449,8 +1368,8 @@ void S3Gateway::register_handlers() {
         obs::count("gateway.delta_bytes_shipped", bytes_shipped);
         obs::count("gateway.delta_bytes_shared", bytes_shared);
 
-        auto jc = co_await journal_commit(std::move(records));
-        if (!jc.ok()) co_return jc.error();
+        auto sealed = co_await durable_.commit(std::move(records));
+        if (!sealed.ok()) co_return sealed.error();
         reclaim(std::move(reclaims));
 
         S3PutDeltaResp resp;

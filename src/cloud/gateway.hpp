@@ -336,12 +336,12 @@ class S3Gateway {
   [[nodiscard]] std::size_t user_client_count() const {
     return clients_.size();
   }
-  [[nodiscard]] bool recovering() const { return recovering_; }
+  [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const blob::RecoveryStats& recovery_stats() const {
-    return rec_stats_;
+    return durable_.stats();
   }
   /// Deterministic digest over buckets, objects, manifests and the dedup
-  /// index; chaos suites compare it across replays and stepper modes.
+  /// index; chaos suites compare it across replays.
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
@@ -400,6 +400,7 @@ class S3Gateway {
     std::vector<NodeId> replicas;
     Acl acl;
   };
+  friend class blob::Durable<GwRecord>;
 
   /// What one ingest pass resolved: the manifest (every entry holds one
   /// in-flight pin in the index) plus the journal records for chunks that
@@ -481,15 +482,12 @@ class S3Gateway {
   /// Fire-and-forget chunk removal on every replica of a reclaimed entry.
   void reclaim(std::vector<ChunkIndex::Entry> entries);
 
-  // Journal plumbing (PR 7 model; mirrors DataProvider).
+  // blob::Durable<GwRecord> hooks.
   static std::uint64_t record_bytes(const GwRecord& rec);
   void apply_record(const GwRecord& rec);
   std::vector<blob::Journal<GwRecord>::Entry> encode_checkpoint() const;
-  void maybe_checkpoint();
-  // bslint: allow(perf-large-byvalue): every caller moves its record batch
-  sim::Task<Result<void>> journal_commit(std::vector<GwRecord> records);
-  sim::Task<void> recover(std::uint64_t incarnation);
   void wipe();
+  void on_readable(const blob::RecoveryOutcome&);
 
   rpc::Node& node_;
   blob::BlobClient::Endpoints endpoints_;
@@ -510,9 +508,7 @@ class S3Gateway {
   std::map<std::uint64_t, Mpu> mpus_;
   std::uint64_t next_upload_id_{1};
 
-  blob::Journal<GwRecord> journal_;
-  bool recovering_{false};
-  blob::RecoveryStats rec_stats_;
+  blob::Durable<GwRecord> durable_;
 };
 
 }  // namespace bs::cloud

@@ -14,7 +14,7 @@ SiteEgress::SiteEgress(rpc::Node& node, net::SiteId site,
     : node_(node),
       site_(site),
       options_(options),
-      journal_(options.journal),
+      durable_(node, options.journal, *this),
       depth_gauge_name_("repl.custody.depth.s" + std::to_string(site)) {
   register_handlers();
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
@@ -25,24 +25,15 @@ SiteEgress::SiteEgress(rpc::Node& node, net::SiteId site,
       st.draining = false;
       st.resume.reset();
     }
-    if (journal_.enabled()) {
-      wipe_state();
-      journal_.crash(c.lose_storage, c.torn_tail);
-      recovering_ = true;
-    } else if (c.lose_storage) {
-      wipe_state();
-    }
+    if (!durable_.crash(c) && c.lose_storage) wipe();
   });
   node_.add_restart_listener([this] {
-    if (journal_.enabled()) {
-      node_.cluster().sim().spawn(recover(node_.incarnation()));
-    } else {
-      for (auto& [dst, st] : dsts_) ensure_drain(dst);
-    }
+    if (durable_.restart()) return;  // on_readable() resumes the drains
+    for (auto& [dst, st] : dsts_) ensure_drain(dst);
   });
 }
 
-void SiteEgress::wipe_state() {
+void SiteEgress::wipe() {
   map_.clear();
   sizes_.clear();
   applied_chunks_.clear();
@@ -194,70 +185,7 @@ SiteEgress::encode_checkpoint() const {
   return image;
 }
 
-void SiteEgress::maybe_checkpoint() {
-  if (!journal_.checkpoint_due()) return;
-  if (!journal_.install_checkpoint(encode_checkpoint())) return;
-  obs::count("journal.checkpoints");
-  blob::charge_checkpoint_write(node_, journal_.checkpoint_bytes());
-}
-
-void SiteEgress::journal_async(EgressRecord rec) {
-  if (!journal_.enabled()) return;
-  const std::uint64_t bytes = record_bytes(rec);
-  const std::uint64_t seq = journal_.append(std::move(rec), bytes);
-  node_.cluster().sim().spawn(
-      journal_commit(seq, bytes, node_.incarnation()));
-}
-
-sim::Task<void> SiteEgress::journal_commit(std::uint64_t seq,
-                                           std::uint64_t bytes,
-                                           std::uint64_t incarnation) {
-  // The co_await is hoisted out of the `if` condition deliberately: when the
-  // first top-level statement of a coroutine is an `if` whose condition
-  // contains a co_await, GCC 12 places the condition's frame slot *before*
-  // _Coro_resume_fn, shifting the whole frame off the coroutine ABI layout —
-  // the first handle resume then dispatches on garbage and traps (ud2).
-  const bool durable =
-      co_await blob::journal_fsync(node_, journal_.options().disk, bytes);
-  if (!durable || node_.incarnation() != incarnation) co_return;
-  journal_.seal(seq);
-  maybe_checkpoint();
-}
-
-sim::Task<void> SiteEgress::recover(std::uint64_t incarnation) {
-  auto& sim = node_.cluster().sim();
-  const SimTime t0 = sim.now();
-  const blob::ReplayPlan plan = journal_.replay_plan();
-  obs::SpanId span = 0;
-  if (auto* ts = obs::sink()) {
-    span = ts->begin_span(
-        "recovery.replay", "recovery", 0,
-        {"node", static_cast<std::int64_t>(node_.id().value)},
-        {"records", static_cast<std::int64_t>(plan.total_records())});
-  }
-  if (!co_await blob::journal_replay_cost(node_, journal_.options().disk,
-                                          plan) ||
-      node_.incarnation() != incarnation) {
-    if (auto* ts = obs::sink()) ts->end_span(span, "aborted");
-    co_return;
-  }
-  const auto outcome = journal_.finish_recovery();
-  if (outcome.torn_bytes > 0) {
-    ++rec_stats_.torn_tails_truncated;
-    obs::count("recovery.torn_tails");
-  }
-  if (outcome.wiped) ++rec_stats_.cold_starts;
-  journal_.replay([this](const EgressRecord& rec) { apply_record(rec); });
-  recovering_ = false;
-  ++rec_stats_.recoveries;
-  rec_stats_.replay_bytes += plan.total_bytes();
-  rec_stats_.replay_records += plan.total_records();
-  rec_stats_.last_time_to_readable = sim.now() - t0;
-  rec_stats_.total_time_to_readable += rec_stats_.last_time_to_readable;
-  obs::count("recovery.replays");
-  obs::count("recovery.replay_bytes", plan.total_bytes());
-  obs::count("recovery.replay_records", plan.total_records());
-  if (auto* ts = obs::sink()) ts->end_span(span, "ok");
+void SiteEgress::on_readable(const blob::RecoveryOutcome& outcome) {
   update_depth_gauge();
   if (outcome.wiped && reprime_) {
     // The custody store is gone; the plane re-primes the authoritative
@@ -279,7 +207,7 @@ void SiteEgress::note_published(BlobId blob, blob::Version v,
   rec.blob = blob;
   rec.version = v;
   rec.bytes = bytes;
-  journal_async(std::move(rec));
+  durable_.commit_detached(std::move(rec));
 }
 
 EnqueueOutcome SiteEgress::enqueue_publish(net::SiteId dst, BlobId blob,
@@ -320,6 +248,7 @@ EnqueueOutcome SiteEgress::enqueue_chunk(net::SiteId dst,
 
 EnqueueOutcome SiteEgress::enqueue(CustodyBundle b) {
   const net::SiteId dst = b.dst_site;
+  const std::uint64_t held = rec_bundle_bytes(b);
   EgressRecord rec;
   rec.kind = EgressRecord::Kind::enqueue;
   rec.dst = dst;
@@ -327,7 +256,7 @@ EnqueueOutcome SiteEgress::enqueue(CustodyBundle b) {
   const EnqueueOutcome outcome = dst_state(dst).queue.push(std::move(b));
   // Journaled regardless of the outcome: the replay re-runs the same push
   // against the same bound, so the same drop/spill decision recurs.
-  journal_async(std::move(rec));
+  durable_.commit_detached(std::move(rec));
   switch (outcome) {
     case EnqueueOutcome::ok:
       obs::count("repl.enqueued");
@@ -335,7 +264,7 @@ EnqueueOutcome SiteEgress::enqueue(CustodyBundle b) {
     case EnqueueOutcome::spilled:
       obs::count("repl.enqueued");
       obs::count("repl.spilled");
-      blob::charge_checkpoint_write(node_, rec_bundle_bytes(rec.bundle));
+      blob::charge_disk_write(node_, held);
       break;
     case EnqueueOutcome::dropped_new:
     case EnqueueOutcome::dropped_old:
@@ -358,7 +287,7 @@ void SiteEgress::retire_version(BlobId blob, blob::Version v) {
   rec.kind = EgressRecord::Kind::retire;
   rec.blob = blob;
   rec.version = v;
-  journal_async(std::move(rec));
+  durable_.commit_detached(std::move(rec));
 }
 
 void SiteEgress::drop_blob(BlobId blob) {
@@ -367,7 +296,7 @@ void SiteEgress::drop_blob(BlobId blob) {
   EgressRecord rec;
   rec.kind = EgressRecord::Kind::drop_blob;
   rec.blob = blob;
-  journal_async(std::move(rec));
+  durable_.commit_detached(std::move(rec));
 }
 
 // ------------------------------------------------------- fault notifications
@@ -400,7 +329,7 @@ SiteEgress::DstState& SiteEgress::dst_state(net::SiteId dst) {
 
 void SiteEgress::ensure_drain(net::SiteId dst) {
   DstState& st = dst_state(dst);
-  if (st.draining || recovering_ || !node_.up()) return;
+  if (st.draining || recovering() || !node_.up()) return;
   if (st.queue.empty()) return;
   st.draining = true;
   node_.cluster().sim().spawn(drain_loop(dst, generation_));
@@ -411,7 +340,7 @@ sim::Task<void> SiteEgress::drain_loop(net::SiteId dst,
   auto& cluster = node_.cluster();
   auto& sim = cluster.sim();
   auto live = [&] {
-    return generation == generation_ && node_.up() && !recovering_;
+    return generation == generation_ && node_.up() && !recovering();
   };
   while (live()) {
     DstState& st = dst_state(dst);
@@ -490,7 +419,7 @@ sim::Task<void> SiteEgress::drain_loop(net::SiteId dst,
         rec.kind = EgressRecord::Kind::release;
         rec.dst = dst;
         rec.bundle_id = done.id;
-        journal_async(std::move(rec));
+        durable_.commit_detached(std::move(rec));
       }
       update_depth_gauge();
     } else {
@@ -526,7 +455,7 @@ void SiteEgress::register_handlers() {
 
 sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
     ReplDeliverReq req) {
-  if (recovering_) co_return Error{Errc::unavailable, "egress recovering"};
+  if (recovering()) co_return Error{Errc::unavailable, "egress recovering"};
   obs::Span span;
   if (auto* ts = obs::sink()) {
     span = ts->span("repl.apply", "repl", 0,
@@ -534,6 +463,8 @@ sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
                     {"bundle", static_cast<std::int64_t>(req.bundle_id)});
   }
   auto& sim = node_.cluster().sim();
+  // Durable handoff: the apply record is journaled and fsynced *before*
+  // the ack goes back, so acked custody survives a crash of this node.
   if (static_cast<BundleKind>(req.kind) == BundleKind::chunk) {
     // Dedup by replica identity, not sender bundle id: the ack then stays
     // truthful ("this replica exists durably here") even if the sender
@@ -560,7 +491,7 @@ sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
     rec.kind = EgressRecord::Kind::apply_chunk;
     rec.chunk = req.chunk;
     rec.target = req.target;
-    if (!co_await commit_now(std::move(rec))) {
+    if (!co_await durable_.commit(std::move(rec))) {
       co_return Error{Errc::unavailable, "crashed before handoff"};
     }
   } else {
@@ -575,7 +506,7 @@ sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
     rec.kind = EgressRecord::Kind::apply;
     rec.blob = req.blob;
     rec.version = req.version;
-    if (!co_await commit_now(std::move(rec))) {
+    if (!co_await durable_.commit(std::move(rec))) {
       co_return Error{Errc::unavailable, "crashed before handoff"};
     }
   }
@@ -588,22 +519,8 @@ sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
   co_return ReplDeliverResp{false};
 }
 
-sim::Task<bool> SiteEgress::commit_now(EgressRecord rec) {
-  // Durable handoff: the apply record is journaled and fsynced *before*
-  // the ack goes back — acked custody survives a crash of this node.
-  if (!journal_.enabled()) co_return true;
-  const std::uint64_t bytes = record_bytes(rec);
-  const std::uint64_t seq = journal_.append(std::move(rec), bytes);
-  if (!co_await blob::journal_fsync(node_, journal_.options().disk, bytes)) {
-    co_return false;
-  }
-  journal_.seal(seq);
-  maybe_checkpoint();
-  co_return true;
-}
-
 sim::Task<Result<ReplMapResp>> SiteEgress::handle_map(ReplMapReq req) {
-  if (recovering_) co_return Error{Errc::unavailable, "egress recovering"};
+  if (recovering()) co_return Error{Errc::unavailable, "egress recovering"};
   obs::Span span;
   if (auto* ts = obs::sink()) {
     span = ts->span("repl.reconcile", "repl", 0,
@@ -642,7 +559,7 @@ sim::Task<Result<ReplMapResp>> SiteEgress::handle_map(ReplMapReq req) {
 
 sim::Task<std::optional<std::uint64_t>> SiteEgress::reconcile_with(
     NodeId origin_node) {
-  if (recovering_ || !node_.up()) co_return std::nullopt;
+  if (recovering() || !node_.up()) co_return std::nullopt;
   ReplMapReq req;
   req.from_site = site_;
   req.map = map_.encode_wire();
@@ -661,7 +578,7 @@ sim::Task<std::optional<std::uint64_t>> SiteEgress::reconcile_with(
     rec.kind = EgressRecord::Kind::frontier;
     rec.blob = BlobId{blob};
     rec.version = region.latest_known;
-    journal_async(std::move(rec));
+    durable_.commit_detached(std::move(rec));
   }
   if (progress_) progress_();
   co_return r.value().catch_up_enqueued;

@@ -106,9 +106,9 @@ class SiteEgress {
   [[nodiscard]] std::uint64_t queued_bytes() const;
   [[nodiscard]] const CustodyQueueStats* queue_stats(net::SiteId dst) const;
   [[nodiscard]] CustodyQueueStats total_stats() const;
-  [[nodiscard]] bool recovering() const { return recovering_; }
+  [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const blob::RecoveryStats& recovery_stats() const {
-    return rec_stats_;
+    return durable_.stats();
   }
   [[nodiscard]] std::uint64_t applies() const { return applies_; }
   [[nodiscard]] std::uint64_t duplicates_dropped() const {
@@ -149,6 +149,7 @@ class SiteEgress {
     blob::ChunkKey chunk{};      ///< apply_chunk: replica identity
     NodeId target{};             ///< apply_chunk: receiving provider
   };
+  friend class blob::Durable<EgressRecord>;
 
   struct DstState {
     explicit DstState(std::size_t bound, OverflowPolicy policy)
@@ -164,22 +165,14 @@ class SiteEgress {
   static std::uint64_t rec_bundle_bytes(const CustodyBundle& b) {
     return b.kind == BundleKind::chunk ? b.payload.size : b.bytes;
   }
+  // blob::Durable<EgressRecord> hooks.
   static std::uint64_t record_bytes(const EgressRecord& rec);
   void apply_record(const EgressRecord& rec);
-  void wipe_state();
-  EnqueueOutcome enqueue(CustodyBundle b);
-  /// Synchronous durable append (fsync before returning); false when the
-  /// node crashed before the barrier.
-  sim::Task<bool> commit_now(EgressRecord rec);
   std::vector<blob::Journal<EgressRecord>::Entry> encode_checkpoint() const;
-  void maybe_checkpoint();
-  /// Journals a record asynchronously (group commit): append now, fsync +
-  /// seal in a detached task. Crash before the barrier drops the record —
-  /// custody semantics already tolerate that (reconciliation catches up).
-  void journal_async(EgressRecord rec);
-  sim::Task<void> journal_commit(std::uint64_t seq, std::uint64_t bytes,
-                                 std::uint64_t incarnation);
-  sim::Task<void> recover(std::uint64_t incarnation);
+  void wipe();
+  void on_readable(const blob::RecoveryOutcome& outcome);
+
+  EnqueueOutcome enqueue(CustodyBundle b);
 
   DstState& dst_state(net::SiteId dst);
   void ensure_drain(net::SiteId dst);
@@ -207,9 +200,7 @@ class SiteEgress {
   /// (the publish dedup is the version map itself).
   std::set<std::pair<blob::ChunkKey, NodeId>> applied_chunks_;
 
-  blob::Journal<EgressRecord> journal_;
-  blob::RecoveryStats rec_stats_;
-  bool recovering_{false};
+  blob::Durable<EgressRecord> durable_;
   std::uint64_t generation_{0};  ///< stales drain loops across crashes
   std::uint64_t next_bundle_id_{0};
   std::uint64_t applies_{0};

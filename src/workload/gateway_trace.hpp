@@ -2,8 +2,8 @@
 // object sizes, zipf hot-key skew, multipart-heavy ingest, and
 // overwrite-heavy delta traffic. The op stream is a pure function of the
 // seed, and every response folds into a per-tenant digest (combined in
-// tenant order), so two replays of the same trace — including across
-// stepper modes — must produce identical digests.
+// tenant order), so the same trace must produce identical digests across
+// replays.
 #pragma once
 
 #include "cloud/gateway.hpp"

@@ -1,0 +1,470 @@
+// Crash-semantics matrix over the five journaled actors (ctest labels:
+// recovery, chaos). One journaled deployment carries all of them — data
+// provider, metadata provider, version manager, S3 gateway and a remote
+// replication egress — and the parameter picks the node that crashes. All
+// five recover through blob::Durable, so each must show the same contract:
+//   * a clean crash replays to the state it had before, in one recovery;
+//   * a torn tail left by a crash mid-commit is truncated once and loses
+//     no acked record (the un-acked one is gone);
+//   * a crash that loses the store cold-starts with nothing to replay;
+//   * requests that arrive during the replay are answered `unavailable`;
+//   * a second crash inside the mount latency aborts the replay: the actor
+//     stays gated with no recovery booked until the next restart, which
+//     completes exactly one;
+//   * every replay attempt leaves one `recovery.replay` span, and the
+//     `recovery.*` counters and time-to-readable histogram match the
+//     actor's RecoveryStats.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "blob/deployment.hpp"
+#include "cloud/gateway.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "repl/plane.hpp"
+#include "test_util.hpp"
+
+namespace bs {
+namespace {
+
+constexpr std::uint64_t kChunk = 1 * units::MB;
+constexpr ClientId kAlice{101};
+
+enum class Actor {
+  data_provider,
+  metadata_provider,
+  version_manager,
+  gateway,
+  egress
+};
+
+std::string actor_name(const ::testing::TestParamInfo<Actor>& info) {
+  switch (info.param) {
+    case Actor::data_provider: return "DataProvider";
+    case Actor::metadata_provider: return "MetadataProvider";
+    case Actor::version_manager: return "VersionManager";
+    case Actor::gateway: return "Gateway";
+    case Actor::egress: return "Egress";
+  }
+  return "Unknown";
+}
+
+class CrashMatrix : public ::testing::TestWithParam<Actor> {
+ protected:
+  CrashMatrix() {
+    blob::DeploymentConfig cfg;
+    cfg.sites = 3;
+    cfg.data_providers = 4;
+    cfg.metadata_providers = 2;
+    cfg.provider_capacity = 4ull * units::GB;
+    cfg.journal.enabled = true;
+    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
+    repl::ReplOptions ro;
+    ro.egress.journal = cfg.journal;
+    plane_ = std::make_unique<repl::ReplicationPlane>(
+        dep_->cluster(), dep_->version_manager_node().site(), ro);
+    plane_->attach(*dep_);
+    plane_->start();
+    gw_node_ = dep_->cluster().add_node(0);
+    cloud::GatewayOptions gopts;
+    gopts.object_chunk_size = kChunk;
+    gopts.replication = 2;
+    gopts.journal.enabled = true;
+    gateway_ = std::make_unique<cloud::S3Gateway>(*gw_node_, dep_->endpoints(),
+                                                  gopts);
+
+    // Populate every store: a blob with two appends (version manager,
+    // metadata and data providers, custody and remote applies at the
+    // egresses) and a bucket with one object through the gateway.
+    blob::BlobClient* writer = dep_->add_client();
+    auto blob_id = test::run_task(sim_, writer->create(kChunk, 2));
+    EXPECT_TRUE(blob_id.ok());
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      auto r = test::run_task(
+          sim_, writer->append(blob_id.value(),
+                               blob::Payload::synthetic(2 * kChunk, 7 + i)));
+      EXPECT_TRUE(r.ok());
+    }
+    pick_subject();
+    client_ = dep_->cluster().add_node(node_->site());
+    cloud::S3CreateBucketReq mk;
+    mk.bucket = "b";
+    const auto made =
+        call<cloud::S3CreateBucketReq, cloud::S3CreateBucketResp>(
+            gw_node_->id(), mk);
+    EXPECT_FALSE(made.has_value());
+    cloud::S3PutObjectReq put;
+    put.bucket = "b";
+    put.key = "x";
+    put.chunk_sums = {fnv1a_u64(1), fnv1a_u64(2)};
+    std::uint64_t etag = fnv1a_u64(2 * kChunk);
+    for (std::uint64_t sum : put.chunk_sums) etag = hash_combine(etag, sum);
+    put.payload = blob::Payload{2 * kChunk, etag, nullptr};
+    const auto stored = call<cloud::S3PutObjectReq, cloud::S3PutObjectResp>(
+        gw_node_->id(), put);
+    EXPECT_FALSE(stored.has_value());
+    settle(simtime::seconds(30));  // custody drained, every store quiescent
+  }
+
+  /// The crashed node: the busiest provider of each kind, the remote
+  /// egress with the most applies, or the single manager/gateway.
+  void pick_subject() {
+    switch (GetParam()) {
+      case Actor::data_provider:
+        dp_ = dep_->providers().front().get();
+        for (const auto& p : dep_->providers()) {
+          if (p->chunk_count() > dp_->chunk_count()) dp_ = p.get();
+        }
+        node_ = &dp_->node();
+        break;
+      case Actor::metadata_provider:
+        mp_ = dep_->metadata_providers().front().get();
+        for (const auto& m : dep_->metadata_providers()) {
+          if (m->node_count() > mp_->node_count()) mp_ = m.get();
+        }
+        node_ = dep_->cluster().node(mp_->id());
+        break;
+      case Actor::version_manager:
+        node_ = &dep_->version_manager_node();
+        break;
+      case Actor::gateway:
+        node_ = gw_node_;
+        break;
+      case Actor::egress:
+        eg_ = &plane_->egress(plane_->remote_sites().front());
+        for (net::SiteId s : plane_->remote_sites()) {
+          if (plane_->egress(s).applies() > eg_->applies()) {
+            eg_ = &plane_->egress(s);
+          }
+        }
+        node_ = &eg_->node();
+        break;
+    }
+  }
+
+  const blob::RecoveryStats& stats() const {
+    switch (GetParam()) {
+      case Actor::data_provider: return dp_->recovery_stats();
+      case Actor::metadata_provider: return mp_->recovery_stats();
+      case Actor::version_manager:
+        return dep_->version_manager().recovery_stats();
+      case Actor::gateway: return gateway_->recovery_stats();
+      case Actor::egress: break;
+    }
+    return eg_->recovery_stats();
+  }
+
+  bool recovering() const {
+    switch (GetParam()) {
+      case Actor::data_provider: return dp_->recovering();
+      case Actor::metadata_provider: return mp_->recovering();
+      case Actor::version_manager: return dep_->version_manager().recovering();
+      case Actor::gateway: return gateway_->recovering();
+      case Actor::egress: break;
+    }
+    return eg_->recovering();
+  }
+
+  /// What the actor holds in memory, as a digest.
+  std::uint64_t digest() const {
+    test::Digest dg;
+    switch (GetParam()) {
+      case Actor::data_provider:
+        dg.mix(dp_->used());
+        for (const blob::ChunkKey& k : dp_->chunk_keys()) {
+          dg.mix(k.blob.value);
+          dg.mix(k.version);
+          dg.mix(k.index);
+        }
+        break;
+      case Actor::metadata_provider:
+        dg.mix(mp_->node_count());
+        dg.mix(mp_->bytes_stored());
+        break;
+      case Actor::version_manager: {
+        blob::VersionManager& vm = dep_->version_manager();
+        dg.mix(vm.blob_count());
+        dg.mix(vm.pending_writes());
+        for (const auto& p : vm.published_snapshot()) {
+          dg.mix(p.blob.value);
+          dg.mix(p.version);
+          dg.mix(p.size);
+        }
+        break;
+      }
+      case Actor::gateway:
+        dg.mix(gateway_->state_digest());
+        break;
+      case Actor::egress:
+        dg.mix(eg_->digest());
+        break;
+    }
+    return dg.value();
+  }
+
+  /// Starts one request whose handler commits a fresh record on the
+  /// subject; it is never awaited here.
+  void start_commit() {
+    switch (GetParam()) {
+      case Actor::data_provider: {
+        blob::PutChunkReq req;
+        req.key = blob::ChunkKey{BlobId{999}, 1, 0};
+        req.payload = blob::Payload::synthetic(kChunk, 99);
+        send<blob::PutChunkReq, blob::PutChunkResp>(req);
+        break;
+      }
+      case Actor::metadata_provider: {
+        blob::MetaPutReq req;
+        req.key = blob::NodeKey{BlobId{999}, 1, 0, 1};
+        send<blob::MetaPutReq, blob::MetaPutResp>(req);
+        break;
+      }
+      case Actor::version_manager: {
+        blob::CreateBlobReq req;
+        req.chunk_size = kChunk;
+        send<blob::CreateBlobReq, blob::CreateBlobResp>(req);
+        break;
+      }
+      case Actor::gateway: {
+        cloud::S3CreateBucketReq req;
+        req.bucket = "in-flight";
+        send<cloud::S3CreateBucketReq, cloud::S3CreateBucketResp>(req);
+        break;
+      }
+      case Actor::egress: {
+        repl::ReplDeliverReq req;
+        req.src_site = plane_->origin_site();
+        req.bundle_id = 999;
+        req.kind = static_cast<std::uint8_t>(repl::BundleKind::publish);
+        req.blob = BlobId{999};
+        req.version = 1;
+        req.bytes = kChunk;
+        send<repl::ReplDeliverReq, repl::ReplDeliverResp>(req);
+        break;
+      }
+    }
+  }
+
+  /// One read-only request to the subject: its error code, nullopt when it
+  /// succeeds (a metadata provider answers `not_found` for the probe key).
+  std::optional<Errc> probe() {
+    const NodeId to = node_->id();
+    switch (GetParam()) {
+      case Actor::data_provider:
+        return call<blob::ProviderStatusReq, blob::ProviderStatusResp>(to, {});
+      case Actor::metadata_provider: {
+        blob::MetaGetReq req;
+        req.key = blob::NodeKey{BlobId{999}, 1, 0, 1};
+        return call<blob::MetaGetReq, blob::MetaGetResp>(to, req);
+      }
+      case Actor::version_manager:
+        return call<blob::ListBlobsReq, blob::ListBlobsResp>(to, {});
+      case Actor::gateway:
+        return call<cloud::S3ListBucketsReq, cloud::S3ListBucketsResp>(to, {});
+      case Actor::egress: break;
+    }
+    // The subject's own map: nothing is missing, so nothing is scheduled.
+    repl::ReplMapReq req;
+    req.from_site = plane_->origin_site();
+    req.map = eg_->map().encode_wire();
+    return call<repl::ReplMapReq, repl::ReplMapResp>(to, req);
+  }
+
+  template <class Req, class Resp>
+  std::optional<Errc> call(NodeId to, Req req) {
+    auto r = test::run_task(sim_, dep_->cluster().call<Req, Resp>(
+                                      *client_, to, std::move(req), opts()));
+    if (r.ok()) return std::nullopt;
+    return r.error().code;
+  }
+
+  template <class Req, class Resp>
+  void send(Req req) {
+    sim_.spawn([](rpc::Cluster& cl, rpc::Node& from, NodeId to, Req r,
+                  rpc::CallOptions o) -> sim::Task<void> {
+      (void)co_await cl.call<Req, Resp>(from, to, std::move(r), o);
+    }(dep_->cluster(), *client_, node_->id(), std::move(req), opts()));
+  }
+
+  static rpc::CallOptions opts() {
+    rpc::CallOptions o;
+    o.client = kAlice;
+    o.retry = rpc::RetryPolicy{};  // one attempt: see every answer
+    return o;
+  }
+
+  void crash(bool torn_tail = false, bool lose_storage = false) {
+    rpc::CrashOptions c;
+    c.torn_tail = torn_tail;
+    c.lose_storage = lose_storage;
+    node_->crash(c);
+  }
+  void settle(SimDuration d) { sim_.run_until(sim_.now() + d); }
+  /// Restarts the subject and runs just until its replay completes, so its
+  /// state is read before anything else (the reconciler, say) can repair
+  /// what the replay missed.
+  void restart_until_readable() {
+    node_->restart();
+    for (int i = 0; i < 1000000 && recovering() && sim_.step(); ++i) {
+    }
+    ASSERT_FALSE(recovering());
+  }
+  void crash_and_recover(bool torn_tail = false, bool lose_storage = false) {
+    crash(torn_tail, lose_storage);
+    settle(simtime::seconds(1));
+    restart_until_readable();
+  }
+
+  /// Starts a commit and crashes (torn) while its record is still
+  /// volatile: the handler has mutated memory, its fsync is in flight.
+  void crash_mid_commit() {
+    const std::uint64_t before = digest();
+    start_commit();
+    for (int i = 0; i < 100000 && digest() == before; ++i) {
+      settle(simtime::micros(20));
+    }
+    ASSERT_NE(digest(), before) << "the commit never reached the subject";
+    crash(/*torn_tail=*/true);
+  }
+
+  sim::Simulation sim_;
+  std::unique_ptr<blob::Deployment> dep_;
+  std::unique_ptr<repl::ReplicationPlane> plane_;
+  rpc::Node* gw_node_{nullptr};
+  std::unique_ptr<cloud::S3Gateway> gateway_;
+  rpc::Node* client_{nullptr};
+  rpc::Node* node_{nullptr};
+  blob::DataProvider* dp_{nullptr};
+  blob::MetadataProvider* mp_{nullptr};
+  repl::SiteEgress* eg_{nullptr};
+};
+
+TEST_P(CrashMatrix, CleanCrashReplaysToTheSameState) {
+  const std::uint64_t before = digest();
+  crash_and_recover();
+  EXPECT_EQ(stats().recoveries, 1u);
+  EXPECT_GT(stats().replay_records, 0u);
+  EXPECT_EQ(stats().torn_tails_truncated, 0u);
+  EXPECT_EQ(stats().cold_starts, 0u);
+  EXPECT_EQ(digest(), before);
+}
+
+TEST_P(CrashMatrix, TornTailMidCommitLosesNoAckedRecord) {
+  const std::uint64_t acked = digest();
+  crash_mid_commit();
+  settle(simtime::seconds(1));
+  restart_until_readable();
+  EXPECT_EQ(stats().recoveries, 1u);
+  EXPECT_EQ(stats().torn_tails_truncated, 1u);
+  // Everything acked before the crash replays; the torn record was never
+  // acked and is gone.
+  EXPECT_EQ(digest(), acked);
+}
+
+TEST_P(CrashMatrix, LostStorageColdStarts) {
+  crash_and_recover(/*torn_tail=*/false, /*lose_storage=*/true);
+  EXPECT_EQ(stats().recoveries, 1u);
+  EXPECT_EQ(stats().cold_starts, 1u);
+  EXPECT_EQ(stats().replay_bytes, 0u);
+  EXPECT_EQ(stats().replay_records, 0u);
+}
+
+TEST_P(CrashMatrix, RequestsDuringReplayAreUnavailable) {
+  const std::optional<Errc> unavailable = Errc::unavailable;
+  ASSERT_NE(probe(), unavailable);
+  crash();
+  settle(simtime::seconds(1));
+  node_->restart();
+  ASSERT_TRUE(recovering());
+  // The probe comes from the subject's own site, well inside the mount.
+  EXPECT_EQ(probe(), unavailable);
+  settle(simtime::seconds(10));
+  EXPECT_FALSE(recovering());
+  EXPECT_NE(probe(), unavailable);
+}
+
+TEST_P(CrashMatrix, SecondCrashInsideMountAbortsTheReplay) {
+  const std::uint64_t before = digest();
+  crash();
+  settle(simtime::seconds(1));
+  node_->restart();
+  settle(blob::DiskModel{}.mount_latency / 2);
+  ASSERT_TRUE(recovering());
+  crash();
+  settle(simtime::seconds(10));
+  EXPECT_TRUE(recovering());
+  EXPECT_EQ(stats().recoveries, 0u);
+  restart_until_readable();
+  EXPECT_EQ(stats().recoveries, 1u);
+  EXPECT_EQ(digest(), before);
+}
+
+TEST_P(CrashMatrix, EveryReplayAttemptIsTracedAndCounted) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  obs::TraceSinkOptions topts;
+  topts.capacity = 1u << 16;
+  obs::TraceSink sink(topts);
+  obs::MetricsRegistry metrics;
+  obs::ScopedTrace trace_scope(sink);
+  obs::ScopedMetrics metrics_scope(metrics);
+
+  // Three attempts: one aborted inside the mount, one clean, one after a
+  // torn tail.
+  crash();
+  settle(simtime::seconds(1));
+  node_->restart();
+  settle(blob::DiskModel{}.mount_latency / 2);
+  crash();
+  settle(simtime::seconds(1));
+  restart_until_readable();
+  crash_mid_commit();
+  settle(simtime::seconds(1));
+  restart_until_readable();
+  ASSERT_EQ(stats().recoveries, 2u);
+  ASSERT_EQ(stats().torn_tails_truncated, 1u);
+  EXPECT_EQ(sink.dropped(), 0u);
+
+  std::vector<obs::SpanId> replays;
+  std::map<obs::SpanId, std::string> status;
+  sink.for_each([&](const obs::TraceRecord& r) {
+    if (r.kind == obs::RecordKind::span_begin &&
+        std::string_view(r.name) == "recovery.replay") {
+      EXPECT_EQ(r.args[0].value, static_cast<std::int64_t>(node_->id().value));
+      replays.push_back(r.id);
+    } else if (r.kind == obs::RecordKind::span_end) {
+      status[r.id] = r.status;
+    }
+  });
+  ASSERT_EQ(replays.size(), 3u);
+  EXPECT_EQ(status[replays[0]], "aborted");
+  EXPECT_EQ(status[replays[1]], "ok");
+  EXPECT_EQ(status[replays[2]], "ok");
+
+  auto counter = [&](std::string_view name) -> std::uint64_t {
+    const obs::Counter* c = metrics.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  EXPECT_EQ(counter("recovery.replays"), stats().recoveries);
+  EXPECT_EQ(counter("recovery.replay_records"), stats().replay_records);
+  EXPECT_EQ(counter("recovery.replay_bytes"), stats().replay_bytes);
+  EXPECT_EQ(counter("recovery.torn_tails"), stats().torn_tails_truncated);
+  const Histogram* ttr = metrics.find_histogram("recovery.time_to_readable_ms");
+  ASSERT_NE(ttr, nullptr);
+  EXPECT_EQ(ttr->count(), stats().recoveries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Actors, CrashMatrix,
+                         ::testing::Values(Actor::data_provider,
+                                           Actor::metadata_provider,
+                                           Actor::version_manager,
+                                           Actor::gateway, Actor::egress),
+                         actor_name);
+
+}  // namespace
+}  // namespace bs
