@@ -5,7 +5,8 @@
 namespace bs::blob {
 
 DataProvider::DataProvider(rpc::Node& node, Options options)
-    : node_(node), options_(options), durable_(node, options.journal, *this) {
+    : node_(node), options_(options),
+      durable_(node, options.journal, *this, "store recovering") {
   register_handlers();
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
     stop_heartbeats();
@@ -59,24 +60,21 @@ void DataProvider::on_readable(const RecoveryOutcome&) {
 }
 
 void DataProvider::register_handlers() {
-  node_.serve<PutChunkReq, PutChunkResp>(
+  durable_.serve<PutChunkReq, PutChunkResp>(
       [this](const PutChunkReq& req, const rpc::Envelope& env) {
         return handle_put(req, env.client);
       });
-  node_.serve<GetChunkReq, GetChunkResp>(
+  durable_.serve<GetChunkReq, GetChunkResp>(
       [this](const GetChunkReq& req, const rpc::Envelope& env) {
         return handle_get(req, env.client);
       });
-  node_.serve<RemoveChunkReq, RemoveChunkResp>(
+  durable_.serve<RemoveChunkReq, RemoveChunkResp>(
       [this](const RemoveChunkReq& req, const rpc::Envelope&) {
         return handle_remove(req);
       });
-  node_.serve<HasChunkReq, HasChunkResp>(
+  durable_.serve<HasChunkReq, HasChunkResp>(
       [this](const HasChunkReq& req,
              const rpc::Envelope&) -> sim::Task<Result<HasChunkResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "store recovering"};
-        }
         HasChunkResp resp;
         auto it = chunks_.find(req.key);
         if (it != chunks_.end()) {
@@ -85,16 +83,13 @@ void DataProvider::register_handlers() {
         }
         co_return resp;
       });
-  node_.serve<ReplicateChunkReq, ReplicateChunkResp>(
+  durable_.serve<ReplicateChunkReq, ReplicateChunkResp>(
       [this](const ReplicateChunkReq& req, const rpc::Envelope&) {
         return handle_replicate(req);
       });
-  node_.serve<RemoveBlobChunksReq, RemoveBlobChunksResp>(
+  durable_.serve<RemoveBlobChunksReq, RemoveBlobChunksResp>(
       [this](const RemoveBlobChunksReq& req, const rpc::Envelope&)
           -> sim::Task<Result<RemoveBlobChunksResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "store recovering"};
-        }
         RemoveBlobChunksResp resp;
         std::vector<ChunkKey> removed;
         // bslint: allow(det-unordered-iter): erase sweep accumulating
@@ -124,24 +119,18 @@ void DataProvider::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<ProviderStatusReq, ProviderStatusResp>(
+  durable_.serve<ProviderStatusReq, ProviderStatusResp>(
       [this](const ProviderStatusReq&,
              const rpc::Envelope&) -> sim::Task<Result<ProviderStatusResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "store recovering"};
-        }
         ProviderStatusResp resp;
         resp.capacity = options_.capacity;
         resp.used = used_;
         resp.chunks = chunks_.size();
         co_return resp;
       });
-  node_.serve<ListChunksReq, ListChunksResp>(
+  durable_.serve<ListChunksReq, ListChunksResp>(
       [this](const ListChunksReq&,
              const rpc::Envelope&) -> sim::Task<Result<ListChunksResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "store recovering"};
-        }
         ListChunksResp resp;
         resp.keys = chunk_keys();
         co_return resp;
@@ -181,7 +170,6 @@ void DataProvider::notify_access(const ChunkKey& key, std::uint64_t bytes,
 
 sim::Task<Result<PutChunkResp>> DataProvider::handle_put(PutChunkReq req,
                                                          ClientId client) {
-  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it != chunks_.end()) {
     // Chunks are immutable: a re-put (retry, abort-repair) is idempotent.
@@ -209,7 +197,6 @@ sim::Task<Result<PutChunkResp>> DataProvider::handle_put(PutChunkReq req,
 
 sim::Task<Result<GetChunkResp>> DataProvider::handle_get(GetChunkReq req,
                                                          ClientId client) {
-  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it == chunks_.end()) {
     co_return Error{Errc::not_found, "chunk not stored here"};
@@ -240,7 +227,6 @@ sim::Task<Result<GetChunkResp>> DataProvider::handle_get(GetChunkReq req,
 
 sim::Task<Result<RemoveChunkResp>> DataProvider::handle_remove(
     RemoveChunkReq req) {
-  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it == chunks_.end()) co_return RemoveChunkResp{false};
   used_ -= it->second.size;
@@ -257,7 +243,6 @@ sim::Task<Result<RemoveChunkResp>> DataProvider::handle_remove(
 
 sim::Task<Result<ReplicateChunkResp>> DataProvider::handle_replicate(
     ReplicateChunkReq req) {
-  if (recovering()) co_return Error{Errc::unavailable, "store recovering"};
   auto it = chunks_.find(req.key);
   if (it == chunks_.end()) {
     co_return Error{Errc::not_found, "chunk not stored here"};

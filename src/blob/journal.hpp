@@ -262,7 +262,9 @@ void note_readable(rpc::Node& node, const ReplayPlan& plan,
 /// One journaled actor's store plus the protocol every such actor shares:
 /// the `recovering` gate, RecoveryStats, the journaled crash/restart path,
 /// the replay (recover), the commit barriers and the checkpoint policy.
-/// Hook contract — the actor passes itself to the constructor, befriends
+/// Hook contract — the actor passes itself and its gate message (a string
+/// literal: the `unavailable` text a request gets during a replay) to the
+/// constructor, registers every handler through serve(), befriends
 /// Durable<Record> and defines, as named member functions:
 ///
 ///   std::uint64_t record_bytes(const Record&)  (may be static)
@@ -286,9 +288,11 @@ class Durable {
   using Entry = typename Journal<Record>::Entry;
 
   template <class Actor>
-  Durable(rpc::Node& node, JournalOptions opts, Actor& actor)
+  Durable(rpc::Node& node, JournalOptions opts, Actor& actor,
+          const char* gate_message)
       : node_(node),
         journal_(opts),
+        gate_message_(gate_message),
         record_bytes_(
             [a = &actor](const Record& r) { return a->record_bytes(r); }),
         apply_record_([a = &actor](const Record& r) { a->apply_record(r); }),
@@ -300,9 +304,27 @@ class Durable {
   Durable& operator=(const Durable&) = delete;
 
   /// True between a journaled crash and the end of the next completed
-  /// replay; handlers answer `unavailable` meanwhile.
+  /// replay; serve() answers `unavailable` meanwhile.
   [[nodiscard]] bool recovering() const { return recovering_; }
   [[nodiscard]] const RecoveryStats& stats() const { return stats_; }
+
+  /// Registers `handler` for Req on the node behind the recovery gate:
+  /// while recovering() a request is answered `unavailable` with the gate
+  /// message and the handler never runs. The check runs where a handler's
+  /// first statement would (after admission, the service queue and the
+  /// per-request overhead), so gating moves no event. The wrapper is not a
+  /// coroutine: an ungated request runs the handler's own task, and only a
+  /// gated one pays for a (tiny) coroutine frame.
+  template <class Req, class Resp, class F>
+  void serve(F handler) {
+    node_.serve<Req, Resp>(
+        [this, handler = std::move(handler)](const Req& req,
+                                             const rpc::Envelope& env)
+            -> sim::Task<Result<Resp>> {
+          if (recovering_) return gated<Resp>(gate_message_);
+          return handler(req, env);
+        });
+  }
 
   /// Journaled crash, for the node's crash listener: the in-memory image
   /// dies with the process, the journal keeps its durable prefix (torn or
@@ -373,6 +395,11 @@ class Durable {
   }
 
  private:
+  template <class Resp>
+  static sim::Task<Result<Resp>> gated(const char* message) {
+    co_return Error{Errc::unavailable, message};
+  }
+
   /// Seals through `seq` once the fsync of `bytes` is paid *and* the node
   /// survived it (sealing first would make records durable for free).
   sim::Task<Result<void>> seal_after_fsync(std::uint64_t seq,
@@ -421,6 +448,7 @@ class Durable {
 
   rpc::Node& node_;
   Journal<Record> journal_;
+  const char* gate_message_;
   bool recovering_{false};
   RecoveryStats stats_;
   std::function<std::uint64_t(const Record&)> record_bytes_;

@@ -8,17 +8,15 @@
 namespace bs::blob {
 
 MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
-    : node_(node), options_(options), durable_(node, options.journal, *this) {
+    : node_(node), options_(options),
+      durable_(node, options.journal, *this, "metadata store recovering") {
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
     if (!durable_.crash(c) && c.lose_storage) wipe();
   });
   node_.add_restart_listener([this] { durable_.restart(); });
-  node_.serve<MetaPutReq, MetaPutResp>(
+  durable_.serve<MetaPutReq, MetaPutResp>(
       [this](const MetaPutReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaPutResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "metadata store recovering"};
-        }
         auto [it, inserted] = nodes_.insert_or_assign(req.key, req.node);
         if (inserted) bytes_ += req.node.wire_size();
         JournalRecord rec;
@@ -29,12 +27,9 @@ MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
         if (!sealed.ok()) co_return sealed.error();
         co_return MetaPutResp{};
       });
-  node_.serve<MetaRemoveReq, MetaRemoveResp>(
+  durable_.serve<MetaRemoveReq, MetaRemoveResp>(
       [this](const MetaRemoveReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaRemoveResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "metadata store recovering"};
-        }
         auto it = nodes_.find(req.key);
         if (it == nodes_.end()) co_return MetaRemoveResp{false};
         bytes_ -= it->second.wire_size();
@@ -47,12 +42,9 @@ MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
         co_return MetaRemoveResp{true};
       });
 
-  node_.serve<MetaGetReq, MetaGetResp>(
+  durable_.serve<MetaGetReq, MetaGetResp>(
       [this](const MetaGetReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaGetResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "metadata store recovering"};
-        }
         auto it = nodes_.find(req.key);
         if (it == nodes_.end()) {
           co_return Error{Errc::not_found, "tree node not stored here"};

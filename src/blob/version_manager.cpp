@@ -10,7 +10,8 @@
 namespace bs::blob {
 
 VersionManager::VersionManager(rpc::Node& node, Options opts)
-    : node_(node), opts_(opts), durable_(node, opts.journal, *this) {
+    : node_(node), opts_(opts),
+      durable_(node, opts.journal, *this, "version manager recovering") {
   register_handlers();
   // With the journal disabled blob state survives every crash intact, a
   // lost store included (the paper's durable version manager).
@@ -84,16 +85,7 @@ void VersionManager::apply_record(const VmRecord& rec) {
       b.pending.erase(rec.version);
       remove_from_history(b, rec.version);
       ++b.abort_epoch;
-      std::uint64_t end = b.latest_size;
-      for (const auto& e : b.history) {
-        auto pend = b.pending.find(e.version);
-        const std::uint64_t e_end =
-            pend != b.pending.end()
-                ? pend->second.end_bytes
-                : (e.first_chunk + e.chunk_count) * b.chunk_size;
-        end = std::max(end, e_end);
-      }
-      b.reserved_end = end;
+      recompute_frontier(b);
       break;
     }
     case VmRecord::Kind::trim_mark:
@@ -146,10 +138,7 @@ VersionManager::encode_checkpoint() const {
       start.kind = VmRecord::Kind::start;
       start.version = e.version;
       start.extent = e;
-      auto pend = b.pending.find(e.version);
-      start.bytes = pend != b.pending.end()
-                        ? pend->second.end_bytes
-                        : (e.first_chunk + e.chunk_count) * b.chunk_size;
+      start.bytes = reservation_end(b, e);
       push(start);
     }
     for (const auto& [v, info] : b.published) {
@@ -244,12 +233,9 @@ std::size_t VersionManager::pending_writes() const {
 }
 
 void VersionManager::register_handlers() {
-  node_.serve<CreateBlobReq, CreateBlobResp>(
+  durable_.serve<CreateBlobReq, CreateBlobResp>(
       [this](const CreateBlobReq& req,
              const rpc::Envelope&) -> sim::Task<Result<CreateBlobResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         if (req.chunk_size == 0) {
           co_return Error{Errc::invalid_argument, "chunk_size must be > 0"};
         }
@@ -277,12 +263,9 @@ void VersionManager::register_handlers() {
         co_return CreateBlobResp{id};
       });
 
-  node_.serve<BlobInfoReq, BlobInfoResp>(
+  durable_.serve<BlobInfoReq, BlobInfoResp>(
       [this](const BlobInfoReq& req,
              const rpc::Envelope&) -> sim::Task<Result<BlobInfoResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         auto it = blobs_.find(req.blob.value);
         if (it == blobs_.end()) {
           co_return Error{Errc::not_found, "unknown blob"};
@@ -292,17 +275,7 @@ void VersionManager::register_handlers() {
           co_return Error{Errc::not_found, "blob deleted"};
         }
         BlobInfoResp resp;
-        resp.descriptor.id = b.id;
-        resp.descriptor.chunk_size = b.chunk_size;
-        resp.descriptor.replication = b.replication;
-        resp.descriptor.base_replication = b.base_replication;
-        resp.descriptor.created_at = b.created_at;
-        resp.descriptor.ttl = b.ttl;
-        if (b.latest == 0) {
-          resp.descriptor.latest = VersionInfo{0, 0, 0};
-        } else {
-          resp.descriptor.latest = b.published.at(b.latest);
-        }
+        resp.descriptor = descriptor_of(b);
         if (req.version == kLatestVersion) {
           resp.at = resp.descriptor.latest;
         } else if (req.version == 0) {
@@ -317,48 +290,32 @@ void VersionManager::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<StartWriteReq, StartWriteResp>(
+  durable_.serve<StartWriteReq, StartWriteResp>(
       [this](const StartWriteReq& req, const rpc::Envelope& env) {
         return handle_start(req, env.client);
       });
-  node_.serve<CommitWriteReq, CommitWriteResp>(
+  durable_.serve<CommitWriteReq, CommitWriteResp>(
       [this](const CommitWriteReq& req, const rpc::Envelope&) {
         return handle_commit(req);
       });
-  node_.serve<AbortWriteReq, AbortWriteResp>(
+  durable_.serve<AbortWriteReq, AbortWriteResp>(
       [this](const AbortWriteReq& req, const rpc::Envelope&) {
         return handle_abort(req);
       });
 
-  node_.serve<ListBlobsReq, ListBlobsResp>(
+  durable_.serve<ListBlobsReq, ListBlobsResp>(
       [this](const ListBlobsReq&,
              const rpc::Envelope&) -> sim::Task<Result<ListBlobsResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         ListBlobsResp resp;
         for (const auto& [id, b] : blobs_) {
-          if (b.deleted) continue;
-          BlobDescriptor d;
-          d.id = b.id;
-          d.chunk_size = b.chunk_size;
-          d.replication = b.replication;
-          d.base_replication = b.base_replication;
-          d.created_at = b.created_at;
-          d.ttl = b.ttl;
-          d.latest = b.latest == 0 ? VersionInfo{0, 0, 0}
-                                   : b.published.at(b.latest);
-          resp.blobs.push_back(d);
+          if (!b.deleted) resp.blobs.push_back(descriptor_of(b));
         }
         co_return resp;
       });
 
-  node_.serve<BlobVersionsReq, BlobVersionsResp>(
+  durable_.serve<BlobVersionsReq, BlobVersionsResp>(
       [this](const BlobVersionsReq& req,
              const rpc::Envelope&) -> sim::Task<Result<BlobVersionsResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         auto it = blobs_.find(req.blob.value);
         if (it == blobs_.end()) {
           co_return Error{Errc::not_found, "unknown blob"};
@@ -368,12 +325,9 @@ void VersionManager::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<TrimBlobReq, TrimBlobResp>(
+  durable_.serve<TrimBlobReq, TrimBlobResp>(
       [this](const TrimBlobReq& req,
              const rpc::Envelope&) -> sim::Task<Result<TrimBlobResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         auto it = blobs_.find(req.blob.value);
         if (it == blobs_.end()) {
           co_return Error{Errc::not_found, "unknown blob"};
@@ -454,12 +408,9 @@ void VersionManager::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<SetReplicationReq, SetReplicationResp>(
+  durable_.serve<SetReplicationReq, SetReplicationResp>(
       [this](const SetReplicationReq& req,
              const rpc::Envelope&) -> sim::Task<Result<SetReplicationResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         auto it = blobs_.find(req.blob.value);
         if (it == blobs_.end()) {
           co_return Error{Errc::not_found, "unknown blob"};
@@ -477,12 +428,9 @@ void VersionManager::register_handlers() {
         co_return SetReplicationResp{};
       });
 
-  node_.serve<DeleteBlobReq, DeleteBlobResp>(
+  durable_.serve<DeleteBlobReq, DeleteBlobResp>(
       [this](const DeleteBlobReq& req,
              const rpc::Envelope&) -> sim::Task<Result<DeleteBlobResp>> {
-        if (recovering()) {
-          co_return Error{Errc::unavailable, "version manager recovering"};
-        }
         auto it = blobs_.find(req.blob.value);
         if (it == blobs_.end()) {
           co_return Error{Errc::not_found, "unknown blob"};
@@ -500,9 +448,6 @@ void VersionManager::register_handlers() {
 
 sim::Task<Result<StartWriteResp>> VersionManager::handle_start(
     StartWriteReq req, ClientId writer) {
-  if (recovering()) {
-    co_return Error{Errc::unavailable, "version manager recovering"};
-  }
   auto it = blobs_.find(req.blob.value);
   if (it == blobs_.end()) co_return Error{Errc::not_found, "unknown blob"};
   BlobState& b = it->second;
@@ -558,9 +503,6 @@ sim::Task<Result<StartWriteResp>> VersionManager::handle_start(
 
 sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
     CommitWriteReq req) {
-  if (recovering()) {
-    co_return Error{Errc::unavailable, "version manager recovering"};
-  }
   auto it = blobs_.find(req.blob.value);
   if (it == blobs_.end()) co_return Error{Errc::not_found, "unknown blob"};
   BlobState& b = it->second;
@@ -636,9 +578,6 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
 
 sim::Task<Result<AbortWriteResp>> VersionManager::handle_abort(
     AbortWriteReq req) {
-  if (recovering()) {
-    co_return Error{Errc::unavailable, "version manager recovering"};
-  }
   auto it = blobs_.find(req.blob.value);
   if (it == blobs_.end()) co_return Error{Errc::not_found, "unknown blob"};
   BlobState& b = it->second;
@@ -688,18 +627,34 @@ void VersionManager::force_abort(BlobState& b, Version v) {
   rec.blob = b.id.value;
   rec.version = v;
   durable_.append(rec);
-  // Recompute the append frontier without the aborted reservation.
-  std::uint64_t end = b.latest_size;
-  for (const auto& e : b.history) {
-    auto pend = b.pending.find(e.version);
-    const std::uint64_t e_end =
-        pend != b.pending.end()
-            ? pend->second.end_bytes
-            : (e.first_chunk + e.chunk_count) * b.chunk_size;
-    end = std::max(end, e_end);
-  }
-  b.reserved_end = end;
+  recompute_frontier(b);
   try_publish(b);
+}
+
+std::uint64_t VersionManager::reservation_end(const BlobState& b,
+                                              const WriteExtent& e) {
+  auto pend = b.pending.find(e.version);
+  return pend != b.pending.end()
+             ? pend->second.end_bytes
+             : (e.first_chunk + e.chunk_count) * b.chunk_size;
+}
+
+void VersionManager::recompute_frontier(BlobState& b) {
+  std::uint64_t end = b.latest_size;
+  for (const auto& e : b.history) end = std::max(end, reservation_end(b, e));
+  b.reserved_end = end;
+}
+
+BlobDescriptor VersionManager::descriptor_of(const BlobState& b) {
+  BlobDescriptor d;
+  d.id = b.id;
+  d.chunk_size = b.chunk_size;
+  d.replication = b.replication;
+  d.base_replication = b.base_replication;
+  d.created_at = b.created_at;
+  d.ttl = b.ttl;
+  d.latest = b.latest == 0 ? VersionInfo{0, 0, 0} : b.published.at(b.latest);
+  return d;
 }
 
 void VersionManager::remove_from_history(BlobState& b, Version v) {

@@ -176,6 +176,15 @@ class VersionManager {
   /// pending write, bumps the abort epoch, recomputes the append frontier
   /// and re-drives publication.
   void force_abort(BlobState& b, Version v);
+  /// Where write `e`'s reservation ends: its requested end while it is
+  /// pending, its whole chunk range after that.
+  static std::uint64_t reservation_end(const BlobState& b,
+                                       const WriteExtent& e);
+  /// Recomputes the append frontier (reserved_end) from the published size
+  /// and every remaining write's reservation, as after an abort.
+  static void recompute_frontier(BlobState& b);
+  /// What BlobInfo and ListBlobs report for `b`.
+  static BlobDescriptor descriptor_of(const BlobState& b);
   sim::Task<void> lease_sweeper_loop();
 
   // Durable<VmRecord> hooks.

@@ -29,7 +29,7 @@ S3Gateway::S3Gateway(rpc::Node& node, blob::BlobClient::Endpoints endpoints,
                      GatewayOptions options)
     : node_(node), endpoints_(std::move(endpoints)),
       options_(apply_gateway_env(options)),
-      durable_(node, options_.journal, *this) {
+      durable_(node, options_.journal, *this, "recovering") {
   register_handlers();
   // Journaled, handlers suspended mid-await across a crash keep running as
   // zombies (the RPC layer discards their results): every handler
@@ -117,6 +117,21 @@ Result<S3Gateway::Bucket*> S3Gateway::bucket_checked(const std::string& name,
 S3Gateway::Bucket* S3Gateway::find_bucket(const std::string& name) {
   auto it = buckets_.find(name);
   return it == buckets_.end() ? nullptr : &it->second;
+}
+
+Result<S3Gateway::Mpu*> S3Gateway::mpu_checked(std::uint64_t upload_id,
+                                               const std::string& bucket,
+                                               const std::string& key,
+                                               ClientId who) {
+  auto it = mpus_.find(upload_id);
+  if (it == mpus_.end() || it->second.bucket != bucket ||
+      it->second.key != key) {
+    return Error{Errc::not_found, "no such multipart upload"};
+  }
+  if (it->second.owner != who) {
+    return Error{Errc::permission_denied, "not the upload owner"};
+  }
+  return &it->second;
 }
 
 // --------------------------------------------------------------- chunking
@@ -394,6 +409,46 @@ void S3Gateway::release_manifest(const std::vector<ChunkRef>& manifest,
   }
 }
 
+void S3Gateway::commit_manifest(const std::vector<ChunkRef>& manifest,
+                                std::vector<GwRecord>& records) {
+  for (const ChunkRef& ref : manifest) {
+    chunk_index_.commit_ref(ref);
+    GwRecord rec;
+    rec.kind = GwRecord::Kind::index_ref;
+    rec.a = ref.hash;
+    rec.b = ref.store_index;
+    records.push_back(std::move(rec));
+  }
+}
+
+blob::Version S3Gateway::install_object(
+    Bucket& b, ObjectInfo info, const std::vector<ChunkRef>& manifest,
+    std::vector<GwRecord>& records, std::vector<ChunkIndex::Entry>& reclaims) {
+  info.last_modified = node_.cluster().sim().now();
+  info.blob = store_blob_;
+  auto oit = b.objects.find(info.key);
+  if (oit != b.objects.end()) {
+    info.version = oit->second.info.version + 1;
+    release_manifest(oit->second.manifest, records, reclaims);
+    b.info.total_bytes -= oit->second.info.size;
+    oit->second.info = info;
+    oit->second.manifest = manifest;
+  } else {
+    info.version = 1;
+    b.objects.emplace(info.key, ObjectRecord{info, manifest});
+    ++b.info.object_count;
+  }
+  b.info.total_bytes += info.size;
+  GwRecord put;
+  put.kind = GwRecord::Kind::put_object;
+  put.bucket = b.info.name;
+  put.key = info.key;
+  put.info = info;
+  put.manifest = manifest;
+  records.push_back(std::move(put));
+  return info.version;
+}
+
 void S3Gateway::reclaim(std::vector<ChunkIndex::Entry> entries) {
   for (const ChunkIndex::Entry& e : entries) {
     ++stats_.chunks_reclaimed;
@@ -632,11 +687,9 @@ std::uint64_t S3Gateway::state_digest() const {
 // ---------------------------------------------------------------- handlers
 
 void S3Gateway::register_handlers() {
-  node_.serve<S3CreateBucketReq, S3CreateBucketResp>(
+  durable_.serve<S3CreateBucketReq, S3CreateBucketResp>(
       [this](const S3CreateBucketReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3CreateBucketResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         if (req.bucket.empty()) {
           co_return Error{Errc::invalid_argument, "empty bucket name"};
         }
@@ -659,11 +712,9 @@ void S3Gateway::register_handlers() {
         co_return S3CreateBucketResp{};
       });
 
-  node_.serve<S3DeleteBucketReq, S3DeleteBucketResp>(
+  durable_.serve<S3DeleteBucketReq, S3DeleteBucketResp>(
       [this](const S3DeleteBucketReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3DeleteBucketResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::full_control);
         if (!bucket.ok()) co_return bucket.error();
@@ -679,11 +730,9 @@ void S3Gateway::register_handlers() {
         co_return S3DeleteBucketResp{};
       });
 
-  node_.serve<S3ListBucketsReq, S3ListBucketsResp>(
+  durable_.serve<S3ListBucketsReq, S3ListBucketsResp>(
       [this](const S3ListBucketsReq&, const rpc::Envelope& env)
           -> sim::Task<Result<S3ListBucketsResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         S3ListBucketsResp resp;
         for (const auto& [name, b] : buckets_) {
           if (b.acl.check(env.client, Permission::read)) {
@@ -693,11 +742,9 @@ void S3Gateway::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<S3SetAclReq, S3SetAclResp>(
+  durable_.serve<S3SetAclReq, S3SetAclResp>(
       [this](const S3SetAclReq& req,
              const rpc::Envelope& env) -> sim::Task<Result<S3SetAclResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::full_control);
         if (!bucket.ok()) co_return bucket.error();
@@ -720,11 +767,9 @@ void S3Gateway::register_handlers() {
         co_return S3SetAclResp{};
       });
 
-  node_.serve<S3PutObjectReq, S3PutObjectResp>(
+  durable_.serve<S3PutObjectReq, S3PutObjectResp>(
       [this](const S3PutObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3PutObjectResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -752,44 +797,11 @@ void S3Gateway::register_handlers() {
         std::vector<GwRecord> records =
             std::move(ing.value().insert_records);
         std::vector<ChunkIndex::Entry> reclaims;
-        for (const ChunkRef& ref : ing.value().manifest) {
-          chunk_index_.commit_ref(ref);
-          GwRecord rec;
-          rec.kind = GwRecord::Kind::index_ref;
-          rec.a = ref.hash;
-          rec.b = ref.store_index;
-          records.push_back(std::move(rec));
-        }
-        ObjectInfo info;
-        info.key = req.key;
-        info.size = req.payload.size;
-        info.etag = req.payload.checksum;
-        info.last_modified = node_.cluster().sim().now();
-        info.owner = env.client;
-        info.blob = store_blob_;
-        auto oit = b->objects.find(req.key);
-        if (oit != b->objects.end()) {
-          info.version = oit->second.info.version + 1;
-          release_manifest(oit->second.manifest, records, reclaims);
-          b->info.total_bytes -= oit->second.info.size;
-          oit->second.info = info;
-          oit->second.manifest = ing.value().manifest;
-        } else {
-          info.version = 1;
-          ObjectRecord obj;
-          obj.info = info;
-          obj.manifest = ing.value().manifest;
-          b->objects.emplace(req.key, std::move(obj));
-          ++b->info.object_count;
-        }
-        b->info.total_bytes += info.size;
-        GwRecord put;
-        put.kind = GwRecord::Kind::put_object;
-        put.bucket = req.bucket;
-        put.key = req.key;
-        put.info = info;
-        put.manifest = ing.value().manifest;
-        records.push_back(std::move(put));
+        commit_manifest(ing.value().manifest, records);
+        const blob::Version version = install_object(
+            *b, {.key = req.key, .size = req.payload.size,
+                 .etag = req.payload.checksum, .owner = env.client},
+            ing.value().manifest, records, reclaims);
         ++stats_.puts;
         stats_.bytes_ingested += req.payload.size;
         obs::count("gateway.puts");
@@ -799,18 +811,16 @@ void S3Gateway::register_handlers() {
         reclaim(std::move(reclaims));
 
         S3PutObjectResp resp;
-        resp.etag = info.etag;
-        resp.version = info.version;
+        resp.etag = req.payload.checksum;
+        resp.version = version;
         resp.chunks = static_cast<std::uint32_t>(ing.value().manifest.size());
         resp.chunks_deduped = ing.value().hits;
         co_return resp;
       });
 
-  node_.serve<S3GetObjectReq, S3GetObjectResp>(
+  durable_.serve<S3GetObjectReq, S3GetObjectResp>(
       [this](const S3GetObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3GetObjectResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::read);
         if (!bucket.ok()) co_return bucket.error();
@@ -913,11 +923,9 @@ void S3Gateway::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<S3HeadObjectReq, S3HeadObjectResp>(
+  durable_.serve<S3HeadObjectReq, S3HeadObjectResp>(
       [this](const S3HeadObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3HeadObjectResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::read);
         if (!bucket.ok()) co_return bucket.error();
@@ -928,11 +936,9 @@ void S3Gateway::register_handlers() {
         co_return S3HeadObjectResp{oit->second.info};
       });
 
-  node_.serve<S3DeleteObjectReq, S3DeleteObjectResp>(
+  durable_.serve<S3DeleteObjectReq, S3DeleteObjectResp>(
       [this](const S3DeleteObjectReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3DeleteObjectResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -960,11 +966,9 @@ void S3Gateway::register_handlers() {
         co_return S3DeleteObjectResp{};
       });
 
-  node_.serve<S3ListObjectsReq, S3ListObjectsResp>(
+  durable_.serve<S3ListObjectsReq, S3ListObjectsResp>(
       [this](const S3ListObjectsReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3ListObjectsResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::read);
         if (!bucket.ok()) co_return bucket.error();
@@ -992,11 +996,9 @@ void S3Gateway::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<S3CreateMultipartReq, S3CreateMultipartResp>(
+  durable_.serve<S3CreateMultipartReq, S3CreateMultipartResp>(
       [this](const S3CreateMultipartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3CreateMultipartResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1019,22 +1021,15 @@ void S3Gateway::register_handlers() {
         co_return S3CreateMultipartResp{id};
       });
 
-  node_.serve<S3UploadPartReq, S3UploadPartResp>(
+  durable_.serve<S3UploadPartReq, S3UploadPartResp>(
       [this](const S3UploadPartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3UploadPartResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
-        auto mit = mpus_.find(req.upload_id);
-        if (mit == mpus_.end() || mit->second.bucket != req.bucket ||
-            mit->second.key != req.key) {
-          co_return Error{Errc::not_found, "no such multipart upload"};
-        }
-        if (mit->second.owner != env.client) {
-          co_return Error{Errc::permission_denied, "not the upload owner"};
-        }
+        auto mpu =
+            mpu_checked(req.upload_id, req.bucket, req.key, env.client);
+        if (!mpu.ok()) co_return mpu.error();
         if (req.part_number == 0) {
           co_return Error{Errc::invalid_argument, "parts are 1-based"};
         }
@@ -1043,8 +1038,8 @@ void S3Gateway::register_handlers() {
         }
         // Per-part resume: a retry of an already-committed part with the
         // same content acks from the journal, no chunk is re-ingested.
-        auto pit = mit->second.parts.find(req.part_number);
-        if (pit != mit->second.parts.end() &&
+        auto pit = mpu.value()->parts.find(req.part_number);
+        if (pit != mpu.value()->parts.end() &&
             pit->second.etag == req.payload.checksum &&
             pit->second.size == req.payload.size) {
           ++stats_.parts_resumed;
@@ -1074,7 +1069,7 @@ void S3Gateway::register_handlers() {
         if (node_.incarnation() != inc || recovering()) {
           co_return Error{Errc::unavailable, "gateway restarted"};
         }
-        mit = mpus_.find(req.upload_id);
+        auto mit = mpus_.find(req.upload_id);
         if (mit == mpus_.end()) {
           rollback_ingest(ing.value());
           co_return Error{Errc::not_found, "upload aborted mid-part"};
@@ -1083,14 +1078,7 @@ void S3Gateway::register_handlers() {
         std::vector<GwRecord> records =
             std::move(ing.value().insert_records);
         std::vector<ChunkIndex::Entry> reclaims;
-        for (const ChunkRef& ref : ing.value().manifest) {
-          chunk_index_.commit_ref(ref);
-          GwRecord rec;
-          rec.kind = GwRecord::Kind::index_ref;
-          rec.a = ref.hash;
-          rec.b = ref.store_index;
-          records.push_back(std::move(rec));
-        }
+        commit_manifest(ing.value().manifest, records);
         pit = mit->second.parts.find(req.part_number);
         if (pit != mit->second.parts.end()) {
           // Re-upload with different content replaces the committed part.
@@ -1124,23 +1112,16 @@ void S3Gateway::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<S3CompleteMultipartReq, S3CompleteMultipartResp>(
+  durable_.serve<S3CompleteMultipartReq, S3CompleteMultipartResp>(
       [this](const S3CompleteMultipartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3CompleteMultipartResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
-        auto mit = mpus_.find(req.upload_id);
-        if (mit == mpus_.end() || mit->second.bucket != req.bucket ||
-            mit->second.key != req.key) {
-          co_return Error{Errc::not_found, "no such multipart upload"};
-        }
-        if (mit->second.owner != env.client) {
-          co_return Error{Errc::permission_denied, "not the upload owner"};
-        }
-        const auto& parts = mit->second.parts;
+        auto mpu =
+            mpu_checked(req.upload_id, req.bucket, req.key, env.client);
+        if (!mpu.ok()) co_return mpu.error();
+        const auto& parts = mpu.value()->parts;
         if (req.part_count == 0 || parts.size() != req.part_count ||
             parts.begin()->first != 1 ||
             parts.rbegin()->first != req.part_count) {
@@ -1163,42 +1144,15 @@ void S3Gateway::register_handlers() {
           etag = hash_combine(etag, part.etag);
         }
 
-        Bucket* b = bucket.value();
         std::vector<GwRecord> records;
         std::vector<ChunkIndex::Entry> reclaims;
-        ObjectInfo info;
-        info.key = req.key;
-        info.size = size;
-        info.etag = etag;
-        info.last_modified = node_.cluster().sim().now();
-        info.owner = env.client;
-        info.blob = store_blob_;
         // The parts' committed refs transfer 1:1 into the object manifest,
         // so no index_ref/release records are needed for the transfer.
-        auto oit = b->objects.find(req.key);
-        if (oit != b->objects.end()) {
-          info.version = oit->second.info.version + 1;
-          release_manifest(oit->second.manifest, records, reclaims);
-          b->info.total_bytes -= oit->second.info.size;
-          oit->second.info = info;
-          oit->second.manifest = manifest;
-        } else {
-          info.version = 1;
-          ObjectRecord obj;
-          obj.info = info;
-          obj.manifest = manifest;
-          b->objects.emplace(req.key, std::move(obj));
-          ++b->info.object_count;
-        }
-        b->info.total_bytes += size;
+        const blob::Version version = install_object(
+            *bucket.value(),
+            {.key = req.key, .size = size, .etag = etag, .owner = env.client},
+            manifest, records, reclaims);
         mpus_.erase(req.upload_id);
-        GwRecord put;
-        put.kind = GwRecord::Kind::put_object;
-        put.bucket = req.bucket;
-        put.key = req.key;
-        put.info = info;
-        put.manifest = manifest;
-        records.push_back(std::move(put));
         GwRecord drop;
         drop.kind = GwRecord::Kind::mpu_drop;
         drop.a = req.upload_id;
@@ -1211,15 +1165,13 @@ void S3Gateway::register_handlers() {
         S3CompleteMultipartResp resp;
         resp.etag = etag;
         resp.size = size;
-        resp.version = info.version;
+        resp.version = version;
         co_return resp;
       });
 
-  node_.serve<S3AbortMultipartReq, S3AbortMultipartResp>(
+  durable_.serve<S3AbortMultipartReq, S3AbortMultipartResp>(
       [this](const S3AbortMultipartReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3AbortMultipartResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1248,11 +1200,9 @@ void S3Gateway::register_handlers() {
         co_return S3AbortMultipartResp{};
       });
 
-  node_.serve<S3PutDeltaReq, S3PutDeltaResp>(
+  durable_.serve<S3PutDeltaReq, S3PutDeltaResp>(
       [this](const S3PutDeltaReq& req, const rpc::Envelope& env)
           -> sim::Task<Result<S3PutDeltaResp>> {
-        ++requests_;
-        if (recovering()) co_return Error{Errc::unavailable, "recovering"};
         auto bucket =
             bucket_checked(req.bucket, env.client, Permission::write);
         if (!bucket.ok()) co_return bucket.error();
@@ -1340,26 +1290,10 @@ void S3Gateway::register_handlers() {
           rec.b = manifest[i].store_index;
           records.push_back(std::move(rec));
         }
-        release_manifest(oit2->second.manifest, records, reclaims);
-        ObjectInfo info;
-        info.key = req.key;
-        info.size = req.new_size;
-        info.etag = req.new_etag;
-        info.last_modified = node_.cluster().sim().now();
-        info.owner = env.client;
-        info.blob = store_blob_;
-        info.version = oit2->second.info.version + 1;
-        b->info.total_bytes -= oit2->second.info.size;
-        b->info.total_bytes += req.new_size;
-        oit2->second.info = info;
-        oit2->second.manifest = manifest;
-        GwRecord put;
-        put.kind = GwRecord::Kind::put_object;
-        put.bucket = req.bucket;
-        put.key = req.key;
-        put.info = info;
-        put.manifest = manifest;
-        records.push_back(std::move(put));
+        const blob::Version version = install_object(
+            *b, {.key = req.key, .size = req.new_size, .etag = req.new_etag,
+                 .owner = env.client},
+            manifest, records, reclaims);
         ++stats_.delta_puts;
         stats_.bytes_ingested += req.new_size;
         stats_.delta_bytes_shipped += bytes_shipped;
@@ -1373,8 +1307,8 @@ void S3Gateway::register_handlers() {
         reclaim(std::move(reclaims));
 
         S3PutDeltaResp resp;
-        resp.etag = info.etag;
-        resp.version = info.version;
+        resp.etag = req.new_etag;
+        resp.version = version;
         resp.chunks_shipped = static_cast<std::uint32_t>(shipped.size());
         resp.chunks_shared = static_cast<std::uint32_t>(n - shipped.size());
         co_return resp;

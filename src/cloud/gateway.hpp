@@ -330,7 +330,6 @@ class S3Gateway {
 
   [[nodiscard]] NodeId id() const { return node_.id(); }
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::uint64_t requests_served() const { return requests_; }
   [[nodiscard]] const GatewayStats& stats() const { return stats_; }
   [[nodiscard]] const ChunkIndex& index() const { return chunk_index_; }
   [[nodiscard]] std::size_t user_client_count() const {
@@ -450,6 +449,9 @@ class S3Gateway {
   Result<Bucket*> bucket_checked(const std::string& name, ClientId who,
                                  Permission want);
   Bucket* find_bucket(const std::string& name);
+  /// The multipart upload `upload_id` of `bucket`/`key`, owned by `who`.
+  Result<Mpu*> mpu_checked(std::uint64_t upload_id, const std::string& bucket,
+                           const std::string& key, ClientId who);
 
   /// Splits an object/part payload into per-chunk payloads at the gateway
   /// chunk size (real bytes are sliced and checksummed; synthetic payloads
@@ -479,6 +481,19 @@ class S3Gateway {
   void release_manifest(const std::vector<ChunkRef>& manifest,
                         std::vector<GwRecord>& records,
                         std::vector<ChunkIndex::Entry>& reclaims);
+  /// Turns an ingest's in-flight pins into committed refs, appending one
+  /// index_ref record per manifest entry.
+  void commit_manifest(const std::vector<ChunkRef>& manifest,
+                       std::vector<GwRecord>& records);
+  /// Makes `manifest` the newest version of object `info.key` in `b`
+  /// (`info` carries key, size, etag and owner; the version, timestamp and
+  /// store blob are stamped here). Releases the replaced manifest, fixes
+  /// the bucket totals and appends the put_object record after the release
+  /// records. Returns the new object version.
+  blob::Version install_object(Bucket& b, ObjectInfo info,
+                               const std::vector<ChunkRef>& manifest,
+                               std::vector<GwRecord>& records,
+                               std::vector<ChunkIndex::Entry>& reclaims);
   /// Fire-and-forget chunk removal on every replica of a reclaimed entry.
   void reclaim(std::vector<ChunkIndex::Entry> entries);
 
@@ -495,7 +510,6 @@ class S3Gateway {
   std::map<std::string, Bucket> buckets_;
   std::map<std::uint64_t, UserClient> clients_;
   std::uint64_t lru_tick_{0};
-  std::uint64_t requests_{0};
   GatewayStats stats_;
 
   ChunkIndex chunk_index_;

@@ -14,7 +14,7 @@ SiteEgress::SiteEgress(rpc::Node& node, net::SiteId site,
     : node_(node),
       site_(site),
       options_(options),
-      durable_(node, options.journal, *this),
+      durable_(node, options.journal, *this, "egress recovering"),
       depth_gauge_name_("repl.custody.depth.s" + std::to_string(site)) {
   register_handlers();
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
@@ -443,11 +443,11 @@ void SiteEgress::update_depth_gauge() {
 // ------------------------------------------------------------------ handlers
 
 void SiteEgress::register_handlers() {
-  node_.serve<ReplDeliverReq, ReplDeliverResp>(
+  durable_.serve<ReplDeliverReq, ReplDeliverResp>(
       [this](const ReplDeliverReq& req, const rpc::Envelope&) {
         return handle_deliver(req);
       });
-  node_.serve<ReplMapReq, ReplMapResp>(
+  durable_.serve<ReplMapReq, ReplMapResp>(
       [this](const ReplMapReq& req, const rpc::Envelope&) {
         return handle_map(req);
       });
@@ -455,7 +455,6 @@ void SiteEgress::register_handlers() {
 
 sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
     ReplDeliverReq req) {
-  if (recovering()) co_return Error{Errc::unavailable, "egress recovering"};
   obs::Span span;
   if (auto* ts = obs::sink()) {
     span = ts->span("repl.apply", "repl", 0,
@@ -520,7 +519,6 @@ sim::Task<Result<ReplDeliverResp>> SiteEgress::handle_deliver(
 }
 
 sim::Task<Result<ReplMapResp>> SiteEgress::handle_map(ReplMapReq req) {
-  if (recovering()) co_return Error{Errc::unavailable, "egress recovering"};
   obs::Span span;
   if (auto* ts = obs::sink()) {
     span = ts->span("repl.reconcile", "repl", 0,

@@ -7,7 +7,8 @@
 //   * a torn tail left by a crash mid-commit is truncated once and loses
 //     no acked record (the un-acked one is gone);
 //   * a crash that loses the store cold-starts with nothing to replay;
-//   * requests that arrive during the replay are answered `unavailable`;
+//   * requests of every type the actor serves that arrive during the
+//     replay are answered `unavailable` and change nothing;
 //   * a second crash inside the mount latency aborts the replay: the actor
 //     stays gated with no recovery booked until the next restart, which
 //     completes exactly one;
@@ -85,9 +86,10 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
     blob::BlobClient* writer = dep_->add_client();
     auto blob_id = test::run_task(sim_, writer->create(kChunk, 2));
     EXPECT_TRUE(blob_id.ok());
+    blob_ = blob_id.value();
     for (std::uint64_t i = 0; i < 2; ++i) {
       auto r = test::run_task(
-          sim_, writer->append(blob_id.value(),
+          sim_, writer->append(blob_,
                                blob::Payload::synthetic(2 * kChunk, 7 + i)));
       EXPECT_TRUE(r.ok());
     }
@@ -276,6 +278,134 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
     return call<repl::ReplMapReq, repl::ReplMapResp>(to, req);
   }
 
+  /// Sends one request of every type the subject serves, all at once, and
+  /// runs until each is answered: the error codes (nullopt on success), in
+  /// send order. Each request names live state, so a handler that ran
+  /// during the replay would answer something other than `unavailable`.
+  std::vector<std::optional<Errc>> call_every_type() {
+    Answers answers;
+    const blob::ChunkKey chunk{blob_, 1, 0};
+    const blob::NodeKey tree{blob_, 1, 0, 1};
+    switch (GetParam()) {
+      case Actor::data_provider:
+        fire<blob::PutChunkReq, blob::PutChunkResp>(
+            answers, {.key = {BlobId{999}, 1, 0},
+                      .payload = blob::Payload::synthetic(4 * units::KB, 9)});
+        fire<blob::GetChunkReq, blob::GetChunkResp>(answers, {.key = chunk});
+        fire<blob::RemoveChunkReq, blob::RemoveChunkResp>(answers,
+                                                          {.key = chunk});
+        fire<blob::HasChunkReq, blob::HasChunkResp>(answers, {.key = chunk});
+        fire<blob::ReplicateChunkReq, blob::ReplicateChunkResp>(
+            answers, {.key = chunk, .target = client_->id()});
+        fire<blob::RemoveBlobChunksReq, blob::RemoveBlobChunksResp>(
+            answers, {.blob = blob_});
+        fire<blob::ProviderStatusReq, blob::ProviderStatusResp>(answers, {});
+        fire<blob::ListChunksReq, blob::ListChunksResp>(answers, {});
+        break;
+      case Actor::metadata_provider:
+        fire<blob::MetaPutReq, blob::MetaPutResp>(answers,
+                                                  {.key = tree, .node = {}});
+        fire<blob::MetaRemoveReq, blob::MetaRemoveResp>(answers,
+                                                        {.key = tree});
+        fire<blob::MetaGetReq, blob::MetaGetResp>(answers, {.key = tree});
+        break;
+      case Actor::version_manager:
+        fire<blob::CreateBlobReq, blob::CreateBlobResp>(
+            answers, {.chunk_size = kChunk});
+        fire<blob::BlobInfoReq, blob::BlobInfoResp>(answers, {.blob = blob_});
+        fire<blob::StartWriteReq, blob::StartWriteResp>(
+            answers, {.blob = blob_, .size = kChunk});
+        fire<blob::CommitWriteReq, blob::CommitWriteResp>(
+            answers, {.blob = blob_, .version = 2});
+        fire<blob::AbortWriteReq, blob::AbortWriteResp>(
+            answers, {.blob = blob_, .version = 2});
+        fire<blob::ListBlobsReq, blob::ListBlobsResp>(answers, {});
+        fire<blob::BlobVersionsReq, blob::BlobVersionsResp>(answers,
+                                                            {.blob = blob_});
+        fire<blob::TrimBlobReq, blob::TrimBlobResp>(
+            answers, {.blob = blob_, .keep_from = 2});
+        fire<blob::SetReplicationReq, blob::SetReplicationResp>(
+            answers, {.blob = blob_, .replication = 3});
+        fire<blob::DeleteBlobReq, blob::DeleteBlobResp>(answers,
+                                                        {.blob = blob_});
+        break;
+      case Actor::gateway: {
+        const auto small = blob::Payload::synthetic(4 * units::KB, 9);
+        fire<cloud::S3CreateBucketReq, cloud::S3CreateBucketResp>(
+            answers, {.bucket = "gated"});
+        fire<cloud::S3DeleteBucketReq, cloud::S3DeleteBucketResp>(
+            answers, {.bucket = "b"});
+        fire<cloud::S3ListBucketsReq, cloud::S3ListBucketsResp>(answers, {});
+        fire<cloud::S3SetAclReq, cloud::S3SetAclResp>(
+            answers, {.bucket = "b", .public_read = true,
+                      .set_public_read = true});
+        fire<cloud::S3PutObjectReq, cloud::S3PutObjectResp>(
+            answers,
+            {.bucket = "b", .key = "y", .payload = small, .chunk_sums = {}});
+        fire<cloud::S3GetObjectReq, cloud::S3GetObjectResp>(
+            answers, {.bucket = "b", .key = "x"});
+        fire<cloud::S3HeadObjectReq, cloud::S3HeadObjectResp>(
+            answers, {.bucket = "b", .key = "x"});
+        fire<cloud::S3DeleteObjectReq, cloud::S3DeleteObjectResp>(
+            answers, {.bucket = "b", .key = "x"});
+        fire<cloud::S3ListObjectsReq, cloud::S3ListObjectsResp>(
+            answers, {.bucket = "b", .prefix = {}, .marker = {}});
+        fire<cloud::S3CreateMultipartReq, cloud::S3CreateMultipartResp>(
+            answers, {.bucket = "b", .key = "m"});
+        fire<cloud::S3UploadPartReq, cloud::S3UploadPartResp>(
+            answers, {.bucket = "b", .key = "m", .upload_id = 1,
+                      .part_number = 1, .payload = small, .chunk_sums = {}});
+        fire<cloud::S3CompleteMultipartReq, cloud::S3CompleteMultipartResp>(
+            answers, {.bucket = "b", .key = "m", .upload_id = 1,
+                      .part_count = 1});
+        fire<cloud::S3AbortMultipartReq, cloud::S3AbortMultipartResp>(
+            answers, {.bucket = "b", .key = "m", .upload_id = 1});
+        fire<cloud::S3PutDeltaReq, cloud::S3PutDeltaResp>(
+            answers, {.bucket = "b", .key = "x", .new_size = 2 * kChunk,
+                      .chunks = {}});
+        break;
+      }
+      case Actor::egress: {
+        repl::ReplDeliverReq deliver;
+        deliver.src_site = plane_->origin_site();
+        deliver.kind = static_cast<std::uint8_t>(repl::BundleKind::publish);
+        deliver.blob = BlobId{999};
+        deliver.version = 1;
+        fire<repl::ReplDeliverReq, repl::ReplDeliverResp>(answers, deliver);
+        repl::ReplMapReq map;
+        map.from_site = plane_->origin_site();
+        map.map = eg_->map().encode_wire();
+        fire<repl::ReplMapReq, repl::ReplMapResp>(answers, map);
+        break;
+      }
+    }
+    for (int i = 0; i < 1000000 && answers.pending > 0 && sim_.step(); ++i) {
+    }
+    EXPECT_EQ(answers.pending, 0u);
+    return answers.codes;
+  }
+
+  struct Answers {
+    std::vector<std::optional<Errc>> codes;
+    std::size_t pending{0};
+  };
+
+  /// Starts one call to the subject; its answer lands in `answers`.
+  template <class Req, class Resp>
+  void fire(Answers& answers, Req req) {
+    EXPECT_TRUE(node_->serves(typeid(Req))) << Req::kName;
+    answers.codes.emplace_back();
+    ++answers.pending;
+    sim_.spawn([](rpc::Cluster& cl, rpc::Node& from, NodeId to, Req r,
+                  rpc::CallOptions o, Answers& out,
+                  std::size_t slot) -> sim::Task<void> {
+      auto res = co_await cl.call<Req, Resp>(from, to, std::move(r), o);
+      if (!res.ok()) out.codes[slot] = res.error().code;
+      --out.pending;
+    }(dep_->cluster(), *client_, node_->id(), std::move(req), opts(), answers,
+      answers.codes.size() - 1));
+  }
+
   template <class Req, class Resp>
   std::optional<Errc> call(NodeId to, Req req) {
     auto r = test::run_task(sim_, dep_->cluster().call<Req, Resp>(
@@ -340,6 +470,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
   std::unique_ptr<cloud::S3Gateway> gateway_;
   rpc::Node* client_{nullptr};
   rpc::Node* node_{nullptr};
+  BlobId blob_{};
   blob::DataProvider* dp_{nullptr};
   blob::MetadataProvider* mp_{nullptr};
   repl::SiteEgress* eg_{nullptr};
@@ -377,15 +508,25 @@ TEST_P(CrashMatrix, LostStorageColdStarts) {
 
 TEST_P(CrashMatrix, RequestsDuringReplayAreUnavailable) {
   const std::optional<Errc> unavailable = Errc::unavailable;
+  constexpr std::size_t kServedTypes[] = {8, 3, 10, 14, 2};
   ASSERT_NE(probe(), unavailable);
+  const std::uint64_t before = digest();
   crash();
   settle(simtime::seconds(1));
   node_->restart();
   ASSERT_TRUE(recovering());
-  // The probe comes from the subject's own site, well inside the mount.
-  EXPECT_EQ(probe(), unavailable);
-  settle(simtime::seconds(10));
-  EXPECT_FALSE(recovering());
+  // The requests come from the subject's own site, well inside the mount.
+  const std::vector<std::optional<Errc>> answers = call_every_type();
+  ASSERT_EQ(answers.size(), kServedTypes[static_cast<int>(GetParam())]);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i], unavailable) << "request #" << i;
+  }
+  EXPECT_TRUE(recovering());
+  for (int i = 0; i < 1000000 && recovering() && sim_.step(); ++i) {
+  }
+  ASSERT_FALSE(recovering());
+  // Nothing a gated request carried reached the replayed state.
+  EXPECT_EQ(digest(), before);
   EXPECT_NE(probe(), unavailable);
 }
 

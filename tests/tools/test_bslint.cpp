@@ -592,6 +592,51 @@ TEST(BslintHygiene, FlagsUsingNamespaceInHeadersOnly) {
   EXPECT_TRUE(scan("src/x.hpp", "using std::string;\n").empty());
 }
 
+TEST(BslintHygiene, FlagsServeAroundTheRecoveryGate) {
+  auto fs = scan("src/x.cpp",
+                 "void A::reg() {\n"
+                 "  durable_.serve<GetReq, GetResp>(get_handler());\n"
+                 "  node_.serve<PutReq, PutResp>(put_handler());\n"
+                 "}\n"
+                 "void A::crash() { durable_.crash({}); }\n");
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>{"hyg-ungated-serve"});
+  EXPECT_EQ(fs[0].line, 3);
+  EXPECT_NE(fs[0].message.find("node_.serve<...>"), std::string::npos);
+}
+
+TEST(BslintHygiene, GatedServeAndNonDurableFilesAreClean) {
+  // Every handler of a journaled actor goes through the gate...
+  EXPECT_TRUE(scan("src/x.cpp",
+                   "void A::reg() {\n"
+                   "  durable_.serve<GetReq, GetResp>(\n"
+                   "      [this](const GetReq& q, const rpc::Envelope&)\n"
+                   "          -> sim::Task<Result<GetResp>> {\n"
+                   "        co_return get(q);\n"
+                   "      });\n"
+                   "}\n")
+                  .empty());
+  // ...while a file without a durable_ member (an unjournaled service, the
+  // gate itself, where durable_ is a plain counter) serves directly.
+  EXPECT_TRUE(scan("src/x.cpp",
+                   "void B::reg() { node_.serve<PingReq, PingResp>(h()); }\n"
+                   "void J::seal() { durable_ = 0; }\n")
+                  .empty());
+}
+
+TEST(BslintHygiene, SuppressedUngatedServeCounts) {
+  ScanStats stats;
+  auto fs = scan("src/x.cpp",
+                 "void A::reg() {\n"
+                 "  durable_.serve<GetReq, GetResp>(get_handler());\n"
+                 "  // bslint: allow(hyg-ungated-serve): liveness probe must\n"
+                 "  // answer while the replay runs\n"
+                 "  node_.serve<PingReq, PingResp>(ping_handler());\n"
+                 "}\n",
+                 &stats);
+  EXPECT_TRUE(fs.empty());
+  EXPECT_EQ(stats.suppressed, 1);
+}
+
 // ------------------------------------------------ suppression parsing
 
 TEST(BslintSuppression, BareAllowIsItselfAFinding) {

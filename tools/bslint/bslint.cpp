@@ -108,6 +108,12 @@ const std::vector<RuleDesc>& rule_table() {
       {"hyg-bad-allow", 'H',
        "suppression naming an unknown rule",
        "check `bslint --list-rules` for valid ids"},
+      {"hyg-ungated-serve", 'H',
+       "handler of a journaled actor registered around its recovery gate",
+       "register through durable_.serve<Req, Resp>(...): it answers "
+       "`unavailable` while a journal replay rebuilds the actor's state, so "
+       "no handler serves half-replayed state; allow() with the reason a "
+       "handler must run during replay"},
   };
   return kRules;
 }
@@ -133,6 +139,7 @@ class Scanner {
     check_first_await_if();
     check_obs_guards();
     check_using_namespace();
+    check_ungated_serve();
     for (const Finding& f : lex_.comment_findings) report_raw(f);
     std::sort(findings_.begin(), findings_.end(), finding_less);
     findings_.erase(std::unique(findings_.begin(), findings_.end()),
@@ -444,8 +451,9 @@ class Scanner {
   }
 
   /// True when the capture-open bracket at `i` belongs to a lambda passed
-  /// directly to Node::serve<...>(...) — stored for the node's lifetime, so
-  /// by-ref/this captures cannot outlive the coroutine.
+  /// directly to a serve<...>(...) call — Node::serve, or Durable::serve,
+  /// which stores it inside its wrapper — so it lives as long as the node
+  /// and by-ref/this captures cannot outlive the coroutine.
   bool is_serve_argument(std::size_t i) const {
     const auto& t = lex_.toks;
     if (i == 0 || !is_punct(t[i - 1], "(")) return false;
@@ -641,6 +649,34 @@ class Scanner {
         report(t[i].line, t[i].col, "hyg-using-namespace",
                "using-directive in a header");
       }
+    }
+  }
+
+  /// hyg-ungated-serve: a src/ file that calls into `durable_` belongs to a
+  /// journaled actor, whose handlers must all register through
+  /// durable_.serve<...>(...) (the recovery gate). Any other
+  /// serve<...>( call there — node_.serve, a bare serve — bypasses it.
+  void check_ungated_serve() {
+    if (!scope_.in_src) return;
+    const auto& t = lex_.toks;
+    const auto member_access = [&](std::size_t i) {
+      return is_punct(t[i], ".") || is_punct(t[i], "->");
+    };
+    bool durable_actor = false;
+    for (std::size_t i = 0; i + 1 < t.size() && !durable_actor; ++i) {
+      durable_actor = is_ident(t[i], "durable_") && member_access(i + 1);
+    }
+    if (!durable_actor) return;
+    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+      if (!is_ident(t[i], "serve") || !is_punct(t[i + 1], "<")) continue;
+      const std::size_t close = match_angles(t, i + 1);
+      if (close + 1 >= t.size() || !is_punct(t[close + 1], "(")) continue;
+      const bool member = i >= 2 && member_access(i - 1);
+      if (member && is_ident(t[i - 2], "durable_")) continue;
+      const std::string call =
+          (member ? t[i - 2].text + t[i - 1].text : "") + "serve<...>";
+      report(t[i].line, t[i].col, "hyg-ungated-serve",
+             "'" + call + "' bypasses the durable actor's recovery gate");
     }
   }
 

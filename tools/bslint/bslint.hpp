@@ -22,7 +22,7 @@
 //   O (observability)     obs-unguarded
 //   P (performance)       perf-large-byvalue
 //   H (hygiene)           hyg-iostream, hyg-using-namespace, hyg-bare-allow,
-//                         hyg-bad-allow
+//                         hyg-bad-allow, hyg-ungated-serve
 //
 // Findings are suppressed per line with
 //   // bslint: allow(rule-a, rule-b): rationale
