@@ -18,8 +18,6 @@ class AllocationStrategy {
  public:
   virtual ~AllocationStrategy() = default;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
   /// Picks `replication` distinct providers for one chunk of `chunk_size`
   /// bytes from `candidates` (alive, not decommissioning, not excluded,
   /// enough free space). Returns fewer when the pool is too small. May
@@ -32,7 +30,6 @@ class AllocationStrategy {
 /// Rotates a cursor over the provider list — BlobSeer's default.
 class RoundRobinStrategy final : public AllocationStrategy {
  public:
-  const char* name() const override { return "round_robin"; }
   std::vector<NodeId> place_chunk(std::vector<ProviderEntry*>& candidates,
                                   std::uint64_t chunk_size,
                                   std::uint32_t replication,
@@ -45,7 +42,6 @@ class RoundRobinStrategy final : public AllocationStrategy {
 /// Uniformly random distinct providers.
 class RandomStrategy final : public AllocationStrategy {
  public:
-  const char* name() const override { return "random"; }
   std::vector<NodeId> place_chunk(std::vector<ProviderEntry*>& candidates,
                                   std::uint64_t chunk_size,
                                   std::uint32_t replication,
@@ -57,7 +53,6 @@ class RandomStrategy final : public AllocationStrategy {
 /// machinery prefers.
 class LoadAwareStrategy final : public AllocationStrategy {
  public:
-  const char* name() const override { return "load_aware"; }
   std::vector<NodeId> place_chunk(std::vector<ProviderEntry*>& candidates,
                                   std::uint64_t chunk_size,
                                   std::uint32_t replication,

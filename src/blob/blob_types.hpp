@@ -3,6 +3,8 @@
 // version described by a copy-on-write segment tree over the chunk space.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -60,6 +62,21 @@ struct Payload {
   /// so readers can verify without shipping real bytes.
   static Payload synthetic(std::uint64_t size, std::uint64_t content_id) {
     return Payload{size, fnv1a_u64(content_id), nullptr};
+  }
+
+  /// Slice `i` of this payload cut into `chunk_size` pieces: a copy of the
+  /// real bytes, or for a synthetic payload a slice whose checksum is
+  /// derived from this payload's checksum and `i`.
+  [[nodiscard]] Payload chunk(std::uint64_t i,
+                              std::uint64_t chunk_size) const {
+    const std::uint64_t lo = i * chunk_size;
+    const std::uint64_t len = std::min(chunk_size, size - lo);
+    if (bytes) {
+      return from_bytes(std::vector<std::uint8_t>(
+          bytes->begin() + static_cast<std::ptrdiff_t>(lo),
+          bytes->begin() + static_cast<std::ptrdiff_t>(lo + len)));
+    }
+    return Payload{len, hash_combine(checksum, i), nullptr};
   }
 };
 

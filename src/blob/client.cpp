@@ -32,9 +32,9 @@ rpc::CallOptions BlobClient::opts(SimDuration timeout,
 }
 
 void BlobClient::report_provider_failure(NodeId provider) {
-  if (!config_.report_failures) return;
-  // Fire-and-forget: the report must never block or fail the data path.
-  // Retries are off — a lost report is harmless.
+  // Tells the provider manager, so allocation steers away from the failing
+  // provider. Fire-and-forget: the report must never block or fail the
+  // data path. Retries are off — a lost report is harmless.
   rpc::CallOptions o;
   o.timeout = config_.rpc_timeout;
   o.client = id_;
@@ -346,21 +346,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
   plan.chunk_payloads.reserve(n_chunks);
   plan.leaves.resize(n_chunks);
   for (std::uint64_t i = 0; i < n_chunks; ++i) {
-    Payload p;
-    if (!presplit.empty()) {
-      p = std::move(presplit[i]);
-    } else if (data.bytes) {
-      const std::uint64_t lo = i * cs;
-      const std::uint64_t len = std::min(cs, data.size - lo);
-      std::vector<std::uint8_t> slice(
-          data.bytes->begin() + static_cast<std::ptrdiff_t>(lo),
-          data.bytes->begin() + static_cast<std::ptrdiff_t>(lo + len));
-      p = Payload::from_bytes(std::move(slice));
-    } else {
-      const std::uint64_t lo = i * cs;
-      p.size = std::min(cs, data.size - lo);
-      p.checksum = hash_combine(data.checksum, i);
-    }
+    Payload p = presplit.empty() ? data.chunk(i, cs) : std::move(presplit[i]);
     ChunkDescriptor& leaf = plan.leaves[i];
     leaf.key = ChunkKey{blob, plan.start.version, plan.start.first_chunk + i};
     leaf.size = p.size;

@@ -32,9 +32,6 @@ struct ClientConfig {
   /// backoff, deterministic via the cluster's seeded RNG). Down-node
   /// failures still fail fast; retries matter for drops and timeouts.
   rpc::RetryPolicy retry{.max_attempts = 3};
-  /// Report chunk put/get transport failures to the provider manager so
-  /// allocation steers away from the failing provider.
-  bool report_failures{true};
 };
 
 struct WriteReceipt {

@@ -25,10 +25,12 @@ Deployment::Deployment(sim::Simulation& sim, DeploymentConfig config)
       std::max<std::size_t>(manager_spec.service_concurrency, 1024);
   vm_node_ = cluster_->add_node(next_site(), manager_spec);
   vm_ = std::make_unique<VersionManager>(*vm_node_, config_.vm_options);
-  if (config_.start_lease_sweeper) vm_->start_lease_sweeper();
+  // Auto-abort uncommitted writes whose client died (lease expiry), so a
+  // crash mid-write never stalls the publication queue forever.
+  vm_->start_lease_sweeper();
   pm_node_ = cluster_->add_node(next_site(), manager_spec);
   pm_ = std::make_unique<ProviderManager>(*pm_node_, config_.pm_options);
-  if (config_.start_reaper) pm_->start_reaper();
+  pm_->start_reaper();
 
   for (std::size_t i = 0; i < config_.metadata_providers; ++i) {
     rpc::Node* n = cluster_->add_node(next_site(), config_.node_spec);
@@ -72,9 +74,7 @@ DataProvider* Deployment::add_provider() {
   opts.capacity = config_.provider_capacity;
   opts.journal = config_.journal;
   providers_.push_back(std::make_unique<DataProvider>(*n, opts));
-  if (config_.start_heartbeats) {
-    providers_.back()->start_heartbeats(pm_node_->id());
-  }
+  providers_.back()->start_heartbeats(pm_node_->id());
   return providers_.back().get();
 }
 

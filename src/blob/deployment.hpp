@@ -26,11 +26,6 @@ struct DeploymentConfig {
   rpc::NodeSpec client_spec{};        ///< client machines
   ProviderManager::Options pm_options{};
   VersionManager::Options vm_options{};
-  bool start_heartbeats{true};
-  bool start_reaper{true};
-  /// Auto-abort uncommitted writes whose client died (lease expiry), so a
-  /// crash mid-write never stalls the publication queue forever.
-  bool start_lease_sweeper{true};
   /// Seed for the cluster's fault/retry RNG (backoff jitter).
   std::uint64_t fault_seed{0xB5FA117ull};
   /// Persistent store model for every stateful service (version manager,

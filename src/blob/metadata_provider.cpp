@@ -96,7 +96,7 @@ RemoteMetadataStore::RemoteMetadataStore(rpc::Node& self,
                                          std::vector<NodeId> providers,
                                          ClientId as_client,
                                          SimDuration timeout,
-                                         std::optional<rpc::RetryPolicy> retry)
+                                         rpc::RetryPolicy retry)
     : self_(self), providers_(std::move(providers)) {
   assert(!providers_.empty());
   opts_.client = as_client;

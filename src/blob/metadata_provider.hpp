@@ -72,7 +72,7 @@ class RemoteMetadataStore final : public MetadataStore {
  public:
   RemoteMetadataStore(rpc::Node& self, std::vector<NodeId> providers,
                       ClientId as_client, SimDuration timeout,
-                      std::optional<rpc::RetryPolicy> retry = {});
+                      rpc::RetryPolicy retry = {});
 
   sim::Task<Result<TreeNode>> get(NodeKey key) override;
   sim::Task<Result<void>> put(NodeKey key, TreeNode node) override;

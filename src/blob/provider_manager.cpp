@@ -129,7 +129,6 @@ void ProviderManager::register_handlers() {
   node_.serve<ReportFailureReq, ReportFailureResp>(
       [this](const ReportFailureReq& req,
              const rpc::Envelope&) -> sim::Task<Result<ReportFailureResp>> {
-        ++failure_reports_;
         auto it = registry_.find(req.provider.value);
         if (it == registry_.end()) co_return ReportFailureResp{};
         auto& e = it->second;
@@ -165,7 +164,6 @@ void ProviderManager::register_handlers() {
             co_return Error{Errc::out_of_space,
                             "no eligible data providers"};
           }
-          allocated_ += placed.size();
           resp.placements.push_back(std::move(placed));
         }
         co_return resp;

@@ -36,9 +36,6 @@ class ProviderManager {
   [[nodiscard]] NodeId id() const { return node_.id(); }
   [[nodiscard]] std::size_t provider_count() const { return registry_.size(); }
   [[nodiscard]] std::size_t alive_count() const;
-  [[nodiscard]] const char* strategy_name() const {
-    return strategy_->name();
-  }
 
   /// Direct registry snapshot (for tests and same-process engines).
   [[nodiscard]] std::vector<ProviderEntry> snapshot() const;
@@ -54,12 +51,6 @@ class ProviderManager {
 
   /// Starts the reaper that expires providers missing heartbeats.
   void start_reaper();
-
-  /// Total chunks allocated so far (placement decisions made).
-  [[nodiscard]] std::uint64_t chunks_allocated() const { return allocated_; }
-  [[nodiscard]] std::uint64_t failure_reports() const {
-    return failure_reports_;
-  }
 
   /// Geo-replication steering: when set, allocation for a requester at site
   /// `from` skips providers at any site `to` with reachable(from, to) false
@@ -83,8 +74,6 @@ class ProviderManager {
   std::unique_ptr<AllocationStrategy> strategy_;
   Rng rng_;
   std::map<std::uint64_t, ProviderEntry> registry_;  // by NodeId value
-  std::uint64_t allocated_{0};
-  std::uint64_t failure_reports_{0};
   bool reaper_enabled_{false};
   bool reaper_running_{false};
   ReachabilityFn reachable_;

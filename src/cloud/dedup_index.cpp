@@ -23,7 +23,6 @@ ChunkIndex::Entry& ChunkIndex::insert(const ChunkRef& ref,
   it->second.ref = ref;
   it->second.replicas = std::move(replicas);
   it->second.pending = 1;
-  bytes_ += ref.size;
   return it->second;
 }
 
@@ -35,7 +34,6 @@ std::optional<ChunkIndex::Entry> ChunkIndex::maybe_reclaim(
     std::map<std::uint64_t, Entry>::iterator it) {
   if (it->second.refs > 0 || it->second.pending > 0) return std::nullopt;
   Entry out = std::move(it->second);
-  bytes_ -= out.ref.size;
   entries_.erase(it);
   return out;
 }
@@ -74,22 +72,16 @@ std::optional<ChunkIndex::Entry> ChunkIndex::release(const ChunkRef& ref) {
   return maybe_reclaim(it);
 }
 
-void ChunkIndex::drop(std::uint64_t hash) {
-  auto it = entries_.find(hash);
-  if (it == entries_.end()) return;
-  bytes_ -= it->second.ref.size;
-  entries_.erase(it);
-}
+void ChunkIndex::drop(std::uint64_t hash) { entries_.erase(hash); }
 
 void ChunkIndex::apply_insert(const ChunkRef& ref,
                               std::vector<NodeId> replicas,
                               std::uint64_t refs) {
-  auto [it, inserted] = entries_.emplace(ref.hash, Entry{});
-  if (inserted) bytes_ += ref.size;
-  it->second.ref = ref;
-  it->second.replicas = std::move(replicas);
-  it->second.refs = refs;
-  it->second.pending = 0;
+  Entry& e = entries_[ref.hash];
+  e.ref = ref;
+  e.replicas = std::move(replicas);
+  e.refs = refs;
+  e.pending = 0;
 }
 
 void ChunkIndex::apply_ref(std::uint64_t hash, std::uint64_t store_index) {
@@ -104,16 +96,10 @@ void ChunkIndex::apply_release(std::uint64_t hash,
   if (it == entries_.end()) return;
   if (it->second.ref.store_index != store_index) return;
   if (it->second.refs > 0) --it->second.refs;
-  if (it->second.refs == 0) {
-    bytes_ -= it->second.ref.size;
-    entries_.erase(it);
-  }
+  if (it->second.refs == 0) entries_.erase(it);
 }
 
-void ChunkIndex::clear() {
-  entries_.clear();
-  bytes_ = 0;
-}
+void ChunkIndex::clear() { entries_.clear(); }
 
 void ChunkIndex::invalidate_verification() {
   for (auto& [hash, e] : entries_) e.verified = false;

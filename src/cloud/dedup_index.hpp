@@ -75,7 +75,6 @@ class ChunkIndex {
   void invalidate_verification();
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::uint64_t bytes_indexed() const { return bytes_; }
   [[nodiscard]] std::uint64_t digest() const;
   [[nodiscard]] const std::map<std::uint64_t, Entry>& entries() const {
     return entries_;
@@ -86,7 +85,6 @@ class ChunkIndex {
       std::map<std::uint64_t, Entry>::iterator it);
 
   std::map<std::uint64_t, Entry> entries_;
-  std::uint64_t bytes_{0};  ///< sum of indexed chunk sizes
 };
 
 }  // namespace bs::cloud

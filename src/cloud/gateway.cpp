@@ -148,19 +148,8 @@ Result<std::vector<blob::Payload>> S3Gateway::split_payload(
   std::vector<blob::Payload> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t lo = i * cs;
-    const std::uint64_t len = std::min(cs, payload.size - lo);
-    blob::Payload p;
-    if (payload.bytes) {
-      std::vector<std::uint8_t> slice(
-          payload.bytes->begin() + static_cast<std::ptrdiff_t>(lo),
-          payload.bytes->begin() + static_cast<std::ptrdiff_t>(lo + len));
-      p = blob::Payload::from_bytes(std::move(slice));
-    } else {
-      p.size = len;
-      p.checksum = chunk_sums.empty() ? hash_combine(payload.checksum, i)
-                                      : chunk_sums[i];
-    }
+    blob::Payload p = payload.chunk(i, cs);
+    if (!payload.bytes && !chunk_sums.empty()) p.checksum = chunk_sums[i];
     out.push_back(std::move(p));
   }
   return out;
@@ -265,7 +254,7 @@ sim::Task<Result<S3Gateway::IngestResult>> S3Gateway::ingest_chunks(
     for (;;) {
       ChunkIndex::Entry* e = chunk_index_.find(h);
       if (e != nullptr) {
-        if (!e->verified && options_.verify_hits_after_recovery) {
+        if (!e->verified) {
           // Recovered entry: the providers may have been wiped while the
           // gateway journal survived. Probe before trusting the hit.
           chunk_index_.pin(h);
@@ -638,9 +627,10 @@ S3Gateway::encode_checkpoint() const {
 }
 
 void S3Gateway::on_readable(const blob::RecoveryOutcome&) {
-  if (options_.verify_hits_after_recovery) {
-    chunk_index_.invalidate_verification();
-  }
+  // After a journal recovery, re-verify an index entry on its first dedup
+  // hit: the providers may have lost the chunk independently of the
+  // gateway, and a hit on a vanished chunk would corrupt the new object.
+  chunk_index_.invalidate_verification();
 }
 
 // ------------------------------------------------------------------ digest

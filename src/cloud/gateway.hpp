@@ -286,10 +286,6 @@ struct GatewayOptions {
   std::uint32_t get_parallelism{8};
   /// Hard cap on a list_objects page (AWS S3 uses 1000).
   std::uint64_t max_keys_cap{1000};
-  /// After a journal recovery, re-verify an index entry on its first dedup
-  /// hit: the providers may have lost the chunk independently of the
-  /// gateway, and a hit on a vanished chunk would corrupt the new object.
-  bool verify_hits_after_recovery{true};
   /// Identity that owns the shared chunk-store blob and chunk reclamation.
   ClientId store_identity{0x5707E};
   /// WAL for bucket/object metadata and the dedup index (PR 7 model).
@@ -329,7 +325,6 @@ class S3Gateway {
             GatewayOptions options = GatewayOptions());
 
   [[nodiscard]] NodeId id() const { return node_.id(); }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   [[nodiscard]] const GatewayStats& stats() const { return stats_; }
   [[nodiscard]] const ChunkIndex& index() const { return chunk_index_; }
   [[nodiscard]] std::size_t user_client_count() const {

@@ -1,120 +1,10 @@
 #include "common/config.hpp"
 
-#include <cctype>
 #include <cstdlib>
 
 #include "common/strings.hpp"
 
 namespace bs {
-
-Result<Config> Config::parse(const std::string& text) {
-  Config cfg;
-  int lineno = 0;
-  for (const auto& raw_line : split(text, '\n')) {
-    ++lineno;
-    auto line = trim(raw_line);
-    if (line.empty() || line.front() == '#') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      return Error{Errc::parse_error,
-                   "config line " + std::to_string(lineno) + ": missing '='"};
-    }
-    const auto key = trim(line.substr(0, eq));
-    const auto value = trim(line.substr(eq + 1));
-    if (key.empty()) {
-      return Error{Errc::parse_error,
-                   "config line " + std::to_string(lineno) + ": empty key"};
-    }
-    cfg.set(std::string(key), std::string(value));
-  }
-  return cfg;
-}
-
-void Config::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
-}
-void Config::set_int(const std::string& key, std::int64_t value) {
-  values_[key] = std::to_string(value);
-}
-void Config::set_double(const std::string& key, double value) {
-  values_[key] = std::to_string(value);
-}
-void Config::set_bool(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
-}
-
-bool Config::has(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
-std::string Config::get_string(const std::string& key,
-                               const std::string& dflt) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? dflt : it->second;
-}
-
-std::int64_t Config::get_int(const std::string& key, std::int64_t dflt) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return dflt;
-  char* end = nullptr;
-  const auto v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end && *end == '\0') ? v : dflt;
-}
-
-double Config::get_double(const std::string& key, double dflt) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return dflt;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end && *end == '\0') ? v : dflt;
-}
-
-bool Config::get_bool(const std::string& key, bool dflt) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return dflt;
-  const auto v = to_lower(it->second);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return dflt;
-}
-
-std::uint64_t Config::get_bytes(const std::string& key,
-                                std::uint64_t dflt) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return dflt;
-  auto parsed = parse_bytes(it->second);
-  return parsed.ok() ? parsed.value() : dflt;
-}
-
-SimDuration Config::get_duration(const std::string& key,
-                                 SimDuration dflt) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return dflt;
-  auto parsed = parse_duration(it->second);
-  return parsed.ok() ? parsed.value() : dflt;
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
-}
-
-std::string Config::to_string() const {
-  std::string out;
-  for (const auto& [k, v] : values_) {
-    out += k;
-    out += " = ";
-    out += v;
-    out += '\n';
-  }
-  return out;
-}
 
 namespace {
 struct NumberSuffix {
@@ -134,7 +24,7 @@ Result<NumberSuffix> split_number_suffix(const std::string& text) {
 }
 }  // namespace
 
-Result<std::uint64_t> Config::parse_bytes(const std::string& text) {
+Result<std::uint64_t> parse_bytes(const std::string& text) {
   auto ns = split_number_suffix(text);
   if (!ns.ok()) return ns.error();
   const auto& [number, suffix] = ns.value();
@@ -162,7 +52,7 @@ Result<std::uint64_t> Config::parse_bytes(const std::string& text) {
   return static_cast<std::uint64_t>(number * mult);
 }
 
-Result<SimDuration> Config::parse_duration(const std::string& text) {
+Result<SimDuration> parse_duration(const std::string& text) {
   auto ns = split_number_suffix(text);
   if (!ns.ok()) return ns.error();
   const auto& [number, suffix] = ns.value();

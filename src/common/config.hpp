@@ -1,60 +1,19 @@
-// Flat key-value configuration with typed access and "k=v" / file parsing.
-// Every deployable component is parameterized through a Config so experiment
-// harnesses can sweep settings without recompiling.
+// Unit literals: byte sizes and durations with suffixes, as the policy
+// language writes them.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "common/result.hpp"
 #include "common/types.hpp"
 
 namespace bs {
 
-class Config {
- public:
-  Config() = default;
+/// Accepts suffixed byte sizes: "64KB", "4MiB", "1GB", plain numbers.
+Result<std::uint64_t> parse_bytes(const std::string& text);
 
-  /// Parses lines of `key = value` (# comments, blank lines ignored).
-  static Result<Config> parse(const std::string& text);
-
-  void set(const std::string& key, const std::string& value);
-  void set_int(const std::string& key, std::int64_t value);
-  void set_double(const std::string& key, double value);
-  void set_bool(const std::string& key, bool value);
-
-  [[nodiscard]] bool has(const std::string& key) const;
-
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       const std::string& dflt = {}) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t dflt = 0) const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double dflt = 0.0) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool dflt = false) const;
-
-  /// Accepts suffixed byte sizes: "64KB", "4MiB", "1GB", plain numbers.
-  [[nodiscard]] std::uint64_t get_bytes(const std::string& key,
-                                        std::uint64_t dflt = 0) const;
-
-  /// Accepts suffixed durations: "250ms", "10s", "2min", plain ns.
-  [[nodiscard]] SimDuration get_duration(const std::string& key,
-                                         SimDuration dflt = 0) const;
-
-  /// Merges `other` over this config (other's keys win).
-  void merge(const Config& other);
-
-  [[nodiscard]] std::vector<std::string> keys() const;
-  [[nodiscard]] std::string to_string() const;
-
-  /// Standalone parsers, also used by the policy language for literals.
-  static Result<std::uint64_t> parse_bytes(const std::string& text);
-  static Result<SimDuration> parse_duration(const std::string& text);
-
- private:
-  std::map<std::string, std::string> values_;
-};
+/// Accepts suffixed durations: "250ms", "10s", "2min", plain ns.
+Result<SimDuration> parse_duration(const std::string& text);
 
 }  // namespace bs

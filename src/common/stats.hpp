@@ -51,7 +51,6 @@ class Histogram {
   [[nodiscard]] double max() const { return stats_.max(); }
   [[nodiscard]] const std::vector<std::uint64_t>& bins() const { return bins_; }
   [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_width() const { return width_; }
 
   /// One-line summary "count=… mean=… p50=… p99=… max=…".
   [[nodiscard]] std::string summary() const;

@@ -17,7 +17,6 @@ class TokenBucket {
   /// Time at which `tokens` would next be available (>= now).
   [[nodiscard]] SimTime next_available(SimTime now, double tokens = 1.0) const;
 
-  void set_rate(double rate_per_sec) { rate_ = rate_per_sec; }
   [[nodiscard]] double rate() const { return rate_; }
   [[nodiscard]] double available(SimTime now) const;
 

@@ -1,11 +1,9 @@
 // Knowledge base of the MAPE-K loop: the introspection snapshots (current +
-// bounded history) and the administrator's goal configuration, shared by all
-// self-* modules.
+// bounded history), shared by all self-* modules.
 #pragma once
 
 #include <deque>
 
-#include "common/config.hpp"
 #include "intro/introspection.hpp"
 
 namespace bs::core {
@@ -42,14 +40,10 @@ class KnowledgeBase {
     return count > 0 ? sum / static_cast<double>(count) : 0;
   }
 
-  [[nodiscard]] Config& goals() { return goals_; }
-  [[nodiscard]] const Config& goals() const { return goals_; }
-
  private:
   std::size_t max_history_;
   intro::SystemSnapshot current_;
   std::deque<intro::SystemSnapshot> history_;
-  Config goals_;
 };
 
 }  // namespace bs::core

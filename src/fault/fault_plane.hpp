@@ -159,10 +159,6 @@ class FaultPlane {
   [[nodiscard]] std::uint64_t faults_applied() const {
     return faults_applied_;
   }
-  [[nodiscard]] bool link_faulted(net::SiteId a, net::SiteId b) const {
-    return links_.count(pair_key(a, b)) > 0;
-  }
-  [[nodiscard]] std::size_t slowed_disks() const { return slowed_.size(); }
 
  private:
   struct LinkRule {

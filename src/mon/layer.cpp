@@ -153,7 +153,6 @@ void MonitoringLayer::attach_provider(blob::DataProvider& provider) {
 }
 
 void MonitoringLayer::attach_node_gauges(rpc::Node& node, Instrument& inst) {
-  if (!config_.synthetic_gauges) return;
   // Synthetic physical parameters: CPU load follows recent service
   // activity; memory follows storage pressure where applicable.
   auto noise_rng = std::make_shared<Rng>(rng_.split());

@@ -22,8 +22,7 @@ struct MonitoringConfig {
   InstrumentOptions instrument{};
   SimDuration service_flush_interval{simtime::seconds(1)};
   MonStorageOptions storage{};
-  bool synthetic_gauges{true};  ///< emit CPU/memory physical parameters
-  std::vector<NodeId> sinks;    ///< push targets (introspection layer)
+  std::vector<NodeId> sinks;  ///< push targets (introspection layer)
 };
 
 class MonitoringLayer {

@@ -9,15 +9,10 @@
 // iteration order may reach the wire or a golden output — every externally
 // visible enumeration goes through sorted_keys()/for_each_sorted(), which
 // reproduce exactly the iteration order of the std::map this replaces.
-//
-// The table also caches the human-readable series name per id, so
-// "provider.42.used_bytes"-style strings are built once per series instead
-// of once per use (visualization/export paths).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -34,23 +29,13 @@ class SeriesTable {
   SeriesId intern(const RecordKey& key) {
     auto [it, inserted] =
         index_.try_emplace(key, static_cast<SeriesId>(entries_.size()));
-    if (inserted) entries_.push_back(Entry{key, TimeSeries{}, {}});
+    if (inserted) entries_.push_back(Entry{key, TimeSeries{}});
     return it->second;
   }
 
   [[nodiscard]] TimeSeries& at(SeriesId id) { return entries_[id].ts; }
   [[nodiscard]] const TimeSeries& at(SeriesId id) const {
     return entries_[id].ts;
-  }
-  [[nodiscard]] const RecordKey& key_of(SeriesId id) const {
-    return entries_[id].key;
-  }
-
-  /// Cached series_name() string (built on first request).
-  [[nodiscard]] const std::string& name_of(SeriesId id) {
-    Entry& e = entries_[id];
-    if (e.name.empty()) e.name = e.key.series_name();
-    return e.name;
   }
 
   [[nodiscard]] const TimeSeries* find(const RecordKey& key) const {
@@ -93,7 +78,6 @@ class SeriesTable {
   struct Entry {
     RecordKey key;
     TimeSeries ts;
-    std::string name;  ///< lazily cached series_name()
   };
 
   std::vector<Entry> entries_;

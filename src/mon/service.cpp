@@ -16,16 +16,10 @@ MonitoringService::MonitoringService(rpc::Node& node,
       });
 }
 
-void MonitoringService::add_filter(std::unique_ptr<DataFilter> filter) {
-  filters_.push_back(std::move(filter));
-}
-
 void MonitoringService::start() {
   if (running_) return;
   running_ = true;
-  if (filters_.empty()) {
-    for (auto& f : default_filters()) filters_.push_back(std::move(f));
-  }
+  if (filters_.empty()) filters_ = default_filters();
   node_.cluster().sim().spawn(flush_loop());
 }
 

@@ -23,7 +23,7 @@ class MonitoringService {
  public:
   MonitoringService(rpc::Node& node, MonitoringServiceOptions options);
 
-  void add_filter(std::unique_ptr<DataFilter> filter);
+  /// Installs the default filters (first start only) and starts flushing.
   void start();
   void stop() { running_ = false; }
 

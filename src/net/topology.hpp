@@ -41,14 +41,6 @@ class Topology {
   /// single-site topologies (no cross-site edge).
   [[nodiscard]] SimDuration min_cross_site_latency() const;
 
-  /// Shared WAN backbone bandwidth per distinct site pair, in bytes/s. The
-  /// RPC layer threads every cross-site data-plane transfer through the
-  /// pair's backbone resource, so bulk catch-up after a heal drains at link
-  /// rate instead of instantaneously. 0 (the default) keeps the legacy
-  /// uncapped backbone — NICs and disks remain the only bottlenecks.
-  void set_wan_bandwidth(double bps) { wan_bps_ = bps; }
-  [[nodiscard]] double wan_bandwidth() const { return wan_bps_; }
-
  private:
   struct Site {
     std::string name;
@@ -56,7 +48,6 @@ class Topology {
   };
   std::vector<Site> sites_;
   std::vector<std::vector<SimDuration>> wan_;  // symmetric matrix
-  double wan_bps_{0.0};
 };
 
 }  // namespace bs::net

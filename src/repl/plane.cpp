@@ -1,37 +1,11 @@
 #include "repl/plane.hpp"
 
 #include <cstdint>
-#include <limits>
 
-#include "common/env.hpp"
 #include "fault/fault_plane.hpp"
 #include "obs/metrics.hpp"
 
 namespace bs::repl {
-
-ReplOptions repl_options_from_env(ReplOptions base) {
-  // Largest millisecond count whose nanosecond SimDuration stays in range.
-  constexpr std::uint64_t kMaxMs =
-      std::numeric_limits<SimDuration>::max() / simtime::kNanosPerMilli;
-  base.enabled = env_switch("BS_REPL", base.enabled);
-  base.egress.queue_bound =
-      env_count("BS_REPL_QUEUE", base.egress.queue_bound, 1);
-  if (const auto v = env_choice("BS_REPL_POLICY",
-                                {"spill", "drop_newest", "drop_oldest"})) {
-    constexpr OverflowPolicy kPolicies[] = {OverflowPolicy::spill,
-                                            OverflowPolicy::drop_newest,
-                                            OverflowPolicy::drop_oldest};
-    base.egress.overflow = kPolicies[*v];
-  }
-  // 0 is below each knob's minimum, so it can only mean "unset".
-  if (const auto ms = env_count("BS_REPL_TIMEOUT_MS", 0, 1, kMaxMs)) {
-    base.egress.custody_timeout = simtime::millis(double(ms));
-  }
-  if (const auto ms = env_count("BS_REPL_RECONCILE_MS", 0, 1, kMaxMs)) {
-    base.reconcile.interval = simtime::millis(double(ms));
-  }
-  return base;
-}
 
 ReplicationPlane::ReplicationPlane(rpc::Cluster& cluster,
                                    net::SiteId origin_site, ReplOptions opts)
@@ -82,14 +56,12 @@ void ReplicationPlane::attach_version_manager(blob::VersionManager& vm) {
 }
 
 void ReplicationPlane::attach_provider_manager(blob::ProviderManager& pm) {
-  if (!opts_.steer_allocation) return;
   pm.set_reachability([this](net::SiteId from, net::SiteId to) {
     return !partitioned(from, to);
   });
 }
 
 void ReplicationPlane::attach_data_provider(blob::DataProvider& dp) {
-  if (!opts_.route_chunks) return;
   const net::SiteId from = dp.node().site();
   dp.set_replicate_router([this, from](const blob::ChunkKey& key,
                                        NodeId target,
@@ -232,20 +204,6 @@ std::uint64_t ReplicationPlane::digest() const {
     mix(ps.egress->digest());
   }
   return h;
-}
-
-std::unique_ptr<ReplicationPlane> enable_geo_replication(
-    blob::Deployment& dep, ReplOptions opts) {
-  opts = repl_options_from_env(opts);
-  if (!opts.enabled) return nullptr;
-  // The deployment journals its stateful services; custody follows suit.
-  opts.egress.journal = dep.config().journal;
-  const net::SiteId origin = dep.version_manager_node().site();
-  auto plane =
-      std::make_unique<ReplicationPlane>(dep.cluster(), origin, opts);
-  plane->attach(dep);
-  plane->start();
-  return plane;
 }
 
 }  // namespace bs::repl

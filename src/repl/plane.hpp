@@ -14,13 +14,6 @@
 //     known partition
 //   - fault plane link listener -> parks/resumes drains, kicks the
 //     reconciler on heal, and feeds the reconciliation-lag metric
-//
-// Environment knobs (read by repl_options_from_env):
-//   BS_REPL=on|off            enable/disable the plane (tests/benches)
-//   BS_REPL_QUEUE=<n>         custody bound per destination queue
-//   BS_REPL_POLICY=spill|drop_newest|drop_oldest
-//   BS_REPL_TIMEOUT_MS=<n>    custody (per-attempt) delivery timeout
-//   BS_REPL_RECONCILE_MS=<n>  anti-entropy round interval
 #pragma once
 
 #include <cstdint>
@@ -41,18 +34,10 @@ class FaultPlane;
 namespace bs::repl {
 
 struct ReplOptions {
-  bool enabled{true};
   EgressOptions egress{};
   ReconcilerOptions reconcile{};
   rpc::NodeSpec egress_spec{};
-  /// Route cross-site chunk replication through custody.
-  bool route_chunks{true};
-  /// Let allocation skip providers behind a known partition.
-  bool steer_allocation{true};
 };
-
-/// Applies BS_REPL* environment overrides on top of `base`.
-[[nodiscard]] ReplOptions repl_options_from_env(ReplOptions base = {});
 
 class ReplicationPlane {
  public:
@@ -137,10 +122,5 @@ class ReplicationPlane {
   std::uint64_t heals_{0};
   std::uint64_t chunks_routed_{0};
 };
-
-/// Convenience: plane over a deployment with env overrides applied; returns
-/// nullptr when BS_REPL=off disables the plane.
-std::unique_ptr<ReplicationPlane> enable_geo_replication(
-    blob::Deployment& dep, ReplOptions opts = {});
 
 }  // namespace bs::repl

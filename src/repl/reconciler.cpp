@@ -6,7 +6,7 @@
 namespace bs::repl {
 
 void Reconciler::start() {
-  if (running_ || !opts_.enabled) return;
+  if (running_) return;
   running_ = true;
   auto& sim = plane_.cluster().sim();
   sim.spawn(loop(++generation_));

@@ -19,7 +19,6 @@ namespace bs::repl {
 class ReplicationPlane;
 
 struct ReconcilerOptions {
-  bool enabled{true};
   /// Anti-entropy period between unsolicited rounds; a heal kicks a round
   /// immediately.
   SimDuration interval{simtime::seconds(20)};

@@ -59,7 +59,6 @@ Cluster::Cluster(sim::Simulation& sim, net::Topology topology,
     : sim_(sim),
       topology_(std::move(topology)),
       flows_(sim),
-      wan_links_(topology_.site_count() * topology_.site_count(), nullptr),
       retry_rng_(fault_seed) {}
 
 Node* Cluster::add_node(net::SiteId site, const NodeSpec& spec) {
@@ -90,28 +89,9 @@ sim::Task<void> Cluster::transmit(Node& a, Node& b, std::uint64_t bytes,
         simtime::seconds(static_cast<double>(bytes) / rate));
   } else {
     std::vector<net::Resource*> rs{a.nic_tx(), b.nic_rx()};
-    if (net::Resource* wan = wan_link(a.site(), b.site())) {
-      rs.push_back(wan);
-    }
     if (extra != nullptr) rs.push_back(extra);
     co_await flows_.transfer(static_cast<double>(bytes), std::move(rs));
   }
-}
-
-net::Resource* Cluster::wan_link(net::SiteId a, net::SiteId b) {
-  if (a == b || topology_.wan_bandwidth() <= 0) return nullptr;
-  const std::size_t sites = topology_.site_count();
-  net::Resource*& link = wan_links_[a * sites + b];
-  if (link == nullptr) {
-    // Created on first use, so resource order and names follow traffic.
-    const net::SiteId lo = a < b ? a : b;
-    const net::SiteId hi = a < b ? b : a;
-    link = flows_.create_resource(
-        "wan." + std::to_string(lo) + "-" + std::to_string(hi),
-        topology_.wan_bandwidth());
-    wan_links_[b * sites + a] = link;
-  }
-  return link;
 }
 
 // bslint: allow(coro-ref-param): see rpc.hpp — cluster-owned node
@@ -119,7 +99,6 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_erased(
     Node& src, NodeId dst, std::type_index type, const char* name,
     detail::AnyPtr req, std::uint64_t req_bytes, bool payload_to_disk,
     CallOptions opts) {
-  const RetryPolicy policy = opts.retry ? *opts.retry : default_retry_;
   obs::TraceSink* ts = obs::sink();
   obs::Span call_span;
   if (ts) {
@@ -138,14 +117,14 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_erased(
     auto r = co_await call_attempt(src, dst, type, name, req, req_bytes,
                                    payload_to_disk, att_opts);
     if (ts) att.end(errc_name(r.code()));
-    if (r.ok() || attempt >= policy.max_attempts ||
+    if (r.ok() || attempt >= opts.retry.max_attempts ||
         !RetryPolicy::retryable(r.error().code)) {
       if (ts) call_span.end(errc_name(r.code()));
       co_return r;
     }
     ++calls_retried_;
     obs::count("rpc.calls_retried");
-    const SimDuration backoff = policy.backoff(attempt, retry_rng_);
+    const SimDuration backoff = opts.retry.backoff(attempt, retry_rng_);
     if (ts) {
       ts->instant("rpc.retry", "rpc", call_span.id(),
                   errc_name(r.error().code), {"attempt", attempt},

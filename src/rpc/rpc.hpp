@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <typeindex>
 #include <unordered_map>
@@ -76,8 +75,8 @@ struct RetryPolicy {
 struct CallOptions {
   SimDuration timeout{simtime::seconds(30)};
   ClientId client{};
-  /// Per-call override; when absent the cluster default applies.
-  std::optional<RetryPolicy> retry{};
+  /// The default makes one attempt (no retries).
+  RetryPolicy retry{};
   /// Trace span this call nests under (0 = root).
   obs::SpanId parent_span{0};
 };
@@ -294,13 +293,6 @@ class Cluster {
   /// Installs the fault-plane hook (empty function clears it).
   void set_link_fault_fn(LinkFaultFn fn) { link_fault_ = std::move(fn); }
 
-  /// Default retry policy for calls that don't carry their own. Disabled by
-  /// default: retries are opt-in per client.
-  void set_default_retry(RetryPolicy policy) { default_retry_ = policy; }
-  [[nodiscard]] const RetryPolicy& default_retry() const {
-    return default_retry_;
-  }
-
   /// `calls_started` counts every attempt (retries included); `timeouts`
   /// counts every attempt that timed out, so with retries enabled one
   /// logical call can contribute several of each.
@@ -319,7 +311,7 @@ class Cluster {
     Result<detail::AnyPtr> result{Errc::internal};
   };
 
-  /// Retry loop around `call_attempt`, driven by the effective RetryPolicy.
+  /// Retry loop around `call_attempt`, driven by `opts.retry`.
   // bslint: allow(coro-ref-param): src is cluster-owned for the whole sim
   sim::Task<Result<detail::AnyPtr>> call_erased(
       Node& src, NodeId dst, std::type_index type, const char* name,
@@ -346,19 +338,11 @@ class Cluster {
   sim::Task<void> transmit(Node& a, Node& b, std::uint64_t bytes,
                            net::Resource* extra);
 
-  /// Lazily-created shared backbone resource for a distinct site pair;
-  /// nullptr when the topology leaves WAN bandwidth uncapped or a == b.
-  net::Resource* wan_link(net::SiteId a, net::SiteId b);
-
   sim::Simulation& sim_;
   net::Topology topology_;
   net::FlowScheduler flows_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// Dense S x S backbone table, both orientations of a pair filled on
-  /// first use (nullptr until then).
-  std::vector<net::Resource*> wan_links_;
   LinkFaultFn link_fault_;
-  RetryPolicy default_retry_{};
   Rng retry_rng_;
   std::uint64_t calls_started_{0};
   std::uint64_t timeouts_{0};

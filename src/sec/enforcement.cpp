@@ -5,9 +5,8 @@
 namespace bs::sec {
 
 PolicyEnforcement::PolicyEnforcement(sim::Simulation& sim,
-                                     TrustManager& trust,
-                                     EnforcementOptions options)
-    : sim_(sim), trust_(trust), options_(options) {}
+                                     TrustManager& trust)
+    : sim_(sim), trust_(trust) {}
 
 void PolicyEnforcement::handle(const Violation& v) {
   trust_.record_violation(v.client, v.policy->severity);
@@ -26,11 +25,11 @@ void PolicyEnforcement::apply(const Violation& v, const Action& action) {
 
   switch (action.type) {
     case Action::Type::block: {
-      SimDuration dur = action.duration;
-      if (options_.trust_scaled_blocks) {
-        const double scale = 2.0 - trust_.trust(v.client);
-        dur = static_cast<SimDuration>(static_cast<double>(dur) * scale);
-      }
+      // Block durations scale with (2 - trust): repeat offenders sit out
+      // longer.
+      const double scale = 2.0 - trust_.trust(v.client);
+      const auto dur = static_cast<SimDuration>(
+          static_cast<double>(action.duration) * scale);
       SimTime& until = blocked_[v.client.value];
       until = std::max(until, sim_.now() + dur);
       BS_INFO("sec", "client %llu blocked for %s by policy '%s'",

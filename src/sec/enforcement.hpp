@@ -23,12 +23,6 @@ struct Violation {
   SimTime detected_at{0};
 };
 
-struct EnforcementOptions {
-  /// Block durations scale with (2 - trust): repeat offenders sit out
-  /// longer. 1.0 disables scaling.
-  bool trust_scaled_blocks{true};
-};
-
 class PolicyEnforcement {
  public:
   struct ActionLogEntry {
@@ -39,8 +33,7 @@ class PolicyEnforcement {
     Action action;
   };
 
-  PolicyEnforcement(sim::Simulation& sim, TrustManager& trust,
-                    EnforcementOptions options = EnforcementOptions());
+  PolicyEnforcement(sim::Simulation& sim, TrustManager& trust);
 
   /// Applies all actions of a violated policy.
   void handle(const Violation& violation);
@@ -77,7 +70,6 @@ class PolicyEnforcement {
 
   sim::Simulation& sim_;
   TrustManager& trust_;
-  EnforcementOptions options_;
   struct Throttle {
     TokenBucket bucket;
     SimTime until{simtime::kInfinite};  // expiry (kInfinite = until pardon)

@@ -33,10 +33,7 @@ sim::Task<void> DetectionEngine::scan_loop() {
     co_await sim_.delay(options_.scan_interval);
     if (!running_) break;
     auto found = scan();
-    for (const Violation& v : found) {
-      enforcement_.handle(v);
-      if (observer_) observer_(v);
-    }
+    for (const Violation& v : found) enforcement_.handle(v);
   }
 }
 

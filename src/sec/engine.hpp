@@ -4,7 +4,6 @@
 // is notified with the violation and applies the policy's feedback actions.
 #pragma once
 
-#include <functional>
 #include <map>
 
 #include "sec/enforcement.hpp"
@@ -37,10 +36,6 @@ class DetectionEngine {
   /// One synchronous scan (also called by the periodic loop).
   std::vector<Violation> scan();
 
-  void set_violation_observer(std::function<void(const Violation&)> obs) {
-    observer_ = std::move(obs);
-  }
-
   /// Retunes the scan cadence (used by the self-protection MAPE module to
   /// harden under attack and relax when quiet).
   void set_scan_interval(SimDuration interval) {
@@ -70,7 +65,6 @@ class DetectionEngine {
   bool running_{false};
   std::uint64_t scans_{0};
   std::uint64_t violations_{0};
-  std::function<void(const Violation&)> observer_;
 };
 
 }  // namespace bs::sec

@@ -14,7 +14,6 @@ namespace bs::sec {
 struct SecurityConfig {
   DetectionOptions detection{};
   TrustOptions trust{};
-  EnforcementOptions enforcement{};
   std::string policy_source;  ///< empty = default_policy_source()
 };
 

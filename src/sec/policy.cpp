@@ -442,10 +442,10 @@ class Parser {
     if (t.unit.empty()) return t.number;
     // Try bytes then duration (durations normalize to seconds for eval).
     const std::string text = std::to_string(t.number) + t.unit;
-    if (auto b = Config::parse_bytes(text); b.ok()) {
+    if (auto b = parse_bytes(text); b.ok()) {
       return static_cast<double>(b.value());
     }
-    if (auto d = Config::parse_duration(text); d.ok()) {
+    if (auto d = parse_duration(text); d.ok()) {
       return simtime::to_seconds(d.value());
     }
     return Error{Errc::parse_error,
@@ -457,7 +457,7 @@ class Parser {
     if (peek().kind != Tok::number) return err("expected duration");
     const Token t = take();
     if (t.unit.empty()) return simtime::seconds(t.number);
-    auto d = Config::parse_duration(std::to_string(t.number) + t.unit);
+    auto d = parse_duration(std::to_string(t.number) + t.unit);
     if (!d.ok()) return err("bad duration unit '" + t.unit + "'");
     return d.value();
   }

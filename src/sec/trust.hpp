@@ -46,8 +46,6 @@ class TrustManager {
   /// (min_threshold_scale..1.0, linear in trust).
   [[nodiscard]] double threshold_scale(ClientId client) const;
 
-  [[nodiscard]] std::size_t tracked_clients() const { return trust_.size(); }
-
  private:
   TrustOptions options_;
   std::map<std::uint64_t, double> trust_;

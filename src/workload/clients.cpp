@@ -71,17 +71,11 @@ sim::Task<void> Reader::run(blob::BlobClient& client, BlobId blob,
   const std::uint64_t blob_size = d.value().latest.size;
 
   std::uint64_t done = 0;
-  std::uint64_t cursor = 0;
   while ((options.loop_forever || done < options.total_bytes) &&
          sim.now() < options.deadline) {
     const std::uint64_t n = std::min(options.op_bytes, blob_size);
-    std::uint64_t offset;
-    if (options.random_offsets && blob_size > n) {
-      offset = rng.next_below(blob_size - n + 1);
-    } else {
-      offset = cursor;
-      cursor = (cursor + n) % std::max<std::uint64_t>(blob_size - n + 1, 1);
-    }
+    const std::uint64_t offset =
+        blob_size > n ? rng.next_below(blob_size - n + 1) : 0;
     auto r = co_await client.read(blob, offset, n);
     if (r.ok()) {
       done += r.value().bytes;
@@ -154,11 +148,7 @@ sim::Task<void> DosAttacker::run(rpc::Node& node, ClientId id,
         ++s->failed;
       }
     }(cluster, node, target, std::move(req), call_opts, stats));
-
-    if (options.stop_when_blocked && stats != nullptr &&
-        stats->rejected > 0) {
-      break;
-    }
+    // The paper's attackers keep knocking after they are blocked.
     co_await sim.delay(gap);
   }
 }

@@ -35,12 +35,11 @@ struct ReaderOptions {
   SimTime start{0};
   SimTime deadline{simtime::kInfinite};
   bool loop_forever{false};
-  bool random_offsets{true};
   std::uint64_t rng_seed{7};
   SimDuration retry_backoff{simtime::seconds(1)};
 };
 
-/// Honest reader: reads op_bytes ranges (random or sequential) of a blob.
+/// Honest reader: reads op_bytes ranges at random offsets of a blob.
 class Reader {
  public:
   // bslint: allow(coro-ref-param): the harness owns every BlobClient for
@@ -55,7 +54,6 @@ struct AttackerOptions {
   std::uint64_t payload_bytes{4096};
   SimTime start{0};
   SimTime deadline{simtime::kInfinite};
-  bool stop_when_blocked{false};  ///< paper's attackers keep knocking
   std::uint64_t rng_seed{13};
 };
 

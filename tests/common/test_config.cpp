@@ -5,89 +5,23 @@
 namespace bs {
 namespace {
 
-TEST(Config, ParseBasic) {
-  auto r = Config::parse("a = 1\nb = hello\n# comment\n\nc = 2.5\n");
-  ASSERT_TRUE(r.ok());
-  const Config& c = r.value();
-  EXPECT_EQ(c.get_int("a"), 1);
-  EXPECT_EQ(c.get_string("b"), "hello");
-  EXPECT_DOUBLE_EQ(c.get_double("c"), 2.5);
-}
-
-TEST(Config, ParseErrors) {
-  EXPECT_FALSE(Config::parse("novalue\n").ok());
-  EXPECT_FALSE(Config::parse("= 3\n").ok());
-}
-
-TEST(Config, Defaults) {
-  Config c;
-  EXPECT_EQ(c.get_int("missing", 7), 7);
-  EXPECT_EQ(c.get_string("missing", "x"), "x");
-  EXPECT_TRUE(c.get_bool("missing", true));
-}
-
-TEST(Config, BoolParsing) {
-  Config c;
-  c.set("t1", "true");
-  c.set("t2", "YES");
-  c.set("t3", "1");
-  c.set("f1", "false");
-  c.set("f2", "off");
-  c.set("junk", "maybe");
-  EXPECT_TRUE(c.get_bool("t1"));
-  EXPECT_TRUE(c.get_bool("t2"));
-  EXPECT_TRUE(c.get_bool("t3"));
-  EXPECT_FALSE(c.get_bool("f1", true));
-  EXPECT_FALSE(c.get_bool("f2", true));
-  EXPECT_TRUE(c.get_bool("junk", true));  // falls back on junk
-}
-
 TEST(Config, ByteSuffixes) {
-  EXPECT_EQ(Config::parse_bytes("64KB").value(), 64'000ull);
-  EXPECT_EQ(Config::parse_bytes("4MiB").value(), 4ull * 1048576);
-  EXPECT_EQ(Config::parse_bytes("1GB").value(), 1'000'000'000ull);
-  EXPECT_EQ(Config::parse_bytes("123").value(), 123ull);
-  EXPECT_EQ(Config::parse_bytes(" 2 gib ").value(), 2ull * 1073741824);
-  EXPECT_FALSE(Config::parse_bytes("12 parsecs").ok());
-  EXPECT_FALSE(Config::parse_bytes("abc").ok());
+  EXPECT_EQ(parse_bytes("64KB").value(), 64'000ull);
+  EXPECT_EQ(parse_bytes("4MiB").value(), 4ull * 1048576);
+  EXPECT_EQ(parse_bytes("1GB").value(), 1'000'000'000ull);
+  EXPECT_EQ(parse_bytes("123").value(), 123ull);
+  EXPECT_EQ(parse_bytes(" 2 gib ").value(), 2ull * 1073741824);
+  EXPECT_FALSE(parse_bytes("12 parsecs").ok());
+  EXPECT_FALSE(parse_bytes("abc").ok());
 }
 
 TEST(Config, DurationSuffixes) {
-  EXPECT_EQ(Config::parse_duration("250ms").value(), simtime::millis(250));
-  EXPECT_EQ(Config::parse_duration("10s").value(), simtime::seconds(10));
-  EXPECT_EQ(Config::parse_duration("2min").value(), simtime::minutes(2));
-  EXPECT_EQ(Config::parse_duration("5us").value(), simtime::micros(5));
-  EXPECT_EQ(Config::parse_duration("42").value(), 42);
-  EXPECT_FALSE(Config::parse_duration("10 fortnights").ok());
-}
-
-TEST(Config, GetBytesAndDuration) {
-  Config c;
-  c.set("chunk", "64MB");
-  c.set("interval", "2s");
-  EXPECT_EQ(c.get_bytes("chunk"), 64'000'000ull);
-  EXPECT_EQ(c.get_duration("interval"), simtime::seconds(2));
-  EXPECT_EQ(c.get_bytes("missing", 5), 5ull);
-}
-
-TEST(Config, MergeOtherWins) {
-  Config a, b;
-  a.set("x", "1");
-  a.set("y", "2");
-  b.set("y", "3");
-  a.merge(b);
-  EXPECT_EQ(a.get_int("x"), 1);
-  EXPECT_EQ(a.get_int("y"), 3);
-}
-
-TEST(Config, RoundTrip) {
-  Config a;
-  a.set("k1", "v1");
-  a.set_int("k2", 42);
-  auto r = Config::parse(a.to_string());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().get_string("k1"), "v1");
-  EXPECT_EQ(r.value().get_int("k2"), 42);
+  EXPECT_EQ(parse_duration("250ms").value(), simtime::millis(250));
+  EXPECT_EQ(parse_duration("10s").value(), simtime::seconds(10));
+  EXPECT_EQ(parse_duration("2min").value(), simtime::minutes(2));
+  EXPECT_EQ(parse_duration("5us").value(), simtime::micros(5));
+  EXPECT_EQ(parse_duration("42").value(), 42);
+  EXPECT_FALSE(parse_duration("10 fortnights").ok());
 }
 
 }  // namespace

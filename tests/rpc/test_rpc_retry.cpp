@@ -127,8 +127,8 @@ TEST_F(RetryRpcTest, ApplicationErrorsAreNotRetried) {
 
 TEST_F(RetryRpcTest, DisabledPolicyMakesSingleAttempt) {
   fail_first_ = 1000;
-  CallOptions opts;  // no per-call policy, cluster default disabled
-  EXPECT_FALSE(cluster_.default_retry().enabled());
+  CallOptions opts;  // the default policy makes one attempt
+  EXPECT_FALSE(opts.retry.enabled());
   auto r = call(opts);
   EXPECT_EQ(r.code(), Errc::unavailable);
   EXPECT_EQ(handled_, 1);
