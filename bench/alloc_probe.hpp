@@ -28,7 +28,10 @@ inline std::uint64_t frees() {
 
 }  // namespace bs::bench::alloc_probe
 
-void* operator new(std::size_t size) {
+// The functions that call malloc/free stay out of line. Inlined into a
+// caller, one side of a new/delete pair shows malloc or free while the other
+// stays an operator call, and GCC reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   bs::bench::alloc_probe::g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
@@ -37,7 +40,8 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
   bs::bench::alloc_probe::g_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align),
@@ -51,7 +55,7 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept {
   if (p == nullptr) return;
   bs::bench::alloc_probe::g_frees.fetch_add(1, std::memory_order_relaxed);
   std::free(p);

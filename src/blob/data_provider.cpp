@@ -38,7 +38,9 @@ void DataProvider::apply_record(const JournalRecord& rec) {
 }
 
 std::vector<Journal<DataProvider::JournalRecord>::Entry>
-DataProvider::encode_checkpoint() const {
+DataProvider::encode_checkpoint(
+    std::vector<Journal<JournalRecord>::Entry>,
+    const std::vector<Journal<JournalRecord>::Entry>&) const {
   // Checkpoints are the chunk *index* (48 bytes per chunk): reopening a
   // checkpointed store scans the index, not the data pages. Encoded over
   // the sorted key snapshot so the image is deterministic.

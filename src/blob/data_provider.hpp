@@ -130,8 +130,9 @@ class DataProvider {
   // Durable<JournalRecord> hooks.
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
-  [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint()
-      const;
+  [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint(
+      std::vector<Journal<JournalRecord>::Entry> previous,
+      const std::vector<Journal<JournalRecord>::Entry>& tail) const;
   void on_readable(const RecoveryOutcome& outcome);
 
   rpc::Node& node_;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -106,6 +107,7 @@ class Journal {
   /// seal() covers the returned sequence number.
   std::uint64_t append(Record rec, std::uint64_t bytes) {
     tail_.push_back(Entry{std::move(rec), bytes});
+    tail_bytes_ += bytes;
     return ++next_seq_;
   }
 
@@ -132,6 +134,7 @@ class Journal {
       checkpoint_.clear();
       checkpoint_bytes_ = 0;
       tail_.clear();
+      tail_bytes_ = 0;
       durable_ = 0;
       base_seq_ = next_seq_;
       torn_bytes_ = 0;
@@ -141,6 +144,7 @@ class Journal {
     if (torn_tail && tail_.size() > durable_) {
       torn_bytes_ = (tail_[durable_].bytes + 1) / 2;
     }
+    tail_bytes_ -= volatile_bytes();
     tail_.resize(durable_);
   }
 
@@ -148,7 +152,7 @@ class Journal {
     ReplayPlan p;
     p.checkpoint_bytes = checkpoint_bytes_;
     p.checkpoint_records = checkpoint_.size();
-    for (const Entry& e : tail_) p.tail_bytes += e.bytes;
+    p.tail_bytes = tail_bytes_;
     p.tail_records = tail_.size();
     p.torn_bytes = torn_bytes_;
     return p;
@@ -175,9 +179,7 @@ class Journal {
     if (!opts_.enabled || durable_ != tail_.size() || tail_.empty()) {
       return false;
     }
-    std::uint64_t bytes = 0;
-    for (const Entry& e : tail_) bytes += e.bytes;
-    return bytes >= opts_.checkpoint_bytes ||
+    return tail_bytes_ >= opts_.checkpoint_bytes ||
            tail_.size() >= opts_.checkpoint_records;
   }
 
@@ -190,9 +192,20 @@ class Journal {
     checkpoint_bytes_ = 0;
     for (const Entry& e : checkpoint_) checkpoint_bytes_ += e.bytes;
     tail_.clear();
+    tail_bytes_ = 0;
     durable_ = 0;
     base_seq_ = next_seq_;
     return true;
+  }
+
+  /// Installs `encode(previous, tail)` as the new checkpoint image: the
+  /// encoder gets the current image, moved out so it can fold the durable
+  /// tail into that buffer in place, and the tail. Same commit-boundary
+  /// rule as install_checkpoint(); `encode` does not run when it refuses.
+  template <class Encode>
+  bool checkpoint(Encode&& encode) {
+    if (durable_ != tail_.size()) return false;
+    return install_checkpoint(encode(std::move(checkpoint_), tail_));
   }
 
   [[nodiscard]] std::size_t checkpoint_records() const {
@@ -222,9 +235,10 @@ class Journal {
   std::vector<Entry> checkpoint_;
   std::uint64_t checkpoint_bytes_{0};
   std::vector<Entry> tail_;
-  std::uint64_t durable_{0};   ///< durable prefix length of tail_
-  std::uint64_t base_seq_{0};  ///< sequence just before tail_[0]
-  std::uint64_t next_seq_{0};  ///< sequence of the newest append
+  std::uint64_t tail_bytes_{0};  ///< sum of the tail's record bytes
+  std::uint64_t durable_{0};     ///< durable prefix length of tail_
+  std::uint64_t base_seq_{0};    ///< sequence just before tail_[0]
+  std::uint64_t next_seq_{0};    ///< sequence of the newest append
   std::uint64_t torn_bytes_{0};
   bool wiped_{false};
 };
@@ -271,8 +285,15 @@ void note_readable(rpc::Node& node, const ReplayPlan& plan,
 ///       on-disk size of one record; commits size each record once;
 ///   void apply_record(const Record&)
 ///       replays one record into the in-memory image;
-///   std::vector<Journal<Record>::Entry> encode_checkpoint() const
-///       the whole image as a deterministic record sequence;
+///   std::vector<Entry> encode_checkpoint(std::vector<Entry> previous,
+///                                        const std::vector<Entry>& tail)
+///       const
+///       the new checkpoint image (Entry is Journal<Record>::Entry) as a
+///       deterministic record sequence: `previous`, the last image moved
+///       in, with the fully durable `tail` folded in. The metadata
+///       provider folds in place; the other four actors ignore both
+///       arguments and re-encode their live state, which at a commit
+///       boundary is the same image;
 ///   void wipe()
 ///       drops the in-memory image (a journaled crash loses it);
 ///   void on_readable(const RecoveryOutcome&)
@@ -296,7 +317,11 @@ class Durable {
         record_bytes_(
             [a = &actor](const Record& r) { return a->record_bytes(r); }),
         apply_record_([a = &actor](const Record& r) { a->apply_record(r); }),
-        encode_checkpoint_([a = &actor] { return a->encode_checkpoint(); }),
+        encode_checkpoint_(
+            [a = &actor](std::vector<Entry> previous,
+                         const std::vector<Entry>& tail) {
+              return a->encode_checkpoint(std::move(previous), tail);
+            }),
         wipe_([a = &actor] { a->wipe(); }),
         on_readable_(
             [a = &actor](const RecoveryOutcome& o) { a->on_readable(o); }) {}
@@ -423,7 +448,7 @@ class Durable {
 
   void maybe_checkpoint() {
     if (!journal_.checkpoint_due()) return;
-    if (!journal_.install_checkpoint(encode_checkpoint_())) return;
+    if (!journal_.checkpoint(encode_checkpoint_)) return;
     obs::count("journal.checkpoints");
     charge_disk_write(node_, journal_.checkpoint_bytes());
   }
@@ -453,7 +478,9 @@ class Durable {
   RecoveryStats stats_;
   std::function<std::uint64_t(const Record&)> record_bytes_;
   std::function<void(const Record&)> apply_record_;
-  std::function<std::vector<Entry>()> encode_checkpoint_;
+  std::function<std::vector<Entry>(std::vector<Entry>,
+                                   const std::vector<Entry>&)>
+      encode_checkpoint_;
   std::function<void()> wipe_;
   std::function<void(const RecoveryOutcome&)> on_readable_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "obs/trace.hpp"
 
@@ -17,8 +18,7 @@ MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
   durable_.serve<MetaPutReq, MetaPutResp>(
       [this](const MetaPutReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaPutResp>> {
-        auto [it, inserted] = nodes_.insert_or_assign(req.key, req.node);
-        if (inserted) bytes_ += req.node.wire_size();
+        store(req.key, req.node);
         JournalRecord rec;
         rec.kind = JournalRecord::Kind::put;
         rec.key = req.key;
@@ -59,10 +59,18 @@ std::uint64_t MetadataProvider::record_bytes(const JournalRecord& rec) {
              : NodeKey{}.wire_size();
 }
 
+void MetadataProvider::store(const NodeKey& key, const TreeNode& node) {
+  auto [it, inserted] = nodes_.try_emplace(key, node);
+  if (!inserted) {
+    bytes_ -= it->second.wire_size();
+    it->second = node;
+  }
+  bytes_ += node.wire_size();
+}
+
 void MetadataProvider::apply_record(const JournalRecord& rec) {
   if (rec.kind == JournalRecord::Kind::put) {
-    auto [it, inserted] = nodes_.insert_or_assign(rec.key, rec.node);
-    if (inserted) bytes_ += rec.node.wire_size();
+    store(rec.key, rec.node);
   } else if (auto it = nodes_.find(rec.key); it != nodes_.end()) {
     bytes_ -= it->second.wire_size();
     nodes_.erase(it);
@@ -70,24 +78,62 @@ void MetadataProvider::apply_record(const JournalRecord& rec) {
 }
 
 std::vector<Journal<MetadataProvider::JournalRecord>::Entry>
-MetadataProvider::encode_checkpoint() const {
-  // Encoded over a sorted key snapshot so the image is deterministic
-  // regardless of unordered_map layout.
-  std::vector<NodeKey> keys;
-  keys.reserve(nodes_.size());
-  // bslint: allow(det-unordered-iter): snapshot is sorted before encoding
-  // bslint: allow(det-journal-encode): keys sorted below; values looked up
-  for (const auto& [k, v] : nodes_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  std::vector<Journal<JournalRecord>::Entry> image;
-  image.reserve(keys.size());
-  for (const NodeKey& key : keys) {
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::put;
-    rec.key = key;
-    rec.node = nodes_.at(key);
-    const std::uint64_t bytes = record_bytes(rec);
-    image.push_back({std::move(rec), bytes});
+MetadataProvider::encode_checkpoint(
+    std::vector<Journal<JournalRecord>::Entry> image,
+    const std::vector<Journal<JournalRecord>::Entry>& tail) const {
+  // The previous image, sorted by key, with the durable tail folded in
+  // place: the newest tail record per key wins, and entries it does not
+  // touch are neither copied nor reallocated. Every write adds tree nodes
+  // (only metadata GC removes any), so re-encoding the live store would
+  // make each checkpoint cost the whole store instead of its tail.
+  using Entry = Journal<JournalRecord>::Entry;
+  const auto key_below = [](const Entry& e, const NodeKey& k) {
+    return e.rec.key < k;
+  };
+  // Tail positions ordered by (key, position); the last of each key's run
+  // is that key's newest record.
+  std::vector<std::size_t> order(tail.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&tail](std::size_t a, std::size_t b) {
+    const NodeKey& ka = tail[a].rec.key;
+    const NodeKey& kb = tail[b].rec.key;
+    return ka != kb ? ka < kb : a < b;
+  });
+  std::vector<const Entry*> added;  // puts of keys the image lacks, by key
+  bool removed = false;
+  auto at = image.begin();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Entry& e = tail[order[i]];
+    if (i + 1 < order.size() && tail[order[i + 1]].rec.key == e.rec.key) {
+      continue;  // a newer record for this key follows
+    }
+    at = std::lower_bound(at, image.end(), e.rec.key, key_below);
+    const bool found = at != image.end() && at->rec.key == e.rec.key;
+    if (e.rec.kind == JournalRecord::Kind::remove) {
+      // The image holds only puts, so a remove kind marks the entry.
+      if (found) at->rec.kind = JournalRecord::Kind::remove;
+      removed = removed || found;
+    } else if (found) {
+      *at = e;
+    } else {
+      added.push_back(&e);
+    }
+  }
+  if (removed) {
+    std::erase_if(image, [](const Entry& e) {
+      return e.rec.kind == JournalRecord::Kind::remove;
+    });
+  }
+  // Merge the new keys in from the back, moving each old entry at most once.
+  std::size_t old_end = image.size();
+  image.resize(old_end + added.size());
+  std::size_t out = image.size();
+  for (std::size_t a = added.size(); a > 0;) {
+    if (old_end > 0 && added[a - 1]->rec.key < image[old_end - 1].rec.key) {
+      image[--out] = std::move(image[--old_end]);
+    } else {
+      image[--out] = *added[--a];
+    }
   }
   return image;
 }

@@ -29,12 +29,6 @@ class MetadataProvider {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::uint64_t bytes_stored() const { return bytes_; }
 
-  /// Failure injection: drops every stored tree node (disk loss).
-  void wipe() {
-    nodes_.clear();
-    bytes_ = 0;
-  }
-
   /// True between a journaled crash and the end of journal replay.
   [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
@@ -52,11 +46,21 @@ class MetadataProvider {
  private:
   friend class Durable<JournalRecord>;
 
-  // Durable<JournalRecord> hooks (wipe() is public).
+  /// Inserts or overwrites one node, keeping bytes_ the sum of the stored
+  /// nodes' wire sizes.
+  void store(const NodeKey& key, const TreeNode& node);
+
+  // Durable<JournalRecord> hooks.
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
-  [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint()
-      const;
+  [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint(
+      std::vector<Journal<JournalRecord>::Entry> previous,
+      const std::vector<Journal<JournalRecord>::Entry>& tail) const;
+  /// Drops every stored tree node (a crash loses the in-memory store).
+  void wipe() {
+    nodes_.clear();
+    bytes_ = 0;
+  }
   void on_readable(const RecoveryOutcome&) {}
 
   rpc::Node& node_;

@@ -109,7 +109,9 @@ void VersionManager::apply_record(const VmRecord& rec) {
 }
 
 std::vector<Journal<VersionManager::VmRecord>::Entry>
-VersionManager::encode_checkpoint() const {
+VersionManager::encode_checkpoint(
+    std::vector<Journal<VmRecord>::Entry>,
+    const std::vector<Journal<VmRecord>::Entry>&) const {
   // Re-encodes blob state as the record sequence that rebuilds it; blobs_
   // and every per-blob container are ordered, so the image is
   // deterministic. In-flight commit decisions are deliberately not encoded

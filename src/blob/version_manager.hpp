@@ -190,8 +190,9 @@ class VersionManager {
   // Durable<VmRecord> hooks.
   static std::uint64_t record_bytes(const VmRecord&) { return 64; }
   void apply_record(const VmRecord& rec);
-  [[nodiscard]] std::vector<Journal<VmRecord>::Entry> encode_checkpoint()
-      const;
+  [[nodiscard]] std::vector<Journal<VmRecord>::Entry> encode_checkpoint(
+      std::vector<Journal<VmRecord>::Entry> previous,
+      const std::vector<Journal<VmRecord>::Entry>& tail) const;
   void wipe();
   void on_readable(const RecoveryOutcome&);
 

@@ -556,7 +556,9 @@ void S3Gateway::apply_record(const GwRecord& rec) {
 }
 
 std::vector<blob::Journal<S3Gateway::GwRecord>::Entry>
-S3Gateway::encode_checkpoint() const {
+S3Gateway::encode_checkpoint(
+    std::vector<blob::Journal<GwRecord>::Entry>,
+    const std::vector<blob::Journal<GwRecord>::Entry>&) const {
   // The checkpoint is the full gateway metadata image — buckets, objects
   // with manifests, the refcounted dedup index, live multipart uploads and
   // the id counters — encoded over ordered containers only, so the image

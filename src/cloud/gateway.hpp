@@ -495,7 +495,9 @@ class S3Gateway {
   // blob::Durable<GwRecord> hooks.
   static std::uint64_t record_bytes(const GwRecord& rec);
   void apply_record(const GwRecord& rec);
-  std::vector<blob::Journal<GwRecord>::Entry> encode_checkpoint() const;
+  std::vector<blob::Journal<GwRecord>::Entry> encode_checkpoint(
+      std::vector<blob::Journal<GwRecord>::Entry> previous,
+      const std::vector<blob::Journal<GwRecord>::Entry>& tail) const;
   void wipe();
   void on_readable(const blob::RecoveryOutcome&);
 

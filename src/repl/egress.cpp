@@ -115,7 +115,9 @@ void SiteEgress::apply_record(const EgressRecord& rec) {
 }
 
 std::vector<blob::Journal<SiteEgress::EgressRecord>::Entry>
-SiteEgress::encode_checkpoint() const {
+SiteEgress::encode_checkpoint(
+    std::vector<blob::Journal<EgressRecord>::Entry>,
+    const std::vector<blob::Journal<EgressRecord>::Entry>&) const {
   // The image re-creates the exact state apply_record() would rebuild:
   // the bundle-id high-water mark first, then origin bookkeeping
   // (frontier/publish/retire), then remote applies, then the chunk-dedup

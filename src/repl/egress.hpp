@@ -168,7 +168,9 @@ class SiteEgress {
   // blob::Durable<EgressRecord> hooks.
   static std::uint64_t record_bytes(const EgressRecord& rec);
   void apply_record(const EgressRecord& rec);
-  std::vector<blob::Journal<EgressRecord>::Entry> encode_checkpoint() const;
+  std::vector<blob::Journal<EgressRecord>::Entry> encode_checkpoint(
+      std::vector<blob::Journal<EgressRecord>::Entry> previous,
+      const std::vector<blob::Journal<EgressRecord>::Entry>& tail) const;
   void wipe();
   void on_readable(const blob::RecoveryOutcome& outcome);
 

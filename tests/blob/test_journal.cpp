@@ -168,6 +168,82 @@ TEST(Journal, CheckpointDueHonoursBothThresholds) {
   EXPECT_FALSE(off.checkpoint_due());  // disabled journal never checkpoints
 }
 
+TEST(Journal, TailByteTotalFollowsCrashAndCheckpoint) {
+  Journal<Rec> j(enabled_opts(/*cp_bytes=*/100));
+  auto s = j.append({1}, 40);
+  j.seal(s);
+  j.append({2}, 70);  // volatile: dropped by the crash below
+  j.crash(/*lose_storage=*/false, /*torn_tail=*/false);
+  EXPECT_EQ(j.replay_plan().tail_bytes, 40u);
+  s = j.append({3}, 50);
+  j.seal(s);
+  EXPECT_FALSE(j.checkpoint_due());  // 90 bytes; the dropped 70 count no more
+  s = j.append({4}, 10);
+  j.seal(s);
+  EXPECT_TRUE(j.checkpoint_due());  // 100 bytes >= 100
+
+  ASSERT_TRUE(j.install_checkpoint({{Rec{9}, 16}}));
+  EXPECT_EQ(j.replay_plan().tail_bytes, 0u);
+  s = j.append({5}, 60);
+  j.seal(s);
+  EXPECT_FALSE(j.checkpoint_due());  // the checkpoint reset the total
+  EXPECT_EQ(j.replay_plan().tail_bytes, 60u);
+  s = j.append({6}, 40);
+  j.seal(s);
+  EXPECT_TRUE(j.checkpoint_due());
+
+  j.append({7}, 30);  // volatile, then torn by the crash
+  j.crash(false, /*torn_tail=*/true);
+  EXPECT_EQ(j.replay_plan().tail_bytes, 100u);
+  EXPECT_EQ(j.replay_plan().torn_bytes, 15u);
+
+  j.crash(/*lose_storage=*/true, false);
+  EXPECT_EQ(j.replay_plan().tail_bytes, 0u);
+  s = j.append({8}, 99);
+  j.seal(s);
+  EXPECT_FALSE(j.checkpoint_due());  // the wipe reset the total
+}
+
+TEST(Journal, CheckpointFoldsTheTailIntoThePreviousImage) {
+  Journal<Rec> j(enabled_opts());
+  ASSERT_TRUE(j.install_checkpoint({{Rec{1}, 16}, {Rec{2}, 16}}));
+  auto s = j.append({3}, 8);
+  j.seal(s);
+  s = j.append({4}, 8);
+  j.seal(s);
+
+  const void* buffer = nullptr;
+  ASSERT_TRUE(j.checkpoint([&](std::vector<Journal<Rec>::Entry> previous,
+                               const std::vector<Journal<Rec>::Entry>& tail) {
+    EXPECT_EQ(previous.size(), 2u);
+    EXPECT_EQ(tail.size(), 2u);
+    previous.insert(previous.end(), tail.begin(), tail.end());
+    buffer = previous.data();
+    return previous;
+  }));
+  // The encoder's result is the image, in its buffer; the tail is gone.
+  EXPECT_EQ(replayed(j), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(j.checkpoint_bytes(), 48u);
+  EXPECT_EQ(j.tail_records(), 0u);
+  EXPECT_EQ(j.replay_plan().tail_bytes, 0u);
+
+  s = j.append({5}, 8);  // volatile: no checkpoint, the encoder never runs
+  bool ran = false;
+  const auto keep = [&](std::vector<Journal<Rec>::Entry> previous,
+                        const std::vector<Journal<Rec>::Entry>&) {
+    ran = true;
+    // The image reaches the next encoder in the buffer it was returned in.
+    EXPECT_EQ(static_cast<const void*>(previous.data()), buffer);
+    return previous;
+  };
+  EXPECT_FALSE(j.checkpoint(keep));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(j.checkpoint_records(), 4u);
+  j.seal(s);
+  EXPECT_TRUE(j.checkpoint(keep));
+  EXPECT_TRUE(ran);
+}
+
 TEST(Journal, DisabledJournalStillTracksButReportsDisabled) {
   Journal<Rec> j{JournalOptions{}};
   EXPECT_FALSE(j.enabled());

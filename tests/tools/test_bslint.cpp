@@ -208,6 +208,28 @@ TEST(BslintDeterminism, FlagsEncoderSerializingPointers) {
                        "det-journal-encode"));
 }
 
+TEST(BslintDeterminism, FlagsFoldingEncoderIteratingUnorderedMember) {
+  // The (previous, tail) hook signature changes nothing: folding the tail
+  // is clean, and walking an unordered member into the image still fires.
+  auto fs = scan(
+      "src/x.cpp",
+      "std::unordered_map<NodeKey, TreeNode> nodes_;\n"
+      "std::vector<Entry> Provider::encode_checkpoint(\n"
+      "    std::vector<Entry> previous,\n"
+      "    const std::vector<Entry>& tail) const {\n"
+      "  for (const Entry& e : tail) fold(previous, e);\n"
+      "  for (const auto& [k, v] : nodes_) previous.push_back(enc(k, v));\n"
+      "  return previous;\n"
+      "}\n");
+  int encode_findings = 0;
+  for (const Finding& f : fs) {
+    if (f.rule != "det-journal-encode") continue;
+    ++encode_findings;
+    EXPECT_EQ(f.line, 6);
+  }
+  EXPECT_EQ(encode_findings, 1);
+}
+
 TEST(BslintDeterminism, SortedSnapshotEncoderIsClean) {
   auto fs = scan("src/x.cpp",
                  "std::vector<Entry> encode_checkpoint() {\n"
