@@ -29,10 +29,11 @@
 #     sweep, sequential-vs-concurrent multipart parts, delta-vs-full
 #     overwrite, all in simulated time) and emit build/BENCH_gateway.json.
 #     The committed repo-root BENCH_gateway.json is the curated snapshot.
-#   run_benches.sh lint         — time the bslint two-pass analyzer over the
-#     whole tree (cold cache, warm cache, --no-cache) and verify the three
-#     runs emit byte-identical reports; emit build/BENCH_lint.json. The
-#     committed repo-root BENCH_lint.json is the curated snapshot.
+#   run_benches.sh lint         — time five fresh runs of the bslint two-pass
+#     analyzer over the whole tree (it keeps no state between runs), verify
+#     they print byte-identical reports, and emit build/BENCH_lint.json
+#     with the median and the host. The committed repo-root
+#     BENCH_lint.json is the curated snapshot.
 # Suites compose: `run_benches.sh sim-kernel recovery` runs both.
 set -eu
 cd "$(dirname "$0")/.."
@@ -104,44 +105,36 @@ run_gateway() {
 
 run_lint() {
   out=build/BENCH_lint.json
-  bslint=build/tools/bslint/bslint
-  cache=build/bslint-bench-cache
-  args="--root . --baseline tools/bslint/baseline.txt src tests bench"
-  rm -rf "$cache"
-  wall_ms() { # $1 = label, rest = command; appends "label ms" to the log
-    label=$1; shift
-    start=$(date +%s%N)
-    "$@" > "build/lint_$label.txt" || true  # findings exit 1; not an error here
-    end=$(date +%s%N)
-    echo "$label $(( (end - start) / 1000000 ))" >> build/lint_wall_ms.txt
-  }
   rm -f build/lint_wall_ms.txt
-  wall_ms cold  $bslint --cache-dir "$cache" $args
-  wall_ms warm  $bslint --cache-dir "$cache" $args
-  wall_ms nocache $bslint --no-cache $args
-  cmp -s build/lint_cold.txt build/lint_warm.txt || {
-    echo "lint bench: cold and warm outputs differ" >&2; exit 1; }
-  cmp -s build/lint_cold.txt build/lint_nocache.txt || {
-    echo "lint bench: cached and --no-cache outputs differ" >&2; exit 1; }
+  for i in 1 2 3 4 5; do
+    start=$(date +%s%N)
+    # Findings exit 1; not an error here.
+    build/tools/bslint/bslint --root . src tests bench > "build/lint_$i.txt" || true
+    end=$(date +%s%N)
+    echo "$(( (end - start) / 1000000 ))" >> build/lint_wall_ms.txt
+    cmp -s build/lint_1.txt "build/lint_$i.txt" || {
+      echo "lint bench: run $i differs from run 1" >&2; exit 1; }
+  done
   python3 - "$out" <<'PY'
-import json, sys
-wall = {}
-for line in open("build/lint_wall_ms.txt"):
-    name, ms = line.split()
-    wall[name] = int(ms)
-summary = open("build/lint_cold.txt").read().strip().splitlines()[-1]
+import json, os, statistics, subprocess, sys
+runs = [int(line) for line in open("build/lint_wall_ms.txt")]
+summary = open("build/lint_1.txt").read().strip().splitlines()[-1]
+cpu = next((l.split(":", 1)[1].strip() for l in open("/proc/cpuinfo")
+            if l.startswith("model name")), "unknown")
+cxx = subprocess.run(["c++", "-dumpfullversion"], capture_output=True,
+                     text=True).stdout.strip()
 doc = {
     "description": "bslint two-pass analyzer wall time over src/ tests/ "
-                   "bench/ (cold index cache, warm cache, --no-cache); the "
-                   "three runs are verified byte-identical before timing is "
-                   "reported",
-    "wall_time_ms": wall,
+                   "bench/: five fresh runs (no state is kept between runs), "
+                   "verified byte-identical before timing is reported",
+    "host": {"cpu": cpu, "nproc": os.cpu_count(), "compiler": cxx},
+    "wall_time_ms": {"median": statistics.median(runs), "runs": runs},
     "summary_line": summary,
 }
 json.dump(doc, open(sys.argv[1], "w"), indent=2)
 print("wrote", sys.argv[1])
 PY
-  rm -f build/lint_wall_ms.txt build/lint_cold.txt build/lint_warm.txt     build/lint_nocache.txt
+  rm -f build/lint_wall_ms.txt build/lint_[1-5].txt
 }
 
 if [ $# -gt 0 ]; then

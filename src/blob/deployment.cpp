@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
-
 namespace bs::blob {
 
 Deployment::Deployment(sim::Simulation& sim, DeploymentConfig config)
     : sim_(sim), config_(config) {
-  config_.journal.enabled = env_switch("BS_JOURNAL", config_.journal.enabled);
   config_.vm_options.journal = config_.journal;
   cluster_ = std::make_unique<rpc::Cluster>(
       sim,

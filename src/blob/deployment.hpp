@@ -31,7 +31,6 @@ struct DeploymentConfig {
   /// Persistent store model for every stateful service (version manager,
   /// metadata providers, data providers). Disabled by default: state
   /// survives crashes intact and restarts are free, exactly as before.
-  /// Overridable with BS_JOURNAL=on|off.
   JournalOptions journal{};
 };
 

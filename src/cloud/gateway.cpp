@@ -2,33 +2,16 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 
-#include "common/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace bs::cloud {
 
-GatewayOptions apply_gateway_env(GatewayOptions base) {
-  base.dedup = env_switch("BS_GW_DEDUP", base.dedup);
-  // 0 is below the chunk knob's minimum, so it can only mean "unset".
-  if (const auto kb = env_count("BS_GW_CHUNK_KB", 0, 1,
-                                std::numeric_limits<std::uint64_t>::max() /
-                                    units::KB)) {
-    base.object_chunk_size = kb * units::KB;
-  }
-  // 0 is a valid bound here: it means "no bound".
-  base.max_user_clients =
-      env_count("BS_GW_MAX_CLIENTS", base.max_user_clients, 0);
-  base.journal.enabled = env_switch("BS_GW_JOURNAL", base.journal.enabled);
-  return base;
-}
-
 S3Gateway::S3Gateway(rpc::Node& node, blob::BlobClient::Endpoints endpoints,
                      GatewayOptions options)
     : node_(node), endpoints_(std::move(endpoints)),
-      options_(apply_gateway_env(options)),
+      options_(std::move(options)),
       durable_(node, options_.journal, *this, "recovering") {
   register_handlers();
   // Journaled, handlers suspended mid-await across a crash keep running as

@@ -292,10 +292,6 @@ struct GatewayOptions {
   blob::JournalOptions journal{};
 };
 
-/// Env-knob overrides: BS_GW_DEDUP=on|off, BS_GW_CHUNK_KB=<n>,
-/// BS_GW_MAX_CLIENTS=<n>, BS_GW_JOURNAL=on|off.
-GatewayOptions apply_gateway_env(GatewayOptions base);
-
 /// Gateway-side counters (also exported through bs::obs as gateway.*).
 struct GatewayStats {
   std::uint64_t puts{0};

@@ -1,14 +1,15 @@
-// BS_* knob parsing, driven through the components that read the knobs:
-// every on/off switch takes exactly on|1|off|0, BS_FLOW_SCHED takes
-// incremental|reference|global|0, every count takes decimal digits within
-// its range, and any other value is a usage error — variable, value and
-// accepted set on stderr, exit status 2.
+// BS_* knob parsing: every on/off switch takes exactly on|1|off|0,
+// BS_FLOW_SCHED takes incremental|reference|global|0, and any other value
+// is a usage error — variable, value and accepted set on stderr, exit
+// status 2. A knob only sets a default: an option the caller sets
+// explicitly is never overridden by a stray variable.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string_view>
 
-#include "cloud/gateway.hpp"
+#include "blob/deployment.hpp"
+#include "common/env.hpp"
 #include "net/flow.hpp"
 
 namespace bs {
@@ -28,25 +29,23 @@ class ScopedEnv {
   const char* name_;
 };
 
-/// Whether gateway dedup is on under BS_GW_DEDUP=value, starting from
+/// The frame pool's switch under BS_FRAME_POOL=value, starting from
 /// `fallback` so the switch has to act to change the answer.
-bool dedup_with(const char* value, bool fallback) {
-  const ScopedEnv env("BS_GW_DEDUP", value);
-  cloud::GatewayOptions base;
-  base.dedup = fallback;
-  return cloud::apply_gateway_env(base).dedup;
+bool frame_pool_with(const char* value, bool fallback) {
+  const ScopedEnv env("BS_FRAME_POOL", value);
+  return env_switch("BS_FRAME_POOL", fallback);
 }
 
 TEST(EnvKnobs, SwitchTakesOnOneOffZero) {
-  EXPECT_TRUE(dedup_with("on", false));
-  EXPECT_TRUE(dedup_with("1", false));
-  EXPECT_FALSE(dedup_with("off", true));
-  EXPECT_FALSE(dedup_with("0", true));
+  EXPECT_TRUE(frame_pool_with("on", false));
+  EXPECT_TRUE(frame_pool_with("1", false));
+  EXPECT_FALSE(frame_pool_with("off", true));
+  EXPECT_FALSE(frame_pool_with("0", true));
 }
 
 TEST(EnvKnobsDeathTest, UnknownSwitchValueExitsWithStatus2) {
-  EXPECT_EXIT(dedup_with("false", true), ::testing::ExitedWithCode(2),
-              "BS_GW_DEDUP=false: unknown value \\(accepted: on.1.off.0\\)");
+  EXPECT_EXIT(frame_pool_with("false", true), ::testing::ExitedWithCode(2),
+              "BS_FRAME_POOL=false: unknown value \\(accepted: on.1.off.0\\)");
 }
 
 TEST(EnvKnobs, FlowSchedTakesItsModeNames) {
@@ -66,55 +65,14 @@ TEST(EnvKnobsDeathTest, UnknownFlowSchedValueExitsWithStatus2) {
               "\\(accepted: incremental.reference.global.0\\)");
 }
 
-TEST(EnvKnobs, CountsTakeTheirValues) {
-  {
-    const cloud::GatewayOptions d = cloud::apply_gateway_env({});
-    const cloud::GatewayOptions defaults;
-    EXPECT_EQ(d.object_chunk_size, defaults.object_chunk_size);
-    EXPECT_EQ(d.max_user_clients, defaults.max_user_clients);
-  }
-  {
-    const ScopedEnv chunk("BS_GW_CHUNK_KB", "64");
-    const ScopedEnv clients("BS_GW_MAX_CLIENTS", "7");
-    const cloud::GatewayOptions o = cloud::apply_gateway_env({});
-    EXPECT_EQ(o.object_chunk_size, 64 * units::KB);
-    EXPECT_EQ(o.max_user_clients, 7u);
-  }
-  {
-    // The largest chunk count whose byte size still fits in 64 bits.
-    const ScopedEnv chunk("BS_GW_CHUNK_KB", "18446744073709551");
-    const ScopedEnv clients("BS_GW_MAX_CLIENTS", "0");  // 0 = no bound
-    cloud::GatewayOptions base;
-    base.max_user_clients = 5;
-    const cloud::GatewayOptions o = cloud::apply_gateway_env(base);
-    EXPECT_EQ(o.object_chunk_size, 18446744073709551ull * units::KB);
-    EXPECT_EQ(o.max_user_clients, 0u);
-  }
-}
-
-TEST(EnvKnobsDeathTest, MalformedOrOutOfRangeCountExitsWithStatus2) {
-  // Read leniently, each of these would keep the default without a word
-  // or, for BS_GW_MAX_CLIENTS=abc, read as 0 and turn the bound off.
-  const auto gateway = [] { (void)cloud::apply_gateway_env({}); };
-  EXPECT_EXIT(
-      { const ScopedEnv e("BS_GW_MAX_CLIENTS", "abc"); gateway(); },
-      ::testing::ExitedWithCode(2),
-      "BS_GW_MAX_CLIENTS=abc: unknown value \\(accepted: decimal count");
-  EXPECT_EXIT({ const ScopedEnv e("BS_GW_MAX_CLIENTS", "-5"); gateway(); },
-              ::testing::ExitedWithCode(2), "BS_GW_MAX_CLIENTS=-5: ");
-  EXPECT_EXIT({ const ScopedEnv e("BS_GW_MAX_CLIENTS", ""); gateway(); },
-              ::testing::ExitedWithCode(2), "BS_GW_MAX_CLIENTS=: ");
-  EXPECT_EXIT({ const ScopedEnv e("BS_GW_CHUNK_KB", "0"); gateway(); },
-              ::testing::ExitedWithCode(2), "BS_GW_CHUNK_KB=0: ");
-  EXPECT_EXIT({ const ScopedEnv e("BS_GW_CHUNK_KB", "64k"); gateway(); },
-              ::testing::ExitedWithCode(2), "BS_GW_CHUNK_KB=64k: ");
-  // Beyond the largest chunk count whose byte size fits in 64 bits.
-  EXPECT_EXIT(
-      {
-        const ScopedEnv e("BS_GW_CHUNK_KB", "18446744073709552");
-        gateway();
-      },
-      ::testing::ExitedWithCode(2), "BS_GW_CHUNK_KB=18446744073709552: ");
+TEST(EnvKnobs, StrayJournalVariableLeavesTheExplicitOptionAlone) {
+  const ScopedEnv env("BS_JOURNAL", "off");
+  sim::Simulation sim;
+  blob::DeploymentConfig config;
+  config.journal.enabled = true;
+  const blob::Deployment dep(sim, config);
+  EXPECT_TRUE(dep.config().journal.enabled);
+  EXPECT_TRUE(dep.config().vm_options.journal.enabled);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // The README's "Simulator knobs" table must name exactly the BS_* variables
-// the simulator reads: every env_switch / env_choice / env_count call under
-// src/ whose first argument is a "BS_..." string literal. A knob added to
-// the code without a README row, or a row left behind by a deleted knob,
-// fails here.
+// the simulator reads: every env_switch / env_choice call under src/ whose
+// first argument is a "BS_..." string literal. A knob added to the code
+// without a README row, or a row left behind by a deleted knob, fails here.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -25,12 +24,11 @@ std::string slurp(const fs::path& path) {
   return text.str();
 }
 
-/// Names passed as a "BS_..." literal first argument to env_switch,
-/// env_choice or env_count in `text`.
+/// Names passed as a "BS_..." literal first argument to env_switch or
+/// env_choice in `text`.
 std::set<std::string> knobs_read_in(std::string_view text) {
   std::set<std::string> out;
-  for (const std::string_view fn :
-       {"env_switch(", "env_choice(", "env_count("}) {
+  for (const std::string_view fn : {"env_switch(", "env_choice("}) {
     for (std::size_t at = text.find(fn); at != std::string_view::npos;
          at = text.find(fn, at + 1)) {
       std::size_t i = at + fn.size();
@@ -65,9 +63,9 @@ std::set<std::string> knobs_in_readme(std::string_view readme) {
 
 TEST(ReadmeKnobs, ScannersFindLiteralKnobsOnly) {
   EXPECT_EQ(knobs_read_in("env_switch(\"BS_A\", true);\n"
-                          "env_count(\n    \"BS_B\", 0, 1);\n"
+                          "env_choice(\n    \"BS_B\", {\"x\"});\n"
                           "env_choice(name, {\"x\"});\n"
-                          "env_count(\"NOT_A_KNOB\", 0, 1);\n"),
+                          "env_switch(\"NOT_A_KNOB\", true);\n"),
             (std::set<std::string>{"BS_A", "BS_B"}));
   EXPECT_EQ(knobs_in_readme("### Simulator knobs\n\n"
                             "| env var | values | effect |\n"

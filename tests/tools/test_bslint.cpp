@@ -1,8 +1,7 @@
 // Self-tests for bslint (tools/bslint). Fixtures are inline snippets fed
 // through scan_source with a synthetic path (paths select rule scopes), plus
-// filesystem-level tests for run()/lint_main() exit codes and baseline
-// semantics. Every shipped rule gets at least one positive, one suppressed
-// and one clean fixture.
+// filesystem-level tests for run()/lint_main() exit codes. Every shipped
+// rule gets at least one positive, one suppressed and one clean fixture.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -720,42 +719,6 @@ TEST(BslintSuppression, SuppressionsInsideStringsAreIgnored) {
   EXPECT_EQ(rules_of(fs), std::vector<std::string>{"det-random"});
 }
 
-// ------------------------------------------------------------- baseline
-
-TEST(BslintBaseline, FormatIsSortedAndStable) {
-  std::vector<Finding> in = {
-      {"b.cpp", 9, "det-random", "m", 1, ""},
-      {"a.cpp", 12, "det-wallclock", "m", 1, ""},
-      {"a.cpp", 3, "hyg-iostream", "m", 1, ""},
-  };
-  const std::string text = format_baseline(in);
-  std::vector<std::string> bad;
-  auto parsed = parse_baseline(text, &bad);
-  EXPECT_TRUE(bad.empty());
-  ASSERT_EQ(parsed.size(), 3u);
-  EXPECT_EQ(parsed[0].path, "a.cpp");
-  EXPECT_EQ(parsed[0].line, 3);
-  EXPECT_EQ(parsed[1].line, 12);
-  EXPECT_EQ(parsed[2].path, "b.cpp");
-  // Round-trip: formatting the parsed findings reproduces the text.
-  EXPECT_EQ(format_baseline(parsed), text);
-}
-
-TEST(BslintBaseline, ParserRejectsGarbageLines) {
-  std::vector<std::string> bad;
-  auto parsed = parse_baseline(
-      "# comment\n"
-      "\n"
-      "a.cpp:12:det-random\n"
-      "not a baseline line\n"
-      "a.cpp:xx:det-random\n"
-      "a.cpp:5:no-such-rule\n",
-      &bad);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].rule, "det-random");
-  EXPECT_EQ(bad.size(), 3u);
-}
-
 // --------------------------------------------------- run() + lint_main()
 
 class BslintCliTest : public ::testing::Test {
@@ -811,50 +774,11 @@ TEST_F(BslintCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(cli({}, &out), 2);  // no paths
   EXPECT_EQ(cli({"--no-such-flag", "src"}, &out), 2);
   EXPECT_EQ(cli({"no/such/dir"}, &out), 2);
-  EXPECT_EQ(cli({"--fix-baseline", "src"}, &out), 2);  // needs --baseline
-}
-
-TEST_F(BslintCliTest, BaselinedFindingsDoNotFail) {
-  write("src/bad.cpp", "int r = rand();\n");
-  write("baseline.txt", "src/bad.cpp:1:det-random\n");
-  std::string out;
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "src"}, &out), 0);
-  EXPECT_NE(out.find("1 baselined"), std::string::npos);
-}
-
-TEST_F(BslintCliTest, StaleBaselineEntriesAreReportedNotFatal) {
-  write("src/ok.cpp", "int main() { return 0; }\n");
-  write("baseline.txt", "src/gone.cpp:9:det-random\n");
-  std::string out;
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "src"}, &out), 0);
-  EXPECT_NE(out.find("stale baseline entry"), std::string::npos);
-}
-
-TEST_F(BslintCliTest, FixBaselineWritesSortedFileAndSecondRunIsClean) {
-  write("src/bad.cpp", "int r = rand();\nlong t = std::time(0);\n");
-  write("src/also.cpp", "std::mt19937 g;\n");
-  write("baseline.txt", "");
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "--fix-baseline", "src"}), 0);
-  std::ifstream in(root_ / "baseline.txt");
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  // Entries sorted by path, then line.
-  const auto a = text.find("src/also.cpp:1:det-random");
-  const auto b = text.find("src/bad.cpp:1:det-random");
-  const auto c = text.find("src/bad.cpp:2:det-wallclock");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(b, std::string::npos);
-  ASSERT_NE(c, std::string::npos);
-  EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
-  // Regeneration is idempotent, and the tree now passes against it.
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "--fix-baseline", "src"}), 0);
-  std::ifstream in2(root_ / "baseline.txt");
-  std::stringstream ss2;
-  ss2 << in2.rdbuf();
-  EXPECT_EQ(ss2.str(), text);
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "src"}), 0);
+  // bslint keeps no state between runs: baseline and cache flags are unknown.
+  EXPECT_EQ(cli({"--fix-baseline", "src"}, &out), 2);
+  EXPECT_EQ(cli({"--baseline", "baseline.txt", "src"}, &out), 2);
+  EXPECT_EQ(cli({"--cache-dir", (root_ / "cache").string(), "src"}, &out), 2);
+  EXPECT_EQ(cli({"--no-cache", "src"}, &out), 2);
 }
 
 TEST_F(BslintCliTest, HeaderDeclaredUnorderedMemberCaughtInCpp) {

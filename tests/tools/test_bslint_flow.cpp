@@ -1,8 +1,7 @@
 // Fixtures for bslint's cross-translation-unit pass: the symbol index, the
 // over-approximate call graph (cycles, overloads, unresolved externals),
 // the flow rules that carry call chains, the coro-first-await-if /
-// coro-ref-escape rules, the pass-1 cache (byte-identity across cold, warm
-// and --no-cache runs), and the --format output modes. Everything goes
+// coro-ref-escape rules, and the --format output modes. Everything goes
 // through run()/lint_main() against a scratch tree, exactly like the real
 // gate.
 #include <gtest/gtest.h>
@@ -49,11 +48,9 @@ class BslintFlowTest : public ::testing::Test {
     out << text;
   }
 
-  /// Runs both passes over src/ (plus any extra dirs) and returns fresh
-  /// findings.
-  RunResult run_tree(std::vector<std::string> paths = {"src"},
-                     RunOptions extra = {}) {
-    RunOptions opts = std::move(extra);
+  /// Runs both passes over `paths` (src/ by default).
+  RunResult run_tree(std::vector<std::string> paths = {"src"}) {
+    RunOptions opts;
     opts.root = root_.string();
     opts.paths = std::move(paths);
     RunResult res;
@@ -157,14 +154,14 @@ TEST_F(BslintFlowTest, WallclockTwoCallsBelowEncoderIsFound) {
   write("src/j/enc.cpp",
         "void encode_checkpoint(int v) { (void)v; (void)mid_now(); }\n");
   const RunResult res = run_tree();
-  const Finding* f = find_rule(res.fresh, "det-journal-encode");
+  const Finding* f = find_rule(res.findings, "det-journal-encode");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->path, "src/j/enc.cpp");
   EXPECT_NE(f->chain.find("encode_checkpoint() -> mid_now() -> leaf_now()"),
             std::string::npos)
       << f->chain;
   // The direct det-wallclock token finding exists too, at the leaf.
-  const Finding* direct = find_rule(res.fresh, "det-wallclock");
+  const Finding* direct = find_rule(res.findings, "det-wallclock");
   ASSERT_NE(direct, nullptr);
   EXPECT_EQ(direct->path, "src/j/leaf.cpp");
 }
@@ -176,13 +173,13 @@ TEST_F(BslintFlowTest, RandomReachableFromTaskRootCarriesChain) {
                            "sim::Task<int> drive() { co_return shuffle(); "
                            "}\n");
   const RunResult res = run_tree();
-  const Finding* f = find_rule(res.fresh, "det-random");
+  const Finding* f = find_rule(res.findings, "det-random");
   ASSERT_NE(f, nullptr);
   // Two det-random findings: the direct one at the rand() token and the
   // flow one attributed to drive()'s first call edge.
-  EXPECT_EQ(count_rule(res.fresh, "det-random"), 2);
+  EXPECT_EQ(count_rule(res.findings, "det-random"), 2);
   bool chained = false;
-  for (const auto& g : res.fresh) {
+  for (const auto& g : res.findings) {
     if (g.rule == "det-random" && !g.chain.empty()) {
       chained = true;
       EXPECT_NE(g.chain.find("drive() -> shuffle() -> pick()"),
@@ -200,7 +197,7 @@ TEST_F(BslintFlowTest, FlowRulesOnlyRootInSrc) {
                            "int pick() { return std::rand(); }\n"
                            "sim::Task<int> drive() { co_return pick(); }\n");
   const RunResult res = run_tree({"tests"});
-  for (const auto& f : res.fresh) {
+  for (const auto& f : res.findings) {
     EXPECT_TRUE(f.chain.empty()) << f.rule << " " << f.chain;
   }
 }
@@ -215,8 +212,8 @@ TEST_F(BslintFlowTest, MutualRecursionTerminatesAndReportsOnce) {
         "void ping(int n) { if (n > 0) pong(n); }\n"
         "void encode_log() { ping(3); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "det-journal-encode"), 1);
-  const Finding* f = find_rule(res.fresh, "det-journal-encode");
+  EXPECT_EQ(count_rule(res.findings, "det-journal-encode"), 1);
+  const Finding* f = find_rule(res.findings, "det-journal-encode");
   ASSERT_NE(f, nullptr);
   EXPECT_NE(f->chain.find("encode_log() -> ping() -> pong() -> tick()"),
             std::string::npos)
@@ -229,7 +226,7 @@ TEST_F(BslintFlowTest, SelfRecursionTerminates) {
         "std::rand(); }\n"
         "void encode_rec() { spin(5); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "det-journal-encode"), 1);
+  EXPECT_EQ(count_rule(res.findings, "det-journal-encode"), 1);
 }
 
 TEST_F(BslintFlowTest, OverloadAmbiguityIsConservative) {
@@ -241,7 +238,7 @@ TEST_F(BslintFlowTest, OverloadAmbiguityIsConservative) {
         "double fetch(double k) { return k + std::rand(); }\n");
   write("src/o/enc.cpp", "void encode_row() { (void)fetch(1); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "det-journal-encode"), 1);
+  EXPECT_EQ(count_rule(res.findings, "det-journal-encode"), 1);
 }
 
 TEST_F(BslintFlowTest, UnresolvedExternalNeverSuppressesKnownPath) {
@@ -252,7 +249,7 @@ TEST_F(BslintFlowTest, UnresolvedExternalNeverSuppressesKnownPath) {
         "long stamp() { return std::time(nullptr); }\n"
         "void encode_mix() { external_unknowable(); stamp(); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "det-journal-encode"), 1);
+  EXPECT_EQ(count_rule(res.findings, "det-journal-encode"), 1);
 }
 
 // ------------------------------------------------- flow: suppression law
@@ -267,8 +264,8 @@ TEST_F(BslintFlowTest, SuppressedFactIsDischargedForFlowToo) {
         "}\n"
         "void encode_s() { stamp(); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(find_rule(res.fresh, "det-wallclock"), nullptr);
-  EXPECT_EQ(find_rule(res.fresh, "det-journal-encode"), nullptr);
+  EXPECT_EQ(find_rule(res.findings, "det-wallclock"), nullptr);
+  EXPECT_EQ(find_rule(res.findings, "det-journal-encode"), nullptr);
   EXPECT_GE(res.suppressed, 1);
 }
 
@@ -280,9 +277,9 @@ TEST_F(BslintFlowTest, FlowFindingSuppressibleAtAttributedCallSite) {
         "  stamp();\n"
         "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(find_rule(res.fresh, "det-journal-encode"), nullptr);
+  EXPECT_EQ(find_rule(res.findings, "det-journal-encode"), nullptr);
   // The direct finding at the clock itself still stands.
-  EXPECT_EQ(count_rule(res.fresh, "det-wallclock"), 1);
+  EXPECT_EQ(count_rule(res.findings, "det-wallclock"), 1);
 }
 
 // ----------------------------------------------------- coro-ref-escape
@@ -300,7 +297,7 @@ TEST_F(BslintFlowTest, TemporaryToRefParamOfCoroutineFlaggedCrossTU) {
             "sim::Task<int> consume(const std::string& s);\n"
             "void fire() { (void)consume(std::string(\"abc\")); }\n");
   const RunResult res = run_tree();
-  const Finding* f = find_rule(res.fresh, "coro-ref-escape");
+  const Finding* f = find_rule(res.findings, "coro-ref-escape");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->path, "src/e/caller.cpp");
   EXPECT_NE(f->message.find("'consume'"), std::string::npos);
@@ -317,7 +314,7 @@ TEST_F(BslintFlowTest, DirectCoAwaitExemptsTheTemporary) {
             "sim::Task<int> fine() { co_return co_await "
             "consume(std::string(\"ok\")); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(find_rule(res.fresh, "coro-ref-escape"), nullptr);
+  EXPECT_EQ(find_rule(res.findings, "coro-ref-escape"), nullptr);
 }
 
 TEST_F(BslintFlowTest, NamedLvalueArgumentIsNotATemporary) {
@@ -328,7 +325,7 @@ TEST_F(BslintFlowTest, NamedLvalueArgumentIsNotATemporary) {
             "}\n"
             "void fire(const std::string& name) { (void)consume(name); }\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(find_rule(res.fresh, "coro-ref-escape"), nullptr);
+  EXPECT_EQ(find_rule(res.findings, "coro-ref-escape"), nullptr);
 }
 
 TEST_F(BslintFlowTest, RefEscapeSuppressibleAtCallSite) {
@@ -343,7 +340,7 @@ TEST_F(BslintFlowTest, RefEscapeSuppressibleAtCallSite) {
             "  (void)consume(std::string(\"abc\"));\n"
             "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(find_rule(res.fresh, "coro-ref-escape"), nullptr);
+  EXPECT_EQ(find_rule(res.findings, "coro-ref-escape"), nullptr);
   EXPECT_GE(res.suppressed, 1);
 }
 
@@ -358,7 +355,7 @@ TEST_F(BslintFlowTest, FirstStatementIfConditionAwaitFlagged) {
             "  co_return 0;\n"
             "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "coro-first-await-if"), 1);
+  EXPECT_EQ(count_rule(res.findings, "coro-first-await-if"), 1);
 }
 
 TEST_F(BslintFlowTest, InitStatementFormAlsoFlagged) {
@@ -372,7 +369,7 @@ TEST_F(BslintFlowTest, InitStatementFormAlsoFlagged) {
             "  co_return 0;\n"
             "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "coro-first-await-if"), 1);
+  EXPECT_EQ(count_rule(res.findings, "coro-first-await-if"), 1);
 }
 
 TEST_F(BslintFlowTest, HoistedAwaitIsClean) {
@@ -385,7 +382,7 @@ TEST_F(BslintFlowTest, HoistedAwaitIsClean) {
             "  co_return 0;\n"
             "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "coro-first-await-if"), 0);
+  EXPECT_EQ(count_rule(res.findings, "coro-first-await-if"), 0);
 }
 
 TEST_F(BslintFlowTest, SecondStatementIfConditionAwaitIsClean) {
@@ -400,7 +397,7 @@ TEST_F(BslintFlowTest, SecondStatementIfConditionAwaitIsClean) {
             "  co_return 0;\n"
             "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "coro-first-await-if"), 0);
+  EXPECT_EQ(count_rule(res.findings, "coro-first-await-if"), 0);
 }
 
 TEST_F(BslintFlowTest, FirstAwaitIfSuppressible) {
@@ -414,94 +411,8 @@ TEST_F(BslintFlowTest, FirstAwaitIfSuppressible) {
             "  co_return 0;\n"
             "}\n");
   const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "coro-first-await-if"), 0);
+  EXPECT_EQ(count_rule(res.findings, "coro-first-await-if"), 0);
   EXPECT_GE(res.suppressed, 1);
-}
-
-// ------------------------------------------------------- baseline chains
-
-TEST_F(BslintFlowTest, BaselineV2RoundTripsChainsAndMatchesWithoutThem) {
-  write("src/b/a.cpp",
-        "long stamp() { return std::time(nullptr); }\n"
-        "void encode_b() { stamp(); }\n");
-  write("baseline.txt", "");
-  std::string out;
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "--fix-baseline", "src"},
-                &out),
-            0);
-  std::ifstream in(root_ / "baseline.txt");
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  // The flow entry carries its chain after '|'.
-  EXPECT_NE(text.find("det-journal-encode|encode_b() -> stamp()"),
-            std::string::npos)
-      << text;
-  // Round-trip: the tree is clean against the regenerated baseline, and
-  // regeneration is byte-stable.
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "src"}, &out), 0);
-  EXPECT_EQ(cli({"--baseline", "baseline.txt", "--fix-baseline", "src"},
-                &out),
-            0);
-  std::ifstream in2(root_ / "baseline.txt");
-  std::stringstream ss2;
-  ss2 << in2.rdbuf();
-  EXPECT_EQ(ss2.str(), text);
-}
-
-// ----------------------------------------------------------------- cache
-
-TEST_F(BslintFlowTest, CacheIsByteInvisibleAndHits) {
-  write("src/k/a.hpp",
-        "#pragma once\n#include <unordered_map>\n"
-        "struct K { std::unordered_map<int, int> slots_; void f(); };\n");
-  write("src/k/a.cpp",
-        "#include \"k/a.hpp\"\n"
-        "void K::f() { for (auto& [k, v] : slots_) (void)k; }\n");
-  write("src/k/b.cpp", "long t() { return std::time(nullptr); }\n");
-  const std::string cache = (root_ / "cache").string();
-  std::string cold;
-  std::string warm;
-  std::string nocache;
-  EXPECT_EQ(cli({"--cache-dir", cache, "src"}, &cold), 1);
-  EXPECT_EQ(cli({"--cache-dir", cache, "src"}, &warm), 1);
-  EXPECT_EQ(cli({"--no-cache", "src"}, &nocache), 1);
-  EXPECT_EQ(cold, warm);
-  EXPECT_EQ(cold, nocache);
-  // The warm run actually hit.
-  std::string json;
-  EXPECT_EQ(cli({"--cache-dir", cache, "--format=json", "src"}, &json), 1);
-  EXPECT_NE(json.find("\"cache_hits\": 3"), std::string::npos) << json;
-}
-
-TEST_F(BslintFlowTest, HeaderEditInvalidatesIncluderEntries) {
-  write("src/k/a.hpp", "#pragma once\nstruct K { int x_; void f(); };\n");
-  write("src/k/a.cpp",
-        "#include \"k/a.hpp\"\n"
-        "void K::f() { x_ = 1; }\n");
-  const std::string cache = (root_ / "cache").string();
-  std::string out;
-  EXPECT_EQ(cli({"--cache-dir", cache, "src"}, &out), 0);
-  // The member becomes an unordered map: the .cpp's loop must be found even
-  // though the .cpp bytes are unchanged — its dep hash changed.
-  write("src/k/a.hpp",
-        "#pragma once\n#include <unordered_map>\n"
-        "struct K { std::unordered_map<int, int> x_; void f(); };\n");
-  write("src/k/a.cpp",
-        "#include \"k/a.hpp\"\n"
-        "void K::f() { for (auto& [k, v] : x_) (void)k; }\n");
-  EXPECT_EQ(cli({"--cache-dir", cache, "src"}, &out), 1);
-  EXPECT_NE(out.find("det-unordered-iter"), std::string::npos) << out;
-}
-
-TEST_F(BslintFlowTest, CorruptCacheIsACleanColdRun) {
-  write("src/k/c.cpp", "int r = std::rand();\n");
-  const std::string cache = (root_ / "cache").string();
-  fs::create_directories(cache);
-  std::ofstream(fs::path(cache) / "index.tsv") << "not a cache at all\n";
-  std::string out;
-  EXPECT_EQ(cli({"--cache-dir", cache, "src"}, &out), 1);
-  EXPECT_NE(out.find("det-random"), std::string::npos);
 }
 
 // --------------------------------------------------------------- formats

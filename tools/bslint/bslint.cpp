@@ -7,7 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "cache.hpp"
 #include "flow.hpp"
 #include "graph.hpp"
 #include "index.hpp"
@@ -122,9 +121,8 @@ const std::vector<RuleDesc>& rule_table() {
 
 class Scanner {
  public:
-  Scanner(std::string_view path, LexOut lexed, IncludeResolver* inc)
-      : path_(path), scope_(scope_of(path)), inc_(inc),
-        lex_(std::move(lexed)) {}
+  Scanner(std::string_view path, const LexOut& lexed, IncludeResolver* inc)
+      : path_(path), scope_(scope_of(path)), inc_(inc), lex_(lexed) {}
 
   std::vector<Finding> scan(ScanStats* stats) {
     harvest();
@@ -683,7 +681,7 @@ class Scanner {
   std::string path_;
   Scope scope_;
   IncludeResolver* inc_;
-  LexOut lex_;
+  const LexOut& lex_;
   std::set<std::string> unordered_;
   std::vector<Finding> findings_;
   int suppressed_{0};
@@ -752,20 +750,17 @@ bool finding_less(const Finding& a, const Finding& b) {
 
 IncludeResolver::IncludeResolver(std::string root) : root_(std::move(root)) {}
 
-const IncludeResolver::Entry* IncludeResolver::resolve(
+const std::set<std::string>* IncludeResolver::unordered_idents(
     const std::string& include) {
-  auto it = cache_.find(include);
-  if (it != cache_.end()) return &it->second;
+  auto it = idents_.find(include);
+  if (it != idents_.end()) return &it->second;
   if (in_flight_.count(include) != 0u) return nullptr;  // include cycle
   namespace fs = std::filesystem;
   fs::path resolved;
-  std::string rel;
   for (const char* base : {"src", "", "tests", "bench"}) {
     fs::path cand = fs::path(root_) / base / include;
     if (fs::exists(cand)) {
       resolved = cand;
-      rel = base[0] == '\0' ? include
-                            : (fs::path(base) / include).generic_string();
       break;
     }
   }
@@ -773,37 +768,23 @@ const IncludeResolver::Entry* IncludeResolver::resolve(
   std::string text;
   if (!read_file(resolved, &text)) return nullptr;
   in_flight_.insert(include);
-  LexOut lexed = lex(include, text);
-  Entry entry;
-  entry.paths.insert(rel);
-  harvest_unordered(lexed.toks, entry.ids);
+  const LexOut lexed = lex(include, text);
+  std::set<std::string> ids;
+  harvest_unordered(lexed.toks, ids);
   for (const auto& in : lexed.includes) {
     if (in.angled) continue;
-    if (const Entry* nested = resolve(in.name)) {
-      entry.ids.insert(nested->ids.begin(), nested->ids.end());
-      entry.paths.insert(nested->paths.begin(), nested->paths.end());
+    if (const auto* nested = unordered_idents(in.name)) {
+      ids.insert(nested->begin(), nested->end());
     }
   }
   in_flight_.erase(include);
-  return &cache_.emplace(include, std::move(entry)).first->second;
-}
-
-const std::set<std::string>* IncludeResolver::unordered_idents(
-    const std::string& include) {
-  const Entry* e = resolve(include);
-  return e == nullptr ? nullptr : &e->ids;
-}
-
-const std::set<std::string>* IncludeResolver::closure(
-    const std::string& include) {
-  const Entry* e = resolve(include);
-  return e == nullptr ? nullptr : &e->paths;
+  return &idents_.emplace(include, std::move(ids)).first->second;
 }
 
 std::vector<Finding> scan_source(std::string_view path, std::string_view text,
                                  ScanStats* stats, IncludeResolver* includes) {
-  Scanner s(path, lex(std::string(path), text), includes);
-  return s.scan(stats);
+  const LexOut lexed = lex(std::string(path), text);
+  return Scanner(path, lexed, includes).scan(stats);
 }
 
 bool run(const RunOptions& opts, RunResult* result, std::string* error) {
@@ -837,94 +818,24 @@ bool run(const RunOptions& opts, RunResult* result, std::string* error) {
     }
   }
 
-  // Pass-1 cache: load, validate per file by content + include-closure
-  // hashes, rewrite in full afterwards. The cache only short-circuits
-  // lexing/scanning/indexing — pass 2 always runs on the linked index, so
-  // cached and cold runs emit identical bytes.
-  const bool caching = !opts.cache_dir.empty() && !opts.no_cache;
-  const fs::path cache_path = fs::path(opts.cache_dir) / "index.tsv";
-  std::map<std::string, CachedFile> cached;
-  if (caching) {
-    std::string text;
-    if (read_file(cache_path, &text)) {
-      std::map<std::string, CachedFile> parsed;
-      if (parse_cache(text, &parsed)) cached = std::move(parsed);
-    }
-  }
-  std::map<std::string, std::uint64_t> live_hash;  // rel path -> fnv1a64
-  auto hash_of = [&](const std::string& rel) -> std::uint64_t {
-    auto it = live_hash.find(rel);
-    if (it != live_hash.end()) return it->second;
-    std::string text;
-    const std::uint64_t h =
-        read_file(root / rel, &text) ? fnv1a64(text) : 0;
-    live_hash.emplace(rel, h);
-    return h;
-  };
-
+  // Pass 1 per file: token rules plus the symbol index, over one lex.
   IncludeResolver resolver(root.string());
   std::vector<Finding> all;
   std::vector<FileIndex> indices;
-  std::vector<CachedFile> next_cache;
   for (const std::string& f : files) {
     std::string text;
     if (!read_file(root / f, &text)) {
       *error = "cannot read: " + f;
       return false;
     }
-    const std::uint64_t h = fnv1a64(text);
-    live_hash[f] = h;
-    const auto it = cached.find(f);
-    bool hit = it != cached.end() && it->second.content_hash == h;
-    if (hit) {
-      for (const auto& [dep, dep_hash] : it->second.deps) {
-        if (hash_of(dep) != dep_hash) {
-          hit = false;
-          break;
-        }
-      }
-    }
-    CachedFile entry;
-    if (hit) {
-      entry = it->second;
-      ++result->cache_hits;
-    } else {
-      entry.path = f;
-      entry.content_hash = h;
-      LexOut lexed = lex(f, text);
-      // Dependency set before the LexOut moves into the scanner.
-      std::set<std::string> deps;
-      for (const auto& in : lexed.includes) {
-        if (in.angled) continue;
-        if (const auto* cl = resolver.closure(in.name)) {
-          deps.insert(cl->begin(), cl->end());
-        }
-      }
-      Scanner scanner(f, std::move(lexed), &resolver);
-      ScanStats stats;
-      entry.findings = scanner.scan(&stats);
-      entry.suppressed = stats.suppressed;
-      // The index needs the same LexOut; re-lex (cheap) rather than teach
-      // the scanner to hand its stream back.
-      const LexOut lx2 = lex(f, text);
-      entry.index = build_index(f, lx2, scanner.unordered_idents());
-      for (const std::string& d : deps) {
-        if (d != f) entry.deps.emplace_back(d, hash_of(d));
-      }
-    }
-    result->suppressed += entry.suppressed;
-    all.insert(all.end(), entry.findings.begin(), entry.findings.end());
-    indices.push_back(entry.index);
+    const LexOut lexed = lex(f, text);
+    Scanner scanner(f, lexed, &resolver);
+    ScanStats stats;
+    const std::vector<Finding> found = scanner.scan(&stats);
+    result->suppressed += stats.suppressed;
+    all.insert(all.end(), found.begin(), found.end());
+    indices.push_back(build_index(f, lexed, scanner.unordered_idents()));
     ++result->files_scanned;
-    if (!opts.cache_dir.empty() && !opts.no_cache) {
-      next_cache.push_back(std::move(entry));
-    }
-  }
-  if (caching) {
-    std::error_code ec;
-    fs::create_directories(fs::path(opts.cache_dir), ec);
-    std::ofstream out(cache_path, std::ios::binary);
-    if (out) out << serialize_cache(std::move(next_cache));
   }
 
   // Pass 2: link and run the flow rules.
@@ -933,108 +844,8 @@ bool run(const RunOptions& opts, RunResult* result, std::string* error) {
   all.insert(all.end(), flow.findings.begin(), flow.findings.end());
   std::sort(all.begin(), all.end(), finding_less);
   all.erase(std::unique(all.begin(), all.end()), all.end());
-
-  // Baseline split (keys ignore the chain: path:line:rule).
-  std::set<std::string> baseline_keys;
-  if (!opts.baseline_path.empty() && !opts.fix_baseline) {
-    std::string text;
-    if (read_file(root / opts.baseline_path, &text)) {
-      std::vector<std::string> bad;
-      for (const Finding& b : parse_baseline(text, &bad)) {
-        baseline_keys.insert(b.path + ":" + std::to_string(b.line) + ":" +
-                             b.rule);
-      }
-      for (std::string& b : bad) result->stale.push_back(std::move(b));
-    }
-  }
-  std::set<std::string> live_keys;
-  for (Finding& f : all) {
-    const std::string key =
-        f.path + ":" + std::to_string(f.line) + ":" + f.rule;
-    live_keys.insert(key);
-    if (baseline_keys.count(key) != 0u) {
-      result->baselined.push_back(std::move(f));
-    } else {
-      result->fresh.push_back(std::move(f));
-    }
-  }
-  for (const std::string& key : baseline_keys) {
-    if (live_keys.count(key) == 0u) result->stale.push_back(key);
-  }
-
-  if (opts.fix_baseline && !opts.baseline_path.empty()) {
-    std::vector<Finding> everything = result->fresh;
-    everything.insert(everything.end(), result->baselined.begin(),
-                      result->baselined.end());
-    std::ofstream out(root / opts.baseline_path, std::ios::binary);
-    if (!out) {
-      *error = "cannot write baseline: " + opts.baseline_path;
-      return false;
-    }
-    out << format_baseline(std::move(everything));
-  }
+  result->findings = std::move(all);
   return true;
-}
-
-std::string format_baseline(std::vector<Finding> findings) {
-  std::sort(findings.begin(), findings.end(), finding_less);
-  std::string out =
-      "# bslint baseline v2 — grandfathered findings "
-      "(path:line:rule[|call chain]).\n"
-      "# Regenerate with `bslint --fix-baseline`; entries are sorted so the\n"
-      "# file never produces noisy diffs. Prefer fixing or inline allow()\n"
-      "# comments with a rationale over baselining new findings.\n";
-  for (const Finding& f : findings) {
-    out += f.path + ":" + std::to_string(f.line) + ":" + f.rule;
-    if (!f.chain.empty()) out += "|" + f.chain;
-    out += "\n";
-  }
-  return out;
-}
-
-std::vector<Finding> parse_baseline(std::string_view text,
-                                    std::vector<std::string>* bad) {
-  std::vector<Finding> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t e = text.find('\n', pos);
-    if (e == std::string_view::npos) e = text.size();
-    std::string line(text.substr(pos, e - pos));
-    pos = e + 1;
-    trim(line);
-    if (line.empty() || line.front() == '#') continue;
-    // Optional `|call chain` suffix, then path:line:rule split on the
-    // *last* two colons (paths may not contain colons in this repo, but be
-    // precise anyway).
-    std::string chain;
-    if (const auto bar = line.find('|'); bar != std::string::npos) {
-      chain = line.substr(bar + 1);
-      line.erase(bar);
-      trim(line);
-    }
-    const auto c2 = line.rfind(':');
-    const auto c1 = c2 == std::string::npos ? std::string::npos
-                                            : line.rfind(':', c2 - 1);
-    bool ok = c1 != std::string::npos && c1 > 0 && c2 > c1 + 1;
-    Finding f;
-    f.chain = std::move(chain);
-    if (ok) {
-      f.path = line.substr(0, c1);
-      f.rule = line.substr(c2 + 1);
-      try {
-        f.line = std::stoi(line.substr(c1 + 1, c2 - c1 - 1));
-      } catch (...) {
-        ok = false;
-      }
-      if (!rule_known(f.rule)) ok = false;
-    }
-    if (ok) {
-      out.push_back(std::move(f));
-    } else if (bad != nullptr) {
-      bad->push_back("unparseable baseline line: " + line);
-    }
-  }
-  return out;
 }
 
 int lint_main(int argc, const char* const* argv, std::ostream& out,
@@ -1056,18 +867,6 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
       const char* v = need_value("--root");
       if (v == nullptr) return 2;
       opts.root = v;
-    } else if (a == "--baseline") {
-      const char* v = need_value("--baseline");
-      if (v == nullptr) return 2;
-      opts.baseline_path = v;
-    } else if (a == "--cache-dir") {
-      const char* v = need_value("--cache-dir");
-      if (v == nullptr) return 2;
-      opts.cache_dir = v;
-    } else if (a == "--no-cache") {
-      opts.no_cache = true;
-    } else if (a == "--fix-baseline") {
-      opts.fix_baseline = true;
     } else if (a == "--format" || a.rfind("--format=", 0) == 0) {
       std::string_view v;
       if (a == "--format") {
@@ -1090,10 +889,8 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
     } else if (a == "--list-rules") {
       list_rules = true;
     } else if (a == "--help" || a == "-h") {
-      out << "usage: bslint [--root DIR] [--baseline FILE] [--fix-baseline]\n"
-             "              [--format=gcc|json] [--cache-dir DIR] "
-             "[--no-cache]\n"
-             "              [--list-rules] [--quiet] PATH...\n"
+      out << "usage: bslint [--root DIR] [--format=gcc|json] [--list-rules]\n"
+             "              [--quiet] PATH...\n"
              "Paths are files or directories relative to --root.\n"
              "Exit: 0 clean, 1 findings, 2 usage/I-O error.\n";
       return 0;
@@ -1114,10 +911,6 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
     err << "bslint: no paths given (try --help)\n";
     return 2;
   }
-  if (opts.fix_baseline && opts.baseline_path.empty()) {
-    err << "bslint: --fix-baseline needs --baseline FILE\n";
-    return 2;
-  }
   RunResult res;
   std::string error;
   if (!run(opts, &res, &error)) {
@@ -1127,7 +920,7 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
   if (json) {
     out << "{\n  \"findings\": [";
     bool first = true;
-    for (const Finding& f : res.fresh) {
+    for (const Finding& f : res.findings) {
       out << (first ? "" : ",") << "\n    {\"path\": \""
           << json_escape(f.path) << "\", \"line\": " << f.line
           << ", \"col\": " << f.col << ", \"rule\": \""
@@ -1136,24 +929,13 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
           << json_escape(f.chain) << "\"}";
       first = false;
     }
-    out << (first ? "" : "\n  ") << "],\n  \"stale_baseline\": [";
-    first = true;
-    for (const std::string& s : res.stale) {
-      out << (first ? "" : ",") << "\n    \"" << json_escape(s) << "\"";
-      first = false;
-    }
     out << (first ? "" : "\n  ") << "],\n"
-        << "  \"baselined\": " << res.baselined.size() << ",\n"
         << "  \"suppressed\": " << res.suppressed << ",\n"
-        << "  \"files_scanned\": " << res.files_scanned << ",\n"
-        << "  \"cache_hits\": " << res.cache_hits << ",\n"
-        << "  \"baseline_rewritten\": "
-        << (opts.fix_baseline ? "true" : "false") << "\n}\n";
-    if (opts.fix_baseline) return 0;
-    return res.fresh.empty() ? 0 : 1;
+        << "  \"files_scanned\": " << res.files_scanned << "\n}\n";
+    return res.findings.empty() ? 0 : 1;
   }
   if (!quiet) {
-    for (const Finding& f : res.fresh) {
+    for (const Finding& f : res.findings) {
       out << f.path << ":" << f.line << ":" << f.col << ": warning: "
           << f.message << " [" << f.rule << "]\n";
       if (!f.chain.empty()) {
@@ -1163,19 +945,11 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
         out << "    hint: " << r->hint << "\n";
       }
     }
-    for (const std::string& s : res.stale) {
-      out << "note: stale baseline entry: " << s << "\n";
-    }
   }
-  if (opts.fix_baseline) {
-    out << "bslint: baseline rewritten ("
-        << res.fresh.size() + res.baselined.size() << " entries)\n";
-    return 0;
-  }
-  out << "bslint: " << res.fresh.size() << " finding(s), "
-      << res.baselined.size() << " baselined, " << res.suppressed
-      << " suppressed, " << res.files_scanned << " file(s)\n";
-  return res.fresh.empty() ? 0 : 1;
+  out << "bslint: " << res.findings.size() << " finding(s), "
+      << res.suppressed << " suppressed, " << res.files_scanned
+      << " file(s)\n";
+  return res.findings.empty() ? 0 : 1;
 }
 
 }  // namespace bs::lint

@@ -34,11 +34,9 @@
 // as a discharged proof obligation: the flow pass does not re-report it
 // through caller chains.
 //
-// Grandfathered findings live in a checked-in baseline
-// (path:line:rule[|chain], sorted); `--fix-baseline` regenerates it
-// deterministically so churn never produces noisy diffs. Pass-1 results are
-// cached per file keyed by content hash (--cache-dir; see cache.hpp);
-// output is byte-identical across cold, warm and --no-cache runs.
+// Inline allow() is the only suppression mechanism. No state is kept
+// between runs: every run lexes and indexes each named file exactly once,
+// so what a run reports depends only on the tree and the analyzer binary.
 //
 // The analyzer is deliberately token-level and over-approximate: it trades
 // soundness for zero build-time dependencies. Call sites resolve by
@@ -81,18 +79,17 @@ struct Finding {
   friend bool operator==(const Finding&, const Finding&) = default;
 };
 
-/// Deterministic ordering used for reports and the baseline file.
+/// Deterministic ordering used for reports.
 bool finding_less(const Finding& a, const Finding& b);
 
 struct ScanStats {
   int suppressed{0};  ///< findings silenced by allow()/allow-file()
 };
 
-/// Memoized loader that resolves project-quoted `#include "x.hpp"` lines,
+/// Memoized loader that resolves project-quoted `#include "x.hpp"` lines and
 /// harvests identifiers declared with an unordered container type (so a
 /// .cpp iterating a member declared in its header is still caught by
-/// det-unordered-iter), and reports the resolved include closure for cache
-/// dependency tracking.
+/// det-unordered-iter).
 class IncludeResolver {
  public:
   /// `root` is the repo root; quoted includes resolve against root and
@@ -103,19 +100,9 @@ class IncludeResolver {
   /// bounded depth). Returns nullptr when the file cannot be resolved.
   const std::set<std::string>* unordered_idents(const std::string& include);
 
-  /// Root-relative paths of `include`'s file plus its quoted-include
-  /// closure — the cache key's dependency set. nullptr when unresolved.
-  const std::set<std::string>* closure(const std::string& include);
-
  private:
-  struct Entry {
-    std::set<std::string> ids;
-    std::set<std::string> paths;
-  };
-  const Entry* resolve(const std::string& include);
-
   std::string root_;
-  std::map<std::string, Entry> cache_;
+  std::map<std::string, std::set<std::string>> idents_;  ///< by include name
   std::set<std::string> in_flight_;  // cycle guard
 };
 
@@ -134,41 +121,22 @@ struct RunOptions {
   /// Files or directories, root-relative; directories are walked recursively
   /// in sorted order for .cpp/.hpp/.h files.
   std::vector<std::string> paths;
-  std::string baseline_path;  ///< root-relative; empty = no baseline
-  bool fix_baseline{false};
-  /// Pass-1 cache directory (any path; created on demand). Empty = no
-  /// cache. The cache never changes output bytes — only wall time.
-  std::string cache_dir;
-  bool no_cache{false};  ///< ignore and do not rewrite the cache
 };
 
 struct RunResult {
-  std::vector<Finding> fresh;      ///< findings not covered by the baseline
-  std::vector<Finding> baselined;  ///< grandfathered findings
-  std::vector<std::string> stale;  ///< baseline lines with no live finding
+  std::vector<Finding> findings;  ///< sorted by finding_less
   int suppressed{0};
   int files_scanned{0};
-  int cache_hits{0};  ///< files whose pass-1 results came from the cache
 };
 
 /// Runs both passes over opts.paths. Returns false (with *error set) on I/O
 /// or usage problems; analysis findings are NOT errors.
 bool run(const RunOptions& opts, RunResult* result, std::string* error);
 
-/// Canonical baseline serialization: header + `path:line:rule[|chain]`,
-/// sorted by (path, line, rule) — regeneration is churn-free by
-/// construction. The chain field is informational: matching ignores it.
-std::string format_baseline(std::vector<Finding> findings);
-
-/// Parses a baseline file body. Unparseable lines are reported in *bad.
-std::vector<Finding> parse_baseline(std::string_view text,
-                                    std::vector<std::string>* bad);
-
 /// CLI entry point (main() delegates here; tests drive it directly).
-/// Exit codes: 0 clean / all findings baselined, 1 fresh findings,
-/// 2 usage or I/O error. `--format=gcc` (default) prints
-/// `path:line:col: warning: message [rule]` with call-chain and hint notes;
-/// `--format=json` prints one stable JSON document.
+/// Exit codes: 0 clean, 1 findings, 2 usage or I/O error. `--format=gcc`
+/// (default) prints `path:line:col: warning: message [rule]` with call-chain
+/// and hint notes; `--format=json` prints one stable JSON document.
 int lint_main(int argc, const char* const* argv, std::ostream& out,
               std::ostream& err);
 

@@ -4,27 +4,6 @@
 
 namespace bs::lint {
 
-const char* fact_kind_name(FactKind k) {
-  switch (k) {
-    case FactKind::wallclock: return "wallclock";
-    case FactKind::random: return "random";
-    case FactKind::unordered_iter: return "unordered-iter";
-    case FactKind::ptr_identity: return "ptr-identity";
-  }
-  return "?";
-}
-
-bool fact_kind_from_name(std::string_view s, FactKind* out) {
-  for (FactKind k : {FactKind::wallclock, FactKind::random,
-                     FactKind::unordered_iter, FactKind::ptr_identity}) {
-    if (s == fact_kind_name(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* fact_suppressing_rule(FactKind k) {
   switch (k) {
     case FactKind::wallclock: return "det-wallclock";

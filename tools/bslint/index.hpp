@@ -38,10 +38,6 @@ enum class FactKind : std::uint8_t {
   ptr_identity      ///< reinterpret_cast / uintptr_t / "%p" serialization
 };
 
-/// Stable name used in the cache serialization.
-const char* fact_kind_name(FactKind k);
-bool fact_kind_from_name(std::string_view s, FactKind* out);
-
 /// The rule whose allow() suppresses a fact of this kind at its own line.
 const char* fact_suppressing_rule(FactKind k);
 
@@ -50,15 +46,11 @@ struct Fact {
   int line{0};
   int col{0};
   std::string detail;  ///< e.g. "use of 'mt19937'"
-
-  friend bool operator==(const Fact&, const Fact&) = default;
 };
 
 struct ParamShape {
   bool by_ref{false};   ///< declared with & / &&
   bool is_view{false};  ///< string_view or span<...>
-
-  friend bool operator==(const ParamShape&, const ParamShape&) = default;
 };
 
 struct CallSite {
@@ -67,8 +59,6 @@ struct CallSite {
   int col{0};
   bool direct_await{false};    ///< the call is the operand of co_await
   std::vector<bool> arg_temp;  ///< per argument: produces a temporary
-
-  friend bool operator==(const CallSite&, const CallSite&) = default;
 };
 
 struct FuncDef {
@@ -82,8 +72,6 @@ struct FuncDef {
   std::vector<ParamShape> params;
   std::vector<CallSite> calls;
   std::vector<Fact> facts;
-
-  friend bool operator==(const FuncDef&, const FuncDef&) = default;
 };
 
 struct FileIndex {
@@ -93,8 +81,6 @@ struct FileIndex {
   /// comments at the line a flow finding is attributed to.
   std::map<int, std::set<std::string>> allow_cover;
   std::set<std::string> allow_file;
-
-  friend bool operator==(const FileIndex&, const FileIndex&) = default;
 };
 
 /// Builds the index for one src/ file. `unordered_idents` carries the
