@@ -15,11 +15,17 @@
 namespace bs::bench::alloc_probe {
 
 inline std::atomic<std::uint64_t> g_allocs{0};
+inline std::atomic<std::uint64_t> g_bytes{0};
 inline std::atomic<std::uint64_t> g_frees{0};
 
 /// Total calls into the replaced global operator new since program start.
 inline std::uint64_t allocations() {
   return g_allocs.load(std::memory_order_relaxed);
+}
+
+/// Total bytes those calls asked for since program start.
+inline std::uint64_t bytes_allocated() {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 inline std::uint64_t frees() {
@@ -33,6 +39,7 @@ inline std::uint64_t frees() {
 // stays an operator call, and GCC reports -Wmismatched-new-delete.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   bs::bench::alloc_probe::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  bs::bench::alloc_probe::g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
@@ -43,6 +50,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 [[gnu::noinline]] void* operator new(std::size_t size,
                                      std::align_val_t align) {
   bs::bench::alloc_probe::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  bs::bench::alloc_probe::g_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align),
                      size == 0 ? 1 : size) != 0) {
@@ -53,6 +61,22 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
+}
+
+// The nothrow forms route through the counting ones too. Left to a
+// sanitizer runtime, they would allocate with its own operator new while
+// the replaced delete below frees with free(), a mismatch ASan reports
+// (libstdc++'s temporary buffers, e.g. std::stable_partition, use them).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
 }
 
 [[gnu::noinline]] void operator delete(void* p) noexcept {
@@ -68,6 +92,12 @@ void operator delete(void* p, std::align_val_t) noexcept {
   ::operator delete(p);
 }
 void operator delete[](void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   ::operator delete(p);
 }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {

@@ -70,6 +70,37 @@ void BM_BuildNodes_SmallWriteDeepHistory(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildNodes_SmallWriteDeepHistory)->Arg(8)->Arg(64)->Arg(512);
 
+// The gateway store blob's shape: back-to-back appends of 1-6 chunks. The
+// timed write is the next append; its left flanks cover the whole history.
+std::vector<WriteExtent> append_history(int n, std::uint64_t& end_out) {
+  Rng rng(42);
+  std::vector<WriteExtent> history;
+  std::uint64_t end = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t count = 1 + rng.next_below(6);
+    history.push_back(WriteExtent{static_cast<Version>(i + 1), end, count,
+                                  next_pow2(end + count)});
+    end += count;
+  }
+  end_out = end;
+  return history;
+}
+
+void BM_BuildNodes_AppendHistory(benchmark::State& state) {
+  const int hist = static_cast<int>(state.range(0));
+  const BlobId blob{1};
+  std::uint64_t end = 0;
+  auto history = append_history(hist, end);
+  const std::uint64_t root = next_pow2(end + 4);
+  WriteExtent w{static_cast<Version>(hist + 1), end, 4, root};
+  auto leaves = leaves_for(blob, w);
+  for (auto _ : state) {
+    auto nodes = meta_ops::build_nodes(blob, w, leaves, history, root);
+    benchmark::DoNotOptimize(nodes);
+  }
+}
+BENCHMARK(BM_BuildNodes_AppendHistory)->Arg(512)->Arg(4096);
+
 void BM_SubtreeVersion(benchmark::State& state) {
   const int hist = static_cast<int>(state.range(0));
   std::uint64_t root = 0;

@@ -406,9 +406,11 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
   }
 
   // 5. Build + store metadata; 6. commit, rebuilding if an earlier write
-  // aborted underneath us.
+  // aborted underneath us. Builds read the history StartWrite handed out;
+  // the frame owns a copy only once a rebuild hands back a new one.
   std::uint64_t epoch = plan.start.abort_epoch;
-  std::vector<WriteExtent> history = plan.start.history;
+  std::span<const WriteExtent> history = plan.start.history;
+  std::vector<WriteExtent> rebuilt_history;
   std::uint32_t rebuilds = 0;
   while (true) {
     auto nodes = meta_ops::build_nodes(blob, plan.start.extent(),
@@ -433,7 +435,8 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
       co_return fail({Errc::conflict, "too many abort-repair rebuilds"});
     }
     epoch = r.value().abort_epoch;
-    history = std::move(r.value().history);
+    rebuilt_history = std::move(r.value().history);
+    history = rebuilt_history;
   }
 
   WriteReceipt receipt;
@@ -606,18 +609,30 @@ sim::Task<Result<ReadResult>> BlobClient::read(BlobId blob,
   co_return result;
 }
 
-std::optional<std::vector<std::uint8_t>> ReadResult::assemble(
-    std::uint64_t from_offset, std::uint64_t length) const {
-  std::vector<std::uint8_t> out(length, 0);
+bool ReadResult::has_bytes(std::uint64_t from_offset,
+                           std::uint64_t length) const {
+  return std::all_of(chunks.begin(), chunks.end(), [&](const ChunkRead& c) {
+    return c.hole || (c.data && c.offset >= from_offset &&
+                      c.offset - from_offset + c.data->size() <= length);
+  });
+}
+
+void ReadResult::copy_to(std::uint64_t from_offset,
+                         std::span<std::uint8_t> out) const {
+  assert(has_bytes(from_offset, out.size()));
   for (const auto& c : chunks) {
     if (c.hole) continue;
-    if (!c.data) return std::nullopt;
-    if (c.offset < from_offset) return std::nullopt;
     const std::uint64_t pos = c.offset - from_offset;
-    if (pos + c.data->size() > length) return std::nullopt;
     std::copy(c.data->begin(), c.data->end(),
               out.begin() + static_cast<std::ptrdiff_t>(pos));
   }
+}
+
+std::optional<std::vector<std::uint8_t>> ReadResult::assemble(
+    std::uint64_t from_offset, std::uint64_t length) const {
+  if (!has_bytes(from_offset, length)) return std::nullopt;
+  std::vector<std::uint8_t> out(length, 0);
+  copy_to(from_offset, out);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "blob/messages.hpp"
 #include "blob/meta_ops.hpp"
@@ -73,8 +74,18 @@ struct ReadResult {
     return s > 0 ? static_cast<double>(bytes) / s : 0.0;
   }
 
-  /// Reassembles inline data (zero-filling holes); nullopt when any
-  /// non-hole chunk was stored without inline bytes.
+  /// True when every non-hole chunk carries inline bytes that lie inside
+  /// [from_offset, from_offset+length), so that there is data to copy.
+  [[nodiscard]] bool has_bytes(std::uint64_t from_offset,
+                               std::uint64_t length) const;
+
+  /// Copies the inline bytes into `out`, which holds blob bytes
+  /// [from_offset, from_offset+out.size()); holes leave `out` untouched.
+  /// Requires has_bytes(from_offset, out.size()).
+  void copy_to(std::uint64_t from_offset, std::span<std::uint8_t> out) const;
+
+  /// Reassembles inline data (zero-filling holes); nullopt, without
+  /// allocating, when has_bytes(from_offset, length) is false.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> assemble(
       std::uint64_t from_offset, std::uint64_t length) const;
 };

@@ -1,6 +1,8 @@
 #include "blob/meta_ops.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 
 #include "sim/sync.hpp"
@@ -32,11 +34,87 @@ Version subtree_version(std::span<const WriteExtent> history, Version vmax,
 
 namespace {
 
+/// The subtrees a write borrows straight from the history: each child of an
+/// in-write node that the write does not overlap. Only the two boundary
+/// paths have such children, at most one left and one right per level, so
+/// they follow from the write's extent alone. They are disjoint and sorted
+/// by position (left flanks top-down, then right flanks bottom-up), which
+/// is also the order in which ref_rec's depth-first walk reaches them.
+class Flanks {
+ public:
+  Flanks(const WriteExtent& w, std::uint64_t root_chunks) {
+    // A flank of size h hangs off the in-write node of size 2h that holds
+    // a boundary chunk. The write misses that node's left half exactly
+    // when bit h of `first` is set, and its right half exactly when bit h
+    // of `last` is clear: one left flank per set bit of `first`, one right
+    // flank per clear bit of `last` below the root.
+    const std::uint64_t first = w.first_chunk;
+    const std::uint64_t last = w.first_chunk + w.chunk_count - 1;
+    for (std::uint64_t bits = first; bits != 0;) {
+      const std::uint64_t h = std::bit_floor(bits);
+      push(first & ~(2 * h - 1), h);
+      bits -= h;
+    }
+    for (std::uint64_t bits = ~last & (root_chunks - 1); bits != 0;) {
+      const std::uint64_t h = std::uint64_t{1} << std::countr_zero(bits);
+      push((last & ~(2 * h - 1)) + h, h);
+      bits -= h;
+    }
+  }
+
+  /// Answers latest_overlapping(history, vmax, f.lo, f.count) for every
+  /// flank f in one pass: each extent binary-searches the flanks it
+  /// overlaps, with the same filter and strictly-greater tie rule.
+  void resolve(std::span<const WriteExtent> history, Version vmax) {
+    if (n_ == 0) return;
+    Flank* const begin = flanks_.data();
+    Flank* const end = begin + n_;
+    for (const auto& w : history) {
+      if (w.version > vmax || w.version == kInvalidVersion) continue;
+      Flank* f = std::partition_point(begin, end, [&w](const Flank& x) {
+        return x.lo + x.count <= w.first_chunk;
+      });
+      const std::uint64_t w_end = w.first_chunk + w.chunk_count;
+      for (; f != end && f->lo < w_end; ++f) {
+        if (f->prev == nullptr || w.version > f->prev->version) f->prev = &w;
+      }
+    }
+  }
+
+  /// The answer for the next flank in walk order, which is [lo, lo+count).
+  const WriteExtent* take([[maybe_unused]] std::uint64_t lo,
+                          [[maybe_unused]] std::uint64_t count) {
+    assert(next_ < n_ && flanks_[next_].lo == lo &&
+           flanks_[next_].count == count);
+    return flanks_[next_++].prev;
+  }
+
+ private:
+  struct Flank {
+    std::uint64_t lo;
+    std::uint64_t count;
+    const WriteExtent* prev;
+  };
+
+  void push(std::uint64_t lo, std::uint64_t count) {
+    assert(n_ < flanks_.size());
+    flanks_[n_++] = Flank{lo, count, nullptr};
+  }
+
+  // Two per level below the root of a tree of at most 2^63 chunks. Only
+  // [0, n_) is ever written or read, so the array is left unfilled: a
+  // small write's build would otherwise start by zeroing 3 KB.
+  std::array<Flank, 126> flanks_;
+  std::size_t n_{0};
+  std::size_t next_{0};
+};
+
 struct BuildCtx {
   BlobId blob;
   const WriteExtent* w;
   std::span<const ChunkDescriptor> leaves;
   std::span<const WriteExtent> history;
+  Flanks* flanks;
   std::vector<std::pair<NodeKey, TreeNode>>* out;
 };
 
@@ -48,12 +126,16 @@ struct BuildCtx {
 //    root grew by 2+ levels past it), in which case v emits a "bridge"
 //    node that descends toward the old root;
 //  * never-written subtrees are holes (kInvalidVersion).
-Version ref_rec(const BuildCtx& ctx, std::uint64_t lo, std::uint64_t count) {
+// `flank` says the parent is in the write: then an untouched subtree was
+// answered up front, and only a bridge's descendants scan the history.
+Version ref_rec(const BuildCtx& ctx, std::uint64_t lo, std::uint64_t count,
+                bool flank) {
   const Version v = ctx.w->version;
   const bool in_write = ctx.w->overlaps(lo, count);
   if (!in_write) {
     const WriteExtent* prev =
-        latest_overlapping(ctx.history, v - 1, lo, count);
+        flank ? ctx.flanks->take(lo, count)
+              : latest_overlapping(ctx.history, v - 1, lo, count);
     if (prev == nullptr) return kInvalidVersion;
     // Aligned pow2 ranges nest: either this range fits inside prev's tree
     // (borrow its node directly) or it strictly contains it (bridge).
@@ -71,8 +153,8 @@ Version ref_rec(const BuildCtx& ctx, std::uint64_t lo, std::uint64_t count) {
     node.chunk = ctx.leaves[lo - ctx.w->first_chunk];
   } else {
     const std::uint64_t half = count / 2;
-    node.left_version = ref_rec(ctx, lo, half);
-    node.right_version = ref_rec(ctx, lo + half, half);
+    node.left_version = ref_rec(ctx, lo, half, in_write);
+    node.right_version = ref_rec(ctx, lo + half, half, in_write);
   }
   ctx.out->emplace_back(key, std::move(node));
   return v;
@@ -91,8 +173,10 @@ std::vector<std::pair<NodeKey, TreeNode>> build_nodes(
   std::vector<std::pair<NodeKey, TreeNode>> out;
   // 2 * chunk_count is a good upper-bound guess for the path-closed set.
   out.reserve(2 * w.chunk_count + 8);
-  BuildCtx ctx{blob, &w, leaves, history, &out};
-  const Version root_ref = ref_rec(ctx, 0, root_chunks);
+  Flanks flanks(w, root_chunks);
+  flanks.resolve(history, w.version - 1);
+  BuildCtx ctx{blob, &w, leaves, history, &flanks, &out};
+  const Version root_ref = ref_rec(ctx, 0, root_chunks, false);
   assert(root_ref == w.version);
   (void)root_ref;
   return out;

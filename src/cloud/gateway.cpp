@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -879,20 +880,20 @@ void S3Gateway::register_handlers() {
         resp.etag = info.etag;
         resp.payload.size = len;
         resp.payload.checksum = info.etag;
-        bool all_bytes = true;
-        std::vector<std::uint8_t> bytes(len, 0);
-        for (Fetch& f : fetches) {
+        // The response carries bytes only when every fetch has all of its
+        // bytes inline, so a synthetic object allocates nothing for them.
+        bool all_bytes = !fetches.empty();
+        for (const Fetch& f : fetches) {
           if (!f.result.ok()) co_return f.result.error();
-          auto data = f.result.value().assemble(f.store_lo, f.rlen);
-          if (!data) {
-            all_bytes = false;
-            continue;
-          }
-          std::copy(data->begin(), data->end(),
-                    bytes.begin() +
-                        static_cast<std::ptrdiff_t>(f.obj_off - lo));
+          all_bytes =
+              all_bytes && f.result.value().has_bytes(f.store_lo, f.rlen);
         }
-        if (all_bytes && !fetches.empty()) {
+        if (all_bytes) {
+          std::vector<std::uint8_t> bytes(len, 0);
+          for (const Fetch& f : fetches) {
+            f.result.value().copy_to(
+                f.store_lo, std::span(bytes).subspan(f.obj_off - lo, f.rlen));
+          }
           resp.payload = blob::Payload::from_bytes(std::move(bytes));
         }
         co_return resp;

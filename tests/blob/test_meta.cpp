@@ -2,7 +2,9 @@
 // against a brute-force reference model of BlobSeer's shadowing semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
 
 #include "blob/meta_ops.hpp"
 #include "common/rng.hpp"
@@ -233,6 +235,178 @@ TEST_P(MetaPropertyTest, RandomWriteSequencesMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MetaPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
                                            89));
+
+// ------------------------------------------------------ flank differential
+
+// Reference build for the flank pass: every untouched subtree asks
+// subtree_version, the per-query history scan, and then looks up the
+// extent that scan chose (the first overlapping one in history order with
+// that version).
+struct ScanBuild {
+  BlobId blob;
+  const WriteExtent& w;
+  std::span<const ChunkDescriptor> leaves;
+  std::span<const WriteExtent> history;
+  std::vector<std::pair<NodeKey, TreeNode>> out;
+  std::uint64_t bridges{0};
+
+  Version ref(std::uint64_t lo, std::uint64_t count) {
+    const bool in_write = w.overlaps(lo, count);
+    if (!in_write) {
+      const Version pv =
+          meta_ops::subtree_version(history, w.version - 1, lo, count);
+      if (pv == kInvalidVersion) return kInvalidVersion;
+      const auto prev = std::find_if(
+          history.begin(), history.end(), [&](const WriteExtent& e) {
+            return e.version == pv && e.overlaps(lo, count);
+          });
+      if (!(lo == 0 && count > prev->root_chunks)) return pv;
+      ++bridges;
+    }
+    NodeKey key{blob, w.version, lo, count};
+    TreeNode node;
+    if (count == 1) {
+      node.leaf = true;
+      node.chunk = leaves[lo - w.first_chunk];
+    } else {
+      const std::uint64_t half = count / 2;
+      node.left_version = ref(lo, half);
+      node.right_version = ref(lo + half, half);
+    }
+    out.emplace_back(key, std::move(node));
+    return w.version;
+  }
+};
+
+/// Checks build_nodes against ScanBuild node for node, in order; returns
+/// the number of bridge nodes the write emitted.
+std::uint64_t expect_scan_build(const WriteExtent& w,
+                                std::span<const WriteExtent> history,
+                                std::uint64_t root_chunks) {
+  const BlobId blob{3};
+  const auto leaves = make_leaves(blob, w, 64);
+  ScanBuild scan{blob, w, leaves, history, {}};
+  EXPECT_EQ(scan.ref(0, root_chunks), w.version);
+  const auto got =
+      meta_ops::build_nodes(blob, w, leaves, history, root_chunks);
+  EXPECT_EQ(got.size(), scan.out.size())
+      << "write v" << w.version << " [" << w.first_chunk << ", +"
+      << w.chunk_count << ") root " << root_chunks;
+  for (std::size_t i = 0; i < std::min(got.size(), scan.out.size()); ++i) {
+    const auto& [gk, gn] = got[i];
+    const auto& [sk, sn] = scan.out[i];
+    EXPECT_EQ(gk, sk) << "node " << i << " of write v" << w.version;
+    EXPECT_EQ(gn.leaf, sn.leaf) << "node " << i;
+    EXPECT_EQ(gn.left_version, sn.left_version) << "node " << i;
+    EXPECT_EQ(gn.right_version, sn.right_version) << "node " << i;
+    EXPECT_EQ(gn.chunk.key, sn.chunk.key) << "node " << i;
+  }
+  return scan.bridges;
+}
+
+// The gateway's store-blob shape: back-to-back appends of 1-6 chunks, so
+// every write's left flanks cover a long history.
+TEST(FlankPass, AppendHistoryMatchesScan) {
+  Rng rng(11);
+  std::vector<WriteExtent> history;
+  std::uint64_t end = 0;
+  for (Version v = 1; v <= 1100; ++v) {
+    const auto count = static_cast<std::uint64_t>(rng.uniform_int(1, 6));
+    const WriteExtent w{v, end, count, next_pow2(end + count)};
+    expect_scan_build(w, history, w.root_chunks);
+    if (::testing::Test::HasFailure()) return;
+    history.push_back(w);
+    end += count;
+  }
+}
+
+// Overwrites, writes past the end that leave holes and grow the root by
+// up to five levels at once (so bridges occur), aborted entries with
+// kInvalidVersion, versions out of history order, and rebuilds of a
+// version below entries already in the history.
+class FlankPassMixed : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlankPassMixed, RandomHistoryMatchesScan) {
+  Rng rng(GetParam());
+  std::vector<WriteExtent> history;
+  std::uint64_t end = 0;
+  std::uint64_t bridges = 0;
+  Version next = 1;
+  for (int i = 0; i < 300; ++i) {
+    std::uint64_t first = 0;
+    const int shape = static_cast<int>(rng.next_below(8));
+    if (shape < 3 && end > 0) {  // overwrite inside the blob
+      first = rng.next_below(end);
+    } else if (shape < 6) {  // append
+      first = end;
+    } else {  // leave a hole; a small blob's root grows up to 5 levels
+      first = end + rng.next_below(
+                        end < 4096 ? std::max<std::uint64_t>(end, 1) * 32 : 64);
+    }
+    const auto count = static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+    end = std::max(end, first + count);
+    const std::uint64_t root = next_pow2(end);
+    const WriteExtent w{next++, first, count, root};
+    bridges += expect_scan_build(w, history, root);
+    if (rng.chance(0.2) && w.version > 2) {
+      // Rebuild of an earlier version against a history that also holds
+      // later ones: the vmax filter must drop them.
+      const WriteExtent early{1 + rng.next_below(w.version - 1), first, count,
+                              root};
+      bridges += expect_scan_build(early, history, root);
+    }
+    if (::testing::Test::HasFailure()) return;
+    history.push_back(w);
+    if (rng.chance(0.1)) {
+      history.push_back(WriteExtent{kInvalidVersion, rng.next_below(end),
+                                    1 + rng.next_below(8), root});
+    }
+    if (rng.chance(0.05)) {
+      // A second extent under an existing version, with its own tree
+      // height: ties must resolve to the first in history order.
+      const Version dup = history[rng.next_below(history.size())].version;
+      const std::uint64_t lo = rng.next_below(end);
+      const std::uint64_t n = 1 + rng.next_below(8);
+      history.push_back(
+          WriteExtent{dup, lo, n, next_pow2(lo + n) << rng.next_below(3)});
+    }
+    if (history.size() >= 2 && rng.chance(0.2)) {
+      std::swap(history[history.size() - 1], history[history.size() - 2]);
+    }
+  }
+  EXPECT_GT(bridges, 0u) << "no write exercised a bridge";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlankPassMixed,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Two extents share version 1; the scan's strictly-greater rule keeps the
+// first in history order, whose one-chunk tree makes the write bridge
+// over the flank [0, 2). The second would have been borrowed directly.
+TEST(FlankPass, TiesGoToTheFirstExtentInHistoryOrder) {
+  const std::vector<WriteExtent> history{{1, 0, 1, 1}, {1, 0, 1, 4}};
+  EXPECT_EQ(expect_scan_build(WriteExtent{2, 2, 2, 4}, history, 4), 1u);
+}
+
+// For a write numbered 0, vmax wraps to kInvalidVersion, so only the
+// explicit filter keeps an aborted entry from answering (and bridging).
+TEST(FlankPass, AbortedEntriesNeverAnswer) {
+  const std::vector<WriteExtent> history{{kInvalidVersion, 0, 2, 1}};
+  EXPECT_EQ(expect_scan_build(WriteExtent{0, 2, 2, 4}, history, 4), 0u);
+}
+
+TEST(FlankPass, SingleChunkRootMatchesScan) {
+  std::vector<WriteExtent> history;
+  for (Version v = 1; v <= 5; ++v) {
+    const WriteExtent w{v, 0, 1, 1};
+    expect_scan_build(w, history, 1);
+    history.push_back(w);
+  }
+  // The tree then grows from one chunk to eight: [0,2) and [0,4) hold v5's
+  // one-chunk tree, so the write bridges down to it.
+  const WriteExtent grow{6, 7, 1, 8};
+  EXPECT_EQ(expect_scan_build(grow, history, 8), 2u);
+}
 
 TEST(InMemoryStore, GetMissingFails) {
   sim::Simulation sim;

@@ -1,0 +1,166 @@
+// Deterministic cost guard for the gateway's GET: a GET allocates response
+// bytes only when every chunk it fetches carries inline bytes. A GET of a
+// synthetic object (size and checksum only, as every experiment workload
+// stores) must not allocate an object-sized buffer; one that zero-filled a
+// response buffer and a buffer per fetch would allocate twice the object.
+//
+// alloc_probe.hpp replaces the global operator new, so this must stay the
+// only translation unit of its binary that includes it.
+#include <gtest/gtest.h>
+
+#include "alloc_probe.hpp"
+#include "blob/deployment.hpp"
+#include "cloud/gateway.hpp"
+#include "test_util.hpp"
+
+namespace bs::cloud {
+namespace {
+
+constexpr std::uint64_t kChunk = 1 * units::MB;
+constexpr std::uint64_t kObject = 6 * kChunk;
+
+class GetCost : public ::testing::Test {
+ protected:
+  GetCost() {
+    blob::DeploymentConfig cfg;
+    cfg.sites = 1;
+    cfg.data_providers = 4;
+    cfg.metadata_providers = 2;
+    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
+    gw_node_ = dep_->cluster().add_node(0);
+    GatewayOptions opts;
+    opts.object_chunk_size = kChunk;
+    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
+                                           opts);
+    user_node_ = dep_->cluster().add_node(0);
+  }
+
+  template <class Req, class Resp>
+  Result<Resp> call(Req req) {
+    rpc::CallOptions opts;
+    opts.client = alice_;
+    return test::run_task(
+        sim_, dep_->cluster().call<Req, Resp>(*user_node_, gw_node_->id(),
+                                              std::move(req), opts));
+  }
+
+  void SetUp() override {
+    S3CreateBucketReq mk;
+    mk.bucket = "b";
+    ASSERT_TRUE((call<S3CreateBucketReq, S3CreateBucketResp>(mk)).ok());
+  }
+
+  /// Puts a synthetic (bytes-free) object of `size` bytes; returns its etag.
+  std::uint64_t put_synthetic(const std::string& key, std::uint64_t size) {
+    S3PutObjectReq put;
+    put.bucket = "b";
+    put.key = key;
+    put.payload.size = size;
+    put.payload.checksum = fnv1a_u64(size);
+    auto r = call<S3PutObjectReq, S3PutObjectResp>(std::move(put));
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r.value().etag : 0;
+  }
+
+  Result<S3GetObjectResp> get(const std::string& key,
+                              std::uint64_t offset = 0,
+                              std::uint64_t length = kObject) {
+    S3GetObjectReq req;
+    req.bucket = "b";
+    req.key = key;
+    req.offset = offset;
+    req.length = length;
+    return call<S3GetObjectReq, S3GetObjectResp>(std::move(req));
+  }
+
+  sim::Simulation sim_;
+  std::unique_ptr<blob::Deployment> dep_;
+  rpc::Node* gw_node_{nullptr};
+  std::unique_ptr<S3Gateway> gateway_;
+  rpc::Node* user_node_{nullptr};
+  const ClientId alice_{101};
+};
+
+TEST_F(GetCost, SyntheticGetAllocatesLessThanOneChunk) {
+  put_synthetic("k", kObject);
+  const std::uint64_t before = bench::alloc_probe::bytes_allocated();
+  const auto r = get("k");
+  const std::uint64_t bytes = bench::alloc_probe::bytes_allocated() - before;
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().payload.size, kObject);
+  EXPECT_LT(bytes, kChunk) << "a GET of a " << kObject
+                           << "-byte synthetic object allocated " << bytes
+                           << " bytes";
+}
+
+TEST_F(GetCost, SyntheticGetReturnsSizeAndEtagWithoutBytes) {
+  const std::uint64_t etag = put_synthetic("k", kObject);
+  const auto full = get("k");
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full.value().payload.bytes, nullptr);
+  EXPECT_EQ(full.value().payload.size, kObject);
+  EXPECT_EQ(full.value().payload.checksum, etag);
+  EXPECT_EQ(full.value().etag, etag);
+
+  // A range straddling a chunk boundary is clamped the same way.
+  const auto range = get("k", kChunk - 10, kChunk + 20);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range.value().payload.bytes, nullptr);
+  EXPECT_EQ(range.value().payload.size, kChunk + 20);
+  EXPECT_EQ(range.value().etag, etag);
+}
+
+TEST_F(GetCost, MixedInlineAndSyntheticManifestReturnsNoBytes) {
+  // Part 1 carries one chunk of real bytes, part 2 one synthetic chunk.
+  S3CreateMultipartReq mk;
+  mk.bucket = "b";
+  mk.key = "mixed";
+  const auto upload = call<S3CreateMultipartReq, S3CreateMultipartResp>(mk);
+  ASSERT_TRUE(upload.ok());
+  std::vector<std::uint8_t> content(kChunk);
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  }
+  S3UploadPartReq inline_part;
+  inline_part.bucket = "b";
+  inline_part.key = "mixed";
+  inline_part.upload_id = upload.value().upload_id;
+  inline_part.part_number = 1;
+  inline_part.payload = blob::Payload::from_bytes(content);
+  ASSERT_TRUE((call<S3UploadPartReq, S3UploadPartResp>(inline_part)).ok());
+  S3UploadPartReq synthetic_part;
+  synthetic_part.bucket = "b";
+  synthetic_part.key = "mixed";
+  synthetic_part.upload_id = upload.value().upload_id;
+  synthetic_part.part_number = 2;
+  synthetic_part.payload.size = kChunk;
+  synthetic_part.payload.checksum = fnv1a_u64(2);
+  ASSERT_TRUE((call<S3UploadPartReq, S3UploadPartResp>(synthetic_part)).ok());
+  S3CompleteMultipartReq done;
+  done.bucket = "b";
+  done.key = "mixed";
+  done.upload_id = upload.value().upload_id;
+  done.part_count = 2;
+  const auto completed =
+      call<S3CompleteMultipartReq, S3CompleteMultipartResp>(done);
+  ASSERT_TRUE(completed.ok());
+
+  const auto full = get("mixed", 0, 2 * kChunk);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full.value().payload.bytes, nullptr);
+  EXPECT_EQ(full.value().payload.size, 2 * kChunk);
+  EXPECT_EQ(full.value().payload.checksum, completed.value().etag);
+  EXPECT_EQ(full.value().etag, completed.value().etag);
+
+  // A range that fetches only the inline chunk still gets its bytes.
+  const auto head = get("mixed", 100, 1000);
+  ASSERT_TRUE(head.ok());
+  ASSERT_NE(head.value().payload.bytes, nullptr);
+  EXPECT_TRUE(std::equal(head.value().payload.bytes->begin(),
+                         head.value().payload.bytes->end(),
+                         content.begin() + 100));
+  EXPECT_EQ(head.value().payload.size, 1000u);
+}
+
+}  // namespace
+}  // namespace bs::cloud
