@@ -178,42 +178,92 @@ struct PingResp {
   std::uint64_t wire_size() const { return 32; }
 };
 
-void BM_RpcRoundTrip(benchmark::State& state) {
-  sim::Simulation sim;
-  rpc::Cluster cluster(sim, net::Topology::single_site());
-  rpc::Node* server = cluster.add_node(0);
-  rpc::Node* client = cluster.add_node(0);
-  server->serve<PingReq, PingResp>(
-      [](const PingReq&, const rpc::Envelope&)
-          -> sim::Task<Result<PingResp>> { co_return PingResp{}; });
-  auto one_call = [&] {
+/// One client and one server on a single site, pinging each other with a
+/// small message; `admit` is the server's admission hook (empty: none).
+struct PingBench {
+  explicit PingBench(rpc::Node::AdmissionHook admit = {})
+      : cluster(sim, net::Topology::single_site()),
+        server(cluster.add_node(0)),
+        client(cluster.add_node(0)) {
+    server->serve<PingReq, PingResp>(
+        [](const PingReq&, const rpc::Envelope&)
+            -> sim::Task<Result<PingResp>> { co_return PingResp{}; });
+    server->set_admission(std::move(admit));
+  }
+
+  /// Runs one call to completion; returns whether it succeeded.
+  bool one_call() {
     bool done = false;
-    sim.spawn([](rpc::Cluster& c, rpc::Node& n, NodeId to,
-                 bool& flag) -> sim::Task<void> {
+    bool ok = false;
+    sim.spawn([](rpc::Cluster& c, rpc::Node& n, NodeId to, bool& flag,
+                 bool& good) -> sim::Task<void> {
       auto r = co_await c.call<PingReq, PingResp>(n, to, PingReq{});
       benchmark::DoNotOptimize(r);
+      good = r.ok();
       flag = true;
-    }(cluster, *client, server->id(), done));
+    }(cluster, *client, server->id(), done, ok));
     while (!done && sim.step()) {
     }
-  };
-  for (int i = 0; i < 16; ++i) one_call();  // warm the frame pool
-  const std::uint64_t frame_allocs_before =
-      sim::FramePool::instance().stats().heap_allocs;
-  for (auto _ : state) {
-    one_call();
+    return ok;
   }
-  state.SetItemsProcessed(state.iterations());
-  // Frame-pool discipline across the measured window: every coroutine frame
-  // the RPC path spawned (client task, call attempt, handler, timeout
-  // watcher chain) must come from the pool's free lists — zero frame-sized
-  // trips to the heap per op once the pool is warm.
-  state.counters["frame_heap_allocs_per_op"] =
-      static_cast<double>(sim::FramePool::instance().stats().heap_allocs -
-                          frame_allocs_before) /
-      static_cast<double>(state.iterations());
+
+  /// Times calls with the frame pool warm. Reports the frame pool's trips
+  /// to the heap per timed call (`frame_heap_allocs_per_op`), and every
+  /// global operator new per call (`all_allocs_per_op`), counted over a
+  /// fixed batch after the timed loop, where the harness allocates nothing.
+  void measure(benchmark::State& state, bool expect_ok) {
+    for (int i = 0; i < 16; ++i) {  // warm the frame pool
+      if (one_call() != expect_ok) {
+        state.SkipWithError("unexpected call outcome");
+        return;
+      }
+    }
+    const std::uint64_t frame_allocs_before =
+        sim::FramePool::instance().stats().heap_allocs;
+    for (auto _ : state) {
+      one_call();
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["frame_heap_allocs_per_op"] =
+        static_cast<double>(sim::FramePool::instance().stats().heap_allocs -
+                            frame_allocs_before) /
+        static_cast<double>(state.iterations());
+    constexpr int kBatch = 1000;
+    const std::uint64_t allocs_before = bench::alloc_probe::allocations();
+    for (int i = 0; i < kBatch; ++i) one_call();
+    state.counters["all_allocs_per_op"] =
+        static_cast<double>(bench::alloc_probe::allocations() -
+                            allocs_before) /
+        kBatch;
+  }
+
+  sim::Simulation sim;
+  rpc::Cluster cluster;
+  rpc::Node* server;
+  rpc::Node* client;
+};
+
+// A served round trip. Every coroutine frame on the path (client task,
+// call, call body, handler) and every shared body (request, response, call
+// state) comes from the frame pool, and the call's one waiter sits in its
+// event's inline slot: 0 global allocations per call once the pool is warm.
+void BM_RpcRoundTrip(benchmark::State& state) {
+  PingBench bench;
+  bench.measure(state, true);
 }
 BENCHMARK(BM_RpcRoundTrip);
+
+// A round trip the server's admission hook refuses, the shape of most
+// calls in a DoS flood. The refusal's error text is longer than the
+// small-string buffer, so each call allocates exactly once: the hook's own
+// Error, which then moves to the caller without a copy.
+void BM_RpcRefused(benchmark::State& state) {
+  PingBench bench([](const rpc::Envelope&, const char*) -> Result<void> {
+    return Error{Errc::blocked, "client is blocked by the security policy"};
+  });
+  bench.measure(state, false);
+}
+BENCHMARK(BM_RpcRefused);
 
 // Same round trip with a TraceSink + MetricsRegistry installed: the cost of
 // actually recording spans/counters. BM_RpcRoundTrip above is the

@@ -46,7 +46,7 @@ run_sim_kernel() {
   out=build/BENCH_sim_kernel.json
   micro=build/bench_micro_sim.json
   ./build/bench/bench_micro_sim \
-    --benchmark_filter='BM_EventQueue|BM_SameTimeLane|BM_ActorSpawn|BM_TimerArmCancel|BM_RpcRoundTrip$' \
+    --benchmark_filter='BM_EventQueue|BM_SameTimeLane|BM_ActorSpawn|BM_TimerArmCancel|BM_RpcRoundTrip$|BM_RpcRefused' \
     --benchmark_min_time=0.1 --benchmark_format=json > "$micro"
   for b in bench_dos_throughput bench_detection_delay; do
     start=$(date +%s%N)
@@ -68,7 +68,8 @@ doc = {
     "micro": [
         {k: b.get(k) for k in
          ("name", "real_time", "time_unit", "items_per_second",
-          "allocs_per_op", "frame_heap_allocs_per_op") if k in b}
+          "allocs_per_op", "all_allocs_per_op",
+          "frame_heap_allocs_per_op") if k in b}
         for b in micro.get("benchmarks", [])
     ],
     "e2e_wall_time_ms": e2e,

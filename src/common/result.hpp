@@ -66,9 +66,15 @@ class [[nodiscard]] Result {
     return std::get<0>(std::move(data_));
   }
 
-  [[nodiscard]] const Error& error() const {
+  [[nodiscard]] const Error& error() const& {
     assert(!ok());
     return std::get<1>(data_);
+  }
+  /// Moves the error out, message included: forwarding a failure up a
+  /// call chain then copies no text.
+  [[nodiscard]] Error&& error() && {
+    assert(!ok());
+    return std::get<1>(std::move(data_));
   }
   [[nodiscard]] Errc code() const {
     return ok() ? Errc::ok : error().code;
@@ -97,9 +103,13 @@ class [[nodiscard]] Result<void> {
   [[nodiscard]] bool ok() const { return !err_.has_value(); }
   explicit operator bool() const { return ok(); }
 
-  [[nodiscard]] const Error& error() const {
+  [[nodiscard]] const Error& error() const& {
     assert(!ok());
     return *err_;
+  }
+  [[nodiscard]] Error&& error() && {
+    assert(!ok());
+    return *std::move(err_);
   }
   [[nodiscard]] Errc code() const { return ok() ? Errc::ok : err_->code; }
 

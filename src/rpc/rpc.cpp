@@ -7,6 +7,13 @@
 
 namespace bs::rpc {
 
+namespace detail {
+std::size_t next_message_id() {
+  static std::size_t next = 0;
+  return next++;
+}
+}  // namespace detail
+
 Node::Node(Cluster& cluster, NodeId id, net::SiteId site,
            const NodeSpec& spec)
     : cluster_(cluster), id_(id), site_(site), spec_(spec) {
@@ -77,26 +84,25 @@ Node* Cluster::node(NodeId id) {
   return nodes_[id.value].get();
 }
 
-// bslint: allow(coro-ref-param): see rpc.hpp — cluster-owned nodes
-sim::Task<void> Cluster::transmit(Node& a, Node& b, std::uint64_t bytes,
+SimDuration Cluster::control_delay(const Node& a, const Node& b,
+                                   std::uint64_t bytes) {
+  // Control-plane message: pure serialization delay, no contention. Keeps
+  // the flow scheduler's active set small while the data plane dominates.
+  const double rate = std::min(a.spec().nic_bps, b.spec().nic_bps);
+  return simtime::seconds(static_cast<double>(bytes) / rate);
+}
+
+// Not a coroutine: the caller awaits the flow's own task directly.
+sim::Task<void> Cluster::transmit(Node* a, Node* b, std::uint64_t bytes,
                                   net::Resource* extra) {
-  if (bytes == 0) co_return;
-  if (bytes < kFlowThreshold) {
-    // Control-plane message: pure serialization delay, no contention. Keeps
-    // the flow scheduler's active set small while the data plane dominates.
-    const double rate = std::min(a.spec().nic_bps, b.spec().nic_bps);
-    co_await sim_.delay(
-        simtime::seconds(static_cast<double>(bytes) / rate));
-  } else {
-    std::vector<net::Resource*> rs{a.nic_tx(), b.nic_rx()};
-    if (extra != nullptr) rs.push_back(extra);
-    co_await flows_.transfer(static_cast<double>(bytes), std::move(rs));
-  }
+  std::vector<net::Resource*> rs{a->nic_tx(), b->nic_rx()};
+  if (extra != nullptr) rs.push_back(extra);
+  return flows_.transfer(static_cast<double>(bytes), std::move(rs));
 }
 
 // bslint: allow(coro-ref-param): see rpc.hpp — cluster-owned node
 sim::Task<Result<detail::AnyPtr>> Cluster::call_erased(
-    Node& src, NodeId dst, std::type_index type, const char* name,
+    Node& src, NodeId dst, std::size_t type, const char* name,
     detail::AnyPtr req, std::uint64_t req_bytes, bool payload_to_disk,
     CallOptions opts) {
   obs::TraceSink* ts = obs::sink();
@@ -114,13 +120,39 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_erased(
                      {"attempt", attempt});
       att_opts.parent_span = att.id();
     }
-    auto r = co_await call_attempt(src, dst, type, name, req, req_bytes,
-                                   payload_to_disk, att_opts);
+    // One attempt: spawn the body, then arm the watcher, in this order
+    // (the body's first event takes its sequence number before the timer).
+    ++calls_started_;
+    obs::count("rpc.calls_started");
+    auto state = detail::make_pooled<CallState>(sim_);
+    sim_.spawn(call_body(state, &src, node(dst), type, name, req, req_bytes,
+                         payload_to_disk, att_opts));
+    // The watcher is a cancellable timer, disarmed once the call settles:
+    // its CallState reference and queue entry go at once.
+    sim::TimerId watch;
+    if (att_opts.timeout > 0 && att_opts.timeout < simtime::kInfinite) {
+      auto watcher = [this, state] {
+        if (!state->settled) {
+          state->settled = true;
+          state->result = Error{Errc::timeout, "rpc timeout"};
+          ++timeouts_;
+          obs::count("rpc.timeouts");
+          state->done.set();
+        }
+      };
+      static_assert(sim::InlineCallback::fits_inline<decltype(watcher)>(),
+                    "per-call timeout watcher must not allocate");
+      watch = sim_.schedule_timer_in(att_opts.timeout, std::move(watcher));
+    }
+    co_await state->done.wait();
+    sim_.cancel(watch);  // false when the watcher itself settled the call
+    // Settled results are never read again, so the error text moves.
+    Result<detail::AnyPtr> r = std::move(state->result);
     if (ts) att.end(errc_name(r.code()));
     if (r.ok() || attempt >= opts.retry.max_attempts ||
         !RetryPolicy::retryable(r.error().code)) {
       if (ts) call_span.end(errc_name(r.code()));
-      co_return r;
+      co_return std::move(r);
     }
     ++calls_retried_;
     obs::count("rpc.calls_retried");
@@ -134,40 +166,8 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_erased(
   }
 }
 
-// bslint: allow(coro-ref-param): see rpc.hpp — cluster-owned node
-sim::Task<Result<detail::AnyPtr>> Cluster::call_attempt(
-    Node& src, NodeId dst, std::type_index type, const char* name,
-    detail::AnyPtr req, std::uint64_t req_bytes, bool payload_to_disk,
-    CallOptions opts) {
-  ++calls_started_;
-  obs::count("rpc.calls_started");
-  auto state = std::make_shared<CallState>(sim_);
-  sim_.spawn(call_body(state, &src, node(dst), type, name, std::move(req),
-                       req_bytes, payload_to_disk, opts));
-  // The watcher is a cancellable timer, disarmed once the call settles:
-  // its CallState reference and queue entry go at once.
-  sim::TimerId watch;
-  if (opts.timeout > 0 && opts.timeout < simtime::kInfinite) {
-    auto watcher = [this, state] {
-      if (!state->settled) {
-        state->settled = true;
-        state->result = Error{Errc::timeout, "rpc timeout"};
-        ++timeouts_;
-        obs::count("rpc.timeouts");
-        state->done.set();
-      }
-    };
-    static_assert(sim::InlineCallback::fits_inline<decltype(watcher)>(),
-                  "per-call timeout watcher must not allocate");
-    watch = sim_.schedule_timer_in(opts.timeout, std::move(watcher));
-  }
-  co_await state->done.wait();
-  sim_.cancel(watch);  // false when the watcher itself settled the call
-  co_return state->result;
-}
-
 sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
-                                   Node* src, Node* dst, std::type_index type,
+                                   Node* src, Node* dst, std::size_t type,
                                    const char* name, detail::AnyPtr req,
                                    std::uint64_t req_bytes,
                                    bool payload_to_disk, CallOptions opts) {
@@ -182,7 +182,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
     settle(Error{Errc::unavailable, "source node down"});
     co_return;
   }
-  if (dst == nullptr || !dst->up() || !dst->serves(type)) {
+  if (dst == nullptr || !dst->up() || dst->handler(type) == nullptr) {
     settle(Error{Errc::unavailable,
                  std::string("no service for ") + name});
     co_return;
@@ -219,8 +219,12 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
   env.parent_span = opts.parent_span;
 
   co_await sim_.delay(latency);
-  co_await transmit(*src, *dst, req_bytes,
-                    payload_to_disk ? dst->disk() : nullptr);
+  if (req_bytes >= kFlowThreshold) {
+    co_await transmit(src, dst, req_bytes,
+                      payload_to_disk ? dst->disk() : nullptr);
+  } else if (req_bytes > 0) {
+    co_await sim_.delay(control_delay(*src, *dst, req_bytes));
+  }
   if (!dst_alive()) {
     settle(Error{Errc::unavailable, "destination crashed"});
     co_return;
@@ -245,7 +249,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
                     {"client", static_cast<std::int64_t>(opts.client.value)});
       }
       if (dst->observer_) dst->observer_(info);
-      settle(admit.error());
+      settle(std::move(admit).error());
       co_return;
     }
   }
@@ -298,7 +302,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
     co_return;
   }
   detail::AnyResponse resp =
-      co_await dst->handlers_[type](std::move(req), env);
+      co_await (*dst->handler(type))(std::move(req), env);
   dst->service_sem_->release();
   if (!dst_alive()) {
     // Handler finished on a node that crashed mid-service: result lost.
@@ -322,7 +326,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
   if (dst->observer_) dst->observer_(info);
 
   if (!resp.status.ok()) {
-    settle(resp.status.error());
+    settle(std::move(resp.status).error());
     co_return;
   }
 
@@ -343,8 +347,12 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
     resp_latency += lf.extra_latency;
   }
   co_await sim_.delay(resp_latency);
-  co_await transmit(*dst, *src, resp.wire_size,
-                    resp.from_disk ? dst->disk() : nullptr);
+  if (resp.wire_size >= kFlowThreshold) {
+    co_await transmit(dst, src, resp.wire_size,
+                      resp.from_disk ? dst->disk() : nullptr);
+  } else if (resp.wire_size > 0) {
+    co_await sim_.delay(control_delay(*dst, *src, resp.wire_size));
+  }
   if (!dst_alive()) co_return;  // crashed before the last byte left
   if (!src_alive()) co_return;  // caller crashed while the response flew
   settle(std::move(resp.payload));

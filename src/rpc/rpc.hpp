@@ -16,12 +16,12 @@
 //                                                  // read from dst disk
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <typeindex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -31,6 +31,7 @@
 #include "net/flow.hpp"
 #include "net/topology.hpp"
 #include "obs/trace.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -126,6 +127,51 @@ struct AnyResponse {
 using ErasedHandler =
     std::function<sim::Task<AnyResponse>(AnyPtr, Envelope)>;
 
+/// Stateless allocator over sim::FramePool. A call shares its request,
+/// response and call state between the caller, the call body and the
+/// timeout watcher, and any of them may be the last to let go, so these
+/// bodies cannot live in one frame. std::allocate_shared with this
+/// allocator puts object and counts in one pooled chunk: a warm call never
+/// reaches malloc, and with BS_FRAME_POOL=off the chunk comes from the
+/// heap, as frames do.
+template <class T>
+struct PoolAllocator {
+  using value_type = T;
+  PoolAllocator() = default;
+  template <class U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= alignof(std::max_align_t),
+                  "pool chunks are only max_align_t aligned");
+    return static_cast<T*>(sim::FramePool::instance().allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    sim::FramePool::instance().deallocate(p, n * sizeof(T));
+  }
+  template <class U>
+  bool operator==(const PoolAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <class T, class... Args>
+std::shared_ptr<T> make_pooled(Args&&... args) {
+  return std::allocate_shared<T>(PoolAllocator<T>{},
+                                 std::forward<Args>(args)...);
+}
+
+/// Hands out dense message ids, in first-use order.
+std::size_t next_message_id();
+
+/// Small integer naming message type Req, taken at its first use; it
+/// indexes a node's handler table, so dispatch is one vector load instead
+/// of a hash lookup. Ids never reach simulation output.
+template <class Req>
+std::size_t message_id() {
+  static const std::size_t id = next_message_id();
+  return id;
+}
+
 template <class T>
 concept HasPayloadToDisk = requires { T::kPayloadToDisk; };
 template <class T>
@@ -182,30 +228,36 @@ class Node {
   net::Resource* nic_rx() { return nic_rx_; }
   net::Resource* disk() { return disk_; }
 
-  /// Registers a coroutine handler for requests of type Req.
+  /// Registers a coroutine handler for requests of type Req. Handlers live
+  /// behind their own pointer: a handler coroutine refers to its closure
+  /// while suspended, so registering a new type (which may grow the table)
+  /// must never move a stored one.
   template <class Req, class Resp, class F>
   void serve(F handler) {
-    handlers_[std::type_index(typeid(Req))] =
+    const std::size_t id = detail::message_id<Req>();
+    if (id >= handlers_.size()) handlers_.resize(id + 1);
+    handlers_[id] = std::make_unique<detail::ErasedHandler>(
         [handler = std::move(handler)](detail::AnyPtr any,
                                        Envelope env) -> sim::Task<detail::AnyResponse> {
       auto req = std::static_pointer_cast<Req>(std::move(any));
       Result<Resp> result = co_await handler(*req, env);
       detail::AnyResponse out;
       if (result.ok()) {
-        auto payload = std::make_shared<Resp>(std::move(result).value());
+        auto payload = detail::make_pooled<Resp>(std::move(result).value());
         out.wire_size = payload->wire_size();
         out.from_disk = detail::response_from_disk<Req>();
         out.payload = std::move(payload);
         out.status = ok_result();
       } else {
-        out.status = result.error();
+        out.status = std::move(result).error();
       }
       co_return out;
-    };
+    });
   }
 
-  [[nodiscard]] bool serves(std::type_index t) const {
-    return handlers_.count(t) > 0;
+  template <class Req>
+  [[nodiscard]] bool serves() const {
+    return handler(detail::message_id<Req>()) != nullptr;
   }
 
   /// Admission control: run before queueing; an error rejects the request
@@ -221,6 +273,11 @@ class Node {
  private:
   friend class Cluster;
 
+  /// The handler registered for message id `id`, or nullptr.
+  [[nodiscard]] detail::ErasedHandler* handler(std::size_t id) const {
+    return id < handlers_.size() ? handlers_[id].get() : nullptr;
+  }
+
   Cluster& cluster_;
   NodeId id_;
   net::SiteId site_;
@@ -233,7 +290,7 @@ class Node {
   net::Resource* nic_rx_;
   net::Resource* disk_;
   std::unique_ptr<sim::Semaphore> service_sem_;
-  std::unordered_map<std::type_index, detail::ErasedHandler> handlers_;
+  std::vector<std::unique_ptr<detail::ErasedHandler>> handlers_;  // by id
   AdmissionHook admission_;
   RequestObserver observer_;
   std::uint64_t served_{0};
@@ -266,16 +323,17 @@ class Cluster {
   /// hook / handler returns.
   template <class Req, class Resp>
   // bslint: allow(coro-ref-param): src is cluster-owned and lives for the
-  // whole simulation; the request moves into a shared_ptr immediately
+  // whole simulation; the request moves into a pooled body immediately
   sim::Task<Result<Resp>> call(Node& src, NodeId dst, Req req,
                                CallOptions opts = {}) {
-    auto any = std::make_shared<Req>(std::move(req));
+    auto any = detail::make_pooled<Req>(std::move(req));
     const std::uint64_t req_bytes = any->wire_size();
     auto erased = co_await call_erased(
-        src, dst, std::type_index(typeid(Req)), Req::kName, std::move(any),
+        src, dst, detail::message_id<Req>(), Req::kName, std::move(any),
         req_bytes, detail::payload_to_disk<Req>(), opts);
-    if (!erased.ok()) co_return erased.error();
-    co_return std::move(*std::static_pointer_cast<Resp>(erased.value()));
+    if (!erased.ok()) co_return std::move(erased).error();
+    co_return std::move(
+        *std::static_pointer_cast<Resp>(std::move(erased).value()));
   }
 
   /// Messages smaller than this bypass the flow scheduler (pure
@@ -311,31 +369,31 @@ class Cluster {
     Result<detail::AnyPtr> result{Errc::internal};
   };
 
-  /// Retry loop around `call_attempt`, driven by `opts.retry`.
+  /// Runs a call: each attempt spawns the call body, arms the timeout
+  /// watcher and awaits settlement; failed attempts retry as `opts.retry`
+  /// says. Options are by value (coroutine-frame copy, bslint
+  /// coro-ref-param).
   // bslint: allow(coro-ref-param): src is cluster-owned for the whole sim
   sim::Task<Result<detail::AnyPtr>> call_erased(
-      Node& src, NodeId dst, std::type_index type, const char* name,
-      detail::AnyPtr req, std::uint64_t req_bytes, bool payload_to_disk,
-      CallOptions opts);
-
-  /// One attempt: spawns the call body and races it against the timeout.
-  /// Options are by value (coroutine-frame copy, bslint coro-ref-param).
-  // bslint: allow(coro-ref-param): src is cluster-owned for the whole sim
-  sim::Task<Result<detail::AnyPtr>> call_attempt(
-      Node& src, NodeId dst, std::type_index type, const char* name,
+      Node& src, NodeId dst, std::size_t type, const char* name,
       detail::AnyPtr req, std::uint64_t req_bytes, bool payload_to_disk,
       CallOptions opts);
 
   sim::Task<void> call_body(std::shared_ptr<CallState> state, Node* src,
-                            Node* dst, std::type_index type, const char* name,
+                            Node* dst, std::size_t type, const char* name,
                             detail::AnyPtr req, std::uint64_t req_bytes,
                             bool payload_to_disk, CallOptions opts);
 
-  /// Models moving `bytes` from a to b (no-op for zero bytes). `extra` is an
-  /// additional resource (e.g. destination disk) included in the flow.
-  // bslint: allow(coro-ref-param): both nodes are cluster-owned; only the
-  // cluster spawns transmits, and never across a node teardown
-  sim::Task<void> transmit(Node& a, Node& b, std::uint64_t bytes,
+  /// Serialization delay of a control-plane message (under
+  /// kFlowThreshold) from a to b: no contention, the slower NIC sets the
+  /// rate.
+  static SimDuration control_delay(const Node& a, const Node& b,
+                                   std::uint64_t bytes);
+
+  /// Moves a data-plane message of `bytes` (at least kFlowThreshold) from
+  /// a to b as a flow over a's NIC, b's NIC and `extra`, if any (e.g. the
+  /// destination disk).
+  sim::Task<void> transmit(Node* a, Node* b, std::uint64_t bytes,
                            net::Resource* extra);
 
   sim::Simulation& sim_;

@@ -10,12 +10,43 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
 namespace bs::sim {
+
+/// FIFO list of suspended coroutines, shared by Event and WaitGroup. The
+/// first waiter sits inline and later ones spill to a vector, so the usual
+/// single waiter (an RPC caller awaiting its call's settlement) costs no
+/// allocation. wake_all() resumes in wait order.
+class WaiterList {
+ public:
+  void push(std::coroutine_handle<> h) {
+    if (!first_) {
+      first_ = h;
+    } else {
+      rest_.push_back(h);
+    }
+  }
+
+  /// Schedules every waiter's resumption, first come first, and empties
+  /// the list (the spill keeps its capacity for a reused WaitGroup).
+  void wake_all(Simulation& sim) {
+    if (!first_) return;
+    sim.schedule_resume(std::exchange(first_, {}));
+    for (auto h : rest_) sim.schedule_resume(h);
+    rest_.clear();
+  }
+
+ private:
+  std::coroutine_handle<> first_;
+  // A vector, not a deque: an empty vector owns no memory, while a deque
+  // allocates a node and its map up front.
+  std::vector<std::coroutine_handle<>> rest_;
+};
 
 /// One-shot broadcast event: set() wakes every current and future waiter.
 class Event {
@@ -29,10 +60,7 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) {
-      sim_->schedule_resume(h);
-    }
-    waiters_.clear();
+    waiters_.wake_all(*sim_);
   }
 
   auto wait() {
@@ -40,7 +68,7 @@ class Event {
       Event* ev;
       bool await_ready() const noexcept { return ev->set_; }
       void await_suspend(std::coroutine_handle<> h) const {
-        ev->waiters_.push_back(h);
+        ev->waiters_.push(h);
       }
       void await_resume() const noexcept {}
     };
@@ -50,9 +78,7 @@ class Event {
  private:
   Simulation* sim_;
   bool set_{false};
-  // A vector, not a deque: an empty vector owns no memory, while a deque
-  // allocates a node and its map up front — about 0.6 KB per RPC call.
-  std::vector<std::coroutine_handle<>> waiters_;
+  WaiterList waiters_;
 };
 
 /// Counting semaphore with FIFO handoff (a release is given directly to the
@@ -189,12 +215,7 @@ class WaitGroup {
 
   void done() {
     assert(count_ > 0);
-    if (--count_ == 0) {
-      for (auto h : waiters_) {
-        sim_.schedule_resume(h);
-      }
-      waiters_.clear();
-    }
+    if (--count_ == 0) waiters_.wake_all(sim_);
   }
 
   /// Spawns `t`, tracking its completion in this group.
@@ -208,7 +229,7 @@ class WaitGroup {
       WaitGroup* wg;
       bool await_ready() const noexcept { return wg->count_ == 0; }
       void await_suspend(std::coroutine_handle<> h) const {
-        wg->waiters_.push_back(h);
+        wg->waiters_.push(h);
       }
       void await_resume() const noexcept {}
     };
@@ -225,7 +246,7 @@ class WaitGroup {
 
   Simulation& sim_;
   int count_{0};
-  std::vector<std::coroutine_handle<>> waiters_;  // see Event::waiters_
+  WaiterList waiters_;
 };
 
 }  // namespace bs::sim

@@ -2,6 +2,9 @@
 // formatting, TimeSeries, TokenBucket, RingBuffer, hashing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/hash.hpp"
 #include "common/result.hpp"
 #include "common/ring_buffer.hpp"
@@ -32,6 +35,29 @@ TEST(Result, VoidSpecialization) {
   Result<void> err{Errc::timeout};
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.code(), Errc::timeout);
+}
+
+// error() && hands the message over instead of copying it: a message too
+// long for the small-string buffer keeps its heap buffer. An lvalue still
+// copies and keeps its own.
+TEST(Result, RvalueErrorMovesTheMessage) {
+  const std::string text = "client is blocked by the security policy";
+  Result<int> r(Errc::blocked, text);
+  const char* buffer = r.error().message.data();
+  Error moved = std::move(r).error();
+  EXPECT_EQ(moved.code, Errc::blocked);
+  EXPECT_EQ(moved.message, text);
+  EXPECT_EQ(moved.message.data(), buffer);
+
+  Result<void> v(Errc::timeout, text);
+  const Error copied = v.error();
+  EXPECT_NE(copied.message.data(), v.error().message.data());
+  const char* vbuffer = v.error().message.data();
+  Error taken = std::move(v).error();
+  EXPECT_EQ(taken.code, Errc::timeout);
+  EXPECT_EQ(taken.message, text);
+  EXPECT_EQ(taken.message.data(), vbuffer);
+  EXPECT_EQ(copied.message, text);
 }
 
 TEST(Result, ErrcNamesStable) {

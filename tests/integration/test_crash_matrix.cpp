@@ -393,7 +393,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
   /// Starts one call to the subject; its answer lands in `answers`.
   template <class Req, class Resp>
   void fire(Answers& answers, Req req) {
-    EXPECT_TRUE(node_->serves(typeid(Req))) << Req::kName;
+    EXPECT_TRUE(node_->serves<Req>()) << Req::kName;
     answers.codes.emplace_back();
     ++answers.pending;
     sim_.spawn([](rpc::Cluster& cl, rpc::Node& from, NodeId to, Req r,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "test_util.hpp"
 
 namespace bs::rpc {
@@ -81,6 +83,9 @@ struct NoHandlerReq {
 };
 
 TEST_F(RpcTest, UnknownServiceFails) {
+  EXPECT_TRUE(server_->serves<EchoReq>());
+  EXPECT_FALSE(server_->serves<NoHandlerReq>());
+  EXPECT_FALSE(client_->serves<EchoReq>());
   auto r = test::run_task(
       sim_, cluster_.call<NoHandlerReq, EchoResp>(*client_, server_->id(),
                                                   NoHandlerReq{}));
@@ -156,6 +161,10 @@ TEST_F(RpcTest, AdmissionHookRejectsCheaply) {
       sim_, cluster_.call<EchoReq, EchoResp>(*client_, server_->id(),
                                              EchoReq{1}, banned));
   EXPECT_EQ(r1.code(), Errc::blocked);
+  // The hook's message reaches the caller intact, and the refused request
+  // never reached the service.
+  EXPECT_EQ(r1.error().message, "banned");
+  EXPECT_EQ(server_->requests_served(), 0u);
 
   CallOptions fine;
   fine.client = ClientId{7};
@@ -163,6 +172,7 @@ TEST_F(RpcTest, AdmissionHookRejectsCheaply) {
       sim_, cluster_.call<EchoReq, EchoResp>(*client_, server_->id(),
                                              EchoReq{1}, fine));
   EXPECT_TRUE(r2.ok());
+  EXPECT_EQ(server_->requests_served(), 1u);
 }
 
 TEST_F(RpcTest, RequestObserverSeesTraffic) {
@@ -196,6 +206,51 @@ TEST_F(RpcTest, ServiceQueueSerializesBeyondConcurrency) {
   sim_.run();
   EXPECT_EQ(done, 8);
   EXPECT_GT(server_->requests_served(), 0u);
+}
+
+template <int N>
+struct FillerReq {
+  static constexpr const char* kName = "test.filler";
+  std::uint64_t wire_size() const { return 16; }
+};
+
+template <int... N>
+void serve_fillers(Node& node, std::integer_sequence<int, N...>) {
+  (node.serve<FillerReq<N>, EchoResp>(
+       [](const FillerReq<N>&,
+          const Envelope&) -> sim::Task<Result<EchoResp>> {
+         co_return EchoResp{N};
+       }),
+   ...);
+}
+
+TEST_F(RpcTest, HandlerSurvivesRegistrationsWhileSuspended) {
+  // A handler coroutine reads its lambda's captures after it resumes. New
+  // message types registered meanwhile grow the node's handler table, and
+  // must not move the stored handler out from under it (ASan reports the
+  // use after free if they do).
+  int calls = 0;
+  server_->serve<SlowReq, SlowResp>(
+      [this, &calls](const SlowReq&,
+                     const Envelope&) -> sim::Task<Result<SlowResp>> {
+        co_await sim_.delay(simtime::seconds(1));
+        ++calls;
+        co_return SlowResp{};
+      });
+  sim_.schedule_in(simtime::millis(500), [this] {
+    serve_fillers(*server_, std::make_integer_sequence<int, 64>{});
+  });
+  auto r = test::run_task(
+      sim_, cluster_.call<SlowReq, SlowResp>(*client_, server_->id(),
+                                             SlowReq{}));
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(server_->serves<FillerReq<63>>());
+  auto filler = test::run_task(
+      sim_, cluster_.call<FillerReq<63>, EchoResp>(*client_, server_->id(),
+                                                   FillerReq<63>{}));
+  ASSERT_TRUE(filler.ok());
+  EXPECT_EQ(filler.value().value, 63);
 }
 
 TEST(RpcClusterTest, RetireNodeMakesItUnavailable) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,27 @@ TEST(Event, WaitAfterSetIsImmediate) {
   EXPECT_TRUE(done);  // no suspension needed
 }
 
+// Waiters resume in the order they began to wait: the first from the
+// inline slot, later ones from the spill vector.
+TEST(Event, WakesWaitersInWaitOrder) {
+  for (int n : {1, 2, 5}) {
+    Simulation sim;
+    Event ev(sim);
+    std::vector<int> order;
+    for (int i = 0; i < n; ++i) {
+      sim.spawn([](Event& e, std::vector<int>& out, int id) -> Task<void> {
+        co_await e.wait();
+        out.push_back(id);
+      }(ev, order, i));
+    }
+    sim.schedule_at(simtime::seconds(1), [&] { ev.set(); });
+    sim.run();
+    std::vector<int> expected(static_cast<std::size_t>(n));
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected) << n << " waiters";
+  }
+}
+
 TEST(Semaphore, LimitsConcurrency) {
   Simulation sim;
   Semaphore sem(sim, 2);
@@ -345,6 +367,34 @@ TEST(WaitGroup, JoinsAllTasks) {
   EXPECT_TRUE(joined);
   EXPECT_EQ(done, 4);
   EXPECT_EQ(sim.now(), simtime::seconds(4));
+}
+
+// The WaitGroup twin of Event.WakesWaitersInWaitOrder, over two rounds on
+// one group: the list empties when it wakes, so the second round's first
+// waiter takes the inline slot again and the rest reuse the spill.
+TEST(WaitGroup, WakesWaitersInWaitOrder) {
+  for (int n : {1, 2, 5}) {
+    Simulation sim;
+    WaitGroup wg(sim);
+    std::vector<int> order;
+    std::vector<int> expected;
+    for (int round = 0; round < 2; ++round) {
+      wg.launch([](Simulation& s) -> Task<void> {
+        co_await s.delay(simtime::seconds(1));
+      }(sim));
+      for (int i = 0; i < n; ++i) {
+        const int id = round * 10 + i;
+        sim.spawn([](WaitGroup& w, std::vector<int>& out,
+                     int me) -> Task<void> {
+          co_await w.wait();
+          out.push_back(me);
+        }(wg, order, id));
+        expected.push_back(id);
+      }
+      sim.run();
+    }
+    EXPECT_EQ(order, expected) << n << " waiters";
+  }
 }
 
 TEST(WaitGroup, WaitOnEmptyGroupReturnsImmediately) {
