@@ -7,7 +7,8 @@
 //            far ladder
 // — asserting digest and event-count equality between them and reporting
 // events/sec, wall time, peak RSS per mode and the host fingerprint as JSON
-// (redirect to BENCH_sim_queue.json).
+// (redirect to BENCH_sim_queue.json). Each mode runs in a child process of
+// its own, so its peak RSS counts nothing the other mode allocated.
 //
 // Not a google-benchmark binary: one run is tens of millions of events, so
 // the bench controls its own repetitions and measures whole-run wall time.
@@ -15,6 +16,8 @@
 // bslint: allow-file(det-wallclock): benchmark harness timing; the
 // simulated workload itself is wall-clock-free.
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cinttypes>
@@ -48,31 +51,6 @@ struct ModeResult {
   long peak_rss_mb;
 };
 
-long peak_rss_mb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return -1;
-  char line[256];
-  long kb = -1;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kb = std::strtol(line + 6, nullptr, 10);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb < 0 ? -1 : kb / 1024;
-}
-
-// Resets the VmHWM high-water mark to the current RSS, so each mode reports
-// its own peak rather than inheriting an earlier mode's. Best effort: where
-// the kernel refuses, later modes read the process-wide peak.
-void reset_peak_rss() {
-  if (std::FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
-    std::fputs("5", f);
-    std::fclose(f);
-  }
-}
-
 std::string cpu_model() {
   std::FILE* f = std::fopen("/proc/cpuinfo", "r");
   if (f == nullptr) return "unknown";
@@ -93,7 +71,6 @@ std::string cpu_model() {
 }
 
 ModeResult run_once(const char* mode, const Options& opt, bool ladder) {
-  reset_peak_rss();
   bs::sim::Simulation sim;
   bs::net::Topology topo = bs::net::Topology::grid5000(opt.sites);
   bs::workload::LiteParams params;
@@ -114,7 +91,7 @@ ModeResult run_once(const char* mode, const Options& opt, bool ladder) {
   r.events = sim.events_processed();
   r.ops = pool.total_ops();
   r.digest = pool.digest();
-  r.peak_rss_mb = peak_rss_mb();
+  r.peak_rss_mb = -1;  // filled in by run_isolated()
   return r;
 }
 
@@ -133,6 +110,41 @@ ModeResult run_mode(const char* mode, const Options& opt, bool ladder) {
     if (r.wall_s < best.wall_s) best = r;
   }
   return best;
+}
+
+// Runs one mode's repeats in a forked child and reports the child's peak
+// RSS (wait4's ru_maxrss, in KiB on Linux): the mode's own high-water mark.
+ModeResult run_isolated(const char* mode, const Options& opt, bool ladder) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const ModeResult r = run_mode(mode, opt, ladder);
+    const auto n = write(fds[1], &r, sizeof r);
+    _exit(n == static_cast<ssize_t>(sizeof r) ? 0 : 1);
+  }
+  close(fds[1]);
+  ModeResult r{};
+  const auto n = read(fds[0], &r, sizeof r);
+  close(fds[0]);
+  int status = 0;
+  rusage ru{};
+  if (wait4(pid, &status, 0, &ru) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0 || n != static_cast<ssize_t>(sizeof r)) {
+    std::fprintf(stderr, "FAIL: %s mode did not complete\n", mode);
+    std::exit(1);
+  }
+  r.peak_rss_mb = ru.ru_maxrss / 1024;
+  return r;
 }
 
 }  // namespace
@@ -167,8 +179,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const ModeResult results[] = {run_mode("heap", opt, /*ladder=*/false),
-                                run_mode("ladder", opt, /*ladder=*/true)};
+  const ModeResult results[] = {run_isolated("heap", opt, /*ladder=*/false),
+                                run_isolated("ladder", opt, /*ladder=*/true)};
   constexpr int n = 2;
   const bool digests_equal = results[0].digest == results[1].digest;
   const bool events_equal = results[0].events == results[1].events;

@@ -63,10 +63,13 @@ void PolicyEnforcement::apply(const Violation& v, const Action& action) {
 Result<void> PolicyEnforcement::admission_check(const rpc::Envelope& env,
                                                 const char* /*req_name*/) {
   if (!env.client.valid()) return ok_result();  // internal traffic
+  // Refusals carry their code and no text: under a flood they are the most
+  // common RPC outcome, and a text past the 15-character small-string
+  // buffer would cost each one a heap allocation.
   const SimTime now = sim_.now();
   if (is_blocked(env.client, now)) {
     ++rejections_;
-    return Error{Errc::blocked, "client is blocked"};
+    return Error{Errc::blocked, {}};
   }
   auto it = throttles_.find(env.client.value);
   if (it != throttles_.end()) {
@@ -74,7 +77,7 @@ Result<void> PolicyEnforcement::admission_check(const rpc::Envelope& env,
       throttles_.erase(it);  // sanction served
     } else if (!it->second.bucket.try_consume(now)) {
       ++rejections_;
-      return Error{Errc::throttled, "client exceeds throttle rate"};
+      return Error{Errc::throttled, {}};
     }
   }
   return ok_result();

@@ -48,7 +48,8 @@ void Simulation::schedule_resume(std::coroutine_handle<> h) {
 void Simulation::reserve(std::size_t pending) {
   if (pending < kFarEngage) return;
   // Reserved up front: growing a million-entry callback array relocates
-  // every body through its ops table at each doubling.
+  // every body through its ops table at each doubling. Slots are reused,
+  // so the pool outgrows this only if the far population itself does.
   q_.far_keys.reserve(pending);
   q_.far_cbs.reserve(pending);
   engage_far();
@@ -56,7 +57,7 @@ void Simulation::reserve(std::size_t pending) {
 
 void Simulation::engage_far() {
   if (q_.far_bar != simtime::kInfinite) return;
-  assert(far_live() == 0 && "parked ladder with a non-empty far pool");
+  assert(far_held() == 0 && "parked ladder with a non-empty far pool");
   SimTime mx = 0;
   for (const HeapEntry& e : q_.heap) mx = std::max(mx, e.time);
   if (q_.stage_head != q_.stage.size()) {
@@ -66,81 +67,70 @@ void Simulation::engage_far() {
 }
 
 void Simulation::far_push(SimTime t, std::uint64_t seq, Callback cb) {
-  q_.far_keys.push_back(FarKey{t, seq});
-  q_.far_cbs.push_back(std::move(cb));
+  if (!q_.free_far.empty()) {
+    const std::uint32_t slot = q_.free_far.back();
+    q_.free_far.pop_back();
+    q_.far_keys[slot] = FarKey{t, seq};
+    q_.far_cbs[slot] = std::move(cb);
+  } else {
+    q_.far_keys.push_back(FarKey{t, seq});
+    q_.far_cbs.push_back(std::move(cb));
+  }
+}
+
+Simulation::Callback Simulation::stage_pop() {
+  const std::size_t ahead = q_.stage_head + kStagePrefetch;
+  if (ahead < q_.stage.size()) {
+    __builtin_prefetch(&q_.far_cbs[q_.stage[ahead].slot]);
+  }
+  const std::uint32_t slot = q_.stage[q_.stage_head++].slot;
+  q_.free_far.push_back(slot);
+  return std::move(q_.far_cbs[slot]);
 }
 
 void Simulation::refill() {
   Queue& q = q_;
   assert(q.stage_head == q.stage.size() && "refill under a live stage");
-  assert(far_live() != 0 && "refill on an empty far pool");
-  // Amortized compaction, at rung boundaries only: the consumed stage held
-  // slot references into the pool, so the arrays may move exactly now, when
-  // no rung is live. Rewriting both arrays only once half the pool is
-  // tombstones keeps the per-event move count O(1).
-  if (q.far_dead * 2 > q.far_keys.size()) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < q.far_keys.size(); ++r) {
-      if (q.far_keys[r].seq == kNoSeq) continue;
-      if (w != r) {
-        q.far_keys[w] = q.far_keys[r];
-        q.far_cbs[w] = std::move(q.far_cbs[r]);
-      }
-      ++w;
-    }
-    q.far_keys.resize(w);
-    q.far_cbs.resize(w);
-    q.far_dead = 0;
-  }
+  assert(far_held() != 0 && "refill on an empty far pool");
   assert(q.far_keys.size() <= 0xffffffffu &&
          "far pool exceeds 32-bit indexing");
-  // Build the next ladder rung from 24-byte (time, seq, index) keys — not
-  // the 72-byte entries. Gather every live key once, then cut an exactly
-  // half-pool-sized rung with nth_element: the first excluded key is both
-  // the new bar and the exact minimum of the survivors, so there is no span
-  // heuristic to mistune and no second scan. Rung size scaling with the
-  // pool keeps the total scan work per drained event O(1): a pool of P is
-  // rescanned ~log P times in geometrically shrinking halves.
-  q.stage_keys.clear();
+  // Build the next ladder rung from 24-byte (time, seq, slot) keys. Gather
+  // every pooled key once, then cut an exactly half-pool-sized rung with
+  // nth_element: the first excluded key is both the new bar and the exact
+  // minimum of the survivors, so there is no span heuristic to mistune and
+  // no second scan. Rung size scaling with the pool keeps the total scan
+  // work per drained event O(1): a pool of P is rescanned ~log P times in
+  // geometrically shrinking halves.
+  q.stage.clear();
+  q.stage_head = 0;
   for (std::size_t i = 0; i < q.far_keys.size(); ++i) {
     const FarKey& k = q.far_keys[i];
     if (k.seq != kNoSeq) {
-      q.stage_keys.push_back(
+      q.stage.push_back(
           HeapEntry{k.time, k.seq, static_cast<std::uint32_t>(i)});
     }
   }
-  const std::size_t live = q.stage_keys.size();
+  const std::size_t live = q.stage.size();
   const std::size_t target = std::max<std::size_t>(4096, live / 2);
   SimTime bar = 0;  // sentinel: stage-all, patched to max+1 below
   if (live > target) {
-    const auto mid =
-        q.stage_keys.begin() + static_cast<std::ptrdiff_t>(target);
+    const auto mid = q.stage.begin() + static_cast<std::ptrdiff_t>(target);
     std::nth_element(
-        q.stage_keys.begin(), mid, q.stage_keys.end(),
+        q.stage.begin(), mid, q.stage.end(),
         [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
     bar = mid->time;
-    q.stage_keys.resize(target);
+    q.stage.resize(target);
   }
   std::sort(
-      q.stage_keys.begin(), q.stage_keys.end(),
+      q.stage.begin(), q.stage.end(),
       [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
-  // Reuse the stage storage: move-assigning over a consumed husk destroys
-  // it on the same cache line the new entry is about to occupy, so the
-  // teardown of the previous rung rides the gather's own write misses
-  // instead of a separate clear() pass over cold memory.
-  q.stage.resize(q.stage_keys.size());
-  q.stage_head = 0;
-  for (std::size_t i = 0; i < q.stage_keys.size(); ++i) {
-    const HeapEntry& k = q.stage_keys[i];
-    q.stage[i] = FarEntry{k.time, k.seq, std::move(q.far_cbs[k.slot])};
-    q.far_keys[k.slot] = FarKey{simtime::kInfinite, kNoSeq};
-  }
-  q.far_dead += q.stage.size();
+  // Staged keys leave the pool; their bodies stay in far_cbs until they run.
+  for (const HeapEntry& k : q.stage) q.far_keys[k.slot].seq = kNoSeq;
   if (bar == 0) {
     // The whole pool was staged; any bar above the rung maximum is correct,
     // and max+1 is the lowest such bar, which steers near-future pushes to
     // the cache-resident heap while the far traffic is this light.
-    const SimTime tmax = q.stage_keys.back().time;
+    const SimTime tmax = q.stage.back().time;
     bar = tmax < simtime::kInfinite - 1 ? tmax + 1 : simtime::kInfinite;
   }
   q.far_bar = bar;
@@ -318,7 +308,7 @@ int Simulation::peek_near(SimTime* t, std::uint64_t* seq) const {
     }
   }
   if (q_.stage_head != q_.stage.size()) {
-    const FarEntry& front = q_.stage[q_.stage_head];
+    const HeapEntry& front = q_.stage[q_.stage_head];
     if (front.time < bt || (front.time == bt && front.seq < bs)) {
       bt = front.time;
       bs = front.seq;
@@ -336,7 +326,7 @@ bool Simulation::run_next(SimTime limit) {
   int src = peek_near(&pt, &ps);
   // The near minimum is the queue head only while a near tier is occupied;
   // an empty near side pulls the next far rung in first.
-  if (src < 0 && far_live() != 0) {
+  if (src < 0 && far_held() != 0) {
     refill();
     src = peek_near(&pt, &ps);
   }
@@ -351,18 +341,10 @@ bool Simulation::run_next(SimTime limit) {
   assert(pt >= now_);
   now_ = pt;
   ++processed_;
-  if (src == kFromStage) {
-    // Stage events run in place: only refill() mutates the stage, and it
-    // cannot run under a live rung, so the entry is stable for the whole
-    // callback — no move-out, no per-event husk teardown (the rung is
-    // destroyed wholesale at the next refill).
-    FarEntry& e = q_.stage[q_.stage_head];
-    ++q_.stage_head;
-    e.cb();
-  } else {
-    Callback cb = src == kFromRing ? ring_pop() : heap_pop();
-    cb();
-  }
+  Callback cb = src == kFromRing  ? ring_pop()
+                : src == kFromHeap ? heap_pop()
+                                   : stage_pop();
+  cb();
   return true;
 }
 
@@ -380,8 +362,7 @@ void Simulation::run_until(SimTime t) {
 }
 
 std::size_t Simulation::pending() const {
-  return timer_heap_.size() + q_.heap.size() + q_.ring_size + far_live() +
-         (q_.stage.size() - q_.stage_head);
+  return timer_heap_.size() + q_.heap.size() + q_.ring_size + far_held();
 }
 
 // ------------------------------------------------------------------- teardown
@@ -391,10 +372,9 @@ void Simulation::clear_queue() noexcept {
   q_.slots.clear();
   q_.free_slots.clear();
   q_.far_keys.clear();
-  q_.far_cbs.clear();
-  q_.far_dead = 0;
+  q_.far_cbs.clear();  // pooled and staged bodies alike
+  q_.free_far.clear();
   q_.stage.clear();
-  q_.stage_keys.clear();
   q_.stage_head = 0;
   while (q_.ring_size != 0) ring_pop();
   q_.far_bar = simtime::kInfinite;  // parked

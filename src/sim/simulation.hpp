@@ -11,8 +11,9 @@
 //    growable FIFO ring.
 //  * A population-scale workload declares its expected queue size with
 //    reserve(), which engages the far ladder: events beyond a moving bar
-//    append to an unsorted pool and reach execution through sorted rungs,
-//    instead of sifting through a million-entry heap.
+//    go into a slot pool and reach execution through sorted rungs of keys,
+//    instead of sifting through a million-entry heap. Each event's body is
+//    stored once, in its far slot, from push until it runs.
 //  * Cancellable timers (schedule_timer_in/cancel) sit in one indexed 4-ary
 //    heap beside the queue, merged by the same (time, seq) key. Each slot
 //    records its entry's heap position, so cancel() removes the entry and
@@ -287,19 +288,10 @@ class Simulation {
     Callback cb;
   };
 
-  /// Stage-rung entry: key and callback together, consumed sequentially.
-  struct FarEntry {
-    SimTime time;
-    std::uint64_t seq;
-    Callback cb;
-  };
-
-  /// Far-pool key. The pool is stored as parallel arrays — 16-byte keys
-  /// apart from the 56-byte callbacks — so the refill scans touch 4 keys
-  /// per cache line and never drag callback bodies through the cache.
-  /// Consumed entries become tombstones (time = kInfinite, seq = kNoSeq)
-  /// and both arrays compact only once half the pool is dead, making the
-  /// per-event move count O(1) amortized.
+  /// Far-pool key. The pool is stored as parallel slot arrays — 16-byte
+  /// keys apart from the 64-byte callbacks — so the refill scans touch 4
+  /// keys per cache line and never drag callback bodies through the cache.
+  /// seq = kNoSeq marks a slot whose event is staged, or a free slot.
   struct FarKey {
     SimTime time;
     std::uint64_t seq;
@@ -307,27 +299,27 @@ class Simulation {
 
   /// The event queue. Four tiers, one (time, seq) order:
   ///  * ring  — FIFO of events at the current time (implicit time).
-  ///  * stage — the current ladder rung: the chunk of far-pool events below
-  ///            far_bar, sorted by (time, seq) at refill time and
-  ///            consumed by a sequential cursor. Pops are a linear read
-  ///            with the callback inline — no sift, no slot indirection.
-  ///            (Gathering bodies at refill, not pop, is deliberate: the
-  ///            rung's scattered far-pool reads miss the cache either way,
-  ///            but a tight gather loop keeps those misses back-to-back
-  ///            where the prefetcher can overlap them, while a pop-time
-  ///            fetch would eat one isolated cold miss per event.)
+  ///  * stage — the current ladder rung: the keys of the far-pool events
+  ///            below far_bar, sorted by (time, seq) at refill time and
+  ///            consumed by a sequential cursor. A pop moves the body out
+  ///            of its far slot, as heap_pop() does, and frees the slot.
+  ///            The rung's slots are scattered over the pool, so each pop
+  ///            prefetches the body kStagePrefetch keys ahead: without it,
+  ///            one cold miss per pop made lite_population's wall time
+  ///            1.33x (alternating pairs on a 4-vCPU Xeon VM).
   ///  * heap  — 4-ary heap + slot pool: every future event while the
   ///            ladder is parked, and afterwards only the LATE insertions —
   ///            events scheduled after the rung was built whose time still
   ///            falls below far_bar. With the ladder engaged that is
   ///            usually a few percent of traffic, so the heap stays tiny
   ///            and cache-resident.
-  ///  * far   — unsorted staging pool for everything at or beyond far_bar;
+  ///  * far   — unsorted slot pool for everything at or beyond far_bar;
   ///            empty until reserve() engages the ladder. When the near
   ///            tiers drain, a refill cuts the half-pool of earliest far
-  ///            events into the stage with nth_element and advances
-  ///            far_bar — each event is appended once and moved ~once,
-  ///            instead of sifting through a million-entry heap.
+  ///            keys into the stage with nth_element and advances far_bar.
+  ///            A slot is freed when its event runs and reused by the next
+  ///            far_push(), so the pool never outgrows the peak far
+  ///            population and needs no compaction.
   /// Invariant: far_bar rises monotonically; every stage and heap entry was
   /// placed with time < far_bar and every far entry with time >= far_bar,
   /// so min(ring, stage front, heap root) is the true queue head whenever a
@@ -337,11 +329,10 @@ class Simulation {
     std::vector<Callback> slots;  // heap callback bodies
     std::vector<std::uint32_t> free_slots;
     std::vector<NowEvent> ring;   // power-of-two capacity
-    std::vector<FarKey> far_keys;     // unsorted, beyond far_bar
-    std::vector<Callback> far_cbs;    // parallel to far_keys
-    std::size_t far_dead{0};          // tombstones awaiting compaction
-    std::vector<FarEntry> stage;  // sorted rung, consumed via stage_head
-    std::vector<HeapEntry> stage_keys;  // refill scratch: sortable 24B keys
+    std::vector<FarKey> far_keys;   // by far slot
+    std::vector<Callback> far_cbs;  // by far slot: pooled and staged bodies
+    std::vector<std::uint32_t> free_far;
+    std::vector<HeapEntry> stage;   // sorted rung, consumed via stage_head
     std::size_t stage_head{0};
     std::size_t ring_head{0};
     std::size_t ring_size{0};
@@ -365,10 +356,14 @@ class Simulation {
                         Placed placed);
 
   void far_push(SimTime t, std::uint64_t seq, Callback cb);
+  /// Pops the stage front; returns its callback (far slot recycled).
+  Callback stage_pop();
   /// Cuts the earliest half of the far pool into the stage rung with
   /// nth_element and advances far_bar to the first excluded key's time.
   /// Guarantees at least one event moves when the far pool is non-empty.
   void refill();
+  /// How many rung keys ahead of the cursor stage_pop() prefetches a body.
+  static constexpr std::size_t kStagePrefetch = 8;
   /// Declared load at or above which reserve() engages the far ladder.
   /// Below it the pure heap is both faster and far gentler on the
   /// workload's working set (no pool sweeps).
@@ -381,9 +376,9 @@ class Simulation {
 
   /// Which near tier peek_near() found the queue minimum in.
   enum NearSource : int { kFromRing = 0, kFromHeap = 1, kFromStage = 2 };
-  /// Live (non-tombstone) far-pool population.
-  [[nodiscard]] std::size_t far_live() const {
-    return q_.far_keys.size() - q_.far_dead;
+  /// Far slots holding a body: the pooled events plus the rung's unrun ones.
+  [[nodiscard]] std::size_t far_held() const {
+    return q_.far_keys.size() - q_.free_far.size();
   }
   /// Smallest (time, seq) key across the near tiers. Returns the owning
   /// tier, or -1 with (kInfinite, kNoSeq) when all are empty.

@@ -1,9 +1,11 @@
 // Pooled lightweight client actors for production-scale populations: one
 // flat POD record per client instead of a coroutine frame, woken by
-// InlineCallback ticks on the simulator's event queue. 10^6 clients cost
-// ~100 bytes each (record + one pending event), so the million-client
-// experiment of bench_million_clients fits comfortably in memory where
-// coroutine-frame actors (workload/clients.hpp) would not.
+// InlineCallback ticks on the simulator's event queue. With the far ladder
+// engaged a client costs about 110 bytes: its 4-byte record, the far slot
+// of its one pending event (16-byte key, 64-byte body) and the 24-byte key
+// a ladder refill gathers for it. The million-client experiment of
+// bench_million_clients thus peaks near 130 MB, where coroutine-frame
+// actors (workload/clients.hpp) would not fit.
 //
 // Every tick touches only its site's shard (stats, per-site Rng); a
 // cross-site message lands at the destination one WAN latency out. The pool

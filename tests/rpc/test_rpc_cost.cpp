@@ -3,7 +3,8 @@
 // request, response and call state all come from the pool, and the
 // caller's one wait sits in its event's inline slot. A call the admission
 // hook refuses makes exactly one, the hook's own error text, which then
-// moves to the caller uncopied. Calls that outlive their caller (a timeout
+// moves to the caller uncopied; the sec engine's own hook gives its
+// refusals no text, so they make none. Calls that outlive their caller (a timeout
 // while the handler still runs, a destination crash mid-service) give every
 // pooled body back once the call body ends.
 //
@@ -15,6 +16,7 @@
 
 #include "alloc_probe.hpp"
 #include "rpc/rpc.hpp"
+#include "sec/enforcement.hpp"
 #include "sim/frame_pool.hpp"
 #include "test_util.hpp"
 
@@ -139,6 +141,42 @@ TEST_F(RpcCost, RefusedCallAllocatesOnlyItsErrorText) {
   EXPECT_EQ(allocs, static_cast<std::uint64_t>(kCalls))
       << static_cast<double>(allocs) / kCalls
       << " allocations per refused call";
+}
+
+TEST_F(RpcCost, SecRefusalMakesNoAllocation) {
+  // The hook the flood experiments install: one client blocked, another
+  // throttled to a single token (spent by its first warm-up call).
+  constexpr ClientId kThrottled{667};
+  sec::TrustManager trust;
+  sec::PolicyEnforcement enforcement(sim_, trust);
+  auto policies = sec::parse_policies(R"(
+    policy b { when trust() < 2; then block(1h); }
+    policy t { when trust() < 2; then throttle(1); }
+  )");
+  ASSERT_TRUE(policies.ok());
+  enforcement.handle({kBanned, &policies.value()[0], sim_.now()});
+  enforcement.handle({kThrottled, &policies.value()[1], sim_.now()});
+  enforcement.attach(*server_);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(ping(i, kBanned).code(), Errc::blocked);
+    (void)ping(i, kThrottled);
+  }
+
+  constexpr int kCalls = 100;
+  int blocked = 0;
+  int throttled = 0;
+  const std::uint64_t served_before = server_->requests_served();
+  const std::uint64_t before = bench::alloc_probe::allocations();
+  for (int i = 0; i < kCalls; ++i) {
+    if (ping(i, kBanned).code() == Errc::blocked) ++blocked;
+    if (ping(i, kThrottled).code() == Errc::throttled) ++throttled;
+  }
+  const std::uint64_t allocs = bench::alloc_probe::allocations() - before;
+  EXPECT_EQ(blocked, kCalls);
+  EXPECT_EQ(throttled, kCalls);
+  EXPECT_EQ(server_->requests_served(), served_before);
+  EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / (2 * kCalls)
+                        << " allocations per refused call";
 }
 
 TEST_F(RpcCost, TimedOutCallReturnsItsBodiesWhenTheHandlerEnds) {

@@ -181,6 +181,62 @@ TEST(SimTimers, DestroyedWithLiveTimersReleasesEverything) {
   EXPECT_FALSE(woke);
 }
 
+/// Self-rescheduling event: each run queues its own copy one period out,
+/// so with the ladder engaged the copy takes a far slot a run just freed.
+/// `Pad` sizes the body: 1 stays inline, 2 * kInlineSize takes the heap
+/// fallback.
+template <std::size_t Pad>
+struct Rearm {
+  Simulation* sim;
+  std::shared_ptr<int> token;
+  std::array<char, Pad> pad{};
+  void operator()() const { sim->schedule_in(simtime::seconds(30), *this); }
+};
+static_assert(InlineCallback::fits_inline<Rearm<1>>());
+static_assert(
+    !InlineCallback::fits_inline<Rearm<2 * InlineCallback::kInlineSize>>());
+
+TEST(SimTimers, DestroyedMidRungReleasesStagedAndPooledBodies) {
+  // A staged event's body stays in its far slot until it runs. Queue
+  // 24,000 far events, one every millisecond, half of them re-arming: the
+  // refills cut rungs of 12,000 and 9,000 keys, then one of 6,750 that
+  // holds t = 21.001 s to 24 s and the first re-armed copies, and
+  // run_until() stops 1,000 events into it. Destroying the simulation then
+  // has to free every body: unrun staged ones and pooled ones, inline and
+  // heap-fallback alike (LSan checks the fallback blocks under the asan
+  // preset).
+  auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    sim.reserve(kLargeLoad);
+    constexpr int kEvents = 24'000;
+    for (int i = 0; i < kEvents; ++i) {
+      const SimTime t = simtime::millis(1 + i);
+      switch (i % 4) {
+        case 0: sim.schedule_at(t, Rearm<1>{&sim, token}); break;
+        case 1:
+          sim.schedule_at(t,
+                          Rearm<2 * InlineCallback::kInlineSize>{&sim, token});
+          break;
+        case 2: {
+          std::array<char, 2 * InlineCallback::kInlineSize> pad{};
+          sim.schedule_at(t, [token, pad] { (void)pad; });
+          break;
+        }
+        default: sim.schedule_at(t, [token] {}); break;
+      }
+    }
+    EXPECT_EQ(token.use_count(), kEvents + 1);
+    sim.run_until(simtime::millis(22'000));
+    // Half the events ran and did not re-arm; each of the rest holds the
+    // token once, wherever it waits.
+    EXPECT_EQ(sim.events_processed(), 22'000u);
+    EXPECT_EQ(sim.pending(), 13'000u);
+    EXPECT_EQ(token.use_count(), 13'001);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 // Random workload of ordinary events, timers and cancels. In `zombies`
 // mode timers are plain schedule_in() events that check a cancelled flag
 // when they come due — the pre-timer idiom — which is the oracle: real
