@@ -12,6 +12,21 @@ namespace bs::sim {
 namespace {
 // Sift hook for the event heap, which keeps no position index.
 constexpr auto kUnindexed = [](const auto&, std::size_t) {};
+
+// Moves `cb` into the most recently freed slot of `bodies`, or a new one,
+// and returns the slot's index.
+std::uint32_t store_body(std::vector<InlineCallback>& bodies,
+                         std::vector<std::uint32_t>& free,
+                         InlineCallback&& cb) {
+  if (free.empty()) {
+    bodies.push_back(std::move(cb));
+    return static_cast<std::uint32_t>(bodies.size() - 1);
+  }
+  const std::uint32_t slot = free.back();
+  free.pop_back();
+  bodies[slot] = std::move(cb);
+  return slot;
+}
 }  // namespace
 
 // ---------------------------------------------------------------- event queue
@@ -48,10 +63,12 @@ void Simulation::schedule_resume(std::coroutine_handle<> h) {
 void Simulation::reserve(std::size_t pending) {
   if (pending < kFarEngage) return;
   // Reserved up front: growing a million-entry callback array relocates
-  // every body through its ops table at each doubling. Slots are reused,
-  // so the pool outgrows this only if the far population itself does.
-  q_.far_keys.reserve(pending);
+  // every body through its ops table at each doubling. Keys fill consumed
+  // holes and slots are reused, so neither array outgrows this unless the
+  // far population itself does; the free list reaches it as the run drains.
+  q_.far.reserve(pending);
   q_.far_cbs.reserve(pending);
+  q_.free_far.reserve(pending);
   engage_far();
 }
 
@@ -60,92 +77,78 @@ void Simulation::engage_far() {
   assert(far_held() == 0 && "parked ladder with a non-empty far pool");
   SimTime mx = 0;
   for (const HeapEntry& e : q_.heap) mx = std::max(mx, e.time);
-  if (q_.stage_head != q_.stage.size()) {
-    mx = std::max(mx, q_.stage.back().time);
+  if (q_.stage_head != q_.stage_end) {
+    mx = std::max(mx, q_.far[q_.stage_end - 1].time);
   }
   q_.far_bar = mx < simtime::kInfinite - 1 ? mx + 1 : simtime::kInfinite;
 }
 
 void Simulation::far_push(SimTime t, std::uint64_t seq, Callback cb) {
-  if (!q_.free_far.empty()) {
-    const std::uint32_t slot = q_.free_far.back();
-    q_.free_far.pop_back();
-    q_.far_keys[slot] = FarKey{t, seq};
-    q_.far_cbs[slot] = std::move(cb);
+  const std::uint32_t slot = store_body(q_.far_cbs, q_.free_far, std::move(cb));
+  // A key the rung consumed left a hole below stage_head; fill it first.
+  if (q_.far_front != q_.stage_head) {
+    q_.far[q_.far_front++] = HeapEntry{t, seq, slot};
   } else {
-    q_.far_keys.push_back(FarKey{t, seq});
-    q_.far_cbs.push_back(std::move(cb));
+    q_.far.push_back(HeapEntry{t, seq, slot});
   }
 }
 
 Simulation::Callback Simulation::stage_pop() {
   const std::size_t ahead = q_.stage_head + kStagePrefetch;
-  if (ahead < q_.stage.size()) {
-    __builtin_prefetch(&q_.far_cbs[q_.stage[ahead].slot]);
+  if (ahead < q_.stage_end) {
+    __builtin_prefetch(&q_.far_cbs[q_.far[ahead].slot]);
   }
-  const std::uint32_t slot = q_.stage[q_.stage_head++].slot;
+  const std::uint32_t slot = q_.far[q_.stage_head++].slot;
   q_.free_far.push_back(slot);
   return std::move(q_.far_cbs[slot]);
 }
 
 void Simulation::refill() {
   Queue& q = q_;
-  assert(q.stage_head == q.stage.size() && "refill under a live stage");
+  assert(q.stage_head == q.stage_end && "refill under a live stage");
   assert(far_held() != 0 && "refill on an empty far pool");
-  assert(q.far_keys.size() <= 0xffffffffu &&
+  assert(q.far_cbs.size() <= 0xffffffffu &&
          "far pool exceeds 32-bit indexing");
-  // Build the next ladder rung from 24-byte (time, seq, slot) keys. Gather
-  // every pooled key once, then cut an exactly half-pool-sized rung with
-  // nth_element: the first excluded key is both the new bar and the exact
-  // minimum of the survivors, so there is no span heuristic to mistune and
-  // no second scan. Rung size scaling with the pool keeps the total scan
-  // work per drained event O(1): a pool of P is rescanned ~log P times in
-  // geometrically shrinking halves.
-  q.stage.clear();
-  q.stage_head = 0;
-  for (std::size_t i = 0; i < q.far_keys.size(); ++i) {
-    const FarKey& k = q.far_keys[i];
-    if (k.seq != kNoSeq) {
-      q.stage.push_back(
-          HeapEntry{k.time, k.seq, static_cast<std::uint32_t>(i)});
-    }
-  }
-  const std::size_t live = q.stage.size();
+  // Close the hole the last rung left; the pooled keys after it slide down.
+  q.far.erase(q.far.begin() + static_cast<std::ptrdiff_t>(q.far_front),
+              q.far.begin() + static_cast<std::ptrdiff_t>(q.stage_end));
+  const auto first = q.far.begin();
+  // Cut an exactly half-pool-sized rung with nth_element, in place: the
+  // first excluded key is both the new bar and the exact minimum of the
+  // survivors, so there is no span heuristic to mistune and no second scan.
+  // Rung size scaling with the pool keeps the total scan work per drained
+  // event O(1): a pool of P is rescanned ~log P times in geometrically
+  // shrinking halves.
+  const std::size_t live = q.far.size();
   const std::size_t target = std::max<std::size_t>(4096, live / 2);
+  std::size_t rung = live;
   SimTime bar = 0;  // sentinel: stage-all, patched to max+1 below
   if (live > target) {
-    const auto mid = q.stage.begin() + static_cast<std::ptrdiff_t>(target);
+    const auto mid = first + static_cast<std::ptrdiff_t>(target);
     std::nth_element(
-        q.stage.begin(), mid, q.stage.end(),
+        first, mid, q.far.end(),
         [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
     bar = mid->time;
-    q.stage.resize(target);
+    rung = target;
   }
   std::sort(
-      q.stage.begin(), q.stage.end(),
+      first, first + static_cast<std::ptrdiff_t>(rung),
       [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
-  // Staged keys leave the pool; their bodies stay in far_cbs until they run.
-  for (const HeapEntry& k : q.stage) q.far_keys[k.slot].seq = kNoSeq;
+  q.far_front = 0;
+  q.stage_head = 0;
+  q.stage_end = rung;
   if (bar == 0) {
     // The whole pool was staged; any bar above the rung maximum is correct,
     // and max+1 is the lowest such bar, which steers near-future pushes to
     // the cache-resident heap while the far traffic is this light.
-    const SimTime tmax = q.stage.back().time;
+    const SimTime tmax = q.far[rung - 1].time;
     bar = tmax < simtime::kInfinite - 1 ? tmax + 1 : simtime::kInfinite;
   }
   q.far_bar = bar;
 }
 
 void Simulation::heap_push(SimTime t, std::uint64_t seq, Callback cb) {
-  std::uint32_t slot;
-  if (!q_.free_slots.empty()) {
-    slot = q_.free_slots.back();
-    q_.free_slots.pop_back();
-    q_.slots[slot] = std::move(cb);
-  } else {
-    slot = static_cast<std::uint32_t>(q_.slots.size());
-    q_.slots.push_back(std::move(cb));
-  }
+  const std::uint32_t slot = store_body(q_.slots, q_.free_slots, std::move(cb));
   q_.heap.push_back(HeapEntry{t, seq, slot});
   sift_up(q_.heap, q_.heap.size() - 1, kUnindexed);
 }
@@ -307,8 +310,8 @@ int Simulation::peek_near(SimTime* t, std::uint64_t* seq) const {
       src = kFromHeap;
     }
   }
-  if (q_.stage_head != q_.stage.size()) {
-    const HeapEntry& front = q_.stage[q_.stage_head];
+  if (q_.stage_head != q_.stage_end) {
+    const HeapEntry& front = q_.far[q_.stage_head];
     if (front.time < bt || (front.time == bt && front.seq < bs)) {
       bt = front.time;
       bs = front.seq;
@@ -371,11 +374,12 @@ void Simulation::clear_queue() noexcept {
   q_.heap.clear();
   q_.slots.clear();
   q_.free_slots.clear();
-  q_.far_keys.clear();
+  q_.far.clear();
   q_.far_cbs.clear();  // pooled and staged bodies alike
   q_.free_far.clear();
-  q_.stage.clear();
+  q_.far_front = 0;
   q_.stage_head = 0;
+  q_.stage_end = 0;
   while (q_.ring_size != 0) ring_pop();
   q_.far_bar = simtime::kInfinite;  // parked
   // Timer slots are released, not dropped, so their generations keep

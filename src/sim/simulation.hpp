@@ -11,9 +11,10 @@
 //    growable FIFO ring.
 //  * A population-scale workload declares its expected queue size with
 //    reserve(), which engages the far ladder: events beyond a moving bar
-//    go into a slot pool and reach execution through sorted rungs of keys,
-//    instead of sifting through a million-entry heap. Each event's body is
-//    stored once, in its far slot, from push until it runs.
+//    keep one 24-byte key in a far key array and reach execution through
+//    sorted rungs cut from its front, instead of sifting through a
+//    million-entry heap. Each event's 32-byte body is stored once, in its
+//    far slot, from push until it runs.
 //  * Cancellable timers (schedule_timer_in/cancel) sit in one indexed 4-ary
 //    heap beside the queue, merged by the same (time, seq) key. Each slot
 //    records its entry's heap position, so cancel() removes the entry and
@@ -46,12 +47,17 @@ class TraceSink;
 namespace bs::sim {
 
 /// Move-only type-erased callable with inline storage for small targets.
-/// Callables up to kInlineSize bytes (any capturing lambda the simulator
-/// uses, and in particular a bare coroutine_handle) are stored in place;
-/// larger ones fall back to a single heap allocation.
+/// Callables up to kInlineSize bytes (every hot-path callback the simulator
+/// schedules, and in particular a bare coroutine_handle) are stored in
+/// place; larger ones fall back to a single heap allocation.
 class InlineCallback {
  public:
-  static constexpr std::size_t kInlineSize = 48;
+  /// The largest hot shape is the RPC timeout watcher, [this,
+  /// shared_ptr<CallState>]: 24 bytes. Every pending event, heap slot, ring
+  /// entry and timer slot holds one InlineCallback, so a larger buffer
+  /// only costs memory; fits_inline() static_asserts at the hot call sites
+  /// reject a smaller one.
+  static constexpr std::size_t kInlineSize = 24;
 
   /// Whether D is stored in place (no allocation) — exposed so hot-path
   /// call sites can static_assert their callback types never silently
@@ -137,6 +143,10 @@ class InlineCallback {
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
   const Ops* ops_{nullptr};
 };
+// The 24-byte buffer and the ops pointer fill two 16-byte alignment units.
+static_assert(sizeof(InlineCallback) == 32,
+              "InlineCallback must stay 32 bytes: the RPC timeout watcher "
+              "(24 bytes) is the largest hot shape");
 
 /// Names a timer armed by Simulation::schedule_timer_in(). The generation
 /// makes an id stale once its timer fires or is cancelled, even after the
@@ -288,38 +298,35 @@ class Simulation {
     Callback cb;
   };
 
-  /// Far-pool key. The pool is stored as parallel slot arrays — 16-byte
-  /// keys apart from the 64-byte callbacks — so the refill scans touch 4
-  /// keys per cache line and never drag callback bodies through the cache.
-  /// seq = kNoSeq marks a slot whose event is staged, or a free slot.
-  struct FarKey {
-    SimTime time;
-    std::uint64_t seq;
-  };
-
   /// The event queue. Four tiers, one (time, seq) order:
   ///  * ring  — FIFO of events at the current time (implicit time).
-  ///  * stage — the current ladder rung: the keys of the far-pool events
-  ///            below far_bar, sorted by (time, seq) at refill time and
-  ///            consumed by a sequential cursor. A pop moves the body out
-  ///            of its far slot, as heap_pop() does, and frees the slot.
-  ///            The rung's slots are scattered over the pool, so each pop
-  ///            prefetches the body kStagePrefetch keys ahead: without it,
-  ///            one cold miss per pop made lite_population's wall time
-  ///            1.33x (alternating pairs on a 4-vCPU Xeon VM).
+  ///  * stage — the current ladder rung: the span [stage_head, stage_end)
+  ///            of the far key array, its prefix when refill cuts it, the
+  ///            keys below far_bar sorted by (time, seq) and consumed by a
+  ///            sequential cursor. A pop moves the body out of its far
+  ///            slot, as heap_pop() does, and frees the slot. The rung's
+  ///            slots are scattered over far_cbs, so each pop prefetches
+  ///            the body kStagePrefetch keys ahead: without it, one cold
+  ///            miss per pop made lite_population's wall time 1.33x
+  ///            (alternating pairs on a 4-vCPU Xeon VM).
   ///  * heap  — 4-ary heap + slot pool: every future event while the
   ///            ladder is parked, and afterwards only the LATE insertions —
   ///            events scheduled after the rung was built whose time still
   ///            falls below far_bar. With the ladder engaged that is
   ///            usually a few percent of traffic, so the heap stays tiny
   ///            and cache-resident.
-  ///  * far   — unsorted slot pool for everything at or beyond far_bar;
-  ///            empty until reserve() engages the ladder. When the near
-  ///            tiers drain, a refill cuts the half-pool of earliest far
-  ///            keys into the stage with nth_element and advances far_bar.
-  ///            A slot is freed when its event runs and reused by the next
-  ///            far_push(), so the pool never outgrows the peak far
-  ///            population and needs no compaction.
+  ///  * far   — the unsorted keys around the rung, for everything at or
+  ///            beyond far_bar; empty until reserve() engages the ladder.
+  ///            A far push fills the consumed hole [far_front, stage_head)
+  ///            before it appends. When the near tiers drain, a refill
+  ///            closes what is left of the hole and cuts the half of the
+  ///            keys with the earliest (time, seq) to the front with
+  ///            nth_element, sorts them into the next rung and advances
+  ///            far_bar. So the key array holds one key per far event plus
+  ///            holes no push has needed, and never outgrows the peak far
+  ///            population.
+  /// Bodies live in far_cbs by slot, rung and pool alike. A slot is freed
+  /// when its event runs and reused by the next far_push().
   /// Invariant: far_bar rises monotonically; every stage and heap entry was
   /// placed with time < far_bar and every far entry with time >= far_bar,
   /// so min(ring, stage front, heap root) is the true queue head whenever a
@@ -329,11 +336,14 @@ class Simulation {
     std::vector<Callback> slots;  // heap callback bodies
     std::vector<std::uint32_t> free_slots;
     std::vector<NowEvent> ring;   // power-of-two capacity
-    std::vector<FarKey> far_keys;   // by far slot
+    /// Far keys: [0, far_front) pooled, [far_front, stage_head) consumed,
+    /// [stage_head, stage_end) the rung, [stage_end, size) pooled.
+    std::vector<HeapEntry> far;
     std::vector<Callback> far_cbs;  // by far slot: pooled and staged bodies
     std::vector<std::uint32_t> free_far;
-    std::vector<HeapEntry> stage;   // sorted rung, consumed via stage_head
+    std::size_t far_front{0};
     std::size_t stage_head{0};
+    std::size_t stage_end{0};
     std::size_t ring_head{0};
     std::size_t ring_size{0};
     /// Near/far boundary. kInfinite means the ladder is parked (pool
@@ -358,9 +368,10 @@ class Simulation {
   void far_push(SimTime t, std::uint64_t seq, Callback cb);
   /// Pops the stage front; returns its callback (far slot recycled).
   Callback stage_pop();
-  /// Cuts the earliest half of the far pool into the stage rung with
-  /// nth_element and advances far_bar to the first excluded key's time.
-  /// Guarantees at least one event moves when the far pool is non-empty.
+  /// Closes the consumed hole, cuts the earliest half of the far keys into
+  /// the stage rung with nth_element and advances far_bar to the first
+  /// excluded key's time. Guarantees at least one event moves when the far
+  /// pool is non-empty.
   void refill();
   /// How many rung keys ahead of the cursor stage_pop() prefetches a body.
   static constexpr std::size_t kStagePrefetch = 8;
@@ -378,7 +389,7 @@ class Simulation {
   enum NearSource : int { kFromRing = 0, kFromHeap = 1, kFromStage = 2 };
   /// Far slots holding a body: the pooled events plus the rung's unrun ones.
   [[nodiscard]] std::size_t far_held() const {
-    return q_.far_keys.size() - q_.free_far.size();
+    return q_.far_cbs.size() - q_.free_far.size();
   }
   /// Smallest (time, seq) key across the near tiers. Returns the owning
   /// tier, or -1 with (kInfinite, kNoSeq) when all are empty.

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -183,16 +184,18 @@ TEST(SimTimers, DestroyedWithLiveTimersReleasesEverything) {
 
 /// Self-rescheduling event: each run queues its own copy one period out,
 /// so with the ladder engaged the copy takes a far slot a run just freed.
-/// `Pad` sizes the body: 1 stays inline, 2 * kInlineSize takes the heap
-/// fallback.
+/// `Pad` sizes the body: 0 stays inline (24 bytes, the whole buffer),
+/// 2 * kInlineSize takes the heap fallback.
+struct NoPad {};
 template <std::size_t Pad>
 struct Rearm {
   Simulation* sim;
   std::shared_ptr<int> token;
-  std::array<char, Pad> pad{};
+  [[no_unique_address]] std::conditional_t<Pad == 0, NoPad,
+                                           std::array<char, Pad>> pad{};
   void operator()() const { sim->schedule_in(simtime::seconds(30), *this); }
 };
-static_assert(InlineCallback::fits_inline<Rearm<1>>());
+static_assert(InlineCallback::fits_inline<Rearm<0>>());
 static_assert(
     !InlineCallback::fits_inline<Rearm<2 * InlineCallback::kInlineSize>>());
 
@@ -213,7 +216,7 @@ TEST(SimTimers, DestroyedMidRungReleasesStagedAndPooledBodies) {
     for (int i = 0; i < kEvents; ++i) {
       const SimTime t = simtime::millis(1 + i);
       switch (i % 4) {
-        case 0: sim.schedule_at(t, Rearm<1>{&sim, token}); break;
+        case 0: sim.schedule_at(t, Rearm<0>{&sim, token}); break;
         case 1:
           sim.schedule_at(t,
                           Rearm<2 * InlineCallback::kInlineSize>{&sim, token});
