@@ -34,6 +34,7 @@
 
 #include "blob/deployment.hpp"
 #include "cloud/gateway.hpp"
+#include "common/hash.hpp"
 #include "workload/gateway_trace.hpp"
 
 namespace {
@@ -48,16 +49,6 @@ struct Options {
   std::vector<std::uint64_t> delta_changed{2, 6, 12};
   int repeat = 2;      // full-suite replays; digests must match
   bool smoke = false;  // single ratio / single delta, shorter trace
-};
-
-/// Order-dependent mixer (same recipe as the test digests): any change in
-/// any reported counter or sim-time value moves the suite digest.
-struct Digest {
-  std::uint64_t v{0x9e3779b97f4a7c15ull};
-  void mix(std::uint64_t x) {
-    v ^= x + 0x9e3779b97f4a7c15ull + (v << 6) + (v >> 2);
-  }
-  void mix_signed(std::int64_t x) { mix(static_cast<std::uint64_t>(x)); }
 };
 
 /// One gateway deployment: 6 providers on one site, journal-backed
@@ -440,7 +431,9 @@ SuiteResult run_suite(const Options& opt) {
     suite.deltas.push_back(run_delta(/*object_chunks=*/16, changed));
   }
 
-  Digest dg;
+  // The suite digest: any change in a reported counter or sim-time value
+  // moves it.
+  Digest dg{0x9e3779b97f4a7c15ull};
   for (const TraceResult& r : suite.traces) {
     dg.mix(r.dedup ? 1 : 0);
     dg.mix(r.trace.digest);
@@ -469,7 +462,7 @@ SuiteResult run_suite(const Options& opt) {
     dg.mix_signed(r.delta_time);
     dg.mix_signed(r.full_time);
   }
-  suite.digest = dg.v;
+  suite.digest = dg.value();
   return suite;
 }
 

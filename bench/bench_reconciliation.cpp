@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
 #include "repl/plane.hpp"
 
@@ -36,16 +37,6 @@ struct Options {
   std::vector<double> cadence_ms{4000.0, 1000.0, 250.0};
   int repeat = 2;      // full-suite replays; digests must match
   bool smoke = false;  // shortest outage, single cadence
-};
-
-/// Order-dependent mixer (same recipe as the test digests): any change in
-/// any reported counter or sim-time value moves the suite digest.
-struct Digest {
-  std::uint64_t v{0x9e3779b97f4a7c15ull};
-  void mix(std::uint64_t x) {
-    v ^= x + 0x9e3779b97f4a7c15ull + (v << 6) + (v >> 2);
-  }
-  void mix_signed(std::int64_t x) { mix(static_cast<std::uint64_t>(x)); }
 };
 
 struct ScenarioResult {
@@ -161,7 +152,9 @@ SuiteResult run_suite(const Options& opt) {
     }
   }
 
-  Digest dg;
+  // The suite digest: any change in a reported counter or sim-time value
+  // moves it.
+  Digest dg{0x9e3779b97f4a7c15ull};
   auto mix_scenario = [&dg](const ScenarioResult& r) {
     dg.mix(static_cast<std::uint64_t>(r.published));
     dg.mix(r.cut_queue.enqueued);
@@ -178,7 +171,7 @@ SuiteResult run_suite(const Options& opt) {
   };
   for (const ScenarioResult& r : suite.durations) mix_scenario(r);
   for (const ScenarioResult& r : suite.divergence) mix_scenario(r);
-  suite.digest = dg.v;
+  suite.digest = dg.value();
   return suite;
 }
 

@@ -24,6 +24,7 @@
 
 #include "blob/data_provider.hpp"
 #include "blob/deployment.hpp"
+#include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
@@ -36,16 +37,6 @@ struct Options {
   std::vector<int> lengths{64, 256, 1024};
   int repeat = 2;      // full-suite replays; digests must match
   bool smoke = false;  // shortest sweep only
-};
-
-/// Order-dependent mixer (same recipe as the test digests): any change in
-/// any reported counter or sim-time value moves the suite digest.
-struct Digest {
-  std::uint64_t v{0x9e3779b97f4a7c15ull};
-  void mix(std::uint64_t x) {
-    v ^= x + 0x9e3779b97f4a7c15ull + (v << 6) + (v >> 2);
-  }
-  void mix_signed(std::int64_t x) { mix(static_cast<std::uint64_t>(x)); }
 };
 
 struct RestartResult {
@@ -253,7 +244,9 @@ SuiteResult run_suite(const Options& opt) {
   }
   suite.power_loss = run_power_loss();
 
-  Digest dg;
+  // The suite digest: any change in a reported counter or sim-time value
+  // moves it.
+  Digest dg{0x9e3779b97f4a7c15ull};
   for (const RestartResult& r : suite.restarts) {
     dg.mix(static_cast<std::uint64_t>(r.puts));
     dg.mix_signed(r.ttr);
@@ -272,7 +265,7 @@ SuiteResult run_suite(const Options& opt) {
   dg.mix(p.acked);
   dg.mix(p.readable);
   dg.mix(p.pending);
-  suite.digest = dg.v;
+  suite.digest = dg.value();
   return suite;
 }
 

@@ -37,4 +37,23 @@ constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return fnv1a_u64(b, (a * kFnvPrime) ^ kFnvOffset);
 }
 
+/// Order-sensitive 64-bit digest accumulator (boost-style mix): two
+/// digests agree only if every mixed value matched in content and order.
+/// Determinism tests, the repl plane's state digests and the benches'
+/// suite digests all use it.
+class Digest {
+ public:
+  constexpr explicit Digest(std::uint64_t seed = kFnvOffset) : h_(seed) {}
+  constexpr void mix(std::uint64_t v) {
+    h_ ^= v + 0x9e3779b97f4a7c15ull + (h_ << 6) + (h_ >> 2);
+  }
+  constexpr void mix_signed(std::int64_t v) {
+    mix(static_cast<std::uint64_t>(v));
+  }
+  [[nodiscard]] constexpr std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_;
+};
+
 }  // namespace bs

@@ -92,11 +92,10 @@ sim::Task<void> FlowScheduler::transfer(double bytes,
     if (!seen) f->links.push_back(FlowLink{f, r, nullptr, nullptr});
   }
   active_.emplace(id, std::move(flow));
+  link(f);
   if (opts_.incremental) {
-    link(f);
     on_arrival_incremental(f);
   } else {
-    link(f);
     // Same settle discipline as the incremental path: settle exactly the
     // arriving flow's contention component (the only flows whose rates can
     // change), so per-flow floating-point state stays bit-identical across
@@ -383,19 +382,37 @@ void FlowScheduler::on_wakeup() {
     arm_wakeup();
     return;
   }
-  // Settle the union of the due flows' contention components; completions
-  // and the subsequent refill are confined to this subgraph.
+  // Completions and the subsequent refill are confined to the due flows'
+  // components.
+  const std::uint64_t due_mark = complete_due();
+  refill_and_reschedule(scratch_flows_, scratch_resources_);
+  // Defensive: a due flow that somehow survived with an unchanged rate had
+  // its only ETA entry popped above; give it a fresh one.
+  const std::size_t heap_size = eta_heap_.size();
+  for (Flow* f : scratch_flows_) {
+    if (f->mark == due_mark && f->rate == f->prev_rate && f->rate > 0) {
+      ++f->rate_epoch;
+      push_eta(*f);
+    }
+  }
+  restore_eta_heap(heap_size);
+  compact_eta_heap();
+  arm_wakeup();
+}
+
+std::uint64_t FlowScheduler::complete_due() {
   auto& comp = scratch_flows_;
-  auto& res = scratch_resources_;
   comp.clear();
-  res.clear();
+  scratch_resources_.clear();
   const std::uint64_t epoch = ++mark_epoch_;
-  for (Flow* f : due) collect_component(f, epoch, comp, res);
+  for (Flow* f : scratch_due_) {
+    collect_component(f, epoch, comp, scratch_resources_);
+  }
   const std::uint64_t due_mark = ++mark_epoch_;
-  for (Flow* f : due) f->mark = due_mark;
+  for (Flow* f : scratch_due_) f->mark = due_mark;
   // Complete everything in the subgraph that is within the rounding residue
-  // of done — the same same-instant grouping the reference path applies —
-  // waking waiters in flow-id order for deterministic downstream ordering.
+  // of done, waking waiters in flow-id order for deterministic downstream
+  // ordering.
   auto mid = std::stable_partition(
       comp.begin(), comp.end(),
       [](Flow* f) { return f->remaining <= kCompleteEps; });
@@ -412,19 +429,7 @@ void FlowScheduler::on_wakeup() {
     active_.erase(fid);
   }
   comp.erase(comp.begin(), mid);
-  refill_and_reschedule(comp, res);
-  // Defensive: a due flow that somehow survived with an unchanged rate had
-  // its only ETA entry popped above; give it a fresh one.
-  const std::size_t heap_size = eta_heap_.size();
-  for (Flow* f : comp) {
-    if (f->mark == due_mark && f->rate == f->prev_rate && f->rate > 0) {
-      ++f->rate_epoch;
-      push_eta(*f);
-    }
-  }
-  restore_eta_heap(heap_size);
-  compact_eta_heap();
-  arm_wakeup();
+  return due_mark;
 }
 
 void FlowScheduler::rebuild_eta_heap() {
@@ -511,34 +516,11 @@ void FlowScheduler::on_completion_event(std::uint64_t generation) {
     schedule_next_completion();
     return;
   }
-  // Settle the union of the due flows' contention components and complete
-  // within it — the same grouping rule as the incremental path.
-  auto& comp = scratch_flows_;
-  auto& res = scratch_resources_;
-  comp.clear();
-  res.clear();
-  const std::uint64_t epoch = ++mark_epoch_;
-  for (Flow* f : due) collect_component(f, epoch, comp, res);
-  const std::uint64_t due_mark = ++mark_epoch_;
-  for (Flow* f : due) f->mark = due_mark;
-  auto mid = std::stable_partition(
-      comp.begin(), comp.end(),
-      [](Flow* f) { return f->remaining <= kCompleteEps; });
-  std::sort(comp.begin(), mid, id_less);
-  for (auto it = comp.begin(); it != mid; ++it) {
-    Flow* f = *it;
-    unlink(f);
-    credit_residue(*f);
-    f->done.set();
-    ++completed_;
-  }
-  for (auto it = comp.begin(); it != mid; ++it) {
-    const std::uint64_t fid = (*it)->id;
-    active_.erase(fid);
-  }
-  const bool completed_any = mid != comp.begin();
-  if (completed_any) {
-    recompute_rates_global();  // clobbers comp/res scratch; not needed below
+  // The same completion step as the incremental path.
+  const std::uint64_t completed_before = completed_;
+  const std::uint64_t due_mark = complete_due();
+  if (completed_ != completed_before) {
+    recompute_rates_global();  // clobbers the scratch; not needed below
     // Defensive: a due survivor whose rate came back unchanged kept a
     // stale (<= now) ETA; refresh it from its post-settle remaining.
     // bslint: allow(det-unordered-iter): per-flow ETA refresh; updates are

@@ -175,6 +175,11 @@ class FlowScheduler {
   void update_eta(Flow& f);
   void fill_rates(const std::vector<Flow*>& flows,
                   const std::vector<Resource*>& resources);
+  // Settles the union of the components of the flows in scratch_due_
+  // (into scratch_flows_ / scratch_resources_), completes every flow in it
+  // within kCompleteEps of done in flow-id order, and leaves the survivors
+  // in scratch_flows_. Returns the mark the due flows now carry.
+  std::uint64_t complete_due();
 
   // Incremental path.
   void on_arrival_incremental(Flow* f);

@@ -4,10 +4,12 @@
 // at the site egress. Custody is released only on durable handoff — the
 // remote egress journals + fsyncs the apply before acking — and a bundle
 // whose delivery attempt times out is re-forwarded, so the receiver dedups
-// by version id. Queue overflow follows a policy: drop_newest / drop_oldest
-// lose the bundle (the version-map reconciler finds and re-schedules it
+// by version id. Queue overflow follows a policy: drop_newest refuses the
+// incoming bundle (the version-map reconciler finds and re-schedules it
 // after heal), spill keeps it but pays a disk round-trip on both enqueue
-// and release.
+// and release. No policy evicts a queued bundle, so the head the drain
+// loop has in flight stays the head until the loop releases it (a crash or
+// wipe ends that loop first).
 #pragma once
 
 #include <algorithm>
@@ -47,14 +49,13 @@ struct CustodyBundle {
   bool catch_up{false};       ///< re-synthesized by reconciliation
 };
 
-enum class OverflowPolicy : std::uint8_t { drop_newest, drop_oldest, spill };
+enum class OverflowPolicy : std::uint8_t { drop_newest, spill };
 
 /// What push() did with the bundle.
 enum class EnqueueOutcome : std::uint8_t {
   ok,
   spilled,      ///< accepted, but parked on disk (bound exceeded)
   dropped_new,  ///< refused: the incoming bundle was dropped
-  dropped_old,  ///< accepted after evicting the queue head
 };
 
 struct CustodyQueueStats {
@@ -81,14 +82,6 @@ class CustodyQueue {
           ++stats_.dropped;
           forget(b);
           return EnqueueOutcome::dropped_new;
-        case OverflowPolicy::drop_oldest:
-          forget(bundles_.front());
-          bundles_.pop_front();
-          ++stats_.dropped;
-          remember(b);
-          bundles_.push_back(std::move(b));
-          ++stats_.enqueued;
-          return EnqueueOutcome::dropped_old;
         case OverflowPolicy::spill:
           b.spilled = true;
           ++stats_.spilled;

@@ -1,8 +1,10 @@
 #include "repl/egress.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "blob/messages.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -269,7 +271,6 @@ EnqueueOutcome SiteEgress::enqueue(CustodyBundle b) {
       blob::charge_disk_write(node_, held);
       break;
     case EnqueueOutcome::dropped_new:
-    case EnqueueOutcome::dropped_old:
       obs::count("repl.enqueued");
       obs::count("repl.dropped");
       break;
@@ -363,15 +364,15 @@ sim::Task<void> SiteEgress::drain_loop(net::SiteId dst,
     if (st.queue.front().spilled) {
       // Spilled custody is read back off the egress disk before it can go
       // back on the wire.
-      const std::uint64_t spill_id = st.queue.front().id;
+      [[maybe_unused]] const std::uint64_t spill_id = st.queue.front().id;
       const std::uint64_t bytes = rec_bundle_bytes(st.queue.front());
       std::vector<net::Resource*> rs{node_.disk()};
       co_await cluster.flows().transfer(static_cast<double>(bytes),
                                         std::move(rs));
       if (!live()) co_return;
-      // drop_oldest can evict the front during the read-back; only the
-      // bundle actually read off disk is marked memory-resident.
-      if (st.queue.empty() || st.queue.front().id != spill_id) continue;
+      // The head is still the bundle read back: only this loop releases it,
+      // and a crash or wipe first ends this loop's generation (live()).
+      assert(!st.queue.empty() && st.queue.front().id == spill_id);
       st.queue.front().spilled = false;
     }
     ReplDeliverReq req;
@@ -401,28 +402,25 @@ sim::Task<void> SiteEgress::drain_loop(net::SiteId dst,
     }
     rpc::CallOptions copts;
     copts.timeout = options_.custody_timeout;
-    const std::uint64_t delivered_id = req.bundle_id;
+    [[maybe_unused]] const std::uint64_t delivered_id = req.bundle_id;
     auto r = co_await cluster.call<ReplDeliverReq, ReplDeliverResp>(
         node_, peer, std::move(req), copts);
     if (!live()) co_return;
     if (r.ok()) {
       span.end("ok");
       if (r.value().duplicate) obs::count("repl.duplicates");
-      // drop_oldest can evict the in-flight front while the RPC runs;
-      // release only the bundle that was actually delivered (same guard
-      // apply_record uses on replay).
-      if (!st.queue.empty() && st.queue.front().id == delivered_id) {
-        const CustodyBundle done = st.queue.release_front();
-        obs::count("repl.delivered");
-        obs::observe("repl.custody.hold_ms",
-                     simtime::to_millis(sim.now() - done.enqueued_at), 0.0,
-                     1.0e7, 200);
-        EgressRecord rec;
-        rec.kind = EgressRecord::Kind::release;
-        rec.dst = dst;
-        rec.bundle_id = done.id;
-        durable_.commit_detached(std::move(rec));
-      }
+      // The delivered bundle is still the head, as after the read-back.
+      assert(!st.queue.empty() && st.queue.front().id == delivered_id);
+      const CustodyBundle done = st.queue.release_front();
+      obs::count("repl.delivered");
+      obs::observe("repl.custody.hold_ms",
+                   simtime::to_millis(sim.now() - done.enqueued_at), 0.0,
+                   1.0e7, 200);
+      EgressRecord rec;
+      rec.kind = EgressRecord::Kind::release;
+      rec.dst = dst;
+      rec.bundle_id = done.id;
+      durable_.commit_detached(std::move(rec));
       update_depth_gauge();
     } else {
       // Custody timeout (or peer down): custody is retained and the bundle
@@ -631,33 +629,29 @@ std::uint64_t SiteEgress::published_bytes(BlobId blob,
 }
 
 std::uint64_t SiteEgress::digest() const {
-  // Same mix recipe as the version map digest.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(site_);
-  mix(map_.digest());
-  mix(dsts_.size());
+  Digest d;
+  d.mix(site_);
+  d.mix(map_.digest());
+  d.mix(dsts_.size());
   for (const auto& [dst, st] : dsts_) {
-    mix(dst);
-    mix(st.queue.size());
+    d.mix(dst);
+    d.mix(st.queue.size());
     for (const CustodyBundle& b : st.queue.bundles()) {
-      mix(b.id);
-      mix(static_cast<std::uint64_t>(b.kind));
-      mix(b.blob.value);
-      mix(b.version);
-      mix(b.bytes);
+      d.mix(b.id);
+      d.mix(static_cast<std::uint64_t>(b.kind));
+      d.mix(b.blob.value);
+      d.mix(b.version);
+      d.mix(b.bytes);
     }
   }
-  mix(applied_chunks_.size());
+  d.mix(applied_chunks_.size());
   for (const auto& [key, target] : applied_chunks_) {
-    mix(key.blob.value);
-    mix(key.version);
-    mix(key.index);
-    mix(target.value);
+    d.mix(key.blob.value);
+    d.mix(key.version);
+    d.mix(key.index);
+    d.mix(target.value);
   }
-  return h;
+  return d.value();
 }
 
 }  // namespace bs::repl

@@ -38,8 +38,8 @@ namespace bs::repl {
 
 struct EgressOptions {
   /// Custody bound per destination queue; beyond it the overflow policy
-  /// applies (spill keeps the bundle at a disk-cost, drops lose it and
-  /// leave it to reconciliation).
+  /// applies (spill keeps the bundle at a disk-cost, drop_newest refuses it
+  /// and leaves it to reconciliation).
   std::size_t queue_bound{1024};
   OverflowPolicy overflow{OverflowPolicy::spill};
   /// Per delivery attempt; an attempt that exceeds it is re-forwarded.

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
 #include "obs/metrics.hpp"
 
@@ -194,16 +195,13 @@ CustodyQueueStats ReplicationPlane::total_custody_stats() const {
 }
 
 std::uint64_t ReplicationPlane::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(sites_.size());
+  Digest d;
+  d.mix(sites_.size());
   for (const auto& [s, ps] : sites_) {
-    mix(s);
-    mix(ps.egress->digest());
+    d.mix(s);
+    d.mix(ps.egress->digest());
   }
-  return h;
+  return d.value();
 }
 
 }  // namespace bs::repl

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
+
 namespace bs::repl {
-namespace {
-
-// Same recipe as test::Digest / the schedule digests: FNV offset seed,
-// boost-style mix. Kept local so the map digest is stable even if test
-// helpers evolve.
-struct Digest {
-  std::uint64_t h{0xcbf29ce484222325ull};
-  void mix(std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-};
-
-}  // namespace
 
 void VersionMap::note_published(BlobId blob, blob::Version v) {
   Region& r = region(blob);
@@ -156,7 +145,7 @@ std::uint64_t VersionMap::digest() const {
     d.mix(r.retired.size());
     for (blob::Version v : r.retired) d.mix(v);
   }
-  return d.h;
+  return d.value();
 }
 
 std::uint64_t VersionMap::applied_count() const {

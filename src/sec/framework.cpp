@@ -7,7 +7,7 @@ namespace bs::sec {
 SecurityFramework::SecurityFramework(
     sim::Simulation& sim, const intro::UserActivityHistory& activity,
     SecurityConfig config)
-    : trust_(config.trust), enforcement_(sim, trust_),
+    : enforcement_(sim, trust_),
       engine_(sim, activity, trust_, enforcement_, config.detection) {
   const std::string source = config.policy_source.empty()
                                  ? default_policy_source()

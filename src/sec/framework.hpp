@@ -13,7 +13,6 @@ namespace bs::sec {
 
 struct SecurityConfig {
   DetectionOptions detection{};
-  TrustOptions trust{};
   std::string policy_source;  ///< empty = default_policy_source()
 };
 

@@ -1,156 +1,21 @@
-// Seeded chaos harness for the fault-injection plane (ctest label: chaos).
-// Each seed derives a random fault schedule — provider crashes (some losing
-// their stores), a site partition, link degradation with probabilistic
-// drops and latency spikes, and a disk slowdown — and replays a concurrent
-// append workload under it. Invariants:
-//   * replaying the same seed twice is bit-identical (digest over every
-//     operation outcome, the published-version inventory, full-version
-//     reads and the cluster's fault/retry counters);
-//   * every published blob version is fully readable after the dust
-//     settles, even when writers crashed mid-write or mid-publish;
-//   * the RPC retry layer is load-bearing: the same schedules replayed
-//     with retries disabled lose strictly more writes.
+// Seeded chaos for the fault-injection plane (ctest label: chaos): the
+// plain append scenario. Invariants: a seed replays bit-identically; every
+// published version reads back whole after the dust settles, even when
+// writers crashed mid-write or mid-publish; and the RPC retry layer is
+// load-bearing: without it the same schedules lose strictly more writes.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include "integration/chaos_runner.hpp"
 
-#include "blob/deployment.hpp"
-#include "common/rng.hpp"
-#include "fault/fault_plane.hpp"
-#include "test_util.hpp"
-
-namespace bs {
+namespace bs::test {
 namespace {
-
-struct ChaosOutcome {
-  std::uint64_t digest{0};
-  std::size_t attempted{0};
-  std::size_t succeeded{0};
-  std::size_t published{0};
-  std::size_t unreadable_versions{0};
-  std::uint64_t faults_applied{0};
-  std::uint64_t calls_retried{0};
-  std::uint64_t messages_dropped{0};
-};
-
-ChaosOutcome run_chaos(std::uint64_t seed, bool retries_enabled) {
-  sim::Simulation sim;
-
-  blob::DeploymentConfig cfg;
-  cfg.sites = 3;
-  cfg.data_providers = 8;
-  cfg.metadata_providers = 2;
-  cfg.provider_capacity = 4ull * units::GB;
-  cfg.fault_seed = seed ^ 0xF00Dull;
-  // Short leases: a writer that crashes mid-write must not stall ordered
-  // publication for the rest of the run.
-  cfg.vm_options.write_lease = simtime::seconds(30);
-  cfg.vm_options.sweep_interval = simtime::seconds(5);
-  blob::Deployment dep(sim, cfg);
-
-  blob::ClientConfig ccfg;
-  if (!retries_enabled) ccfg.retry.max_attempts = 1;
-  const int n_clients = 4;
-  std::vector<blob::BlobClient*> clients;
-  for (int i = 0; i < n_clients; ++i) clients.push_back(dep.add_client(ccfg));
-
-  auto blob = test::run_task(
-      sim, clients[0]->create(4 * units::MB, /*replication=*/2));
-  EXPECT_TRUE(blob.ok());
-
-  // Fault schedule: bounded so the invariants stay checkable — at most one
-  // store-losing crash (below the replication factor), everything healed
-  // and restarted before the quiescent tail.
-  fault::FaultPlane plane(dep.cluster(), seed * 31 + 7);
-  fault::ScheduleOptions so;
-  so.horizon = simtime::minutes(4);
-  so.quiesce_fraction = 0.7;
-  for (auto& p : dep.providers()) so.crashable.push_back(p->id());
-  so.crashes = 3;
-  so.max_wipe_crashes = 1;
-  so.site_count = cfg.sites;
-  so.partitions = 1;
-  so.degrades = 2;
-  so.disk_slowdowns = 1;
-  const auto schedule = fault::random_schedule(seed * 13 + 5, so);
-  plane.schedule_all(schedule);
-
-  // Workload: each client issues 4 appends at random times in the faulted
-  // window, so writes race crashes, partitions and drops.
-  struct Op {
-    SimTime at{0};
-    std::uint64_t bytes{0};
-    std::uint64_t content{0};
-    Result<blob::WriteReceipt> result{Errc::internal};
-  };
-  Rng wl(seed ^ 0xC0FFEEull);
-  std::vector<Op> ops(static_cast<std::size_t>(n_clients) * 4);
-  for (auto& op : ops) {
-    op.at = simtime::millis(wl.uniform(0, 150000));
-    op.bytes = (1 + wl.next_below(3)) * 4 * units::MB;
-    op.content = wl.next_u64();
-  }
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    sim.spawn([](sim::Simulation& s, blob::BlobClient& cl, BlobId b,
-                 Op& op) -> sim::Task<void> {
-      co_await s.delay_until(op.at);
-      op.result = co_await cl.append(
-          b, blob::Payload::synthetic(op.bytes, op.content));
-    }(sim, *clients[i % n_clients], blob.value(), ops[i]));
-  }
-
-  sim.run_until(simtime::minutes(6));
-
-  ChaosOutcome out;
-  out.attempted = ops.size();
-  test::Digest dg;
-  for (const auto& op : ops) {
-    dg.mix(static_cast<std::uint64_t>(op.result.code()));
-    if (op.result.ok()) {
-      ++out.succeeded;
-      dg.mix(op.result.value().version);
-      dg.mix(op.result.value().offset);
-      dg.mix(op.result.value().size);
-      dg.mix_signed(op.result.value().duration);
-    }
-  }
-
-  // Published-version inventory + the core invariant: every published
-  // version must be fully readable now that all faults are healed.
-  auto versions = test::run_task(sim, clients[0]->versions(blob.value()));
-  EXPECT_TRUE(versions.ok());
-  if (versions.ok()) {
-    for (const auto& v : versions.value()) {
-      if (v.version == 0) continue;  // the empty initial version
-      ++out.published;
-      dg.mix(v.version);
-      dg.mix(v.size);
-      auto read = test::run_task(
-          sim, clients[1]->read(blob.value(), 0, v.size, v.version));
-      if (!read.ok()) {
-        ++out.unreadable_versions;
-        continue;
-      }
-      dg.mix(read.value().bytes);
-    }
-  }
-
-  dg.mix(out.faults_applied = plane.faults_applied());
-  dg.mix(out.calls_retried = dep.cluster().calls_retried());
-  dg.mix(out.messages_dropped = dep.cluster().messages_dropped());
-  dg.mix(dep.cluster().calls_timed_out());
-  dg.mix(dep.version_manager().leases_expired());
-  dg.mix(static_cast<std::uint64_t>(sim.now()));
-  out.digest = dg.value();
-  return out;
-}
 
 class ChaosSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosSeeds, ReplayIsBitIdenticalAndPublishedVersionsStayReadable) {
   const std::uint64_t seed = GetParam();
-  const ChaosOutcome a = run_chaos(seed, /*retries_enabled=*/true);
-  const ChaosOutcome b = run_chaos(seed, /*retries_enabled=*/true);
+  const ChaosOutcome a = run_chaos(seed, {});
+  const ChaosOutcome b = run_chaos(seed, {});
 
   // Determinism: the same seed replays bit-identically.
   EXPECT_EQ(a.digest, b.digest) << "seed " << seed;
@@ -164,8 +29,8 @@ TEST_P(ChaosSeeds, ReplayIsBitIdenticalAndPublishedVersionsStayReadable) {
   EXPECT_GE(a.published, a.succeeded) << "seed " << seed;
 
   // Safety: no published version is ever torn or unreadable.
-  EXPECT_EQ(a.unreadable_versions, 0u) << "seed " << seed;
-  EXPECT_EQ(b.unreadable_versions, 0u) << "seed " << seed;
+  EXPECT_EQ(a.unreadable, 0u) << "seed " << seed;
+  EXPECT_EQ(b.unreadable, 0u) << "seed " << seed;
 }
 
 // 50 seeded schedules in the tier-1/chaos gate.
@@ -181,13 +46,13 @@ TEST(ChaosAggregate, RetryLayerIsLoadBearing) {
   std::size_t without_retries = 0;
   std::size_t attempted = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const ChaosOutcome on = run_chaos(seed, /*retries_enabled=*/true);
-    const ChaosOutcome off = run_chaos(seed, /*retries_enabled=*/false);
+    const ChaosOutcome on = run_chaos(seed, {});
+    const ChaosOutcome off = run_chaos(seed, {.retries = false});
     with_retries += on.succeeded;
     without_retries += off.succeeded;
     attempted += on.attempted;
-    EXPECT_EQ(on.unreadable_versions, 0u) << "seed " << seed;
-    EXPECT_EQ(off.unreadable_versions, 0u) << "seed " << seed;
+    EXPECT_EQ(on.unreadable, 0u) << "seed " << seed;
+    EXPECT_EQ(off.unreadable, 0u) << "seed " << seed;
   }
   EXPECT_GT(with_retries, without_retries)
       << "retries recovered no writes across " << attempted << " appends";
@@ -196,4 +61,4 @@ TEST(ChaosAggregate, RetryLayerIsLoadBearing) {
 }
 
 }  // namespace
-}  // namespace bs
+}  // namespace bs::test

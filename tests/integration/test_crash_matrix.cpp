@@ -18,17 +18,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "blob/deployment.hpp"
-#include "cloud/gateway.hpp"
+#include "common/hash.hpp"
+#include "integration/chaos_runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "repl/plane.hpp"
 #include "test_util.hpp"
 
 namespace bs {
@@ -58,32 +56,20 @@ std::string actor_name(const ::testing::TestParamInfo<Actor>& info) {
 
 class CrashMatrix : public ::testing::TestWithParam<Actor> {
  protected:
-  CrashMatrix() {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 3;
-    cfg.data_providers = 4;
-    cfg.metadata_providers = 2;
-    cfg.provider_capacity = 4ull * units::GB;
-    cfg.journal.enabled = true;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-    repl::ReplOptions ro;
-    ro.egress.journal = cfg.journal;
-    plane_ = std::make_unique<repl::ReplicationPlane>(
-        dep_->cluster(), dep_->version_manager_node().site(), ro);
-    plane_->attach(*dep_);
-    plane_->start();
-    gw_node_ = dep_->cluster().add_node(0);
-    cloud::GatewayOptions gopts;
-    gopts.object_chunk_size = kChunk;
-    gopts.replication = 2;
-    gopts.journal.enabled = true;
-    gateway_ = std::make_unique<cloud::S3Gateway>(*gw_node_, dep_->endpoints(),
-                                                  gopts);
-
+  CrashMatrix()
+      : st_(sim_,
+            blob::DeploymentConfig{.sites = 3, .data_providers = 4,
+                                   .metadata_providers = 2,
+                                   .provider_capacity = 4ull * units::GB,
+                                   .journal = {.enabled = true}},
+            repl::ReplOptions{},
+            cloud::GatewayOptions{.object_chunk_size = kChunk,
+                                  .replication = 2,
+                                  .journal = {.enabled = true}}) {
     // Populate every store: a blob with two appends (version manager,
     // metadata and data providers, custody and remote applies at the
     // egresses) and a bucket with one object through the gateway.
-    blob::BlobClient* writer = dep_->add_client();
+    blob::BlobClient* writer = st_.dep.add_client();
     auto blob_id = test::run_task(sim_, writer->create(kChunk, 2));
     EXPECT_TRUE(blob_id.ok());
     blob_ = blob_id.value();
@@ -94,12 +80,12 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
       EXPECT_TRUE(r.ok());
     }
     pick_subject();
-    client_ = dep_->cluster().add_node(node_->site());
+    client_ = st_.dep.cluster().add_node(node_->site());
     cloud::S3CreateBucketReq mk;
     mk.bucket = "b";
     const auto made =
         call<cloud::S3CreateBucketReq, cloud::S3CreateBucketResp>(
-            gw_node_->id(), mk);
+            st_.gw_node->id(), mk);
     EXPECT_FALSE(made.has_value());
     cloud::S3PutObjectReq put;
     put.bucket = "b";
@@ -109,7 +95,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
     for (std::uint64_t sum : put.chunk_sums) etag = hash_combine(etag, sum);
     put.payload = blob::Payload{2 * kChunk, etag, nullptr};
     const auto stored = call<cloud::S3PutObjectReq, cloud::S3PutObjectResp>(
-        gw_node_->id(), put);
+        st_.gw_node->id(), put);
     EXPECT_FALSE(stored.has_value());
     settle(simtime::seconds(30));  // custody drained, every store quiescent
   }
@@ -119,30 +105,30 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
   void pick_subject() {
     switch (GetParam()) {
       case Actor::data_provider:
-        dp_ = dep_->providers().front().get();
-        for (const auto& p : dep_->providers()) {
+        dp_ = st_.dep.providers().front().get();
+        for (const auto& p : st_.dep.providers()) {
           if (p->chunk_count() > dp_->chunk_count()) dp_ = p.get();
         }
         node_ = &dp_->node();
         break;
       case Actor::metadata_provider:
-        mp_ = dep_->metadata_providers().front().get();
-        for (const auto& m : dep_->metadata_providers()) {
+        mp_ = st_.dep.metadata_providers().front().get();
+        for (const auto& m : st_.dep.metadata_providers()) {
           if (m->node_count() > mp_->node_count()) mp_ = m.get();
         }
-        node_ = dep_->cluster().node(mp_->id());
+        node_ = st_.dep.cluster().node(mp_->id());
         break;
       case Actor::version_manager:
-        node_ = &dep_->version_manager_node();
+        node_ = &st_.dep.version_manager_node();
         break;
       case Actor::gateway:
-        node_ = gw_node_;
+        node_ = st_.gw_node;
         break;
       case Actor::egress:
-        eg_ = &plane_->egress(plane_->remote_sites().front());
-        for (net::SiteId s : plane_->remote_sites()) {
-          if (plane_->egress(s).applies() > eg_->applies()) {
-            eg_ = &plane_->egress(s);
+        eg_ = &st_.plane->egress(st_.plane->remote_sites().front());
+        for (net::SiteId s : st_.plane->remote_sites()) {
+          if (st_.plane->egress(s).applies() > eg_->applies()) {
+            eg_ = &st_.plane->egress(s);
           }
         }
         node_ = &eg_->node();
@@ -150,32 +136,33 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
     }
   }
 
-  const blob::RecoveryStats& stats() const {
+  const blob::RecoveryStats& stats() {
     switch (GetParam()) {
       case Actor::data_provider: return dp_->recovery_stats();
       case Actor::metadata_provider: return mp_->recovery_stats();
       case Actor::version_manager:
-        return dep_->version_manager().recovery_stats();
-      case Actor::gateway: return gateway_->recovery_stats();
+        return st_.dep.version_manager().recovery_stats();
+      case Actor::gateway: return st_.gateway->recovery_stats();
       case Actor::egress: break;
     }
     return eg_->recovery_stats();
   }
 
-  bool recovering() const {
+  bool recovering() {
     switch (GetParam()) {
       case Actor::data_provider: return dp_->recovering();
       case Actor::metadata_provider: return mp_->recovering();
-      case Actor::version_manager: return dep_->version_manager().recovering();
-      case Actor::gateway: return gateway_->recovering();
+      case Actor::version_manager:
+        return st_.dep.version_manager().recovering();
+      case Actor::gateway: return st_.gateway->recovering();
       case Actor::egress: break;
     }
     return eg_->recovering();
   }
 
   /// What the actor holds in memory, as a digest.
-  std::uint64_t digest() const {
-    test::Digest dg;
+  std::uint64_t digest() {
+    Digest dg;
     switch (GetParam()) {
       case Actor::data_provider:
         dg.mix(dp_->used());
@@ -190,7 +177,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
         dg.mix(mp_->bytes_stored());
         break;
       case Actor::version_manager: {
-        blob::VersionManager& vm = dep_->version_manager();
+        blob::VersionManager& vm = st_.dep.version_manager();
         dg.mix(vm.blob_count());
         dg.mix(vm.pending_writes());
         for (const auto& p : vm.published_snapshot()) {
@@ -201,7 +188,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
         break;
       }
       case Actor::gateway:
-        dg.mix(gateway_->state_digest());
+        dg.mix(st_.gateway->state_digest());
         break;
       case Actor::egress:
         dg.mix(eg_->digest());
@@ -241,7 +228,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
       }
       case Actor::egress: {
         repl::ReplDeliverReq req;
-        req.src_site = plane_->origin_site();
+        req.src_site = st_.plane->origin_site();
         req.bundle_id = 999;
         req.kind = static_cast<std::uint8_t>(repl::BundleKind::publish);
         req.blob = BlobId{999};
@@ -273,7 +260,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
     }
     // The subject's own map: nothing is missing, so nothing is scheduled.
     repl::ReplMapReq req;
-    req.from_site = plane_->origin_site();
+    req.from_site = st_.plane->origin_site();
     req.map = eg_->map().encode_wire();
     return call<repl::ReplMapReq, repl::ReplMapResp>(to, req);
   }
@@ -367,13 +354,13 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
       }
       case Actor::egress: {
         repl::ReplDeliverReq deliver;
-        deliver.src_site = plane_->origin_site();
+        deliver.src_site = st_.plane->origin_site();
         deliver.kind = static_cast<std::uint8_t>(repl::BundleKind::publish);
         deliver.blob = BlobId{999};
         deliver.version = 1;
         fire<repl::ReplDeliverReq, repl::ReplDeliverResp>(answers, deliver);
         repl::ReplMapReq map;
-        map.from_site = plane_->origin_site();
+        map.from_site = st_.plane->origin_site();
         map.map = eg_->map().encode_wire();
         fire<repl::ReplMapReq, repl::ReplMapResp>(answers, map);
         break;
@@ -402,13 +389,13 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
       auto res = co_await cl.call<Req, Resp>(from, to, std::move(r), o);
       if (!res.ok()) out.codes[slot] = res.error().code;
       --out.pending;
-    }(dep_->cluster(), *client_, node_->id(), std::move(req), opts(), answers,
-      answers.codes.size() - 1));
+    }(st_.dep.cluster(), *client_, node_->id(), std::move(req), opts(),
+      answers, answers.codes.size() - 1));
   }
 
   template <class Req, class Resp>
   std::optional<Errc> call(NodeId to, Req req) {
-    auto r = test::run_task(sim_, dep_->cluster().call<Req, Resp>(
+    auto r = test::run_task(sim_, st_.dep.cluster().call<Req, Resp>(
                                       *client_, to, std::move(req), opts()));
     if (r.ok()) return std::nullopt;
     return r.error().code;
@@ -419,7 +406,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
     sim_.spawn([](rpc::Cluster& cl, rpc::Node& from, NodeId to, Req r,
                   rpc::CallOptions o) -> sim::Task<void> {
       (void)co_await cl.call<Req, Resp>(from, to, std::move(r), o);
-    }(dep_->cluster(), *client_, node_->id(), std::move(req), opts()));
+    }(st_.dep.cluster(), *client_, node_->id(), std::move(req), opts()));
   }
 
   static rpc::CallOptions opts() {
@@ -464,10 +451,7 @@ class CrashMatrix : public ::testing::TestWithParam<Actor> {
   }
 
   sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
-  std::unique_ptr<repl::ReplicationPlane> plane_;
-  rpc::Node* gw_node_{nullptr};
-  std::unique_ptr<cloud::S3Gateway> gateway_;
+  test::ChaosStack st_;  // journaled, repl plane, gateway
   rpc::Node* client_{nullptr};
   rpc::Node* node_{nullptr};
   BlobId blob_{};

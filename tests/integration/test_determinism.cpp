@@ -3,6 +3,7 @@
 // require identical event counts, throughput series, and security actions.
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
 #include "mon/layer.hpp"
 #include "sec/framework.hpp"
@@ -152,7 +153,7 @@ std::uint64_t run_faulted_scenario() {
 
   sim.run_until(simtime::minutes(5));
 
-  test::Digest dg;
+  Digest dg;
   for (const auto& op : ops) {
     dg.mix(static_cast<std::uint64_t>(op.result.code()));
     if (op.result.ok()) {

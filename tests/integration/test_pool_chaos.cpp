@@ -1,20 +1,14 @@
-// Frame-pool ablation under chaos (ctest label: chaos): replaying a seeded
-// fault schedule with frame pooling enabled and disabled must produce
-// bit-identical outcomes. Recycling only changes which addresses coroutine
-// frames land on, and no address may be observable — this is the end-to-end
-// proof, covering frame reuse after provider crashes abort in-flight
-// coroutines mid-suspend.
+// Frame-pool ablation under chaos (ctest label: chaos): a seeded faulted
+// run must be bit-identical with frame pooling on and off. Recycling only
+// moves coroutine frames between addresses and no address may be
+// observable, frame reuse after crashes abort coroutines mid-suspend
+// included.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "blob/deployment.hpp"
-#include "common/rng.hpp"
-#include "fault/fault_plane.hpp"
+#include "integration/chaos_runner.hpp"
 #include "sim/frame_pool.hpp"
-#include "test_util.hpp"
 
-namespace bs {
+namespace bs::test {
 namespace {
 
 std::uint64_t run_faulted_workload(std::uint64_t seed, bool pool_enabled) {
@@ -23,88 +17,18 @@ std::uint64_t run_faulted_workload(std::uint64_t seed, bool pool_enabled) {
   pool.set_enabled(pool_enabled);
   pool.trim();
 
-  std::uint64_t digest;
-  {
-    sim::Simulation sim;
-
-    blob::DeploymentConfig cfg;
-    cfg.sites = 2;
-    cfg.data_providers = 6;
-    cfg.metadata_providers = 2;
-    cfg.provider_capacity = 2ull * units::GB;
-    cfg.fault_seed = seed ^ 0xF00Dull;
-    cfg.vm_options.write_lease = simtime::seconds(30);
-    cfg.vm_options.sweep_interval = simtime::seconds(5);
-    blob::Deployment dep(sim, cfg);
-
-    const int n_clients = 3;
-    std::vector<blob::BlobClient*> clients;
-    for (int i = 0; i < n_clients; ++i) clients.push_back(dep.add_client());
-
-    auto blob = test::run_task(
-        sim, clients[0]->create(4 * units::MB, /*replication=*/2));
-    EXPECT_TRUE(blob.ok());
-
-    fault::FaultPlane plane(dep.cluster(), seed * 31 + 7);
-    fault::ScheduleOptions so;
-    so.horizon = simtime::minutes(2);
-    so.quiesce_fraction = 0.7;
-    for (auto& p : dep.providers()) so.crashable.push_back(p->id());
-    so.crashes = 2;
-    so.max_wipe_crashes = 1;
-    so.site_count = cfg.sites;
-    so.partitions = 1;
-    so.degrades = 1;
-    so.disk_slowdowns = 1;
-    plane.schedule_all(fault::random_schedule(seed * 13 + 5, so));
-
-    struct Op {
-      SimTime at{0};
-      std::uint64_t bytes{0};
-      std::uint64_t content{0};
-      Result<blob::WriteReceipt> result{Errc::internal};
-    };
-    Rng wl(seed ^ 0xC0FFEEull);
-    std::vector<Op> ops(static_cast<std::size_t>(n_clients) * 3);
-    for (auto& op : ops) {
-      op.at = simtime::millis(wl.uniform(0, 70000));
-      op.bytes = (1 + wl.next_below(2)) * 2 * units::MB;
-      op.content = wl.next_u64();
-    }
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      sim.spawn([](sim::Simulation& s, blob::BlobClient& cl, BlobId b,
-                   Op& op) -> sim::Task<void> {
-        co_await s.delay_until(op.at);
-        op.result = co_await cl.append(
-            b, blob::Payload::synthetic(op.bytes, op.content));
-      }(sim, *clients[i % n_clients], blob.value(), ops[i]));
-    }
-
-    sim.run_until(simtime::minutes(3));
-
-    test::Digest dg;
-    for (const auto& op : ops) {
-      dg.mix(static_cast<std::uint64_t>(op.result.code()));
-      if (op.result.ok()) {
-        dg.mix(op.result.value().version);
-        dg.mix(op.result.value().offset);
-        dg.mix_signed(op.result.value().duration);
-      }
-    }
-    auto versions = test::run_task(sim, clients[0]->versions(blob.value()));
-    EXPECT_TRUE(versions.ok());
-    if (versions.ok()) {
-      for (const auto& v : versions.value()) {
-        dg.mix(v.version);
-        dg.mix(v.size);
-      }
-    }
-    dg.mix(plane.faults_applied());
-    dg.mix(dep.cluster().calls_retried());
-    dg.mix(dep.cluster().messages_dropped());
-    dg.mix(static_cast<std::uint64_t>(sim.now()));
-    digest = dg.value();
-  }
+  ChaosScenario sc;
+  sc.deployment.sites = 2;
+  sc.deployment.data_providers = 6;
+  sc.deployment.provider_capacity = 2ull * units::GB;
+  sc.schedule.horizon = simtime::minutes(2);
+  sc.schedule.crashes = 2;
+  sc.schedule.degrades = 1;
+  sc.workload = Appends{.clients = 3, .ops_per_client = 3, .window_ms = 70000,
+                        .size_steps = 2, .size_unit = 2 * units::MB};
+  sc.read_sweep = false;
+  sc.horizon = simtime::minutes(3);
+  const std::uint64_t digest = run_chaos(seed, sc).digest;
 
   pool.set_enabled(prev);
   pool.trim();
@@ -127,4 +51,4 @@ INSTANTIATE_TEST_SUITE_P(FramePoolAblation, PoolChaosSeeds,
                          ::testing::Values(1ull, 7ull, 23ull));
 
 }  // namespace
-}  // namespace bs
+}  // namespace bs::test

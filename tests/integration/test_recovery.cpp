@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "blob/deployment.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_plane.hpp"
 #include "test_util.hpp"
@@ -188,7 +189,7 @@ TEST(Recovery, UnackedWriteNeverResurrectsAfterReplay) {
 std::uint64_t settled_state_digest(sim::Simulation& sim,
                                    blob::Deployment& dep,
                                    blob::BlobClient* reader, BlobId blob_id) {
-  test::Digest dg;
+  Digest dg;
   auto versions = test::run_task(sim, reader->versions(blob_id));
   EXPECT_TRUE(versions.ok());
   if (versions.ok()) {

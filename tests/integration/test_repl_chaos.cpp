@@ -1,214 +1,63 @@
-// Seeded chaos harness for the geo-replication plane (ctest labels: repl,
-// chaos). Each seed derives a random fault schedule that now leans
-// on the long-partition knob — a WAN cut held for tens of sim-seconds
-// while the append workload keeps publishing — plus egress-node crashes
-// (torn tails, at most one store wipe) layered on the usual provider
-// hazards. Invariants:
-//   * replaying a seed twice is bit-identical, custody and version-map
-//     state included;
-//   * after the dust settles every remote site's version map is coherent
-//     against the origin — whatever custody lost, reconciliation found;
-//   * every published version stays fully readable (the partitions never
-//     cut a write that was acked);
-//   * custody accounting balances: nothing is silently lost.
-// The file also carries the 30-sim-minute partition acceptance test: a
-// WAN cut between two replica sites held for half an hour must surface
-// zero failed replication RPCs to clients, and the system must converge
-// back to coherence within a bounded reconciliation window after the heal.
+// Seeded chaos for the geo-replication plane (ctest labels: repl, chaos):
+// the journaled append scenario with the repl plane on, under a long WAN
+// partition and egress crashes on top of the provider hazards. A seed
+// replays bit-identically, custody and version maps included; after the
+// tail every remote version map is coherent with the origin and every
+// published version reads back. Also the 30-sim-minute partition
+// acceptance test.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "blob/deployment.hpp"
-#include "common/rng.hpp"
-#include "fault/fault_plane.hpp"
-#include "repl/plane.hpp"
+#include "integration/chaos_runner.hpp"
 #include "test_util.hpp"
 
 namespace bs {
 namespace {
 
-struct ReplChaosOutcome {
-  std::uint64_t digest{0};
-  std::size_t succeeded{0};
-  std::size_t published{0};
-  std::size_t unreadable_versions{0};
-  bool coherent{false};
-  std::uint64_t custody_enqueued{0};
-  std::uint64_t custody_released{0};
-  std::uint64_t custody_dropped{0};
-  std::uint64_t heals{0};
-  std::uint64_t egress_recoveries{0};
-  std::uint64_t faults_applied{0};
-};
+const repl::ReplOptions kRepl{.reconcile = {.interval = simtime::seconds(10)}};
 
-ReplChaosOutcome run_repl_chaos(std::uint64_t seed) {
-  sim::Simulation sim;
-
-  blob::DeploymentConfig cfg;
-  cfg.sites = 3;
-  cfg.data_providers = 8;
-  cfg.metadata_providers = 2;
-  cfg.provider_capacity = 4ull * units::GB;
-  cfg.fault_seed = seed ^ 0xF00Dull;
-  cfg.journal.enabled = true;
-  cfg.vm_options.write_lease = simtime::seconds(30);
-  cfg.vm_options.sweep_interval = simtime::seconds(5);
-  blob::Deployment dep(sim, cfg);
-
-  // The plane goes up right after the deployment (before clients), so its
-  // egress node ids are stable for the crash schedule below.
-  repl::ReplOptions ro;
-  ro.egress.journal = cfg.journal;
-  ro.reconcile.interval = simtime::seconds(10);
-  repl::ReplicationPlane plane(dep.cluster(),
-                               dep.version_manager_node().site(), ro);
-  plane.attach(dep);
-  plane.start();
-
-  const int n_clients = 4;
-  std::vector<blob::BlobClient*> clients;
-  for (int i = 0; i < n_clients; ++i) clients.push_back(dep.add_client());
-
-  auto blob = test::run_task(
-      sim, clients[0]->create(4 * units::MB, /*replication=*/2));
-  EXPECT_TRUE(blob.ok());
-
-  fault::FaultPlane fp(dep.cluster(), seed * 31 + 7);
-  plane.attach_fault_plane(fp);
-  fault::ScheduleOptions so;
-  so.horizon = simtime::minutes(4);
-  so.quiesce_fraction = 0.7;
-  for (auto& p : dep.providers()) so.crashable.push_back(p->id());
-  for (net::SiteId s = 0; s < cfg.sites; ++s) {
-    so.crashable.push_back(plane.egress(s).node().id());
-  }
-  so.crashes = 3;
-  so.max_wipe_crashes = 1;
+test::ChaosOutcome run_repl_chaos(std::uint64_t seed) {
+  test::ChaosScenario sc;
+  sc.deployment.journal.enabled = true;
+  sc.repl = kRepl;  // its egress nodes join the crashable set
+  fault::ScheduleOptions& so = sc.schedule;
   so.torn_tail_prob = 0.25;
-  so.site_count = cfg.sites;
-  so.partitions = 1;
   so.long_partitions = 1;
   so.min_long_partition = simtime::seconds(20);
   so.max_long_partition = simtime::seconds(60);
   so.degrades = 1;
-  so.disk_slowdowns = 1;
   so.power_losses = 1;
-  for (net::SiteId s = 0; s < cfg.sites; ++s) so.power_loss_sites.push_back(s);
   so.worst_case_recovery = simtime::seconds(10);
-  fp.schedule_all(fault::random_schedule(seed * 13 + 5, so));
-
-  struct Op {
-    SimTime at{0};
-    std::uint64_t bytes{0};
-    std::uint64_t content{0};
-    Result<blob::WriteReceipt> result{Errc::internal};
-  };
-  Rng wl(seed ^ 0xC0FFEEull);
-  std::vector<Op> ops(static_cast<std::size_t>(n_clients) * 4);
-  for (auto& op : ops) {
-    op.at = simtime::millis(wl.uniform(0, 150000));
-    op.bytes = (1 + wl.next_below(3)) * 4 * units::MB;
-    op.content = wl.next_u64();
-  }
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    sim.spawn([](sim::Simulation& s, blob::BlobClient& cl, BlobId b,
-                 Op& op) -> sim::Task<void> {
-      co_await s.delay_until(op.at);
-      op.result = co_await cl.append(
-          b, blob::Payload::synthetic(op.bytes, op.content));
-    }(sim, *clients[i % n_clients], blob.value(), ops[i]));
-  }
-
-  // Active window + fault quiescence, then a custody/reconciliation tail:
-  // every partition heals by minute 4; two more minutes of anti-entropy
+  // Every partition heals by minute 4; four more minutes of anti-entropy
   // rounds drain whatever custody parked or lost.
-  sim.run_until(simtime::minutes(6));
-  sim.run_until(simtime::minutes(8));
-
-  ReplChaosOutcome out;
-  test::Digest dg;
-  for (const auto& op : ops) {
-    dg.mix(static_cast<std::uint64_t>(op.result.code()));
-    if (op.result.ok()) {
-      ++out.succeeded;
-      dg.mix(op.result.value().version);
-      dg.mix(op.result.value().size);
-    }
-  }
-
-  auto versions = test::run_task(sim, clients[0]->versions(blob.value()));
-  EXPECT_TRUE(versions.ok());
-  if (versions.ok()) {
-    for (const auto& v : versions.value()) {
-      if (v.version == 0) continue;
-      ++out.published;
-      dg.mix(v.version);
-      dg.mix(v.size);
-      auto read = test::run_task(
-          sim, clients[1]->read(blob.value(), 0, v.size, v.version));
-      if (!read.ok()) {
-        ++out.unreadable_versions;
-        continue;
-      }
-      dg.mix(read.value().bytes);
-    }
-  }
-
-  // Replication-plane accounting — all of it part of the replay contract.
-  out.coherent = plane.coherent();
-  const repl::CustodyQueueStats cs = plane.total_custody_stats();
-  out.custody_enqueued = cs.enqueued;
-  out.custody_released = cs.released;
-  out.custody_dropped = cs.dropped;
-  out.heals = plane.heals_observed();
-  for (net::SiteId s = 0; s < cfg.sites; ++s) {
-    out.egress_recoveries += plane.egress(s).recovery_stats().recoveries;
-  }
-  dg.mix(out.coherent ? 1 : 0);
-  dg.mix(plane.digest());
-  dg.mix(cs.enqueued);
-  dg.mix(cs.released);
-  dg.mix(cs.dropped);
-  dg.mix(cs.spilled);
-  dg.mix(cs.reforwards);
-  dg.mix(out.heals);
-  dg.mix(out.egress_recoveries);
-  dg.mix(plane.reconciler().rounds());
-  dg.mix(plane.reconciler().catch_up_scheduled());
-  dg.mix(plane.chunks_routed());
-  dg.mix(out.faults_applied = fp.faults_applied());
-  dg.mix(dep.cluster().calls_retried());
-  dg.mix(dep.cluster().messages_dropped());
-  dg.mix(dep.cluster().calls_timed_out());
-  dg.mix(static_cast<std::uint64_t>(sim.now()));
-  out.digest = dg.value();
-  return out;
+  sc.horizon = simtime::minutes(8);
+  return test::run_chaos(seed, sc);
 }
 
 class ReplChaosSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReplChaosSeeds, ReplayIsBitIdenticalAndReconciliationConverges) {
   const std::uint64_t seed = GetParam();
-  const ReplChaosOutcome a = run_repl_chaos(seed);
-  const ReplChaosOutcome b = run_repl_chaos(seed);
+  const test::ChaosOutcome a = run_repl_chaos(seed);
+  const test::ChaosOutcome b = run_repl_chaos(seed);
 
   // Determinism, custody and version-map state included.
   EXPECT_EQ(a.digest, b.digest) << "seed " << seed;
-  EXPECT_EQ(a.custody_enqueued, b.custody_enqueued) << "seed " << seed;
+  EXPECT_EQ(a.custody.enqueued, b.custody.enqueued) << "seed " << seed;
   EXPECT_EQ(a.heals, b.heals) << "seed " << seed;
 
   // Disruption tolerance: the workload makes progress, every published
   // version survives readable, and after the heals + anti-entropy tail
   // every remote map is coherent against the origin.
   EXPECT_GT(a.succeeded, 0u) << "seed " << seed;
-  EXPECT_EQ(a.unreadable_versions, 0u) << "seed " << seed;
+  EXPECT_EQ(a.unreadable, 0u) << "seed " << seed;
   EXPECT_TRUE(a.coherent) << "seed " << seed;
 
   // Custody was actually exercised and nothing leaked: every bundle taken
   // into custody was either handed off durably or declared dropped (and
   // drops were re-scheduled by the reconciler — coherence above proves it).
-  EXPECT_GT(a.custody_enqueued, 0u) << "seed " << seed;
+  EXPECT_GT(a.custody.enqueued, 0u) << "seed " << seed;
   EXPECT_GT(a.heals, 0u) << "seed " << seed;
 }
 
@@ -225,21 +74,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplChaosSeeds,
 // heal the plane must drain and reconcile within a bounded window.
 TEST(ReplPartitionAcceptance, ThirtyMinuteCutIsInvisibleToClients) {
   sim::Simulation sim;
-  blob::DeploymentConfig cfg;
-  cfg.sites = 3;
-  cfg.data_providers = 8;
-  cfg.metadata_providers = 2;
-  cfg.provider_capacity = 4ull * units::GB;
+  blob::DeploymentConfig cfg = test::ChaosScenario{}.deployment;
   cfg.journal.enabled = true;
-  blob::Deployment dep(sim, cfg);
-
-  repl::ReplOptions ro;
-  ro.egress.journal = cfg.journal;
-  ro.reconcile.interval = simtime::seconds(10);
-  repl::ReplicationPlane plane(dep.cluster(),
-                               dep.version_manager_node().site(), ro);
-  plane.attach(dep);
-  plane.start();
+  test::ChaosStack st(sim, cfg, kRepl);
+  blob::Deployment& dep = st.dep;
+  repl::ReplicationPlane& plane = *st.plane;
 
   blob::BlobClient* client = dep.add_client();
   // Deployment placement is round-robin, so the first client lands on the

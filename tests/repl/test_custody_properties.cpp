@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "blob/messages.hpp"
+#include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
 #include "repl/plane.hpp"
 #include "test_util.hpp"
@@ -412,7 +413,7 @@ TEST(CustodyProperties, ReplayIsBitIdentical) {
     }
     rig.fp.heal(0, 1);
     rig.settle(simtime::seconds(60));
-    test::Digest dg;
+    Digest dg;
     dg.mix(rig.plane->digest());
     dg.mix(rig.plane->total_custody_stats().released);
     dg.mix(static_cast<std::uint64_t>(rig.sim.now()));

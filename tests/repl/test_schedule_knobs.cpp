@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
 #include "test_util.hpp"
 
@@ -27,7 +28,7 @@ fault::ScheduleOptions legacy_options() {
 }
 
 std::uint64_t schedule_digest(const std::vector<fault::FaultEvent>& sched,
-                              test::Digest& dg) {
+                              Digest& dg) {
   dg.mix(sched.size());
   for (const fault::FaultEvent& e : sched) {
     dg.mix(static_cast<std::uint64_t>(e.at));
@@ -48,7 +49,7 @@ std::uint64_t schedule_digest(const std::vector<fault::FaultEvent>& sched,
 }
 
 TEST(ScheduleKnobs, LegacySeedsProduceUnchangedSchedules) {
-  test::Digest dg;
+  Digest dg;
   for (std::uint64_t seed : {7ull, 23ull, 104729ull}) {
     schedule_digest(fault::random_schedule(seed, legacy_options()), dg);
   }
@@ -114,13 +115,13 @@ TEST(ScheduleKnobs, AnchoredLongPartitionsAlwaysCutTheAnchorSite) {
 TEST(ScheduleKnobs, KnobbedSchedulesStayDeterministic) {
   fault::ScheduleOptions so = legacy_options();
   so.long_partitions = 1;
-  test::Digest a;
-  test::Digest b;
+  Digest a;
+  Digest b;
   schedule_digest(fault::random_schedule(11, so), a);
   schedule_digest(fault::random_schedule(11, so), b);
   EXPECT_EQ(a.value(), b.value());
   // ... and the knob actually changes the scenario.
-  test::Digest legacy;
+  Digest legacy;
   schedule_digest(fault::random_schedule(11, legacy_options()), legacy);
   EXPECT_NE(a.value(), legacy.value());
 }

@@ -209,19 +209,6 @@ TEST(CustodyQueue, DropNewestRefusesAtTheBound) {
   EXPECT_FALSE(q.holds_publish(kBlob, 3));
 }
 
-TEST(CustodyQueue, DropOldestEvictsTheHead) {
-  CustodyQueue q(2, OverflowPolicy::drop_oldest);
-  q.push(publish_bundle(1, 1));
-  q.push(publish_bundle(2, 2));
-  EXPECT_EQ(q.push(publish_bundle(3, 3)), EnqueueOutcome::dropped_old);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.front().version, 2u);  // v1 evicted
-  EXPECT_FALSE(q.holds_publish(kBlob, 1));
-  EXPECT_TRUE(q.holds_publish(kBlob, 3));
-  EXPECT_EQ(q.stats().dropped, 1u);
-  EXPECT_EQ(q.stats().enqueued, 3u);
-}
-
 TEST(CustodyQueue, SpillKeepsEverythingBeyondTheBound) {
   CustodyQueue q(2, OverflowPolicy::spill);
   q.push(publish_bundle(1, 1));

@@ -27,21 +27,6 @@ T run_task(sim::Simulation& sim, sim::Task<T> task) {
   return std::move(*out);
 }
 
-/// Order-sensitive 64-bit digest accumulator for determinism tests: two
-/// runs are considered bit-identical only if every mixed value matches in
-/// both content and order.
-class Digest {
- public:
-  void mix(std::uint64_t v) {
-    h_ ^= v + 0x9e3779b97f4a7c15ull + (h_ << 6) + (h_ >> 2);
-  }
-  void mix_signed(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_{0xcbf29ce484222325ull};
-};
-
 inline void run_task_void(sim::Simulation& sim, sim::Task<void> task) {
   bool done = false;
   sim.spawn([](sim::Task<void> t, bool& flag) -> sim::Task<void> {
