@@ -406,15 +406,14 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
   }
 
   // 5. Build + store metadata; 6. commit, rebuilding if an earlier write
-  // aborted underneath us. Builds read the history StartWrite handed out;
-  // the frame owns a copy only once a rebuild hands back a new one.
+  // aborted underneath us. Builds borrow the border versions StartWrite
+  // answered, or the ones a rebuild request hands back.
   std::uint64_t epoch = plan.start.abort_epoch;
-  std::span<const WriteExtent> history = plan.start.history;
-  std::vector<WriteExtent> rebuilt_history;
+  std::vector<BorderVersion> borders = std::move(plan.start.borders);
   std::uint32_t rebuilds = 0;
   while (true) {
     auto nodes = meta_ops::build_nodes(blob, plan.start.extent(),
-                                       plan.leaves, history,
+                                       plan.leaves, borders,
                                        plan.start.root_chunks);
     if (auto r = co_await put_metadata(nodes, op_span.id()); !r.ok()) {
       co_await abort_write();
@@ -435,8 +434,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
       co_return fail({Errc::conflict, "too many abort-repair rebuilds"});
     }
     epoch = r.value().abort_epoch;
-    rebuilt_history = std::move(r.value().history);
-    history = rebuilt_history;
+    borders = std::move(r.value().borders);
   }
 
   WriteReceipt receipt;

@@ -297,12 +297,17 @@ struct StartWriteResp {
   std::uint64_t chunk_count{0};
   std::uint64_t root_chunks{0};  ///< coverage the writer must build to
   std::uint64_t abort_epoch{0};  ///< for abort-repair detection at commit
-  std::vector<WriteExtent> history;  ///< all writes with version < this one
+  /// The versions the write borrows for its border subtrees, in build
+  /// order (meta_ops::build_nodes consumes them).
+  std::vector<BorderVersion> borders;
+  /// Writes with version < this one. The reply is charged as if it still
+  /// carried them, 24 bytes each.
+  std::uint64_t history_len{0};
   [[nodiscard]] WriteExtent extent() const {
-    return WriteExtent{version, first_chunk, chunk_count};
+    return WriteExtent{version, first_chunk, chunk_count, root_chunks};
   }
   [[nodiscard]] std::uint64_t wire_size() const {
-    return 80 + 24 * history.size();
+    return 80 + 24 * history_len;
   }
 };
 
@@ -316,14 +321,16 @@ struct CommitWriteReq {
 struct CommitWriteResp {
   bool published{false};
   /// When true, an earlier write aborted after this writer built its
-  /// metadata; the writer must rebuild against `history` (which excludes
-  /// aborted versions) and commit again with `abort_epoch`.
+  /// metadata; the writer must rebuild against `borders` (answered without
+  /// the aborted versions) and commit again with `abort_epoch`.
   bool rebuild_needed{false};
   std::uint64_t abort_epoch{0};
-  std::vector<WriteExtent> history;
+  std::vector<BorderVersion> borders;
+  /// Writes with version < this one; charged as in StartWriteResp.
+  std::uint64_t history_len{0};
   VersionInfo info;  ///< valid iff published
   [[nodiscard]] std::uint64_t wire_size() const {
-    return 64 + 24 * history.size();
+    return 64 + 24 * history_len;
   }
 };
 

@@ -51,6 +51,27 @@ struct TreeNode {
   }
 };
 
+/// What a write borrows for one subtree [lo, lo+count) of its new tree that
+/// it does not overlap: the latest earlier write overlapping that range
+/// (kInvalidVersion: none, the subtree is a hole) and the root coverage of
+/// that write's tree.
+struct BorderVersion {
+  std::uint64_t lo{0};
+  std::uint64_t count{0};
+  Version version{kInvalidVersion};
+  std::uint64_t root_chunks{0};
+
+  friend constexpr bool operator==(const BorderVersion&,
+                                   const BorderVersion&) = default;
+
+  /// True when the borrowed tree is shorter than the subtree (the root grew
+  /// by 2+ levels past it): the write then owns a bridge node here and
+  /// borrows both of its halves in turn.
+  [[nodiscard]] bool bridges() const {
+    return version != kInvalidVersion && lo == 0 && count > root_chunks;
+  }
+};
+
 /// Abstract metadata node storage. The distributed implementation hashes
 /// NodeKeys across metadata providers; tests use the in-memory store.
 /// put() must be idempotent: rebuilding a write after an abort-repair

@@ -65,6 +65,7 @@ void VersionManager::apply_record(const VmRecord& rec) {
       w.root_chunks = rec.extent.root_chunks;
       w.lease_from = node_.cluster().sim().now();
       b.history.push_back(rec.extent);
+      (void)b.max_versions.add(rec.extent);
       b.pending.emplace(rec.version, std::move(w));
       b.next_version = std::max(b.next_version, rec.version + 1);
       b.reserved_end = std::max(b.reserved_end, rec.bytes);
@@ -97,6 +98,7 @@ void VersionManager::apply_record(const VmRecord& rec) {
       break;
     case VmRecord::Kind::delete_blob:
       b.deleted = true;
+      b.max_versions = {};
       break;
     case VmRecord::Kind::frontier:
       b.next_version = std::max(b.next_version, rec.version);
@@ -374,16 +376,8 @@ void VersionManager::register_handlers() {
             // Metadata GC: every tree node v created whose range is owned
             // by a later version at the first kept snapshot is unreachable
             // from all kept snapshots (owners only move forward).
-            const std::size_t prefix_len = static_cast<std::size_t>(
-                std::lower_bound(b.history.begin(), b.history.end(), v,
-                                 [](const WriteExtent& e, Version vv) {
-                                   return e.version < vv;
-                                 }) -
-                b.history.begin());
-            std::span<const WriteExtent> prefix(b.history.data(),
-                                                prefix_len);
             for (const auto& [lo, count] :
-                 meta_ops::node_ranges(*ext, prefix, ext->root_chunks)) {
+                 meta_ops::node_ranges(*ext, b.history, ext->root_chunks)) {
               if (meta_ops::subtree_version(b.history, kept, lo, count) !=
                   v) {
                 resp.removable_nodes.push_back(NodeKey{b.id, v, lo, count});
@@ -438,6 +432,7 @@ void VersionManager::register_handlers() {
           co_return Error{Errc::not_found, "unknown blob"};
         }
         it->second.deleted = true;
+        it->second.max_versions = {};  // no write starts any more
         VmRecord rec;
         rec.kind = VmRecord::Kind::delete_blob;
         rec.blob = req.blob.value;
@@ -486,7 +481,10 @@ sim::Task<Result<StartWriteResp>> VersionManager::handle_start(
   resp.chunk_count = w.extent.chunk_count;
   resp.root_chunks = w.root_chunks;
   resp.abort_epoch = b.abort_epoch;
-  resp.history = b.history;  // all non-aborted writes with version < v
+  resp.history_len = b.history.size();  // every write so far is below v
+  resp.borders = b.max_versions.add(w.extent);
+  assert(resp.borders ==
+         meta_ops::border_versions(b.history, w.extent, w.root_chunks));
 
   VmRecord rec;
   rec.kind = VmRecord::Kind::start;
@@ -570,9 +568,13 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
   }
   resp.rebuild_needed = true;
   resp.abort_epoch = b2.abort_epoch;
-  for (const auto& e : b2.history) {
-    if (e.version < req.version) resp.history.push_back(e);
-  }
+  resp.borders = meta_ops::border_versions(b2.history, w2.extent,
+                                           w2.root_chunks);
+  resp.history_len = static_cast<std::uint64_t>(
+      std::count_if(b2.history.begin(), b2.history.end(),
+                    [&](const WriteExtent& e) {
+                      return e.version < req.version;
+                    }));
   w2.committed = false;  // awaiting re-commit after the rebuild
   w2.lease_from = node_.cluster().sim().now();
   co_return resp;
@@ -660,10 +662,12 @@ BlobDescriptor VersionManager::descriptor_of(const BlobState& b) {
 }
 
 void VersionManager::remove_from_history(BlobState& b, Version v) {
-  b.history.erase(
-      std::remove_if(b.history.begin(), b.history.end(),
-                     [v](const WriteExtent& e) { return e.version == v; }),
-      b.history.end());
+  auto it = std::find_if(b.history.begin(), b.history.end(),
+                         [v](const WriteExtent& e) { return e.version == v; });
+  if (it == b.history.end()) return;
+  const WriteExtent gone = *it;
+  b.history.erase(it);
+  b.max_versions.remove(gone, b.history);
 }
 
 void VersionManager::try_publish(BlobState& b) {

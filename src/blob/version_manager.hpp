@@ -1,11 +1,12 @@
 // Version manager actor: serializes concurrent writes and publishes a new
 // BLOB version for each one (§III-A). Version numbers are assigned at
 // StartWrite; publication happens strictly in version order once a write's
-// data and metadata are durable. Writers receive the blob's write history
-// (including in-flight writes) so they can build their segment trees with
-// forward references, fully in parallel. An aborted write bumps the blob's
-// abort epoch; a committer holding a stale epoch is asked to rebuild its
-// metadata against the corrected history before it can publish — this keeps
+// data and metadata are durable. Writers receive the version of every border
+// subtree they borrow, answered from the blob's write history (including
+// in-flight writes), so they can build their segment trees with forward
+// references, fully in parallel. An aborted write bumps the blob's abort
+// epoch; a committer holding a stale epoch is asked to rebuild its metadata
+// against the corrected history before it can publish — this keeps
 // published trees free of dangling references.
 #pragma once
 
@@ -16,6 +17,7 @@
 
 #include "blob/journal.hpp"
 #include "blob/messages.hpp"
+#include "blob/meta_ops.hpp"
 #include "rpc/rpc.hpp"
 #include "sim/sync.hpp"
 
@@ -156,6 +158,9 @@ class VersionManager {
     std::uint64_t reserved_end{0};  ///< max end over non-aborted writes
     std::uint64_t abort_epoch{0};
     std::vector<WriteExtent> history;  ///< non-aborted writes, by version
+    /// `history` indexed for StartWrite's border answers; dropped once the
+    /// blob is deleted.
+    meta_ops::MaxVersionTree max_versions;
     std::map<Version, VersionInfo> published;
     std::map<Version, PendingWrite> pending;
   };
@@ -171,6 +176,7 @@ class VersionManager {
   /// Walks the pending queue in version order, settling decisions.
   void try_publish(BlobState& b);
   void publish_one(BlobState& b, Version v, PendingWrite& w);
+  /// Drops write v from the history and its index (an abort).
   void remove_from_history(BlobState& b, Version v);
   /// Abort machinery shared by AbortWrite and lease expiry: drops the
   /// pending write, bumps the abort epoch, recomputes the append frontier

@@ -1,5 +1,7 @@
 // Unit + property tests of the versioned segment tree: build_nodes/collect
-// against a brute-force reference model of BlobSeer's shadowing semantics.
+// against a brute-force reference model of BlobSeer's shadowing semantics,
+// border_versions against a per-query history scan, and the version
+// manager's MaxVersionTree against border_versions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +36,32 @@ std::vector<ChunkDescriptor> make_leaves(BlobId blob, const WriteExtent& w,
   return out;
 }
 
+/// build_nodes against the border versions `history` answers.
+std::vector<std::pair<NodeKey, TreeNode>> build(
+    BlobId blob, const WriteExtent& w, std::span<const ChunkDescriptor> leaves,
+    std::span<const WriteExtent> history, std::uint64_t root_chunks) {
+  return meta_ops::build_nodes(
+      blob, w, leaves, meta_ops::border_versions(history, w, root_chunks),
+      root_chunks);
+}
+
+/// Checks two border-version lists entry by entry.
+void expect_same_borders(std::span<const BorderVersion> got,
+                         std::span<const BorderVersion> want,
+                         const WriteExtent& w) {
+  EXPECT_EQ(got.size(), want.size()) << "write v" << w.version << " ["
+                                     << w.first_chunk << ", +"
+                                     << w.chunk_count << ")";
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_EQ(got[i].lo, want[i].lo) << "border " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "border " << i;
+    EXPECT_EQ(got[i].version, want[i].version)
+        << "border " << i << " [" << want[i].lo << ", +" << want[i].count
+        << ") of write v" << w.version;
+    EXPECT_EQ(got[i].root_chunks, want[i].root_chunks) << "border " << i;
+  }
+}
+
 TEST(NextPow2, Values) {
   EXPECT_EQ(next_pow2(0), 1u);
   EXPECT_EQ(next_pow2(1), 1u);
@@ -64,7 +92,7 @@ TEST(BuildNodes, SingleChunkBlobProducesRootLeaf) {
   const BlobId blob{1};
   WriteExtent w{1, 0, 1, 1};
   auto leaves = make_leaves(blob, w, 100);
-  auto nodes = meta_ops::build_nodes(blob, w, leaves, {}, 1);
+  auto nodes = build(blob, w, leaves, {}, 1);
   ASSERT_EQ(nodes.size(), 1u);
   EXPECT_EQ(nodes[0].first, (NodeKey{blob, 1, 0, 1}));
   EXPECT_TRUE(nodes[0].second.leaf);
@@ -76,7 +104,7 @@ TEST(BuildNodes, FullTreeNodeCount) {
   const BlobId blob{1};
   WriteExtent w{1, 0, 8, 8};
   auto leaves = make_leaves(blob, w, 100);
-  auto nodes = meta_ops::build_nodes(blob, w, leaves, {}, 8);
+  auto nodes = build(blob, w, leaves, {}, 8);
   EXPECT_EQ(nodes.size(), 15u);
 }
 
@@ -86,7 +114,7 @@ TEST(BuildNodes, PartialWriteBorrowsSiblings) {
   std::vector<WriteExtent> history{{1, 0, 4, 4}};
   WriteExtent w{2, 1, 1, 4};
   auto leaves = make_leaves(blob, w, 100);
-  auto nodes = meta_ops::build_nodes(blob, w, leaves, history, 4);
+  auto nodes = build(blob, w, leaves, history, 4);
   // Path: leaf(1) + inner(0,2) + root(0,4) = 3 nodes.
   ASSERT_EQ(nodes.size(), 3u);
   std::map<NodeKey, TreeNode> by_key(nodes.begin(), nodes.end());
@@ -103,7 +131,7 @@ TEST(BuildNodes, AppendBeyondOldRootCreatesNewLevels) {
   std::vector<WriteExtent> history{{1, 0, 2, 2}};  // old root covered 2 chunks
   WriteExtent w{2, 2, 2, 4};                    // append chunks [2,4)
   auto leaves = make_leaves(blob, w, 100);
-  auto nodes = meta_ops::build_nodes(blob, w, leaves, history, 4);
+  auto nodes = build(blob, w, leaves, history, 4);
   std::map<NodeKey, TreeNode> by_key(nodes.begin(), nodes.end());
   const auto& root = by_key.at(NodeKey{blob, 2, 0, 4});
   EXPECT_EQ(root.left_version, 1u);   // old root subtree borrowed
@@ -119,7 +147,7 @@ TEST(BuildNodes, BridgesOverShorterBorrowedTrees) {
   std::vector<WriteExtent> history{{1, 0, 1, 1}};
   WriteExtent w{2, 2, 2, 4};
   auto leaves = make_leaves(blob, w, 100);
-  auto nodes = meta_ops::build_nodes(blob, w, leaves, history, 4);
+  auto nodes = build(blob, w, leaves, history, 4);
   std::map<NodeKey, TreeNode> by_key(nodes.begin(), nodes.end());
   const auto& root = by_key.at(NodeKey{blob, 2, 0, 4});
   EXPECT_EQ(root.left_version, 2u);  // the bridge, owned by v2
@@ -134,7 +162,7 @@ TEST(BuildNodes, HoleChildrenAreInvalid) {
   const BlobId blob{1};
   WriteExtent w{1, 3, 1, 4};  // only chunk 3 of a 4-chunk tree
   auto leaves = make_leaves(blob, w, 100);
-  auto nodes = meta_ops::build_nodes(blob, w, leaves, {}, 4);
+  auto nodes = build(blob, w, leaves, {}, 4);
   std::map<NodeKey, TreeNode> by_key(nodes.begin(), nodes.end());
   const auto& root = by_key.at(NodeKey{blob, 1, 0, 4});
   EXPECT_EQ(root.left_version, kInvalidVersion);
@@ -172,6 +200,7 @@ TEST_P(MetaPropertyTest, RandomWriteSequencesMatchReference) {
   const std::uint64_t chunk_size = 64;
 
   Model model;
+  meta_ops::MaxVersionTree tree;  // answers as the version manager does
   std::vector<std::uint64_t> root_chunks_at;  // per version (1-based)
   std::uint64_t reserved_chunks = 0;
 
@@ -189,8 +218,10 @@ TEST_P(MetaPropertyTest, RandomWriteSequencesMatchReference) {
     root_chunks_at.push_back(root);
 
     auto leaves = make_leaves(blob, w, chunk_size);
-    auto nodes =
-        meta_ops::build_nodes(blob, w, leaves, model.history, root);
+    const auto borders = tree.add(w);
+    expect_same_borders(borders,
+                        meta_ops::border_versions(model.history, w, root), w);
+    auto nodes = meta_ops::build_nodes(blob, w, leaves, borders, root);
     for (auto& [key, node] : nodes) {
       ASSERT_TRUE(test::run_task(sim, store.put(key, node)).ok());
     }
@@ -236,17 +267,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetaPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
                                            89));
 
-// ------------------------------------------------------ flank differential
+// ------------------------------------------- border_versions differential
 
-// Reference build for the flank pass: every untouched subtree asks
-// subtree_version, the per-query history scan, and then looks up the
+// Reference build for border_versions' flank pass: every untouched subtree
+// asks subtree_version, the per-query history scan, and then looks up the
 // extent that scan chose (the first overlapping one in history order with
-// that version).
+// that version). It records each answer as a border version, in walk
+// order, beside the nodes it builds.
 struct ScanBuild {
   BlobId blob;
   const WriteExtent& w;
   std::span<const ChunkDescriptor> leaves;
   std::span<const WriteExtent> history;
+  std::vector<BorderVersion> borders;
   std::vector<std::pair<NodeKey, TreeNode>> out;
   std::uint64_t bridges{0};
 
@@ -255,11 +288,15 @@ struct ScanBuild {
     if (!in_write) {
       const Version pv =
           meta_ops::subtree_version(history, w.version - 1, lo, count);
-      if (pv == kInvalidVersion) return kInvalidVersion;
+      if (pv == kInvalidVersion) {
+        borders.push_back(BorderVersion{lo, count, kInvalidVersion, 0});
+        return kInvalidVersion;
+      }
       const auto prev = std::find_if(
           history.begin(), history.end(), [&](const WriteExtent& e) {
             return e.version == pv && e.overlaps(lo, count);
           });
+      borders.push_back(BorderVersion{lo, count, pv, prev->root_chunks});
       if (!(lo == 0 && count > prev->root_chunks)) return pv;
       ++bridges;
     }
@@ -278,17 +315,20 @@ struct ScanBuild {
   }
 };
 
-/// Checks build_nodes against ScanBuild node for node, in order; returns
-/// the number of bridge nodes the write emitted.
+/// Checks border_versions against ScanBuild's answers, and build_nodes on
+/// them against ScanBuild node for node, in order; returns the number of
+/// bridge nodes the write emitted.
 std::uint64_t expect_scan_build(const WriteExtent& w,
                                 std::span<const WriteExtent> history,
                                 std::uint64_t root_chunks) {
   const BlobId blob{3};
   const auto leaves = make_leaves(blob, w, 64);
-  ScanBuild scan{blob, w, leaves, history, {}};
+  ScanBuild scan{blob, w, leaves, history, {}, {}};
   EXPECT_EQ(scan.ref(0, root_chunks), w.version);
+  const auto borders = meta_ops::border_versions(history, w, root_chunks);
+  expect_same_borders(borders, scan.borders, w);
   const auto got =
-      meta_ops::build_nodes(blob, w, leaves, history, root_chunks);
+      meta_ops::build_nodes(blob, w, leaves, borders, root_chunks);
   EXPECT_EQ(got.size(), scan.out.size())
       << "write v" << w.version << " [" << w.first_chunk << ", +"
       << w.chunk_count << ") root " << root_chunks;
@@ -406,6 +446,81 @@ TEST(FlankPass, SingleChunkRootMatchesScan) {
   // one-chunk tree, so the write bridges down to it.
   const WriteExtent grow{6, 7, 1, 8};
   EXPECT_EQ(expect_scan_build(grow, history, 8), 2u);
+}
+
+// ----------------------------------------------------------- MaxVersionTree
+
+// Writes in version order as the version manager starts them: overwrites,
+// appends and holes that grow the root by up to five levels (so bridges
+// occur), with aborts of random earlier writes. An abort lowers the append
+// frontier as recompute_frontier does, so later roots may be shorter than
+// the tree. Every add must answer what border_versions scans from the
+// writes that remain.
+class MaxVersionTreeDiff : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MaxVersionTreeDiff, AddMatchesBorderVersionsAcrossAborts) {
+  Rng rng(GetParam());
+  meta_ops::MaxVersionTree tree;
+  std::vector<WriteExtent> history;
+  std::uint64_t end = 0;
+  std::uint64_t bridges = 0;
+  std::uint64_t aborts = 0;
+  for (Version v = 1; v <= 400; ++v) {
+    std::uint64_t first = 0;
+    const int shape = static_cast<int>(rng.next_below(8));
+    if (shape < 3 && end > 0) {
+      first = rng.next_below(end);
+    } else if (shape < 6) {
+      first = end;
+    } else {
+      first = end + rng.next_below(
+                        end < 4096 ? std::max<std::uint64_t>(end, 1) * 32 : 64);
+    }
+    const auto count = static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+    end = std::max(end, first + count);
+    const WriteExtent w{v, first, count, next_pow2(end)};
+    const auto want = meta_ops::border_versions(history, w, w.root_chunks);
+    expect_same_borders(tree.add(w), want, w);
+    for (const BorderVersion& b : want) bridges += b.bridges() ? 1 : 0;
+    history.push_back(w);
+    if (rng.chance(0.15)) {
+      const auto gone_at = static_cast<std::ptrdiff_t>(
+          rng.next_below(history.size()));
+      const WriteExtent gone = history[static_cast<std::size_t>(gone_at)];
+      history.erase(history.begin() + gone_at);
+      tree.remove(gone, history);
+      ++aborts;
+      end = 0;
+      for (const WriteExtent& e : history) {
+        end = std::max(end, e.first_chunk + e.chunk_count);
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(bridges, 0u) << "no write exercised a bridge";
+  EXPECT_GT(aborts, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaxVersionTreeDiff,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// A write 2^40 chunks out grows the root by 41 levels and bridges all the
+// way down to the first write's one-chunk tree, but the tree only keeps
+// the ranges the two writes overlap: no dense array over the span.
+TEST(MaxVersionTree, SparseWriteAllocatesOnlyItsPath) {
+  meta_ops::MaxVersionTree tree;
+  std::vector<WriteExtent> history{{1, 0, 1, 1}};
+  EXPECT_TRUE(tree.add(history[0]).empty());
+  const std::uint64_t far = std::uint64_t{1} << 40;
+  const WriteExtent w{2, far, 4, far * 2};
+  const auto got = tree.add(w);
+  expect_same_borders(got, meta_ops::border_versions(history, w, far * 2), w);
+  EXPECT_EQ(got.front(), (BorderVersion{0, far, 1, 1}));
+  EXPECT_TRUE(got.front().bridges());
+  // 42 nodes over [0, 2^k), k = 0..41; below them, the path from
+  // [2^40, 2^41) down to the four written chunks: 39 nodes of 2^40 down to
+  // 4 chunks, then 2 + 4.
+  EXPECT_EQ(tree.node_count(), 42u + 39u + 6u);
 }
 
 TEST(InMemoryStore, GetMissingFails) {

@@ -3,7 +3,12 @@
 // delete semantics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <type_traits>
+
 #include "blob/messages.hpp"
+#include "blob/meta_ops.hpp"
 #include "blob/version_manager.hpp"
 #include "test_util.hpp"
 
@@ -73,13 +78,20 @@ TEST_F(VmTest, StartWriteAssignsDenseVersionsAndHistory) {
   EXPECT_EQ(s1.first_chunk, 0u);
   EXPECT_EQ(s1.chunk_count, 3u);
   EXPECT_EQ(s1.root_chunks, 4u);
-  EXPECT_TRUE(s1.history.empty());
+  EXPECT_EQ(s1.history_len, 0u);
+  // Chunks [0, 3) of 4 leave one flank, chunk 3, which nothing wrote.
+  EXPECT_EQ(s1.borders,
+            (std::vector<BorderVersion>{{3, 1, kInvalidVersion, 0}}));
+  EXPECT_EQ(s1.wire_size(), 80u);
 
   auto s2 = start(blob, kAppendOffset, 100);
   EXPECT_EQ(s2.version, 2u);
   EXPECT_EQ(s2.offset, 300u);  // append aligned up past 250
-  ASSERT_EQ(s2.history.size(), 1u);
-  EXPECT_EQ(s2.history[0].version, 1u);
+  EXPECT_EQ(s2.history_len, 1u);
+  // Chunk 3 borrows [0, 2) and chunk 2 from v1, pending.
+  EXPECT_EQ(s2.borders,
+            (std::vector<BorderVersion>{{0, 2, 1, 4}, {2, 1, 1, 4}}));
+  EXPECT_EQ(s2.wire_size(), 80u + 24u);
   EXPECT_EQ(s2.root_chunks, 4u);
 }
 
@@ -157,7 +169,11 @@ TEST_F(VmTest, AbortUnblocksLaterWriters) {
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2.value().published);
   ASSERT_TRUE(r2.value().rebuild_needed);
-  EXPECT_TRUE(r2.value().history.empty());  // v1 removed from history
+  // v1 left the history: nothing below v2 is charged, and v2's one-chunk
+  // tree borrows nothing.
+  EXPECT_EQ(r2.value().history_len, 0u);
+  EXPECT_TRUE(r2.value().borders.empty());
+  EXPECT_EQ(r2.value().wire_size(), 64u);
 
   // Re-commit with the corrected epoch -> publishes.
   c2.abort_epoch = r2.value().abort_epoch;
@@ -302,6 +318,46 @@ TEST_F(VmTest, SetReplicationAffectsNewWrites) {
   rep.replication = 0;
   EXPECT_EQ((call<SetReplicationReq, SetReplicationResp>(rep)).code(),
             Errc::invalid_argument);
+}
+
+// The reply ships the write's border answers, not the history, but is
+// charged as before: 80 bytes plus 24 per earlier write. The builder takes
+// no history at all.
+static_assert(std::is_same_v<
+              decltype(&meta_ops::build_nodes),
+              std::vector<std::pair<NodeKey, TreeNode>> (*)(
+                  BlobId, const WriteExtent&, std::span<const ChunkDescriptor>,
+                  std::span<const BorderVersion>, std::uint64_t)>);
+
+TEST_F(VmTest, StartWriteAfterLongHistoryShipsOnlyBorders) {
+  const BlobId blob = make_blob(100);
+  constexpr std::uint64_t kAppends = 4096;
+  for (std::uint64_t i = 0; i < kAppends; ++i) {
+    (void)start(blob, kAppendOffset, 100 * (1 + i % 3));
+  }
+  const StartWriteResp s = start(blob, kAppendOffset, 300);
+  EXPECT_EQ(s.history_len, kAppends);
+  EXPECT_EQ(s.wire_size(), 80u + 24u * kAppends);
+
+  // Appends never grow the root by two levels, so no bridges: exactly one
+  // answer per flank, a left one per set bit of the first chunk and a right
+  // one per clear bit of the last chunk below the root.
+  const std::uint64_t last = s.first_chunk + s.chunk_count - 1;
+  const auto flanks = static_cast<std::size_t>(
+      std::popcount(s.first_chunk) +
+      std::popcount(~last & (s.root_chunks - 1)));
+  EXPECT_EQ(s.borders.size(), flanks);
+  std::map<std::uint64_t, int> per_level;
+  for (const BorderVersion& b : s.borders) {
+    EXPECT_FALSE(s.extent().overlaps(b.lo, b.count));
+    EXPECT_FALSE(b.bridges());
+    ++per_level[b.count];
+  }
+  for (const auto& [count, n] : per_level) {
+    EXPECT_LE(n, 2) << "level of " << count << " chunks";
+  }
+  EXPECT_LE(s.borders.size(),
+            2u * static_cast<std::size_t>(std::countr_zero(s.root_chunks)));
 }
 
 TEST_F(VmTest, RootCoverageGrowsWithConcurrentReservations) {
