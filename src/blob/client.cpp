@@ -465,13 +465,13 @@ sim::Task<Result<ChunkRead>> BlobClient::fetch_chunk(
   ChunkRead out;
   out.chunk_index = leaf.chunk_index;
 
-  if (leaf.hole) {
+  if (leaf.hole()) {
     out.hole = true;
     out.offset = std::max(base, read_lo);
     co_return out;
   }
   const std::uint64_t lo = std::max(base, read_lo);
-  const std::uint64_t hi = std::min(base + leaf.chunk.size, read_hi);
+  const std::uint64_t hi = std::min(base + leaf.chunk->size, read_hi);
   if (hi <= lo) {
     out.hole = true;
     out.offset = lo;
@@ -482,7 +482,7 @@ sim::Task<Result<ChunkRead>> BlobClient::fetch_chunk(
   // Same-site replicas first, then a random order of the rest.
   std::vector<NodeId> order;
   std::vector<NodeId> remote;
-  for (NodeId r : leaf.chunk.replicas) {
+  for (NodeId r : leaf.chunk->replicas) {
     rpc::Node* n = cluster.node(r);
     if (n != nullptr && n->site() == node_.site()) {
       order.push_back(r);
@@ -496,7 +496,7 @@ sim::Task<Result<ChunkRead>> BlobClient::fetch_chunk(
   Error last{Errc::unavailable, "no replicas"};
   for (NodeId target : order) {
     GetChunkReq req;
-    req.key = leaf.chunk.key;
+    req.key = leaf.chunk->key;
     req.offset = lo - base;
     req.length = hi - lo;
     auto r = co_await cluster.call<GetChunkReq, GetChunkResp>(

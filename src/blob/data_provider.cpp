@@ -39,12 +39,13 @@ void DataProvider::apply_record(const JournalRecord& rec) {
 
 std::vector<Journal<DataProvider::JournalRecord>::Entry>
 DataProvider::encode_checkpoint(
-    std::vector<Journal<JournalRecord>::Entry>,
+    std::vector<Journal<JournalRecord>::Entry> image,
     const std::vector<Journal<JournalRecord>::Entry>&) const {
   // Checkpoints are the chunk *index* (48 bytes per chunk): reopening a
   // checkpointed store scans the index, not the data pages. Encoded over
-  // the sorted key snapshot so the image is deterministic.
-  std::vector<Journal<JournalRecord>::Entry> image;
+  // the sorted key snapshot so the image is deterministic, in the previous
+  // image's buffer.
+  image.clear();
   image.reserve(chunks_.size());
   for (const ChunkKey& key : chunk_keys()) {
     JournalRecord rec;

@@ -291,9 +291,10 @@ void note_readable(rpc::Node& node, const ReplayPlan& plan,
 ///       the new checkpoint image (Entry is Journal<Record>::Entry) as a
 ///       deterministic record sequence: `previous`, the last image moved
 ///       in, with the fully durable `tail` folded in. The metadata
-///       provider folds in place; the other four actors ignore both
-///       arguments and re-encode their live state, which at a commit
-///       boundary is the same image;
+///       provider folds `tail` into `previous` in place; the other four
+///       actors ignore `tail` and re-encode their live state, which at a
+///       commit boundary is the same image, into `previous` cleared, so
+///       the new image reuses the old one's buffer;
 ///   void wipe()
 ///       drops the in-memory image (a journaled crash loses it);
 ///   void on_readable(const RecoveryOutcome&)

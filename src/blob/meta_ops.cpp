@@ -183,10 +183,11 @@ Version ref_rec(BuildCtx& ctx, std::uint64_t lo, std::uint64_t count) {
     // A bridge can never reach a leaf (a tree root covers >= 1 chunk), so
     // arriving here means the write owns this chunk.
     assert(in_write);
-    node.leaf = true;
     assert(lo >= ctx.w->first_chunk &&
            lo < ctx.w->first_chunk + ctx.w->chunk_count);
-    node.chunk = ctx.leaves[lo - ctx.w->first_chunk];
+    // The leaf's one descriptor: every copy of the node shares it.
+    node.chunk = std::make_shared<const ChunkDescriptor>(
+        ctx.leaves[lo - ctx.w->first_chunk]);
   } else {
     const std::uint64_t half = count / 2;
     node.left_version = ref_rec(ctx, lo, half);
@@ -398,7 +399,7 @@ sim::Task<Result<std::vector<LeafRef>>> collect(
     const std::uint64_t from = std::max(range_lo, lo);
     const std::uint64_t to = std::min(range_lo + range_count, lo + count);
     for (std::uint64_t i = from; i < to; ++i) {
-      result.push_back(LeafRef{i, true, {}});
+      result.push_back(LeafRef{i, nullptr});
     }
   };
 
@@ -417,7 +418,8 @@ sim::Task<Result<std::vector<LeafRef>>> collect(
       if (!p.node.ok()) co_return p.node.error();
       const TreeNode& n = p.node.value();
       if (p.key.is_leaf()) {
-        result.push_back(LeafRef{p.key.offset_chunks, false, n.chunk});
+        assert(n.leaf());  // a leaf key is only ever stored with a chunk
+        result.push_back(LeafRef{p.key.offset_chunks, n.chunk});
         continue;
       }
       const std::uint64_t half = p.key.size_chunks / 2;

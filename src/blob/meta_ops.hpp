@@ -12,6 +12,7 @@
 // level in parallel from the metadata providers.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -102,12 +103,14 @@ class MaxVersionTree {
   std::uint64_t span_{0};
 };
 
-/// One resolved leaf of a read: either a hole (never-written chunk) or a
-/// chunk descriptor telling the reader where replicas live.
+/// One resolved leaf of a read: either a hole (never-written chunk) or the
+/// stored leaf's chunk descriptor, shared, telling the reader where
+/// replicas live.
 struct LeafRef {
   std::uint64_t chunk_index{0};
-  bool hole{true};
-  ChunkDescriptor chunk;
+  std::shared_ptr<const ChunkDescriptor> chunk;  ///< null: a hole
+
+  [[nodiscard]] bool hole() const { return chunk == nullptr; }
 };
 
 /// Walks the tree of published version `root_version` (root coverage

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "blob/blob_types.hpp"
@@ -38,18 +39,26 @@ struct NodeKey {
   [[nodiscard]] std::uint64_t wire_size() const { return 32; }
 };
 
+/// One stored tree node. An inner node records only the versions of its two
+/// halves; only a leaf maps a chunk. The writer builds a leaf's descriptor
+/// once (meta_ops::build_nodes) and every later copy of the node (the put
+/// request, the provider's map, its journal and checkpoint image, a get
+/// reply, a read's LeafRef) shares it. A descriptor is never edited once a
+/// node holds it: a replica change installs a new one.
 struct TreeNode {
   // Inner node: versions of the two child subtrees (kInvalidVersion = that
   // half has never been written = hole).
   Version left_version{kInvalidVersion};
   Version right_version{kInvalidVersion};
-  bool leaf{false};
-  ChunkDescriptor chunk;  ///< meaningful iff leaf
+  std::shared_ptr<const ChunkDescriptor> chunk;  ///< non-null iff a leaf
+
+  [[nodiscard]] bool leaf() const { return chunk != nullptr; }
 
   [[nodiscard]] std::uint64_t wire_size() const {
-    return leaf ? 17 + chunk.wire_size() : 17;
+    return leaf() ? 17 + chunk->wire_size() : 17;
   }
 };
+static_assert(sizeof(TreeNode) == 32);
 
 /// What a write borrows for one subtree [lo, lo+count) of its new tree that
 /// it does not overlap: the latest earlier write overlapping that range

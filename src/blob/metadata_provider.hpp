@@ -70,6 +70,10 @@ class MetadataProvider {
   std::uint64_t bytes_{0};
 };
 
+// A stored node is two versions and a shared leaf descriptor; a journal
+// record adds only its kind and key (the journal Entry adds 8 bytes).
+static_assert(sizeof(MetadataProvider::JournalRecord) == 72);
+
 /// Client-side MetadataStore view over a set of metadata providers: each
 /// NodeKey deterministically maps to one provider by hash.
 class RemoteMetadataStore final : public MetadataStore {

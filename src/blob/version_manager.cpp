@@ -112,13 +112,14 @@ void VersionManager::apply_record(const VmRecord& rec) {
 
 std::vector<Journal<VersionManager::VmRecord>::Entry>
 VersionManager::encode_checkpoint(
-    std::vector<Journal<VmRecord>::Entry>,
+    std::vector<Journal<VmRecord>::Entry> image,
     const std::vector<Journal<VmRecord>::Entry>&) const {
   // Re-encodes blob state as the record sequence that rebuilds it; blobs_
   // and every per-blob container are ordered, so the image is
   // deterministic. In-flight commit decisions are deliberately not encoded
-  // (a surviving writer just retries; the commit path is idempotent).
-  std::vector<Journal<VmRecord>::Entry> image;
+  // (a surviving writer just retries; the commit path is idempotent). The
+  // image is built in the previous one's buffer.
+  image.clear();
   for (const auto& [id, b] : blobs_) {
     auto push = [&](VmRecord rec) {
       rec.blob = id;

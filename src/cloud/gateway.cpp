@@ -541,13 +541,14 @@ void S3Gateway::apply_record(const GwRecord& rec) {
 
 std::vector<blob::Journal<S3Gateway::GwRecord>::Entry>
 S3Gateway::encode_checkpoint(
-    std::vector<blob::Journal<GwRecord>::Entry>,
+    std::vector<blob::Journal<GwRecord>::Entry> image,
     const std::vector<blob::Journal<GwRecord>::Entry>&) const {
   // The checkpoint is the full gateway metadata image — buckets, objects
   // with manifests, the refcounted dedup index, live multipart uploads and
   // the id counters — encoded over ordered containers only, so the image
-  // is byte-deterministic across replays.
-  std::vector<blob::Journal<GwRecord>::Entry> image;
+  // is byte-deterministic across replays. It is built in the previous
+  // image's buffer.
+  image.clear();
   auto push = [&image](GwRecord rec) {
     const std::uint64_t bytes = record_bytes(rec);
     image.push_back({std::move(rec), bytes});

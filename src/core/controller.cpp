@@ -8,6 +8,22 @@
 
 namespace bs::core {
 
+namespace {
+
+/// A leaf holding a new descriptor: `chunk` with `replicas`. A stored
+/// descriptor is shared by every copy of its node, so a replica edit
+/// installs a new one instead of editing it.
+blob::TreeNode leaf_with(const blob::ChunkDescriptor& chunk,
+                         std::vector<NodeId> replicas) {
+  blob::TreeNode node;
+  node.chunk = std::make_shared<const blob::ChunkDescriptor>(
+      blob::ChunkDescriptor{chunk.key, chunk.size, chunk.checksum,
+                            std::move(replicas)});
+  return node;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- Executor
 
 rpc::CallOptions Executor::opts() const {
@@ -92,9 +108,10 @@ sim::Task<Result<void>> Executor::migrate_chunk(blob::ChunkKey key,
                                                 NodeId from) {
   auto leaf = co_await leaf_of(key);
   if (!leaf.ok()) co_return leaf.error();
-  blob::TreeNode node = std::move(leaf).value();
-  auto& replicas = node.chunk.replicas;
-  if (std::find(replicas.begin(), replicas.end(), from) == replicas.end()) {
+  const std::shared_ptr<const blob::ChunkDescriptor> chunk =
+      std::move(leaf).value().chunk;
+  if (std::find(chunk->replicas.begin(), chunk->replicas.end(), from) ==
+      chunk->replicas.end()) {
     co_return ok_result();  // this replica list no longer references `from`
   }
   auto& cluster = ctx_.node->cluster();
@@ -104,9 +121,9 @@ sim::Task<Result<void>> Executor::migrate_chunk(blob::ChunkKey key,
   alloc.blob = key.blob;
   alloc.version = key.version;
   alloc.chunk_count = 1;
-  alloc.chunk_size = node.chunk.size;
+  alloc.chunk_size = chunk->size;
   alloc.replication = 1;
-  alloc.exclude = replicas;
+  alloc.exclude = chunk->replicas;
   auto placement =
       co_await cluster.call<blob::AllocateReq, blob::AllocateResp>(
           *ctx_.node, ctx_.deployment->endpoints().provider_manager,
@@ -122,8 +139,10 @@ sim::Task<Result<void>> Executor::migrate_chunk(blob::ChunkKey key,
           *ctx_.node, from, rep, opts());
   if (!copied.ok()) co_return copied.error();
 
-  std::replace(replicas.begin(), replicas.end(), from, target);
-  if (auto r = co_await put_leaf(key, std::move(node)); !r.ok()) {
+  std::vector<NodeId> moved = chunk->replicas;
+  std::replace(moved.begin(), moved.end(), from, target);
+  if (auto r = co_await put_leaf(key, leaf_with(*chunk, std::move(moved)));
+      !r.ok()) {
     co_return r.error();
   }
   blob::RemoveChunkReq rm;
@@ -173,11 +192,12 @@ sim::Task<Result<void>> Executor::repair_chunk(blob::ChunkKey key,
                                                NodeId /*exclude*/) {
   auto leaf = co_await leaf_of(key);
   if (!leaf.ok()) co_return leaf.error();
-  blob::TreeNode node = std::move(leaf).value();
+  const std::shared_ptr<const blob::ChunkDescriptor> chunk =
+      std::move(leaf).value().chunk;
   auto& cluster = ctx_.node->cluster();
 
   std::vector<NodeId> alive;
-  for (NodeId r : node.chunk.replicas) {
+  for (NodeId r : chunk->replicas) {
     rpc::Node* n = cluster.node(r);
     if (n != nullptr && n->up()) alive.push_back(r);
   }
@@ -190,8 +210,8 @@ sim::Task<Result<void>> Executor::repair_chunk(blob::ChunkKey key,
     std::vector<NodeId> keep(alive.begin(),
                              alive.begin() + replication);
     std::vector<NodeId> drop(alive.begin() + replication, alive.end());
-    node.chunk.replicas = keep;
-    if (auto r = co_await put_leaf(key, std::move(node)); !r.ok()) {
+    if (auto r = co_await put_leaf(key, leaf_with(*chunk, std::move(keep)));
+        !r.ok()) {
       co_return r.error();
     }
     for (NodeId victim : drop) {
@@ -204,9 +224,9 @@ sim::Task<Result<void>> Executor::repair_chunk(blob::ChunkKey key,
     co_return ok_result();
   }
   if (alive.size() == replication) {
-    if (alive.size() != node.chunk.replicas.size()) {
-      node.chunk.replicas = alive;  // shed dead entries
-      co_return co_await put_leaf(key, std::move(node));
+    if (alive.size() != chunk->replicas.size()) {
+      // Shed dead entries.
+      co_return co_await put_leaf(key, leaf_with(*chunk, std::move(alive)));
     }
     co_return ok_result();
   }
@@ -217,7 +237,7 @@ sim::Task<Result<void>> Executor::repair_chunk(blob::ChunkKey key,
   alloc.blob = key.blob;
   alloc.version = key.version;
   alloc.chunk_count = 1;
-  alloc.chunk_size = node.chunk.size;
+  alloc.chunk_size = chunk->size;
   alloc.replication = needed;
   alloc.exclude = alive;
   auto placement =
@@ -236,8 +256,7 @@ sim::Task<Result<void>> Executor::repair_chunk(blob::ChunkKey key,
         *ctx_.node, alive[0], rep, opts());
     if (copied.ok()) fresh.push_back(target);
   }
-  node.chunk.replicas = fresh;
-  co_return co_await put_leaf(key, std::move(node));
+  co_return co_await put_leaf(key, leaf_with(*chunk, std::move(fresh)));
 }
 
 sim::Task<Result<void>> Executor::trim_blob(BlobId blob,
@@ -248,7 +267,7 @@ sim::Task<Result<void>> Executor::trim_blob(BlobId blob,
   for (const auto& key : trimmed.value().unreferenced) {
     auto leaf = co_await leaf_of(key);
     if (!leaf.ok()) continue;  // metadata already gone; nothing to free
-    for (NodeId replica : leaf.value().chunk.replicas) {
+    for (NodeId replica : leaf.value().chunk->replicas) {
       blob::RemoveChunkReq rm;
       rm.key = key;
       (void)co_await cluster

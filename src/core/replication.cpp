@@ -66,21 +66,21 @@ sim::Task<std::vector<AdaptAction>> ReplicationModule::analyze(
         0, d.latest.root_chunks);
     if (!leaves.ok()) continue;
     for (const auto& leaf : leaves.value()) {
-      if (leaf.hole) continue;
+      if (leaf.hole()) continue;
       std::size_t alive = 0;
-      for (NodeId r : leaf.chunk.replicas) {
+      for (NodeId r : leaf.chunk->replicas) {
         rpc::Node* n = cluster.node(r);
         if (n != nullptr && n->up()) ++alive;
       }
       // Mismatch in either direction: under-replicated (failures or a
       // raised target) or over-replicated (demand faded).
       const bool mismatch = alive != desired ||
-                            alive < leaf.chunk.replicas.size();
+                            alive < leaf.chunk->replicas.size();
       if (mismatch && alive > 0 &&
           repairs < options_.max_repairs_per_loop) {
         AdaptAction a;
         a.type = AdaptAction::Type::repair_chunk;
-        a.chunk = leaf.chunk.key;
+        a.chunk = leaf.chunk->key;
         a.replication = desired;
         a.reason = "under-replicated chunk";
         out.push_back(std::move(a));

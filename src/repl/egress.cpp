@@ -118,14 +118,15 @@ void SiteEgress::apply_record(const EgressRecord& rec) {
 
 std::vector<blob::Journal<SiteEgress::EgressRecord>::Entry>
 SiteEgress::encode_checkpoint(
-    std::vector<blob::Journal<EgressRecord>::Entry>,
+    std::vector<blob::Journal<EgressRecord>::Entry> image,
     const std::vector<blob::Journal<EgressRecord>::Entry>&) const {
   // The image re-creates the exact state apply_record() would rebuild:
   // the bundle-id high-water mark first, then origin bookkeeping
   // (frontier/publish/retire), then remote applies, then the chunk-dedup
   // set, then the parked bundles in queue order. All source containers
-  // are ordered, so the image is deterministic.
-  std::vector<blob::Journal<EgressRecord>::Entry> image;
+  // are ordered, so the image is deterministic. It is built in the
+  // previous image's buffer.
+  image.clear();
   {
     // Without this, released bundles compacted out of the checkpoint would
     // let recovery restart ids below ids already seen on the wire.

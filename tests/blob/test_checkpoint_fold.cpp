@@ -22,11 +22,14 @@ namespace bs::blob {
 namespace {
 
 bool same(const TreeNode& a, const TreeNode& b) {
-  return a.left_version == b.left_version &&
-         a.right_version == b.right_version && a.leaf == b.leaf &&
-         a.chunk.key == b.chunk.key && a.chunk.size == b.chunk.size &&
-         a.chunk.checksum == b.chunk.checksum &&
-         a.chunk.replicas == b.chunk.replicas;
+  if (a.left_version != b.left_version ||
+      a.right_version != b.right_version || a.leaf() != b.leaf()) {
+    return false;
+  }
+  return !a.leaf() ||
+         (a.chunk->key == b.chunk->key && a.chunk->size == b.chunk->size &&
+          a.chunk->checksum == b.chunk->checksum &&
+          a.chunk->replicas == b.chunk->replicas);
 }
 
 /// One journaled metadata provider, a client node and the reference map.
@@ -89,14 +92,15 @@ class FoldHarness {
       n.right_version = rng_.next_below(50);
       return n;
     }
-    n.leaf = true;
-    n.chunk.key = ChunkKey{BlobId{1}, 1 + rng_.next_below(50),
-                           rng_.next_below(100)};
-    n.chunk.size = 1 + rng_.next_below(1u << 20);
-    n.chunk.checksum = rng_.next_u64();
+    ChunkDescriptor chunk;
+    chunk.key = ChunkKey{BlobId{1}, 1 + rng_.next_below(50),
+                         rng_.next_below(100)};
+    chunk.size = 1 + rng_.next_below(1u << 20);
+    chunk.checksum = rng_.next_u64();
     // 1-3 replicas: an overwrite may change the node's wire size.
-    n.chunk.replicas.resize(1 + rng_.next_below(3));
-    for (NodeId& r : n.chunk.replicas) r = NodeId{rng_.next_below(64)};
+    chunk.replicas.resize(1 + rng_.next_below(3));
+    for (NodeId& r : chunk.replicas) r = NodeId{rng_.next_below(64)};
+    n.chunk = std::make_shared<const ChunkDescriptor>(std::move(chunk));
     return n;
   }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <span>
 
 #include "blob/meta_ops.hpp"
@@ -95,8 +96,8 @@ TEST(BuildNodes, SingleChunkBlobProducesRootLeaf) {
   auto nodes = build(blob, w, leaves, {}, 1);
   ASSERT_EQ(nodes.size(), 1u);
   EXPECT_EQ(nodes[0].first, (NodeKey{blob, 1, 0, 1}));
-  EXPECT_TRUE(nodes[0].second.leaf);
-  EXPECT_EQ(nodes[0].second.chunk.key.index, 0u);
+  ASSERT_TRUE(nodes[0].second.leaf());
+  EXPECT_EQ(nodes[0].second.chunk->key.index, 0u);
 }
 
 TEST(BuildNodes, FullTreeNodeCount) {
@@ -153,7 +154,7 @@ TEST(BuildNodes, BridgesOverShorterBorrowedTrees) {
   EXPECT_EQ(root.left_version, 2u);  // the bridge, owned by v2
   EXPECT_EQ(root.right_version, 2u);
   const auto& bridge = by_key.at(NodeKey{blob, 2, 0, 2});
-  EXPECT_FALSE(bridge.leaf);
+  EXPECT_FALSE(bridge.leaf());
   EXPECT_EQ(bridge.left_version, 1u);  // v1's root leaf
   EXPECT_EQ(bridge.right_version, kInvalidVersion);
 }
@@ -252,12 +253,12 @@ TEST_P(MetaPropertyTest, RandomWriteSequencesMatchReference) {
       EXPECT_EQ(leaf.chunk_index, idx);
       const Version expect = model.owner(v, idx);
       if (expect == kInvalidVersion) {
-        EXPECT_TRUE(leaf.hole) << "chunk " << idx << " @v" << v;
+        EXPECT_TRUE(leaf.hole()) << "chunk " << idx << " @v" << v;
       } else {
-        ASSERT_FALSE(leaf.hole) << "chunk " << idx << " @v" << v;
-        EXPECT_EQ(leaf.chunk.key.version, expect);
-        EXPECT_EQ(leaf.chunk.key.index, idx);
-        EXPECT_EQ(leaf.chunk.checksum, hash_combine(expect, idx));
+        ASSERT_FALSE(leaf.hole()) << "chunk " << idx << " @v" << v;
+        EXPECT_EQ(leaf.chunk->key.version, expect);
+        EXPECT_EQ(leaf.chunk->key.index, idx);
+        EXPECT_EQ(leaf.chunk->checksum, hash_combine(expect, idx));
       }
     }
   }
@@ -303,8 +304,8 @@ struct ScanBuild {
     NodeKey key{blob, w.version, lo, count};
     TreeNode node;
     if (count == 1) {
-      node.leaf = true;
-      node.chunk = leaves[lo - w.first_chunk];
+      node.chunk =
+          std::make_shared<const ChunkDescriptor>(leaves[lo - w.first_chunk]);
     } else {
       const std::uint64_t half = count / 2;
       node.left_version = ref(lo, half);
@@ -336,10 +337,12 @@ std::uint64_t expect_scan_build(const WriteExtent& w,
     const auto& [gk, gn] = got[i];
     const auto& [sk, sn] = scan.out[i];
     EXPECT_EQ(gk, sk) << "node " << i << " of write v" << w.version;
-    EXPECT_EQ(gn.leaf, sn.leaf) << "node " << i;
+    EXPECT_EQ(gn.leaf(), sn.leaf()) << "node " << i;
     EXPECT_EQ(gn.left_version, sn.left_version) << "node " << i;
     EXPECT_EQ(gn.right_version, sn.right_version) << "node " << i;
-    EXPECT_EQ(gn.chunk.key, sn.chunk.key) << "node " << i;
+    if (gn.leaf() && sn.leaf()) {
+      EXPECT_EQ(gn.chunk->key, sn.chunk->key) << "node " << i;
+    }
   }
   return scan.bridges;
 }

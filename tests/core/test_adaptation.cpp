@@ -145,9 +145,9 @@ TEST(Replication, RepairsChunksAfterProviderLoss) {
                                    d.value().latest.root_chunks));
   ASSERT_TRUE(leaves.ok());
   for (const auto& leaf : leaves.value()) {
-    if (leaf.hole) continue;
+    if (leaf.hole()) continue;
     std::size_t alive = 0;
-    for (NodeId r : leaf.chunk.replicas) {
+    for (NodeId r : leaf.chunk->replicas) {
       EXPECT_NE(r, victim);
       rpc::Node* n = stack.dep->cluster().node(r);
       if (n != nullptr && n->up()) ++alive;
@@ -196,9 +196,9 @@ TEST(Replication, ShrinksWhenDemandFades) {
     min_r = 99;
     max_r = 0;
     for (const auto& leaf : leaves.value()) {
-      if (leaf.hole) continue;
-      min_r = std::min(min_r, leaf.chunk.replicas.size());
-      max_r = std::max(max_r, leaf.chunk.replicas.size());
+      if (leaf.hole()) continue;
+      min_r = std::min(min_r, leaf.chunk->replicas.size());
+      max_r = std::max(max_r, leaf.chunk->replicas.size());
     }
   };
 
