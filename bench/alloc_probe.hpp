@@ -1,11 +1,13 @@
 // Global allocation probe for microbenches: replaces the global operator
 // new/delete with counting wrappers so a bench can assert steady-state
 // allocation behaviour (e.g. pooled coroutine frames => zero heap allocs
-// per spawned actor after warm-up). Include from exactly ONE translation
-// unit per binary — the replacement operators below are deliberately
-// non-inline, so a second inclusion fails the link instead of silently
-// double-counting.
+// per spawned actor after warm-up) and bound what stays allocated. Include
+// from exactly ONE translation unit per binary — the replacement operators
+// below are deliberately non-inline, so a second inclusion fails the link
+// instead of silently double-counting.
 #pragma once
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -17,6 +19,7 @@ namespace bs::bench::alloc_probe {
 inline std::atomic<std::uint64_t> g_allocs{0};
 inline std::atomic<std::uint64_t> g_bytes{0};
 inline std::atomic<std::uint64_t> g_frees{0};
+inline std::atomic<std::uint64_t> g_live{0};
 
 /// Total calls into the replaced global operator new since program start.
 inline std::uint64_t allocations() {
@@ -32,6 +35,13 @@ inline std::uint64_t frees() {
   return g_frees.load(std::memory_order_relaxed);
 }
 
+/// Bytes held now by the blocks the replaced operator new handed out and
+/// operator delete has not taken back, as malloc_usable_size counts them
+/// (the allocator's rounding included).
+inline std::uint64_t live_bytes() {
+  return g_live.load(std::memory_order_relaxed);
+}
+
 }  // namespace bs::bench::alloc_probe
 
 // The functions that call malloc/free stay out of line. Inlined into a
@@ -41,7 +51,11 @@ inline std::uint64_t frees() {
   bs::bench::alloc_probe::g_allocs.fetch_add(1, std::memory_order_relaxed);
   bs::bench::alloc_probe::g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size)) {
+    bs::bench::alloc_probe::g_live.fetch_add(malloc_usable_size(p),
+                                             std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc{};
 }
 
@@ -56,6 +70,8 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
                      size == 0 ? 1 : size) != 0) {
     throw std::bad_alloc{};
   }
+  bs::bench::alloc_probe::g_live.fetch_add(malloc_usable_size(p),
+                                           std::memory_order_relaxed);
   return p;
 }
 
@@ -82,6 +98,8 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
 [[gnu::noinline]] void operator delete(void* p) noexcept {
   if (p == nullptr) return;
   bs::bench::alloc_probe::g_frees.fetch_add(1, std::memory_order_relaxed);
+  bs::bench::alloc_probe::g_live.fetch_sub(malloc_usable_size(p),
+                                           std::memory_order_relaxed);
   std::free(p);
 }
 

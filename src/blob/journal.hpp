@@ -162,6 +162,12 @@ class Journal {
   template <class Fn>
   void replay(Fn&& fn) const {
     for (const Entry& e : checkpoint_) fn(e.rec);
+    replay_tail(fn);
+  }
+
+  /// Visits the durable tail alone, in append order.
+  template <class Fn>
+  void replay_tail(Fn&& fn) const {
     for (const Entry& e : tail_) fn(e.rec);
   }
 
@@ -208,6 +214,8 @@ class Journal {
     return install_checkpoint(encode(std::move(checkpoint_), tail_));
   }
 
+  /// The checkpoint image, as the last encoder left it.
+  [[nodiscard]] const std::vector<Entry>& image() const { return checkpoint_; }
   [[nodiscard]] std::size_t checkpoint_records() const {
     return checkpoint_.size();
   }
@@ -273,6 +281,13 @@ void note_readable(rpc::Node& node, const ReplayPlan& plan,
                    const RecoveryOutcome& outcome, SimTime started,
                    obs::SpanId span, RecoveryStats& stats);
 
+/// Constructor tag of Durable's one opt-in: the actor serves reads from the
+/// checkpoint image itself (see the hook contract).
+struct ImageIsStore {
+  explicit ImageIsStore() = default;
+};
+inline constexpr ImageIsStore image_is_store{};
+
 /// One journaled actor's store plus the protocol every such actor shares:
 /// the `recovering` gate, RecoveryStats, the journaled crash/restart path,
 /// the replay (recover), the commit barriers and the checkpoint policy.
@@ -287,19 +302,36 @@ void note_readable(rpc::Node& node, const ReplayPlan& plan,
 ///       replays one record into the in-memory image;
 ///   std::vector<Entry> encode_checkpoint(std::vector<Entry> previous,
 ///                                        const std::vector<Entry>& tail)
-///       const
 ///       the new checkpoint image (Entry is Journal<Record>::Entry) as a
 ///       deterministic record sequence: `previous`, the last image moved
 ///       in, with the fully durable `tail` folded in. The metadata
 ///       provider folds `tail` into `previous` in place; the other four
 ///       actors ignore `tail` and re-encode their live state, which at a
 ///       commit boundary is the same image, into `previous` cleared, so
-///       the new image reuses the old one's buffer;
+///       the new image reuses the old one's buffer. It is const in all
+///       but the actor that opts in below;
 ///   void wipe()
 ///       drops the in-memory image (a journaled crash loses it);
 ///   void on_readable(const RecoveryOutcome&)
 ///       reopens the actor after a completed replay; runs after the stats,
 ///       counters, histogram, span and log line are booked.
+///
+/// The opt-in, for an actor whose checkpoint image is its store (the
+/// metadata provider): it passes `image_is_store` as the constructor's
+/// last argument and defines one more hook,
+///
+///   void adopt_image(const std::vector<Entry>& image)
+///       recounts the actor's totals from the recovered image, which it
+///       then reads in place through image();
+///
+/// and recovery replays only the durable tail after it, where every other
+/// actor gets the image record by record through apply_record. Such an
+/// actor answers a read from the records applied since the last checkpoint
+/// and otherwise from image(), which its encoder keeps sorted; removing an
+/// image entry leaves a tombstone beside those records, and its
+/// encode_checkpoint, which folds both into the new image, empties them.
+/// The constructor static_asserts the hook, so a misspelt one fails to
+/// compile instead of falling back to a record-by-record replay.
 ///
 /// With the journal off every commit succeeds at once and crash() /
 /// restart() return false without doing anything: what a journal-off crash
@@ -326,6 +358,23 @@ class Durable {
         wipe_([a = &actor] { a->wipe(); }),
         on_readable_(
             [a = &actor](const RecoveryOutcome& o) { a->on_readable(o); }) {}
+
+  /// The opt-in form: recovery hands the actor the image through
+  /// adopt_image and replays only the durable tail.
+  template <class Actor>
+  Durable(rpc::Node& node, JournalOptions opts, Actor& actor,
+          const char* gate_message, ImageIsStore)
+      : Durable(node, opts, actor, gate_message) {
+    static_assert(
+        requires(Actor& a, const std::vector<Entry>& image) {
+          a.adopt_image(image);
+        },
+        "an actor constructed with image_is_store must define "
+        "adopt_image(const std::vector<Entry>&)");
+    adopt_image_ = [a = &actor](const std::vector<Entry>& image) {
+      a->adopt_image(image);
+    };
+  }
   Durable(const Durable&) = delete;
   Durable& operator=(const Durable&) = delete;
 
@@ -333,6 +382,10 @@ class Durable {
   /// replay; serve() answers `unavailable` meanwhile.
   [[nodiscard]] bool recovering() const { return recovering_; }
   [[nodiscard]] const RecoveryStats& stats() const { return stats_; }
+  /// The checkpoint image; empty with the journal off.
+  [[nodiscard]] const std::vector<Entry>& image() const {
+    return journal_.image();
+  }
 
   /// Registers `handler` for Req on the node behind the recovery gate:
   /// while recovering() a request is answered `unavailable` with the gate
@@ -466,7 +519,12 @@ class Durable {
       co_return;
     }
     const RecoveryOutcome outcome = journal_.finish_recovery();
-    journal_.replay(apply_record_);
+    if (adopt_image_) {
+      adopt_image_(journal_.image());
+      journal_.replay_tail(apply_record_);
+    } else {
+      journal_.replay(apply_record_);
+    }
     recovering_ = false;
     note_readable(node_, plan, outcome, started, span, stats_);
     on_readable_(outcome);
@@ -484,6 +542,7 @@ class Durable {
       encode_checkpoint_;
   std::function<void()> wipe_;
   std::function<void(const RecoveryOutcome&)> on_readable_;
+  std::function<void(const std::vector<Entry>&)> adopt_image_;  ///< opt-in
 };
 
 }  // namespace bs::blob

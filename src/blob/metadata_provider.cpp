@@ -10,7 +10,8 @@ namespace bs::blob {
 
 MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
     : node_(node), options_(options),
-      durable_(node, options.journal, *this, "metadata store recovering") {
+      durable_(node, options.journal, *this, "metadata store recovering",
+               image_is_store) {
   node_.add_crash_listener([this](const rpc::CrashOptions& c) {
     if (!durable_.crash(c) && c.lose_storage) wipe();
   });
@@ -30,10 +31,7 @@ MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
   durable_.serve<MetaRemoveReq, MetaRemoveResp>(
       [this](const MetaRemoveReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaRemoveResp>> {
-        auto it = nodes_.find(req.key);
-        if (it == nodes_.end()) co_return MetaRemoveResp{false};
-        bytes_ -= it->second.wire_size();
-        nodes_.erase(it);
+        if (!erase(req.key)) co_return MetaRemoveResp{false};
         JournalRecord rec;
         rec.kind = JournalRecord::Kind::remove;
         rec.key = req.key;
@@ -45,11 +43,11 @@ MetadataProvider::MetadataProvider(rpc::Node& node, Options options)
   durable_.serve<MetaGetReq, MetaGetResp>(
       [this](const MetaGetReq& req,
              const rpc::Envelope&) -> sim::Task<Result<MetaGetResp>> {
-        auto it = nodes_.find(req.key);
-        if (it == nodes_.end()) {
+        const TreeNode* node = find(req.key);
+        if (node == nullptr) {
           co_return Error{Errc::not_found, "tree node not stored here"};
         }
-        co_return MetaGetResp{it->second};
+        co_return MetaGetResp{*node};
       });
 }
 
@@ -59,34 +57,69 @@ std::uint64_t MetadataProvider::record_bytes(const JournalRecord& rec) {
              : NodeKey{}.wire_size();
 }
 
+const TreeNode* MetadataProvider::find(const NodeKey& key) const {
+  const auto it = recent_.find(key);
+  return it != recent_.end() ? &it->second : find_in_image(key);
+}
+
+const TreeNode* MetadataProvider::find_in_image(const NodeKey& key) const {
+  const std::vector<Entry>& image = durable_.image();
+  const auto it = std::lower_bound(
+      image.begin(), image.end(), key,
+      [](const Entry& e, const NodeKey& k) { return e.rec.key < k; });
+  if (it == image.end() || it->rec.key != key || removed_.contains(key)) {
+    return nullptr;
+  }
+  return &it->rec.node;
+}
+
 void MetadataProvider::store(const NodeKey& key, const TreeNode& node) {
-  auto [it, inserted] = nodes_.try_emplace(key, node);
+  auto [it, inserted] = recent_.try_emplace(key, node);
   if (!inserted) {
     bytes_ -= it->second.wire_size();
     it->second = node;
+  } else if (const TreeNode* old = find_in_image(key)) {
+    bytes_ -= old->wire_size();  // the recent put shadows the image's
+  } else {
+    ++count_;
   }
   bytes_ += node.wire_size();
+}
+
+bool MetadataProvider::erase(const NodeKey& key) {
+  const TreeNode* node = find(key);
+  if (node == nullptr) return false;
+  bytes_ -= node->wire_size();
+  --count_;
+  if (find_in_image(key) != nullptr) removed_.insert(key);
+  recent_.erase(key);
+  return true;
 }
 
 void MetadataProvider::apply_record(const JournalRecord& rec) {
   if (rec.kind == JournalRecord::Kind::put) {
     store(rec.key, rec.node);
-  } else if (auto it = nodes_.find(rec.key); it != nodes_.end()) {
-    bytes_ -= it->second.wire_size();
-    nodes_.erase(it);
+  } else {
+    erase(rec.key);
   }
 }
 
-std::vector<Journal<MetadataProvider::JournalRecord>::Entry>
-MetadataProvider::encode_checkpoint(
-    std::vector<Journal<JournalRecord>::Entry> image,
-    const std::vector<Journal<JournalRecord>::Entry>& tail) const {
+void MetadataProvider::adopt_image(const std::vector<Entry>& image) {
+  assert(recent_.empty() && removed_.empty());
+  count_ = image.size();
+  bytes_ = 0;
+  for (const Entry& e : image) bytes_ += e.rec.node.wire_size();
+}
+
+std::vector<MetadataProvider::Entry> MetadataProvider::encode_checkpoint(
+    std::vector<Entry> image, const std::vector<Entry>& tail) {
   // The previous image, sorted by key, with the durable tail folded in
   // place: the newest tail record per key wins, and entries it does not
   // touch are neither copied nor reallocated. Every write adds tree nodes
   // (only metadata GC removes any), so re-encoding the live store would
-  // make each checkpoint cost the whole store instead of its tail.
-  using Entry = Journal<JournalRecord>::Entry;
+  // make each checkpoint cost the whole store instead of its tail. The
+  // tail is exactly what recent_ and removed_ hold, so the new image
+  // absorbs them.
   const auto key_below = [](const Entry& e, const NodeKey& k) {
     return e.rec.key < k;
   };
@@ -135,6 +168,8 @@ MetadataProvider::encode_checkpoint(
       image[--out] = *added[--a];
     }
   }
+  recent_.clear();
+  removed_.clear();
   return image;
 }
 

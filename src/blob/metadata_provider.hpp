@@ -4,6 +4,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "blob/journal.hpp"
@@ -26,7 +27,7 @@ class MetadataProvider {
   explicit MetadataProvider(rpc::Node& node, Options options = {});
 
   [[nodiscard]] NodeId id() const { return node_.id(); }
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return count_; }
   [[nodiscard]] std::uint64_t bytes_stored() const { return bytes_; }
 
   /// True between a journaled crash and the end of journal replay.
@@ -45,28 +46,43 @@ class MetadataProvider {
 
  private:
   friend class Durable<JournalRecord>;
+  using Entry = Journal<JournalRecord>::Entry;
 
-  /// Inserts or overwrites one node, keeping bytes_ the sum of the stored
-  /// nodes' wire sizes.
+  /// The stored node at `key`, or nullptr: a recent put, else the
+  /// checkpoint image's entry unless a tombstone hides it.
+  [[nodiscard]] const TreeNode* find(const NodeKey& key) const;
+  [[nodiscard]] const TreeNode* find_in_image(const NodeKey& key) const;
+  /// Inserts or overwrites one node, keeping count_ and bytes_ the number
+  /// and wire size of the stored nodes.
   void store(const NodeKey& key, const TreeNode& node);
+  /// Removes the node at `key`; false if none is stored.
+  bool erase(const NodeKey& key);
 
-  // Durable<JournalRecord> hooks.
+  // Durable<JournalRecord> hooks; the image is the store (image_is_store).
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
-  [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint(
-      std::vector<Journal<JournalRecord>::Entry> previous,
-      const std::vector<Journal<JournalRecord>::Entry>& tail) const;
+  /// Folds the tail into the image, then empties recent_ and removed_.
+  [[nodiscard]] std::vector<Entry> encode_checkpoint(
+      std::vector<Entry> previous, const std::vector<Entry>& tail);
+  void adopt_image(const std::vector<Entry>& image);
   /// Drops every stored tree node (a crash loses the in-memory store).
   void wipe() {
-    nodes_.clear();
+    recent_.clear();
+    removed_.clear();
+    count_ = 0;
     bytes_ = 0;
   }
   void on_readable(const RecoveryOutcome&) {}
 
   rpc::Node& node_;
   Options options_;
-  std::unordered_map<NodeKey, TreeNode> nodes_;
+  /// Nodes put since the last checkpoint. With the journal off no
+  /// checkpoint is taken, so this holds the whole store.
+  std::unordered_map<NodeKey, TreeNode> recent_;
+  /// Image keys removed since the last checkpoint (tombstones).
+  std::unordered_set<NodeKey> removed_;
   Durable<JournalRecord> durable_;
+  std::uint64_t count_{0};
   std::uint64_t bytes_{0};
 };
 

@@ -1,12 +1,15 @@
 // Property suite for the metadata provider's checkpoint (ctest label
 // recovery). A checkpoint folds the fully durable journal tail into the
-// previous image instead of re-encoding the store, so a recovery from that
-// image must rebuild exactly the acked state. Seeded op sequences over a
-// small key space hit every case the fold handles — a new key, an
-// overwrite, a remove, and a remove then a re-put or a put then a remove of
-// one key within one tail — under crashes (torn or not) at random points
-// of an op. After each recovery the store is compared, node by node, with
-// a reference map of the acked ops.
+// previous image instead of re-encoding the store, and the provider then
+// serves reads from that image: a get finds a node put since the last
+// checkpoint in its recent map and any other in the image, unless a
+// tombstone hides it. Seeded op sequences over a small key space hit every
+// case the fold and the reads handle — a new key, an overwrite, a remove,
+// and a remove then a re-put or a put then a remove of one key within one
+// tail — under crashes (torn or not, some losing the whole store) at
+// random points of an op. After every acked op the touched key is read
+// back and the provider's totals checked; after each recovery the store is
+// compared, node by node, with a reference map of the acked ops.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -55,6 +58,7 @@ class FoldHarness {
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] const MetadataProvider& provider() const { return *mp_; }
   [[nodiscard]] std::uint64_t verified() const { return verified_; }
+  [[nodiscard]] std::uint64_t reads_checked() const { return reads_checked_; }
 
   /// `ops` seeded ops, then one last crash and recovery.
   sim::Task<void> run(int ops) {
@@ -104,17 +108,19 @@ class FoldHarness {
     return n;
   }
 
-  /// One put (`value`) or remove (nullopt). Sometimes the provider crashes
-  /// at a random point of the op — before it arrives, mid-fsync (torn or
-  /// not) or after the seal — and is restarted and checked.
+  /// One put (`value`) or remove (nullopt), then a read of its key.
+  /// Sometimes the provider crashes at a random point of the op — before
+  /// it arrives, mid-fsync (torn or not) or after the seal — and is
+  /// restarted and checked; some of those crashes lose the whole store.
   sim::Task<void> step(NodeKey key, std::optional<TreeNode> value) {
     const bool crash = rng_.chance(0.08);
     const bool torn = rng_.chance(0.5);
+    const bool lose = rng_.chance(0.15);
     const auto at =
         static_cast<SimDuration>(rng_.next_below(kCrashWindow + 1));
     if (crash) {
-      sim_.schedule_in(at, [this, torn] {
-        node_->crash({.lose_storage = false, .torn_tail = torn});
+      sim_.schedule_in(at, [this, torn, lose] {
+        node_->crash({.lose_storage = lose, .torn_tail = torn});
       });
     }
     bool acked = false;
@@ -133,8 +139,12 @@ class FoldHarness {
                   .ok();
     }
     if (acked) apply(key, value);
-    if (!crash) co_return;
+    if (!crash) {
+      if (acked) co_await check(key);
+      co_return;
+    }
     co_await sim_.delay(kCrashWindow);  // the crash has fired by now
+    if (lose) ref_.clear();  // acked or not, every node is gone
     co_await recover();
     if (!acked) {
       // Sealed before the crash but never acked, or lost: either is legal.
@@ -171,24 +181,40 @@ class FoldHarness {
     co_return std::move(r.value().node);
   }
 
-  sim::Task<void> verify() {
+  /// The provider's node count and byte total against the reference.
+  void expect_totals() const {
     std::uint64_t bytes = 0;
     for (const auto& [key, node] : ref_) bytes += node.wire_size();
     EXPECT_EQ(mp_->node_count(), ref_.size());
     EXPECT_EQ(mp_->bytes_stored(), bytes);
-    for (const NodeKey& key : keys_) {
-      const std::optional<TreeNode> got = co_await get(key);
-      const auto it = ref_.find(key);
-      if (it == ref_.end()) {
-        EXPECT_FALSE(got.has_value())
-            << "removed node resurrected: blob " << key.blob.value
-            << " version " << key.version;
-      } else {
-        EXPECT_TRUE(got.has_value() && same(*got, it->second))
-            << "acked node lost or stale: blob " << key.blob.value
-            << " version " << key.version;
-      }
+  }
+
+  /// What a get of `key` returned against the reference.
+  void expect_node(const NodeKey& key,
+                   const std::optional<TreeNode>& got) const {
+    const auto it = ref_.find(key);
+    if (it == ref_.end()) {
+      EXPECT_FALSE(got.has_value())
+          << "removed node resurrected: blob " << key.blob.value
+          << " version " << key.version;
+    } else {
+      EXPECT_TRUE(got.has_value() && same(*got, it->second))
+          << "acked node lost or stale: blob " << key.blob.value
+          << " version " << key.version;
     }
+  }
+
+  /// Reads back the key an acked op touched, between crashes: the get
+  /// falls through to the image whenever a checkpoint came since its put.
+  sim::Task<void> check(NodeKey key) {
+    expect_totals();
+    expect_node(key, co_await get(key));
+    ++reads_checked_;
+  }
+
+  sim::Task<void> verify() {
+    expect_totals();
+    for (const NodeKey& key : keys_) expect_node(key, co_await get(key));
     ++verified_;
   }
 
@@ -202,16 +228,19 @@ class FoldHarness {
   std::map<NodeKey, TreeNode> ref_;
   rpc::CallOptions call_;
   std::uint64_t verified_{0};
+  std::uint64_t reads_checked_{0};
 };
 
 TEST(CheckpointFold, RecoveredStoreMatchesAckedOps) {
   std::uint64_t torn = 0;
+  std::uint64_t wiped = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     FoldHarness h(seed);
     test::run_task_void(h.sim(), h.run(300));
     const RecoveryStats& stats = h.provider().recovery_stats();
     EXPECT_GE(h.verified(), 10u);
+    EXPECT_GE(h.reads_checked(), 300u);
     EXPECT_EQ(stats.recoveries, h.verified());
     // Checkpoints kept every replay short: at most the image (one record
     // per live key) plus a tail below the checkpoint threshold. Without
@@ -220,8 +249,10 @@ TEST(CheckpointFold, RecoveredStoreMatchesAckedOps) {
               stats.recoveries *
                   (FoldHarness::kKeys + FoldHarness::kMaxTail));
     torn += stats.torn_tails_truncated;
+    wiped += stats.cold_starts;
   }
-  EXPECT_GT(torn, 0u);  // some crashes landed mid-fsync
+  EXPECT_GT(torn, 0u);   // some crashes landed mid-fsync
+  EXPECT_GT(wiped, 0u);  // and some lost the store
 }
 
 }  // namespace
