@@ -124,18 +124,19 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_erased(
     // (the body's first event takes its sequence number before the timer).
     ++calls_started_;
     obs::count("rpc.calls_started");
-    auto state = detail::make_pooled<CallState>(sim_);
+    auto state = detail::make_pooled<CallState>(sim_, *this);
     sim_.spawn(call_body(state, &src, node(dst), type, name, req, req_bytes,
                          payload_to_disk, att_opts));
     // The watcher is a cancellable timer, disarmed once the call settles:
-    // its CallState reference and queue entry go at once.
+    // its CallState reference and queue entry go at once. It captures the
+    // state alone (16 bytes, inline) and reaches the cluster through it.
     sim::TimerId watch;
     if (att_opts.timeout > 0 && att_opts.timeout < simtime::kInfinite) {
-      auto watcher = [this, state] {
+      auto watcher = [state] {
         if (!state->settled) {
           state->settled = true;
           state->result = Error{Errc::timeout, "rpc timeout"};
-          ++timeouts_;
+          ++state->cluster->timeouts_;
           obs::count("rpc.timeouts");
           state->done.set();
         }

@@ -363,8 +363,9 @@ class Cluster {
 
  private:
   struct CallState {
-    explicit CallState(sim::Simulation& sim) : done(sim) {}
+    CallState(sim::Simulation& sim, Cluster& c) : done(sim), cluster(&c) {}
     sim::Event done;
+    Cluster* cluster;  ///< whose timeout count the watcher bumps
     bool settled{false};
     Result<detail::AnyPtr> result{Errc::internal};
   };

@@ -12,21 +12,6 @@ namespace bs::sim {
 namespace {
 // Sift hook for the event heap, which keeps no position index.
 constexpr auto kUnindexed = [](const auto&, std::size_t) {};
-
-// Moves `cb` into the most recently freed slot of `bodies`, or a new one,
-// and returns the slot's index.
-std::uint32_t store_body(std::vector<InlineCallback>& bodies,
-                         std::vector<std::uint32_t>& free,
-                         InlineCallback&& cb) {
-  if (free.empty()) {
-    bodies.push_back(std::move(cb));
-    return static_cast<std::uint32_t>(bodies.size() - 1);
-  }
-  const std::uint32_t slot = free.back();
-  free.pop_back();
-  bodies[slot] = std::move(cb);
-  return slot;
-}
 }  // namespace
 
 // ---------------------------------------------------------------- event queue
@@ -63,12 +48,11 @@ void Simulation::schedule_resume(std::coroutine_handle<> h) {
 void Simulation::reserve(std::size_t pending) {
   if (pending < kFarEngage) return;
   // Reserved up front: growing a million-entry callback array relocates
-  // every body through its ops table at each doubling. Keys fill consumed
-  // holes and slots are reused, so neither array outgrows this unless the
-  // far population itself does; the free list reaches it as the run drains.
+  // every body through its ops table at each doubling. Freed slots are
+  // reused through the keys that name them, so neither array outgrows this
+  // unless the far population itself does.
   q_.far.reserve(pending);
   q_.far_cbs.reserve(pending);
-  q_.free_far.reserve(pending);
   engage_far();
 }
 
@@ -84,13 +68,28 @@ void Simulation::engage_far() {
 }
 
 void Simulation::far_push(SimTime t, std::uint64_t seq, Callback cb) {
-  const std::uint32_t slot = store_body(q_.far_cbs, q_.free_far, std::move(cb));
-  // A key the rung consumed left a hole below stage_head; fill it first.
-  if (q_.far_front != q_.stage_head) {
-    q_.far[q_.far_front++] = HeapEntry{t, seq, slot};
+  Queue& q = q_;
+  std::size_t at;
+  std::uint32_t slot;
+  if (q.far_front != q.stage_head) {
+    // Fill the hole the rung consumed below stage_head from its front, with
+    // the slot the latest pop freed; that key takes the front's free slot.
+    at = q.far_front++;
+    HeapEntry& latest = q.far[q.stage_head - 1];
+    slot = latest.slot;
+    latest.slot = q.far[at].slot;
+  } else if (q.far_end != q.far.size()) {
+    at = q.far_end++;  // a spare refill parked
+    slot = q.far[at].slot;
   } else {
-    q_.far.push_back(HeapEntry{t, seq, slot});
+    slot = static_cast<std::uint32_t>(q.far_cbs.size());
+    q.far.push_back(HeapEntry{t, seq, slot});
+    q.far_cbs.push_back(std::move(cb));
+    ++q.far_end;
+    return;
   }
+  q.far[at] = HeapEntry{t, seq, slot};
+  q.far_cbs[slot] = std::move(cb);
 }
 
 Simulation::Callback Simulation::stage_pop() {
@@ -98,9 +97,7 @@ Simulation::Callback Simulation::stage_pop() {
   if (ahead < q_.stage_end) {
     __builtin_prefetch(&q_.far_cbs[q_.far[ahead].slot]);
   }
-  const std::uint32_t slot = q_.far[q_.stage_head++].slot;
-  q_.free_far.push_back(slot);
-  return std::move(q_.far_cbs[slot]);
+  return std::move(q_.far_cbs[q_.far[q_.stage_head++].slot]);
 }
 
 void Simulation::refill() {
@@ -109,24 +106,28 @@ void Simulation::refill() {
   assert(far_held() != 0 && "refill on an empty far pool");
   assert(q.far_cbs.size() <= 0xffffffffu &&
          "far pool exceeds 32-bit indexing");
-  // Close the hole the last rung left; the pooled keys after it slide down.
-  q.far.erase(q.far.begin() + static_cast<std::ptrdiff_t>(q.far_front),
-              q.far.begin() + static_cast<std::ptrdiff_t>(q.stage_end));
+  // Park the hole the last rung left, [far_front, stage_end), after the
+  // pooled keys [stage_end, far_end) as spares: reversing the span moves
+  // the pooled keys to its front and puts the latest pop's key first among
+  // the spares.
   const auto first = q.far.begin();
+  std::reverse(first + static_cast<std::ptrdiff_t>(q.far_front),
+               first + static_cast<std::ptrdiff_t>(q.far_end));
+  q.far_end -= q.stage_end - q.far_front;
   // Cut an exactly half-pool-sized rung with nth_element, in place: the
   // first excluded key is both the new bar and the exact minimum of the
   // survivors, so there is no span heuristic to mistune and no second scan.
   // Rung size scaling with the pool keeps the total scan work per drained
   // event O(1): a pool of P is rescanned ~log P times in geometrically
   // shrinking halves.
-  const std::size_t live = q.far.size();
+  const std::size_t live = q.far_end;
   const std::size_t target = std::max<std::size_t>(4096, live / 2);
   std::size_t rung = live;
   SimTime bar = 0;  // sentinel: stage-all, patched to max+1 below
   if (live > target) {
     const auto mid = first + static_cast<std::ptrdiff_t>(target);
     std::nth_element(
-        first, mid, q.far.end(),
+        first, mid, first + static_cast<std::ptrdiff_t>(live),
         [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
     bar = mid->time;
     rung = target;
@@ -148,7 +149,16 @@ void Simulation::refill() {
 }
 
 void Simulation::heap_push(SimTime t, std::uint64_t seq, Callback cb) {
-  const std::uint32_t slot = store_body(q_.slots, q_.free_slots, std::move(cb));
+  // The most recently freed slot first, or a new one.
+  std::uint32_t slot;
+  if (q_.free_slots.empty()) {
+    slot = static_cast<std::uint32_t>(q_.slots.size());
+    q_.slots.push_back(std::move(cb));
+  } else {
+    slot = q_.free_slots.back();
+    q_.free_slots.pop_back();
+    q_.slots[slot] = std::move(cb);
+  }
   q_.heap.push_back(HeapEntry{t, seq, slot});
   sift_up(q_.heap, q_.heap.size() - 1, kUnindexed);
 }
@@ -376,10 +386,10 @@ void Simulation::clear_queue() noexcept {
   q_.free_slots.clear();
   q_.far.clear();
   q_.far_cbs.clear();  // pooled and staged bodies alike
-  q_.free_far.clear();
   q_.far_front = 0;
   q_.stage_head = 0;
   q_.stage_end = 0;
+  q_.far_end = 0;
   while (q_.ring_size != 0) ring_pop();
   q_.far_bar = simtime::kInfinite;  // parked
   // Timer slots are released, not dropped, so their generations keep

@@ -13,8 +13,9 @@
 //    reserve(), which engages the far ladder: events beyond a moving bar
 //    keep one 24-byte key in a far key array and reach execution through
 //    sorted rungs cut from its front, instead of sifting through a
-//    million-entry heap. Each event's 32-byte body is stored once, in its
-//    far slot, from push until it runs.
+//    million-entry heap. Each event's 24-byte body is stored once, in its
+//    far slot, from push until it runs; a key whose event has run names
+//    its freed slot, so the ladder keeps no free list.
 //  * Cancellable timers (schedule_timer_in/cancel) sit in one indexed 4-ary
 //    heap beside the queue, merged by the same (time, seq) key. Each slot
 //    records its entry's heap position, so cancel() removes the entry and
@@ -47,24 +48,27 @@ class TraceSink;
 namespace bs::sim {
 
 /// Move-only type-erased callable with inline storage for small targets.
-/// Callables up to kInlineSize bytes (every hot-path callback the simulator
-/// schedules, and in particular a bare coroutine_handle) are stored in
-/// place; larger ones fall back to a single heap allocation.
+/// Callables up to kInlineSize bytes with at most pointer alignment (every
+/// hot-path callback the simulator schedules, and in particular a bare
+/// coroutine_handle) are stored in place; others fall back to a single
+/// heap allocation.
 class InlineCallback {
  public:
-  /// The largest hot shape is the RPC timeout watcher, [this,
-  /// shared_ptr<CallState>]: 24 bytes. Every pending event, heap slot, ring
-  /// entry and timer slot holds one InlineCallback, so a larger buffer
-  /// only costs memory; fits_inline() static_asserts at the hot call sites
-  /// reject a smaller one.
-  static constexpr std::size_t kInlineSize = 24;
+  /// The largest hot shapes are 16 bytes: the RPC timeout watcher, which
+  /// captures only its shared_ptr<CallState>, and the [this, u64] guards
+  /// of the flow scheduler. Every pending event, heap slot, ring entry and
+  /// timer slot holds one InlineCallback, so a larger buffer only costs
+  /// memory; fits_inline() static_asserts at the hot call sites reject a
+  /// smaller one.
+  static constexpr std::size_t kInlineSize = 16;
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   /// Whether D is stored in place (no allocation) — exposed so hot-path
   /// call sites can static_assert their callback types never silently
   /// degrade to the heap fallback.
   template <class D>
   static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
+    return sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&
            std::is_nothrow_move_constructible_v<D>;
   }
 
@@ -140,13 +144,13 @@ class InlineCallback {
       },
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<D**>(p)); }};
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(kInlineAlign) unsigned char buf_[kInlineSize];
   const Ops* ops_{nullptr};
 };
-// The 24-byte buffer and the ops pointer fill two 16-byte alignment units.
-static_assert(sizeof(InlineCallback) == 32,
-              "InlineCallback must stay 32 bytes: the RPC timeout watcher "
-              "(24 bytes) is the largest hot shape");
+// The 16-byte buffer and the ops pointer: three words, no padding.
+static_assert(sizeof(InlineCallback) == 24,
+              "InlineCallback must stay 24 bytes: the largest hot shapes "
+              "(the RPC timeout watcher among them) are 16 bytes");
 
 /// Names a timer armed by Simulation::schedule_timer_in(). The generation
 /// makes an id stale once its timer fires or is cancelled, even after the
@@ -317,16 +321,21 @@ class Simulation {
   ///            and cache-resident.
   ///  * far   — the unsorted keys around the rung, for everything at or
   ///            beyond far_bar; empty until reserve() engages the ladder.
-  ///            A far push fills the consumed hole [far_front, stage_head)
-  ///            before it appends. When the near tiers drain, a refill
-  ///            closes what is left of the hole and cuts the half of the
-  ///            keys with the earliest (time, seq) to the front with
-  ///            nth_element, sorts them into the next rung and advances
-  ///            far_bar. So the key array holds one key per far event plus
-  ///            holes no push has needed, and never outgrows the peak far
-  ///            population.
-  /// Bodies live in far_cbs by slot, rung and pool alike. A slot is freed
-  /// when its event runs and reused by the next far_push().
+  ///            A far push fills the consumed hole [far_front, stage_head),
+  ///            then takes a spare key, before it appends. When the near
+  ///            tiers drain, a refill parks what is left of the hole after
+  ///            the pool as spare keys, cuts the half of the keys with the
+  ///            earliest (time, seq) to the front with nth_element, sorts
+  ///            them into the next rung and advances far_bar.
+  /// Bodies live in far_cbs by slot, rung and pool alike, and every far
+  /// slot is named by exactly one key: a pooled or rung key names its
+  /// event's body, a consumed or spare key a free slot. So far and far_cbs
+  /// always have the same length, the peak far population, and no free
+  /// list is kept. Slots are reused most recently freed first, since the
+  /// body a pop just moved out is still in cache: a push into the hole
+  /// takes the latest pop's slot, at stage_head - 1, and hands that key the
+  /// hole front's free slot in exchange; refill parks the hole latest pop
+  /// first, and a push takes the first spare.
   /// Invariant: far_bar rises monotonically; every stage and heap entry was
   /// placed with time < far_bar and every far entry with time >= far_bar,
   /// so min(ring, stage front, heap root) is the true queue head whenever a
@@ -337,13 +346,14 @@ class Simulation {
     std::vector<std::uint32_t> free_slots;
     std::vector<NowEvent> ring;   // power-of-two capacity
     /// Far keys: [0, far_front) pooled, [far_front, stage_head) consumed,
-    /// [stage_head, stage_end) the rung, [stage_end, size) pooled.
+    /// [stage_head, stage_end) the rung, [stage_end, far_end) pooled,
+    /// [far_end, size) spare.
     std::vector<HeapEntry> far;
     std::vector<Callback> far_cbs;  // by far slot: pooled and staged bodies
-    std::vector<std::uint32_t> free_far;
     std::size_t far_front{0};
     std::size_t stage_head{0};
     std::size_t stage_end{0};
+    std::size_t far_end{0};
     std::size_t ring_head{0};
     std::size_t ring_size{0};
     /// Near/far boundary. kInfinite means the ladder is parked (pool
@@ -366,12 +376,13 @@ class Simulation {
                         Placed placed);
 
   void far_push(SimTime t, std::uint64_t seq, Callback cb);
-  /// Pops the stage front; returns its callback (far slot recycled).
+  /// Pops the stage front; returns its callback. The consumed key stays
+  /// behind and names the slot the pop freed.
   Callback stage_pop();
-  /// Closes the consumed hole, cuts the earliest half of the far keys into
-  /// the stage rung with nth_element and advances far_bar to the first
-  /// excluded key's time. Guarantees at least one event moves when the far
-  /// pool is non-empty.
+  /// Parks the consumed hole after the pool as spare keys, cuts the
+  /// earliest half of the far keys into the stage rung with nth_element
+  /// and advances far_bar to the first excluded key's time. Guarantees at
+  /// least one event moves when the far pool is non-empty.
   void refill();
   /// How many rung keys ahead of the cursor stage_pop() prefetches a body.
   static constexpr std::size_t kStagePrefetch = 8;
@@ -389,7 +400,7 @@ class Simulation {
   enum NearSource : int { kFromRing = 0, kFromHeap = 1, kFromStage = 2 };
   /// Far slots holding a body: the pooled events plus the rung's unrun ones.
   [[nodiscard]] std::size_t far_held() const {
-    return q_.far_cbs.size() - q_.free_far.size();
+    return q_.far_front + (q_.far_end - q_.stage_head);
   }
   /// Smallest (time, seq) key across the near tiers. Returns the owning
   /// tier, or -1 with (kInfinite, kNoSeq) when all are empty.

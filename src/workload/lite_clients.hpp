@@ -1,11 +1,10 @@
 // Pooled lightweight client actors for production-scale populations: one
 // flat POD record per client instead of a coroutine frame, woken by
 // InlineCallback ticks on the simulator's event queue. With the far ladder
-// engaged a client costs about 64 bytes: its 4-byte record and its one
-// pending event's 24-byte far key, 32-byte body and 4-byte free-list
-// entry. The million-client experiment of bench_million_clients thus
-// peaks near 72 MB, where coroutine-frame actors
-// (workload/clients.hpp) would not fit.
+// engaged a client costs about 52 bytes: its 4-byte record and its one
+// pending event's 24-byte far key and 24-byte body. The million-client
+// experiment of bench_million_clients thus peaks near 60 MB, where
+// coroutine-frame actors (workload/clients.hpp) would not fit.
 //
 // Every tick touches only its site's shard (stats, per-site Rng); a
 // cross-site message lands at the destination one WAN latency out. The pool
@@ -82,7 +81,8 @@ class LiteClientPool {
     std::vector<Client> clients;
     SiteStats stats;
   };
-  /// Client wakeup: 12 bytes, always inline in the event callback.
+  /// Client wakeup: 12 bytes of fields, 16 with padding, always inline in
+  /// the event callback.
   struct Tick {
     Shard* shard;
     std::uint32_t idx;

@@ -121,7 +121,8 @@ TEST(FramePool, MidLifeModeFlipIsSafe) {
 
 TEST(InlineCallbackHeadroom, HotPathCallbackShapesFitInline) {
   // The shapes the hot paths schedule: a bare resume handle, [this, ptr],
-  // [this, u64] guards, and [this, shared_ptr] (the rpc timeout watcher).
+  // [this, u64] guards, and [shared_ptr] (the rpc timeout watcher, which
+  // reaches its cluster through the call state it shares).
   struct Thunk {
     std::coroutine_handle<> h;
     void operator()() const {}
@@ -132,16 +133,23 @@ TEST(InlineCallbackHeadroom, HotPathCallbackShapesFitInline) {
   auto guard_cb = [self, gen] { (void)self, (void)gen; };
   static_assert(InlineCallback::fits_inline<decltype(guard_cb)>());
   auto shared = std::make_shared<int>(1);
-  auto watcher_cb = [self, shared] { (void)self, (void)shared; };
+  auto watcher_cb = [shared] { (void)shared; };
+  static_assert(sizeof(watcher_cb) == InlineCallback::kInlineSize);
   static_assert(InlineCallback::fits_inline<decltype(watcher_cb)>());
 
-  // Oversized captures degrade to the heap fallback — detectably.
+  // Oversized or over-aligned captures degrade to the heap fallback —
+  // detectably.
   struct Big {
     unsigned char pad[InlineCallback::kInlineSize + 1];
   };
   Big big{};
   auto big_cb = [big] { (void)big; };
   static_assert(!InlineCallback::fits_inline<decltype(big_cb)>());
+  struct alignas(2 * InlineCallback::kInlineAlign) Wide {
+    int* runs;
+    void operator()() const { ++*runs; }
+  };
+  static_assert(!InlineCallback::fits_inline<Wide>());
   // Both storage modes still invoke correctly.
   int runs = 0;
   InlineCallback small([&runs] { ++runs; });
@@ -149,9 +157,11 @@ TEST(InlineCallbackHeadroom, HotPathCallbackShapesFitInline) {
     (void)big;
     ++runs;
   });
+  InlineCallback wide(Wide{&runs});
   small();
   large();
-  EXPECT_EQ(runs, 2);
+  wide();
+  EXPECT_EQ(runs, 3);
 }
 
 Task<void> nap(Simulation& sim, SimDuration dt) { co_await sim.delay(dt); }

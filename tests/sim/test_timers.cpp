@@ -184,17 +184,21 @@ TEST(SimTimers, DestroyedWithLiveTimersReleasesEverything) {
 
 /// Self-rescheduling event: each run queues its own copy one period out,
 /// so with the ladder engaged the copy takes a far slot a run just freed.
-/// `Pad` sizes the body: 0 stays inline (24 bytes, the whole buffer),
-/// 2 * kInlineSize takes the heap fallback.
+/// The body reaches its simulation through its token, a shared box holding
+/// the simulation pointer. `Pad` sizes the body: 0 stays inline (16 bytes,
+/// the whole buffer), 2 * kInlineSize takes the heap fallback.
+using SimToken = std::shared_ptr<Simulation*>;
 struct NoPad {};
 template <std::size_t Pad>
 struct Rearm {
-  Simulation* sim;
-  std::shared_ptr<int> token;
+  SimToken token;
   [[no_unique_address]] std::conditional_t<Pad == 0, NoPad,
                                            std::array<char, Pad>> pad{};
-  void operator()() const { sim->schedule_in(simtime::seconds(30), *this); }
+  void operator()() const {
+    (*token)->schedule_in(simtime::seconds(30), *this);
+  }
 };
+static_assert(sizeof(Rearm<0>) == InlineCallback::kInlineSize);
 static_assert(InlineCallback::fits_inline<Rearm<0>>());
 static_assert(
     !InlineCallback::fits_inline<Rearm<2 * InlineCallback::kInlineSize>>());
@@ -208,18 +212,18 @@ TEST(SimTimers, DestroyedMidRungReleasesStagedAndPooledBodies) {
   // has to free every body: unrun staged ones and pooled ones, inline and
   // heap-fallback alike (LSan checks the fallback blocks under the asan
   // preset).
-  auto token = std::make_shared<int>(0);
+  auto token = std::make_shared<Simulation*>(nullptr);
   {
     Simulation sim;
+    *token = &sim;
     sim.reserve(kLargeLoad);
     constexpr int kEvents = 24'000;
     for (int i = 0; i < kEvents; ++i) {
       const SimTime t = simtime::millis(1 + i);
       switch (i % 4) {
-        case 0: sim.schedule_at(t, Rearm<0>{&sim, token}); break;
+        case 0: sim.schedule_at(t, Rearm<0>{token}); break;
         case 1:
-          sim.schedule_at(t,
-                          Rearm<2 * InlineCallback::kInlineSize>{&sim, token});
+          sim.schedule_at(t, Rearm<2 * InlineCallback::kInlineSize>{token});
           break;
         case 2: {
           std::array<char, 2 * InlineCallback::kInlineSize> pad{};
