@@ -9,7 +9,12 @@ namespace bs::blob {
 
 namespace {
 constexpr std::uint32_t kMaxRebuilds = 8;
-}
+constexpr std::uint32_t kPutParallelism = 4;   ///< chunk puts per write
+constexpr std::uint32_t kGetParallelism = 8;   ///< chunk gets per read
+constexpr std::uint32_t kMetaParallelism = 8;  ///< concurrent metadata puts
+/// Commit can legitimately wait for earlier concurrent writers.
+constexpr SimDuration kCommitTimeout = simtime::seconds(120);
+}  // namespace
 
 BlobClient::BlobClient(rpc::Node& node, ClientId id, Endpoints endpoints,
                        ClientConfig config, std::uint64_t rng_seed)
@@ -17,12 +22,11 @@ BlobClient::BlobClient(rpc::Node& node, ClientId id, Endpoints endpoints,
       config_(config), rng_(rng_seed) {
   assert(!endpoints_.metadata_providers.empty());
   meta_store_ = std::make_unique<RemoteMetadataStore>(
-      node_, endpoints_.metadata_providers, id_, config_.rpc_timeout,
-      config_.retry);
+      node_, endpoints_.metadata_providers, id_, kRpcTimeout, config_.retry);
 }
 
-rpc::CallOptions BlobClient::opts(SimDuration timeout,
-                                  obs::SpanId parent) const {
+rpc::CallOptions BlobClient::opts(obs::SpanId parent,
+                                  SimDuration timeout) const {
   rpc::CallOptions o;
   o.timeout = timeout;
   o.client = id_;
@@ -36,7 +40,7 @@ void BlobClient::report_provider_failure(NodeId provider) {
   // provider. Fire-and-forget: the report must never block or fail the
   // data path. Retries are off — a lost report is harmless.
   rpc::CallOptions o;
-  o.timeout = config_.rpc_timeout;
+  o.timeout = kRpcTimeout;
   o.client = id_;
   node_.cluster().sim().spawn(
       [](rpc::Node& n, NodeId pm, NodeId failed,
@@ -67,8 +71,7 @@ sim::Task<Result<BlobId>> BlobClient::create(std::uint64_t chunk_size,
   req.replication = replication;
   req.ttl = ttl;
   auto r = co_await node_.cluster().call<CreateBlobReq, CreateBlobResp>(
-      node_, endpoints_.version_manager, req,
-      opts(config_.rpc_timeout, op_span.id()));
+      node_, endpoints_.version_manager, req, opts(op_span.id()));
   op_span.end(errc_name(r.code()));
   ClientOpInfo info;
   info.op = ClientOpInfo::Op::create;
@@ -88,7 +91,7 @@ sim::Task<Result<BlobDescriptor>> BlobClient::stat(BlobId blob) {
   BlobInfoReq req;
   req.blob = blob;
   auto r = co_await node_.cluster().call<BlobInfoReq, BlobInfoResp>(
-      node_, endpoints_.version_manager, req, opts(config_.rpc_timeout));
+      node_, endpoints_.version_manager, req, opts());
   if (!r.ok()) co_return r.error();
   co_return r.value().descriptor;
 }
@@ -98,7 +101,7 @@ sim::Task<Result<std::vector<VersionInfo>>> BlobClient::versions(
   BlobVersionsReq req;
   req.blob = blob;
   auto r = co_await node_.cluster().call<BlobVersionsReq, BlobVersionsResp>(
-      node_, endpoints_.version_manager, req, opts(config_.rpc_timeout));
+      node_, endpoints_.version_manager, req, opts());
   if (!r.ok()) co_return r.error();
   co_return std::move(r.value().versions);
 }
@@ -109,7 +112,7 @@ sim::Task<Result<TrimBlobResp>> BlobClient::trim(BlobId blob,
   req.blob = blob;
   req.keep_from = keep_from;
   auto r = co_await node_.cluster().call<TrimBlobReq, TrimBlobResp>(
-      node_, endpoints_.version_manager, req, opts(config_.rpc_timeout));
+      node_, endpoints_.version_manager, req, opts());
   if (!r.ok()) co_return r.error();
   co_return std::move(r.value());
 }
@@ -118,7 +121,7 @@ sim::Task<Result<void>> BlobClient::remove(BlobId blob) {
   DeleteBlobReq req;
   req.blob = blob;
   auto r = co_await node_.cluster().call<DeleteBlobReq, DeleteBlobResp>(
-      node_, endpoints_.version_manager, req, opts(config_.rpc_timeout));
+      node_, endpoints_.version_manager, req, opts());
   if (!r.ok()) co_return r.error();
   co_return ok_result();
 }
@@ -182,7 +185,7 @@ sim::Task<Result<bool>> BlobClient::chunk_present(
     HasChunkReq req;
     req.key = key;
     auto r = co_await node_.cluster().call<HasChunkReq, HasChunkResp>(
-        node_, target, req, opts(config_.rpc_timeout));
+        node_, target, req, opts());
     if (r.ok()) {
       if (r.value().present) co_return true;
       answered = true;
@@ -227,7 +230,7 @@ sim::Task<Result<void>> BlobClient::put_chunk_replicated(
                              failed.end());
       auto r = co_await cluster.call<AllocateReq, AllocateResp>(
           node_, endpoints_.provider_manager, std::move(realloc),
-          opts(config_.rpc_timeout, plan.span));
+          opts(plan.span));
       if (!r.ok()) co_return r.error();
       targets = std::move(r.value().placements[0]);
       continue;
@@ -238,7 +241,7 @@ sim::Task<Result<void>> BlobClient::put_chunk_replicated(
     put.key = key;
     put.payload = plan.chunk_payloads[chunk_idx];
     auto r = co_await cluster.call<PutChunkReq, PutChunkResp>(
-        node_, target, std::move(put), opts(config_.rpc_timeout, plan.span));
+        node_, target, std::move(put), opts(plan.span));
     if (r.ok()) {
       stored.push_back(target);
     } else {
@@ -258,7 +261,7 @@ sim::Task<Result<void>> BlobClient::put_metadata(
     const std::vector<std::pair<NodeKey, TreeNode>>& nodes,
     obs::SpanId parent) {
   auto& sim = node_.cluster().sim();
-  sim::Semaphore sem(sim, config_.meta_parallelism);
+  sim::Semaphore sem(sim, kMetaParallelism);
   sim::WaitGroup wg(sim);
   std::vector<Result<void>> results(nodes.size(), ok_result());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -322,8 +325,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
     req.offset = offset;
     req.size = data.size;
     auto r = co_await cluster.call<StartWriteReq, StartWriteResp>(
-        node_, endpoints_.version_manager, req,
-        opts(config_.rpc_timeout, op_span.id()));
+        node_, endpoints_.version_manager, req, opts(op_span.id()));
     if (!r.ok()) co_return fail(r.error());
     plan.start = std::move(r.value());
   }
@@ -338,8 +340,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
     ab.blob = blob;
     ab.version = plan.start.version;
     (void)co_await cluster.call<AbortWriteReq, AbortWriteResp>(
-        node_, endpoints_.version_manager, ab,
-        opts(config_.rpc_timeout, op_span.id()));
+        node_, endpoints_.version_manager, ab, opts(op_span.id()));
     co_return fail({Errc::invalid_argument,
                     "pre-split chunk count does not match blob chunk size"});
   }
@@ -361,8 +362,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
     ab.blob = blob;
     ab.version = plan.start.version;
     (void)co_await cluster.call<AbortWriteReq, AbortWriteResp>(
-        node_, endpoints_.version_manager, ab,
-        opts(config_.rpc_timeout, op_span.id()));
+        node_, endpoints_.version_manager, ab, opts(op_span.id()));
   };
 
   // 3. Placement for every chunk.
@@ -374,8 +374,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
     req.chunk_size = cs;
     req.replication = plan.start.replication;
     auto r = co_await cluster.call<AllocateReq, AllocateResp>(
-        node_, endpoints_.provider_manager, std::move(req),
-        opts(config_.rpc_timeout, op_span.id()));
+        node_, endpoints_.provider_manager, std::move(req), opts(op_span.id()));
     if (!r.ok()) {
       co_await abort_write();
       co_return fail(r.error());
@@ -385,7 +384,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
 
   // 4. Pipelined chunk puts with bounded parallelism.
   {
-    sim::Semaphore sem(sim, config_.put_parallelism);
+    sim::Semaphore sem(sim, kPutParallelism);
     sim::WaitGroup wg(sim);
     std::vector<Result<void>> results(n_chunks, ok_result());
     for (std::size_t i = 0; i < n_chunks; ++i) {
@@ -425,7 +424,7 @@ sim::Task<Result<WriteReceipt>> BlobClient::write_impl(
     req.abort_epoch = epoch;
     auto r = co_await cluster.call<CommitWriteReq, CommitWriteResp>(
         node_, endpoints_.version_manager, req,
-        opts(config_.commit_timeout, op_span.id()));
+        opts(op_span.id(), kCommitTimeout));
     if (!r.ok()) co_return fail(r.error());
     if (r.value().published) break;
     assert(r.value().rebuild_needed);
@@ -500,7 +499,7 @@ sim::Task<Result<ChunkRead>> BlobClient::fetch_chunk(
     req.offset = lo - base;
     req.length = hi - lo;
     auto r = co_await cluster.call<GetChunkReq, GetChunkResp>(
-        node_, target, req, opts(config_.rpc_timeout, parent));
+        node_, target, req, opts(parent));
     if (r.ok()) {
       out.bytes = r.value().payload.size;
       out.checksum = r.value().payload.checksum;
@@ -547,8 +546,7 @@ sim::Task<Result<ReadResult>> BlobClient::read(BlobId blob,
   ireq.blob = blob;
   ireq.version = version;
   auto ir = co_await cluster.call<BlobInfoReq, BlobInfoResp>(
-      node_, endpoints_.version_manager, ireq,
-      opts(config_.rpc_timeout, op_span.id()));
+      node_, endpoints_.version_manager, ireq, opts(op_span.id()));
   if (!ir.ok()) co_return fail(ir.error());
   const VersionInfo at = ir.value().at;
   const std::uint64_t cs = ir.value().descriptor.chunk_size;
@@ -572,7 +570,7 @@ sim::Task<Result<ReadResult>> BlobClient::read(BlobId blob,
                                            lo_chunk, hi_chunk - lo_chunk);
   if (!leaves.ok()) co_return fail(leaves.error());
 
-  sim::Semaphore sem(sim, config_.get_parallelism);
+  sim::Semaphore sem(sim, kGetParallelism);
   sim::WaitGroup wg(sim);
   std::vector<Result<ChunkRead>> reads(leaves.value().size(),
                                        Result<ChunkRead>{Errc::internal});

@@ -22,13 +22,7 @@
 namespace bs::blob {
 
 struct ClientConfig {
-  std::uint32_t put_parallelism{4};   ///< concurrent chunk puts per write
-  std::uint32_t get_parallelism{8};   ///< concurrent chunk gets per read
-  std::uint32_t meta_parallelism{8};  ///< concurrent metadata puts
-  std::uint32_t max_put_retries{3};   ///< fresh-provider retries per chunk
-  SimDuration rpc_timeout{simtime::seconds(30)};
-  /// Commit can legitimately wait for earlier concurrent writers.
-  SimDuration commit_timeout{simtime::seconds(120)};
+  std::uint32_t max_put_retries{3};  ///< fresh-provider retries per chunk
   /// Transport-level retry for every client RPC (jittered exponential
   /// backoff, deterministic via the cluster's seeded RNG). Down-node
   /// failures still fail fast; retries matter for drops and timeouts.
@@ -202,7 +196,9 @@ class BlobClient {
   /// Detached, best-effort failure report to the provider manager.
   void report_provider_failure(NodeId provider);
 
-  rpc::CallOptions opts(SimDuration timeout, obs::SpanId parent = 0) const;
+  static constexpr SimDuration kRpcTimeout = simtime::seconds(30);
+  rpc::CallOptions opts(obs::SpanId parent = 0,
+                        SimDuration timeout = kRpcTimeout) const;
 
   rpc::Node& node_;
   ClientId id_;

@@ -292,10 +292,10 @@ sim::Task<void> DataProvider::heartbeat_loop(NodeId provider_manager,
     auto r = co_await cluster.call<RegisterProviderReq, RegisterProviderResp>(
         node_, provider_manager, make_register());
     if (r.ok()) break;
-    co_await sim.delay(options_.heartbeat_interval);
+    co_await sim.delay(kHeartbeatInterval);
   }
   while (live()) {
-    co_await sim.delay(options_.heartbeat_interval);
+    co_await sim.delay(kHeartbeatInterval);
     if (!live()) break;
     HeartbeatReq hb;
     hb.provider = node_.id();

@@ -15,7 +15,6 @@ namespace bs::blob {
 
 struct DataProviderOptions {
   std::uint64_t capacity{64ull * units::GB};
-  SimDuration heartbeat_interval{simtime::seconds(2)};
   /// Persistent chunk-index store model. Disabled: the store survives
   /// crashes intact (unless wiped) and restarts are free, as before.
   JournalOptions journal{};

@@ -58,7 +58,7 @@ BlobClient::Endpoints Deployment::endpoints() const {
 }
 
 BlobClient* Deployment::add_client(ClientConfig config) {
-  rpc::Node* n = cluster_->add_node(next_site(), config_.client_spec);
+  rpc::Node* n = cluster_->add_node(next_site());
   const ClientId id{next_client_id_++};
   clients_.push_back(std::make_unique<BlobClient>(
       *n, id, endpoints(), config, /*rng_seed=*/0xC11E47 + id.value));

@@ -22,8 +22,7 @@ struct DeploymentConfig {
   std::size_t data_providers{20};
   std::size_t metadata_providers{4};
   std::uint64_t provider_capacity{64ull * units::GB};
-  rpc::NodeSpec node_spec{};          ///< providers and managers
-  rpc::NodeSpec client_spec{};        ///< client machines
+  rpc::NodeSpec node_spec{};  ///< providers and managers, not clients
   ProviderManager::Options pm_options{};
   VersionManager::Options vm_options{};
   /// Seed for the cluster's fault/retry RNG (backoff jitter).

@@ -6,12 +6,8 @@ namespace bs::blob {
 
 namespace {
 
-SimDuration apply_delay(const DiskModel& disk, std::uint64_t records) {
-  if (records == 0 || disk.replay_iops <= 0) return 0;
-  return static_cast<SimDuration>(
-      static_cast<double>(records) / disk.replay_iops *
-      static_cast<double>(simtime::kNanosPerSec));
-}
+constexpr double kReplayIops = 50000.0;  ///< records applied per second
+constexpr SimDuration kFsyncLatency = simtime::micros(500);  ///< per barrier
 
 bool still_up(const rpc::Node& node, std::uint64_t incarnation) {
   return node.up() && node.incarnation() == incarnation;
@@ -21,8 +17,7 @@ bool still_up(const rpc::Node& node, std::uint64_t incarnation) {
 
 // bslint: allow(coro-ref-param): the node is cluster-owned for the whole
 // simulation; crash safety is handled by incarnation pinning, not lifetime
-sim::Task<bool> journal_fsync(rpc::Node& node, DiskModel disk,
-                              std::uint64_t bytes) {
+sim::Task<bool> journal_fsync(rpc::Node& node, std::uint64_t bytes) {
   auto& cluster = node.cluster();
   const std::uint64_t inc = node.incarnation();
   if (bytes > 0) {
@@ -31,16 +26,15 @@ sim::Task<bool> journal_fsync(rpc::Node& node, DiskModel disk,
                                       std::move(rs));
   }
   if (!still_up(node, inc)) co_return false;
-  co_await cluster.sim().delay(disk.fsync_latency);
+  co_await cluster.sim().delay(kFsyncLatency);
   co_return still_up(node, inc);
 }
 
 // bslint: allow(coro-ref-param): node is cluster-owned; see journal_fsync
-sim::Task<bool> journal_replay_cost(rpc::Node& node, DiskModel disk,
-                                    ReplayPlan plan) {
+sim::Task<bool> journal_replay_cost(rpc::Node& node, ReplayPlan plan) {
   auto& cluster = node.cluster();
   const std::uint64_t inc = node.incarnation();
-  co_await cluster.sim().delay(disk.mount_latency);
+  co_await cluster.sim().delay(kMountLatency);
   if (!still_up(node, inc)) co_return false;
   if (plan.total_bytes() > 0) {
     std::vector<net::Resource*> rs{node.disk()};
@@ -48,7 +42,8 @@ sim::Task<bool> journal_replay_cost(rpc::Node& node, DiskModel disk,
                                       std::move(rs));
     if (!still_up(node, inc)) co_return false;
   }
-  co_await cluster.sim().delay(apply_delay(disk, plan.total_records()));
+  co_await cluster.sim().delay(simtime::seconds(
+      static_cast<double>(plan.total_records()) / kReplayIops));
   co_return still_up(node, inc);
 }
 

@@ -35,15 +35,11 @@
 
 namespace bs::blob {
 
-/// Cost model of the simulated persistent store's disk behaviour. Byte
-/// costs (checkpoint scan, journal tail, torn-tail scan) go through the
-/// node's FlowScheduler disk resource; per-record apply cost and fixed
-/// latencies are pure delays.
-struct DiskModel {
-  double replay_iops{50000.0};  ///< records applied per second during replay
-  SimDuration fsync_latency{simtime::micros(500)};  ///< per fsync barrier
-  SimDuration mount_latency{simtime::millis(20)};   ///< open + manifest scan
-};
+/// Open + manifest scan, paid before a recovery reads anything. Byte costs
+/// (checkpoint scan, journal tail, torn-tail scan) go through the node's
+/// FlowScheduler disk resource; this latency, each fsync barrier's and the
+/// per-record apply cost (journal.cpp) are pure delays.
+inline constexpr SimDuration kMountLatency = simtime::millis(20);
 
 struct JournalOptions {
   bool enabled{false};
@@ -51,7 +47,6 @@ struct JournalOptions {
   /// bound, truncating the journal (warm restarts replay a short tail).
   std::uint64_t checkpoint_bytes{256ull * units::MB};
   std::uint64_t checkpoint_records{4096};
-  DiskModel disk{};
 };
 
 /// What the pending recovery has to read and apply.
@@ -101,7 +96,6 @@ class Journal {
   explicit Journal(JournalOptions opts) : opts_(opts) {}
 
   [[nodiscard]] bool enabled() const { return opts_.enabled; }
-  [[nodiscard]] const JournalOptions& options() const { return opts_; }
 
   /// Appends to the volatile tail; the record is durable only once a
   /// seal() covers the returned sequence number.
@@ -257,15 +251,13 @@ class Journal {
 /// crash has already dropped it.
 // bslint: allow(coro-ref-param): the node is cluster-owned for the whole
 // simulation; crash safety is handled by incarnation pinning, not lifetime
-sim::Task<bool> journal_fsync(rpc::Node& node, DiskModel disk,
-                              std::uint64_t bytes);
+sim::Task<bool> journal_fsync(rpc::Node& node, std::uint64_t bytes);
 
 /// Pays the recovery replay cost (mount + checkpoint/tail/torn bytes at
 /// disk bandwidth + per-record apply IOPS). Returns false if the node
 /// crashed again mid-replay — the next restart starts recovery over.
 // bslint: allow(coro-ref-param): node is cluster-owned; see journal_fsync
-sim::Task<bool> journal_replay_cost(rpc::Node& node, DiskModel disk,
-                                    ReplayPlan plan);
+sim::Task<bool> journal_replay_cost(rpc::Node& node, ReplayPlan plan);
 
 /// Charges a background write of `bytes` against the node's disk
 /// (detached flow: the service keeps serving while it drains) — checkpoint
@@ -486,8 +478,7 @@ class Durable {
     // Hoisted out of the `if`: GCC 12 misplaces the frame of a coroutine
     // whose first statement is an `if` with a co_await in its condition
     // (the `lint.frame_scan` gate).
-    const bool durable =
-        co_await journal_fsync(node_, journal_.options().disk, bytes);
+    const bool durable = co_await journal_fsync(node_, bytes);
     if (!durable) co_return Error{Errc::unavailable, "crashed before commit"};
     journal_.seal(seq);
     maybe_checkpoint();
@@ -511,8 +502,7 @@ class Durable {
     const SimTime started = node_.cluster().sim().now();
     const ReplayPlan plan = journal_.replay_plan();
     const obs::SpanId span = begin_replay_span(node_.id(), plan);
-    const bool paid =
-        co_await journal_replay_cost(node_, journal_.options().disk, plan);
+    const bool paid = co_await journal_replay_cost(node_, plan);
     if (!paid || node_.incarnation() != incarnation) {
       // Crashed again mid-replay; the next restart starts recovery over.
       if (auto* ts = obs::sink()) ts->end_span(span, "aborted");

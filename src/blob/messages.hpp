@@ -164,6 +164,9 @@ struct DeregisterProviderResp {
   [[nodiscard]] std::uint64_t wire_size() const { return 16; }
 };
 
+/// Provider heartbeat (and re-registration) period; the reaper's scan too.
+inline constexpr SimDuration kHeartbeatInterval = simtime::seconds(2);
+
 struct HeartbeatReq {
   static constexpr const char* kName = "blob.heartbeat";
   NodeId provider;

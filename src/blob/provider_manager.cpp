@@ -7,6 +7,16 @@
 
 namespace bs::blob {
 
+namespace {
+/// Silence thresholds: a provider turns suspect after two missed heartbeats
+/// (allocation avoids it while the pool allows) and is erased after three.
+constexpr SimDuration kSuspectAfter = 2 * kHeartbeatInterval;
+constexpr SimDuration kDeadAfter = 3 * kHeartbeatInterval;
+/// Client transport failures against a provider before it is declared
+/// dead outright — much faster than waiting out the heartbeat deadline.
+constexpr std::uint32_t kFailureReportsDead = 3;
+}  // namespace
+
 ProviderManager::ProviderManager(rpc::Node& node, Options options)
     : node_(node), options_(std::move(options)),
       strategy_(make_strategy(options_.strategy)), rng_(options_.rng_seed) {
@@ -136,7 +146,7 @@ void ProviderManager::register_handlers() {
         if (e.health == ProviderHealth::alive) {
           e.health = ProviderHealth::suspect;
         }
-        if (e.reported_failures >= options_.failure_reports_dead &&
+        if (e.reported_failures >= kFailureReportsDead &&
             e.health != ProviderHealth::dead) {
           e.health = ProviderHealth::dead;
           BS_INFO("pm", "provider %llu declared dead (%u failure reports)",
@@ -198,24 +208,20 @@ void ProviderManager::start_reaper() {
 
 sim::Task<void> ProviderManager::reaper_loop() {
   auto& sim = node_.cluster().sim();
-  const SimDuration suspect_after =
-      options_.heartbeat_interval * options_.missed_heartbeats_suspect;
-  const SimDuration deadline =
-      options_.heartbeat_interval * options_.missed_heartbeats_dead;
   while (reaper_enabled_ && node_.up()) {
-    co_await sim.delay(options_.heartbeat_interval);
+    co_await sim.delay(kHeartbeatInterval);
     if (!node_.up()) break;
     const SimTime now = sim.now();
     for (auto it = registry_.begin(); it != registry_.end();) {
       auto& e = it->second;
       const SimDuration silent = now - e.last_heartbeat;
-      if (silent > deadline) {
+      if (silent > kDeadAfter) {
         BS_INFO("pm", "provider %llu expired (no heartbeat)",
                 (unsigned long long)e.node.value);
         it = registry_.erase(it);
         continue;
       }
-      if (silent > suspect_after && e.health == ProviderHealth::alive) {
+      if (silent > kSuspectAfter && e.health == ProviderHealth::alive) {
         e.health = ProviderHealth::suspect;
       }
       ++it;

@@ -16,14 +16,6 @@ namespace bs::blob {
 
 struct ProviderManagerOptions {
   std::string strategy{"load_aware"};
-  SimDuration heartbeat_interval{simtime::seconds(2)};
-  /// Silence thresholds, in heartbeat intervals: a provider turns suspect
-  /// first (allocation avoids it while the pool allows), then is erased.
-  int missed_heartbeats_suspect{2};
-  int missed_heartbeats_dead{3};
-  /// Client transport failures against a provider before it is declared
-  /// dead outright — much faster than waiting out the heartbeat deadline.
-  std::uint32_t failure_reports_dead{3};
   std::uint64_t rng_seed{42};
 };
 

@@ -9,6 +9,14 @@
 
 namespace bs::cloud {
 
+namespace {
+constexpr std::uint32_t kGetParallelism = 8;  ///< store-chunk fetches per GET
+/// Hard cap on a list_objects page (AWS S3 uses 1000).
+constexpr std::uint64_t kMaxKeysCap = 1000;
+/// Identity that owns the shared chunk-store blob and chunk reclamation.
+constexpr ClientId kStoreIdentity{0x5707E};
+}  // namespace
+
 S3Gateway::S3Gateway(rpc::Node& node, blob::BlobClient::Endpoints endpoints,
                      GatewayOptions options)
     : node_(node), endpoints_(std::move(endpoints)),
@@ -159,7 +167,7 @@ sim::Task<Result<BlobId>> S3Gateway::ensure_store_blob() {
     store_creating_ = std::make_shared<sim::Event>(node_.cluster().sim());
     auto ev = store_creating_;
     {
-      ClientLease store = lease_client(options_.store_identity);
+      ClientLease store = lease_client(kStoreIdentity);
       auto created = co_await (*store).create(options_.object_chunk_size,
                                               options_.replication);
       if (node_.incarnation() != inc || recovering()) {
@@ -442,7 +450,7 @@ void S3Gateway::reclaim(std::vector<ChunkIndex::Entry> entries) {
             (void)co_await
                 n.cluster().call<blob::RemoveChunkReq, blob::RemoveChunkResp>(
                     n, t, std::move(req), o);
-          }(node_, target, e.ref.store_key(), options_.store_identity));
+          }(node_, target, e.ref.store_key(), kStoreIdentity));
     }
   }
 }
@@ -854,7 +862,7 @@ void S3Gateway::register_handlers() {
         ClientLease client = lease_client(env.client);
         auto& sim = node_.cluster().sim();
         {
-          sim::Semaphore sem(sim, options_.get_parallelism);
+          sim::Semaphore sem(sim, kGetParallelism);
           sim::WaitGroup wg(sim);
           for (Fetch& f : fetches) {
             wg.launch([](blob::BlobClient& c, sim::Semaphore& s,
@@ -957,7 +965,7 @@ void S3Gateway::register_handlers() {
         auto it = (req.marker.empty() || req.marker < req.prefix)
                       ? objects.lower_bound(req.prefix)
                       : objects.upper_bound(req.marker);
-        std::uint64_t max_keys = options_.max_keys_cap;
+        std::uint64_t max_keys = kMaxKeysCap;
         if (req.max_keys > 0) max_keys = std::min(max_keys, req.max_keys);
         for (; it != objects.end(); ++it) {
           if (it->first.compare(0, req.prefix.size(), req.prefix) != 0) {

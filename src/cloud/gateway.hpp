@@ -282,12 +282,6 @@ struct GatewayOptions {
   bool dedup{true};
   /// Bound on cached per-user BlobClients, idle-LRU evicted; 0 = unbounded.
   std::size_t max_user_clients{64};
-  /// Concurrent store-chunk fetches per GET.
-  std::uint32_t get_parallelism{8};
-  /// Hard cap on a list_objects page (AWS S3 uses 1000).
-  std::uint64_t max_keys_cap{1000};
-  /// Identity that owns the shared chunk-store blob and chunk reclamation.
-  ClientId store_identity{0x5707E};
   /// WAL for bucket/object metadata and the dedup index (PR 7 model).
   blob::JournalOptions journal{};
 };

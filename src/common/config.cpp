@@ -22,6 +22,12 @@ Result<NumberSuffix> split_number_suffix(const std::string& text) {
   std::string suffix = to_lower(trim(std::string_view(end)));
   return NumberSuffix{number, std::move(suffix)};
 }
+
+/// Whether casting `value` to an integer type below `limit` is defined:
+/// not negative and under the limit (NaN fails both tests).
+bool in_range(double value, double limit) {
+  return value >= 0 && value < limit;
+}
 }  // namespace
 
 Result<std::uint64_t> parse_bytes(const std::string& text) {
@@ -46,24 +52,29 @@ Result<std::uint64_t> parse_bytes(const std::string& text) {
   } else {
     return Error{Errc::parse_error, "unknown byte suffix: '" + suffix + "'"};
   }
-  if (number < 0) {
-    return Error{Errc::parse_error, "negative byte size"};
+  const double bytes = number * mult;
+  if (!in_range(bytes, 0x1p64)) {
+    return Error{Errc::parse_error, "byte size out of range: '" + text + "'"};
   }
-  return static_cast<std::uint64_t>(number * mult);
+  return static_cast<std::uint64_t>(bytes);
 }
 
 Result<SimDuration> parse_duration(const std::string& text) {
   auto ns = split_number_suffix(text);
   if (!ns.ok()) return ns.error();
   const auto& [number, suffix] = ns.value();
-  if (suffix.empty() || suffix == "ns") {
-    return static_cast<SimDuration>(number);
-  }
-  if (suffix == "us") return simtime::micros(number);
-  if (suffix == "ms") return simtime::millis(number);
-  if (suffix == "s" || suffix == "sec") return simtime::seconds(number);
-  if (suffix == "min" || suffix == "m") return simtime::minutes(number);
-  if (suffix == "h") return simtime::minutes(number * 60.0);
+  // Nanoseconds, multiplied in the simtime helpers' order, then checked.
+  const auto checked = [&text](double nanos) -> Result<SimDuration> {
+    if (in_range(nanos, 0x1p63)) return static_cast<SimDuration>(nanos);
+    return Error{Errc::parse_error, "duration out of range: '" + text + "'"};
+  };
+  constexpr auto kSec = static_cast<double>(simtime::kNanosPerSec);
+  if (suffix.empty() || suffix == "ns") return checked(number);
+  if (suffix == "us") return checked(number * 1e3);
+  if (suffix == "ms") return checked(number * 1e6);
+  if (suffix == "s" || suffix == "sec") return checked(number * kSec);
+  if (suffix == "min" || suffix == "m") return checked(number * 60.0 * kSec);
+  if (suffix == "h") return checked(number * 60.0 * 60.0 * kSec);
   return Error{Errc::parse_error, "unknown duration suffix: '" + suffix + "'"};
 }
 

@@ -10,6 +10,9 @@ namespace bs::core {
 
 namespace {
 
+constexpr SimDuration kLoopInterval = simtime::seconds(5);
+constexpr std::size_t kMaxActionsPerLoop = 32;
+
 /// A leaf holding a new descriptor: `chunk` with `replicas`. A stored
 /// descriptor is shared by every copy of its node, so a replica edit
 /// installs a new one instead of editing it.
@@ -312,8 +315,8 @@ sim::Task<Result<void>> Executor::delete_blob(BlobId blob) {
 
 AutonomicController::AutonomicController(
     blob::Deployment& deployment, intro::IntrospectionService& introspection,
-    sec::SecurityFramework* security, ControllerOptions options)
-    : dep_(deployment), options_(options), executor_(ctx_) {
+    sec::SecurityFramework* security)
+    : dep_(deployment), executor_(ctx_) {
   ctx_.deployment = &deployment;
   ctx_.introspection = &introspection;
   ctx_.security = security;
@@ -335,7 +338,7 @@ void AutonomicController::start() {
 
 sim::Task<void> AutonomicController::loop() {
   while (running_) {
-    co_await dep_.sim().delay(options_.loop_interval);
+    co_await dep_.sim().delay(kLoopInterval);
     if (!running_) break;
     co_await iterate();
   }
@@ -370,7 +373,7 @@ sim::Task<void> AutonomicController::iterate() {
   for (auto& module : modules_) {
     auto actions = co_await module->analyze(knowledge_, ctx_);
     for (auto& a : actions) {
-      if (plan.size() >= options_.max_actions_per_loop) break;
+      if (plan.size() >= kMaxActionsPerLoop) break;
       plan.push_back(std::move(a));
     }
   }

@@ -53,11 +53,6 @@ class Executor {
   std::uint64_t failed_{0};
 };
 
-struct ControllerOptions {
-  SimDuration loop_interval{simtime::seconds(5)};
-  std::size_t max_actions_per_loop{32};
-};
-
 class AutonomicController {
  public:
   struct ExecutedAction {
@@ -68,8 +63,7 @@ class AutonomicController {
 
   AutonomicController(blob::Deployment& deployment,
                       intro::IntrospectionService& introspection,
-                      sec::SecurityFramework* security = nullptr,
-                      ControllerOptions options = ControllerOptions());
+                      sec::SecurityFramework* security = nullptr);
 
   void add_module(std::unique_ptr<SelfModule> module);
 
@@ -91,7 +85,6 @@ class AutonomicController {
   sim::Task<void> loop();
 
   blob::Deployment& dep_;
-  ControllerOptions options_;
   AgentContext ctx_;
   KnowledgeBase knowledge_;
   Executor executor_;

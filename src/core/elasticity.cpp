@@ -5,6 +5,13 @@
 
 namespace bs::core {
 
+namespace {
+/// Write-bandwidth budget per provider: grow when aggregate write rate
+/// divided by the pool size exceeds it.
+constexpr double kWriteRatePerProvider = 60e6;
+constexpr std::size_t kMaxStep = 4;  ///< providers added per decision
+}  // namespace
+
 std::size_t ElasticityModule::desired_providers(
     const intro::SystemSnapshot& snap) const {
   const std::size_t current = snap.providers.size();
@@ -20,8 +27,8 @@ std::size_t ElasticityModule::desired_providers(
         snap.total_used / (per_provider_capacity * target_util)));
   }
   // Load-driven target: spread the aggregate write rate.
-  const std::size_t by_load = static_cast<std::size_t>(std::ceil(
-      snap.aggregate_write_rate / options_.write_rate_per_provider));
+  const std::size_t by_load = static_cast<std::size_t>(
+      std::ceil(snap.aggregate_write_rate / kWriteRatePerProvider));
 
   return std::clamp(std::max(by_space, by_load), options_.min_providers,
                     options_.max_providers);
@@ -43,11 +50,10 @@ sim::Task<std::vector<AdaptAction>> ElasticityModule::analyze(
       snap.aggregate_write_rate / static_cast<double>(current);
 
   const bool grow = (util > options_.util_high ||
-                     load_per_provider > options_.write_rate_per_provider) &&
+                     load_per_provider > kWriteRatePerProvider) &&
                     current < options_.max_providers;
   const bool shrink = util < options_.util_low &&
-                      load_per_provider <
-                          0.3 * options_.write_rate_per_provider &&
+                      load_per_provider < 0.3 * kWriteRatePerProvider &&
                       current > options_.min_providers;
 
   grow_signals_ = grow ? grow_signals_ + 1 : 0;
@@ -56,7 +62,7 @@ sim::Task<std::vector<AdaptAction>> ElasticityModule::analyze(
   if (grow_signals_ >= options_.signals_required) {
     const std::size_t desired = desired_providers(snap);
     const std::size_t add =
-        std::min(options_.max_step,
+        std::min(kMaxStep,
                  desired > current ? desired - current : std::size_t{1});
     for (std::size_t i = 0; i < add; ++i) {
       AdaptAction a;

@@ -11,12 +11,8 @@ namespace bs::core {
 struct ElasticityOptions {
   double util_high{0.70};  ///< grow when used/capacity exceeds this
   double util_low{0.25};   ///< shrink candidate when below this
-  /// Write-bandwidth budget per provider: grow when aggregate write rate
-  /// divided by the pool size exceeds it.
-  double write_rate_per_provider{60e6};
   std::size_t min_providers{2};
   std::size_t max_providers{512};
-  std::size_t max_step{4};         ///< providers added per decision
   int signals_required{2};         ///< consecutive loops before acting
   SimDuration cooldown{simtime::seconds(20)};
 };

@@ -1,24 +1,17 @@
 // Self-protection MAPE module: binds the security framework into the
 // autonomic loop. The detection engine runs autonomously; this module makes
 // it *adaptive* — scans speed up while rejection pressure indicates an
-// ongoing attack and relax when the system is quiet.
+// ongoing attack and return to the engine's own interval when it is quiet.
 #pragma once
+
+#include <optional>
 
 #include "core/module.hpp"
 
 namespace bs::core {
 
-struct ProtectionOptions {
-  double attack_rejected_rate{5.0};  ///< rejections/s indicating an attack
-  SimDuration fast_scan{simtime::seconds(2)};
-  SimDuration normal_scan{simtime::seconds(5)};
-};
-
 class ProtectionModule final : public SelfModule {
  public:
-  explicit ProtectionModule(ProtectionOptions options = ProtectionOptions())
-      : options_(options) {}
-
   const char* name() const override { return "self_protection"; }
 
   // bslint: allow(coro-ref-param): knowledge and ctx live as long as
@@ -27,8 +20,8 @@ class ProtectionModule final : public SelfModule {
                                               AgentContext& ctx) override;
 
  private:
-  ProtectionOptions options_;
-  bool hardened_{false};
+  /// The engine's scan interval before hardening; empty while relaxed.
+  std::optional<SimDuration> relaxed_scan_;
 };
 
 }  // namespace bs::core

@@ -5,6 +5,13 @@
 
 namespace bs::core {
 
+namespace {
+/// Under this much utilization, expired temporaries are the only
+/// candidates; above it, cold temporary blobs are evicted LRU-style.
+constexpr double kPressureThreshold = 0.85;
+constexpr std::size_t kMaxRemovalsPerLoop = 8;
+}  // namespace
+
 // bslint: allow(coro-ref-param): see module.hpp lifetime contract
 sim::Task<std::vector<AdaptAction>> RemovalModule::analyze(
     const KnowledgeBase& knowledge, AgentContext& ctx) {
@@ -24,7 +31,7 @@ sim::Task<std::vector<AdaptAction>> RemovalModule::analyze(
   }
 
   std::size_t removals = 0;
-  auto can_remove = [&] { return removals < options_.max_removals_per_loop; };
+  auto can_remove = [&] { return removals < kMaxRemovalsPerLoop; };
 
   // 1. TTL expiry of temporary blobs.
   if (options_.ttl_enabled) {
@@ -64,7 +71,7 @@ sim::Task<std::vector<AdaptAction>> RemovalModule::analyze(
 
   // 3. Storage pressure: evict the coldest temporary blob even before its
   // TTL when the system is nearly full.
-  if (snap.utilization() > options_.pressure_threshold) {
+  if (snap.utilization() > kPressureThreshold) {
     const blob::BlobDescriptor* coldest = nullptr;
     double coldest_rate = 0;
     for (const auto& d : blobs.value().blobs) {

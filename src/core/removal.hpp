@@ -12,10 +12,6 @@ struct RemovalOptions {
   /// Keep at most this many published versions per blob (0 = unlimited).
   std::size_t keep_versions{0};
   bool ttl_enabled{true};
-  /// Under this much utilization, expired temporaries are the only
-  /// candidates; above it, cold temporary blobs are evicted LRU-style.
-  double pressure_threshold{0.85};
-  std::size_t max_removals_per_loop{8};
 };
 
 class RemovalModule final : public SelfModule {

@@ -5,6 +5,11 @@
 
 namespace bs::core {
 
+namespace {
+constexpr std::size_t kMaxRepairsPerLoop = 64;
+constexpr std::size_t kMaxBlobsPerLoop = 8;  ///< blobs health-scanned per loop
+}  // namespace
+
 std::uint32_t ReplicationModule::desired_replication(
     std::uint32_t base, double read_rate) const {
   const auto bonus = static_cast<std::uint32_t>(
@@ -38,8 +43,8 @@ sim::Task<std::vector<AdaptAction>> ReplicationModule::analyze(
 
   std::size_t scanned = 0;
   std::size_t repairs = 0;
-  for (std::size_t i = 0;
-       i < list.size() && scanned < options_.max_blobs_per_loop; ++i) {
+  for (std::size_t i = 0; i < list.size() && scanned < kMaxBlobsPerLoop;
+       ++i) {
     const auto& d = list[(scan_cursor_ + i) % list.size()];
     if (d.latest.version == 0) continue;
     ++scanned;
@@ -76,8 +81,7 @@ sim::Task<std::vector<AdaptAction>> ReplicationModule::analyze(
       // raised target) or over-replicated (demand faded).
       const bool mismatch = alive != desired ||
                             alive < leaf.chunk->replicas.size();
-      if (mismatch && alive > 0 &&
-          repairs < options_.max_repairs_per_loop) {
+      if (mismatch && alive > 0 && repairs < kMaxRepairsPerLoop) {
         AdaptAction a;
         a.type = AdaptAction::Type::repair_chunk;
         a.chunk = leaf.chunk->key;

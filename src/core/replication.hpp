@@ -15,8 +15,6 @@ struct ReplicationOptions {
   /// Each multiple of this read rate (bytes/s) on a blob adds one replica
   /// above the blob's base replication.
   double hot_read_rate{40e6};
-  std::size_t max_repairs_per_loop{64};
-  std::size_t max_blobs_per_loop{8};  ///< blobs health-scanned per loop
 };
 
 class ReplicationModule final : public SelfModule {

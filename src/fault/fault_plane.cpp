@@ -207,6 +207,17 @@ void FaultPlane::schedule_all(const std::vector<FaultEvent>& schedule) {
 
 std::vector<FaultEvent> random_schedule(std::uint64_t seed,
                                         const ScheduleOptions& opts) {
+  // Bounds of the draws: crash downtimes, link faults (and disk slowdowns,
+  // which share their windows) and site power outages.
+  constexpr SimDuration kMinDowntime = simtime::seconds(5);
+  constexpr SimDuration kMaxDowntime = simtime::seconds(40);
+  constexpr double kMaxDropProb = 0.3;
+  constexpr SimDuration kMaxExtraLatency = simtime::millis(200);
+  constexpr SimDuration kMinLinkFault = simtime::seconds(5);
+  constexpr SimDuration kMaxLinkFault = simtime::seconds(30);
+  constexpr double kMinDiskFactor = 0.1;
+  constexpr SimDuration kMinOutage = simtime::seconds(5);
+  constexpr SimDuration kMaxOutage = simtime::seconds(30);
   Rng rng(seed);
   std::vector<FaultEvent> out;
   const SimTime span = opts.horizon - opts.start;
@@ -238,7 +249,7 @@ std::vector<FaultEvent> random_schedule(std::uint64_t seed,
     for (std::size_t i = 0; i < opts.crashes; ++i) {
       const NodeId victim = opts.crashable[static_cast<std::size_t>(
           rng.next_below(opts.crashable.size()))];
-      auto [t0, t1] = window(opts.min_downtime, opts.max_downtime);
+      auto [t0, t1] = window(kMinDowntime, kMaxDowntime);
       FaultEvent crash;
       crash.at = t0;
       crash.kind = FaultEvent::Kind::crash;
@@ -271,7 +282,7 @@ std::vector<FaultEvent> random_schedule(std::uint64_t seed,
     for (std::size_t i = 0; i < opts.partitions; ++i) {
       FaultEvent part;
       pick_pair(part.a, part.b);
-      auto [t0, t1] = window(opts.min_link_fault, opts.max_link_fault);
+      auto [t0, t1] = window(kMinLinkFault, kMaxLinkFault);
       part.at = t0;
       part.kind = FaultEvent::Kind::partition;
       out.push_back(part);
@@ -283,12 +294,12 @@ std::vector<FaultEvent> random_schedule(std::uint64_t seed,
     for (std::size_t i = 0; i < opts.degrades; ++i) {
       FaultEvent deg;
       pick_pair(deg.a, deg.b);
-      auto [t0, t1] = window(opts.min_link_fault, opts.max_link_fault);
+      auto [t0, t1] = window(kMinLinkFault, kMaxLinkFault);
       deg.at = t0;
       deg.kind = FaultEvent::Kind::degrade;
-      deg.drop_prob = rng.uniform(0.02, opts.max_drop_prob);
-      deg.extra_latency = static_cast<SimDuration>(
-          rng.uniform_int(0, opts.max_extra_latency));
+      deg.drop_prob = rng.uniform(0.02, kMaxDropProb);
+      deg.extra_latency =
+          static_cast<SimDuration>(rng.uniform_int(0, kMaxExtraLatency));
       out.push_back(deg);
       FaultEvent h = deg;
       h.at = t1;
@@ -301,12 +312,12 @@ std::vector<FaultEvent> random_schedule(std::uint64_t seed,
     for (std::size_t i = 0; i < opts.disk_slowdowns; ++i) {
       const NodeId victim = opts.crashable[static_cast<std::size_t>(
           rng.next_below(opts.crashable.size()))];
-      auto [t0, t1] = window(opts.min_link_fault, opts.max_link_fault);
+      auto [t0, t1] = window(kMinLinkFault, kMaxLinkFault);
       FaultEvent slow;
       slow.at = t0;
       slow.kind = FaultEvent::Kind::slow_disk;
       slow.node = victim;
-      slow.disk_factor = rng.uniform(opts.min_disk_factor, 0.6);
+      slow.disk_factor = rng.uniform(kMinDiskFactor, 0.6);
       out.push_back(slow);
       FaultEvent rest = slow;
       rest.at = t1;
@@ -319,7 +330,7 @@ std::vector<FaultEvent> random_schedule(std::uint64_t seed,
     for (std::size_t i = 0; i < opts.power_losses; ++i) {
       const net::SiteId site = opts.power_loss_sites[static_cast<std::size_t>(
           rng.next_below(opts.power_loss_sites.size()))];
-      auto [t0, t1] = window(opts.min_outage, opts.max_outage);
+      auto [t0, t1] = window(kMinOutage, kMaxOutage);
       FaultEvent loss;
       loss.at = t0;
       loss.kind = FaultEvent::Kind::power_loss;

@@ -65,19 +65,12 @@ struct ScheduleOptions {
   std::vector<NodeId> crashable;  ///< typically the data-provider nodes
   std::size_t crashes{2};
   std::size_t max_wipe_crashes{0};
-  SimDuration min_downtime{simtime::seconds(5)};
-  SimDuration max_downtime{simtime::seconds(40)};
 
   std::size_t site_count{0};  ///< link faults need >= 2 sites
   std::size_t partitions{1};
   std::size_t degrades{1};
-  double max_drop_prob{0.3};
-  SimDuration max_extra_latency{simtime::millis(200)};
-  SimDuration min_link_fault{simtime::seconds(5)};
-  SimDuration max_link_fault{simtime::seconds(30)};
 
   std::size_t disk_slowdowns{1};
-  double min_disk_factor{0.1};
 
   /// Correlated site-wide power losses (every node at the site crashes with
   /// a torn journal tail, then power returns). Off by default — and every
@@ -85,8 +78,6 @@ struct ScheduleOptions {
   /// seeded schedules stay bit-identical.
   std::size_t power_losses{0};
   std::vector<net::SiteId> power_loss_sites;  ///< candidate sites
-  SimDuration min_outage{simtime::seconds(5)};
-  SimDuration max_outage{simtime::seconds(30)};
   /// Probability that a scheduled crash leaves a torn journal tail.
   double torn_tail_prob{0.0};
   /// Journaled stores need time to replay after the last restart; shrink
@@ -95,7 +86,7 @@ struct ScheduleOptions {
   SimDuration worst_case_recovery{0};
 
   /// Long partition/heal pairs for disruption-tolerance chaos: outages an
-  /// order of magnitude beyond `max_link_fault`, long enough for custody
+  /// order of magnitude beyond the 30 s link faults, long enough for custody
   /// queues to fill and reconciliation to matter. Off by default, and the
   /// generator only draws from the RNG when enabled, so existing seeded
   /// schedules stay bit-identical.

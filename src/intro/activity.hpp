@@ -13,9 +13,12 @@
 
 namespace bs::intro {
 
+/// How long the introspection layer keeps activity and series samples.
+inline constexpr SimDuration kRetention = simtime::minutes(10);
+
 class UserActivityHistory {
  public:
-  explicit UserActivityHistory(SimDuration retention = simtime::minutes(10))
+  explicit UserActivityHistory(SimDuration retention = kRetention)
       : retention_(retention) {}
 
   /// Ingests one client-domain record (others are ignored).

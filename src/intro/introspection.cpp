@@ -4,9 +4,12 @@
 
 namespace bs::intro {
 
-IntrospectionService::IntrospectionService(rpc::Node& node,
-                                           IntrospectionOptions options)
-    : node_(node), options_(options), activity_(options.retention) {
+namespace {
+constexpr SimDuration kPruneInterval = simtime::seconds(30);
+constexpr SimDuration kAnalysisWindow = simtime::seconds(10);
+}  // namespace
+
+IntrospectionService::IntrospectionService(rpc::Node& node) : node_(node) {
   node_.serve<mon::MonStoreReq, mon::MonStoreResp>(
       [this](const mon::MonStoreReq& req,
              const rpc::Envelope&) -> sim::Task<Result<mon::MonStoreResp>> {
@@ -26,10 +29,10 @@ void IntrospectionService::start() {
 sim::Task<void> IntrospectionService::prune_loop() {
   auto& sim = node_.cluster().sim();
   while (running_ && node_.up()) {
-    co_await sim.delay(options_.prune_interval);
+    co_await sim.delay(kPruneInterval);
     if (!running_) break;
     activity_.prune(sim.now());
-    const SimTime cutoff = sim.now() - options_.retention;
+    const SimTime cutoff = sim.now() - kRetention;
     if (cutoff > 0) {
       // Per-series transform, no cross-series state: order-insensitive.
       series_.for_each_unordered([&](const mon::RecordKey&, TimeSeries& ts) {
@@ -65,8 +68,8 @@ std::vector<mon::RecordKey> IntrospectionService::keys() const {
 
 SystemSnapshot IntrospectionService::snapshot() const {
   const SimTime now = node_.cluster().sim().now();
-  const SimTime from = now - options_.analysis_window;
-  const double window_sec = simtime::to_seconds(options_.analysis_window);
+  const SimTime from = now - kAnalysisWindow;
+  const double window_sec = simtime::to_seconds(kAnalysisWindow);
 
   SystemSnapshot snap;
   snap.time = now;
@@ -160,12 +163,11 @@ SystemSnapshot IntrospectionService::snapshot() const {
   snap.avg_cpu = cpu_stats.mean();
   snap.max_cpu = cpu_stats.max();
 
-  const auto active =
-      activity_.active_clients(options_.analysis_window, now);
+  const auto active = activity_.active_clients(kAnalysisWindow, now);
   snap.active_clients = active.size();
   for (ClientId c : active) {
-    snap.rejected_rate += activity_.rate(c, mon::Metric::rejected_ops,
-                                         options_.analysis_window, now);
+    snap.rejected_rate +=
+        activity_.rate(c, mon::Metric::rejected_ops, kAnalysisWindow, now);
   }
   return snap;
 }

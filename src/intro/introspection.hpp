@@ -59,16 +59,9 @@ struct SystemSnapshot {
   }
 };
 
-struct IntrospectionOptions {
-  SimDuration retention{simtime::minutes(10)};
-  SimDuration prune_interval{simtime::seconds(30)};
-  SimDuration analysis_window{simtime::seconds(10)};
-};
-
 class IntrospectionService {
  public:
-  IntrospectionService(rpc::Node& node,
-                       IntrospectionOptions options = IntrospectionOptions());
+  explicit IntrospectionService(rpc::Node& node);
 
   void start();
   void stop() { running_ = false; }
@@ -79,7 +72,7 @@ class IntrospectionService {
     return activity_;
   }
 
-  /// Builds a snapshot over the configured analysis window.
+  /// Builds a snapshot over the trailing 10 s analysis window.
   [[nodiscard]] SystemSnapshot snapshot() const;
 
   /// Raw series access for visualization (provider/blob/node/system data
@@ -94,7 +87,6 @@ class IntrospectionService {
   void ingest(const mon::Record& record);
 
   rpc::Node& node_;
-  IntrospectionOptions options_;
   UserActivityHistory activity_;
   // Interned store: hashed O(1) ingest; snapshot()/keys() traverse in
   // sorted key order so aggregation and the viz layer see the order the

@@ -4,6 +4,11 @@
 
 namespace bs::mon {
 
+namespace {
+constexpr std::size_t kMaxBatch = 512;  ///< events per report message
+constexpr SimDuration kGaugeInterval = simtime::seconds(2);
+}  // namespace
+
 Instrument::Instrument(rpc::Node& node, NodeId monitoring_service,
                        InstrumentOptions options)
     : node_(node), service_(monitoring_service), options_(options) {}
@@ -39,7 +44,7 @@ sim::Task<void> Instrument::flush_loop() {
     co_await sim.delay(options_.flush_interval);
     if (!running_ || !node_.up()) break;
     while (!buffer_.empty()) {
-      const std::size_t n = std::min(options_.max_batch, buffer_.size());
+      const std::size_t n = std::min(kMaxBatch, buffer_.size());
       std::vector<MetricEvent> batch(buffer_.begin(),
                                      buffer_.begin() +
                                          static_cast<std::ptrdiff_t>(n));
@@ -68,7 +73,7 @@ sim::Task<void> Instrument::send_batch(std::vector<MetricEvent> batch) {
 sim::Task<void> Instrument::gauge_loop() {
   auto& sim = node_.cluster().sim();
   while (running_ && node_.up()) {
-    co_await sim.delay(options_.gauge_interval);
+    co_await sim.delay(kGaugeInterval);
     if (!running_ || !node_.up()) break;
     for (const auto& g : gauges_) {
       MetricEvent ev;

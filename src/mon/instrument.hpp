@@ -16,9 +16,7 @@ namespace bs::mon {
 
 struct InstrumentOptions {
   SimDuration flush_interval{simtime::seconds(1)};
-  std::size_t max_batch{512};      ///< events per report message
   std::size_t buffer_limit{65536}; ///< emits beyond this are dropped
-  SimDuration gauge_interval{simtime::seconds(2)};
 };
 
 class Instrument {

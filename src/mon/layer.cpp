@@ -13,8 +13,7 @@ MonitoringLayer::MonitoringLayer(blob::Deployment& deployment,
   std::vector<NodeId> storage_ids;
   for (std::size_t i = 0; i < config_.storage_servers; ++i) {
     rpc::Node* n = cluster.add_node(dep_.next_site());
-    storage_.push_back(
-        std::make_unique<MonStorageServer>(*n, config_.storage));
+    storage_.push_back(std::make_unique<MonStorageServer>(*n));
     storage_ids.push_back(n->id());
   }
 

@@ -21,7 +21,6 @@ struct MonitoringConfig {
   std::size_t storage_servers{2};
   InstrumentOptions instrument{};
   SimDuration service_flush_interval{simtime::seconds(1)};
-  MonStorageOptions storage{};
   std::vector<NodeId> sinks;  ///< push targets (introspection layer)
 };
 

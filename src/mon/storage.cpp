@@ -4,6 +4,11 @@
 
 namespace bs::mon {
 
+namespace {
+constexpr std::size_t kDrainBatch = 512;  ///< records per disk write
+constexpr SimDuration kDrainInterval = simtime::millis(200);
+}  // namespace
+
 MonStorageServer::MonStorageServer(rpc::Node& node, MonStorageOptions options)
     : node_(node), options_(options), cache_(options.cache_capacity) {
   node_.serve<MonStoreReq, MonStoreResp>(
@@ -59,12 +64,12 @@ void MonStorageServer::start() {
 sim::Task<void> MonStorageServer::drain_loop() {
   auto& sim = node_.cluster().sim();
   while (running_ && node_.up()) {
-    co_await sim.delay(options_.drain_interval);
+    co_await sim.delay(kDrainInterval);
     if (!running_ || !node_.up()) break;
     while (!cache_.empty()) {
       std::vector<Record> batch;
-      batch.reserve(options_.drain_batch);
-      while (batch.size() < options_.drain_batch && !cache_.empty()) {
+      batch.reserve(kDrainBatch);
+      while (batch.size() < kDrainBatch && !cache_.empty()) {
         batch.push_back(*cache_.pop());
       }
       co_await write_to_disk(std::move(batch));

@@ -16,8 +16,6 @@ namespace bs::mon {
 
 struct MonStorageOptions {
   std::size_t cache_capacity{8192};  ///< records buffered ahead of the disk
-  std::size_t drain_batch{512};      ///< records per disk write
-  SimDuration drain_interval{simtime::millis(200)};
   double record_disk_bytes{64};      ///< on-disk footprint per record
   bool cache_enabled{true};          ///< ablation: false = synchronous disk
 };

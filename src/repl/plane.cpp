@@ -16,7 +16,7 @@ ReplicationPlane::ReplicationPlane(rpc::Cluster& cluster,
   const std::size_t sites = cluster_.topology().site_count();
   for (net::SiteId s = 0; s < sites; ++s) {
     PerSite ps;
-    ps.node = cluster_.add_node(s, opts_.egress_spec);
+    ps.node = cluster_.add_node(s);
     ps.egress = std::make_unique<SiteEgress>(*ps.node, s, opts_.egress);
     ps.egress->set_peer_resolver([this](net::SiteId site) {
       auto it = sites_.find(site);

@@ -36,7 +36,6 @@ namespace bs::repl {
 struct ReplOptions {
   EgressOptions egress{};
   ReconcilerOptions reconcile{};
-  rpc::NodeSpec egress_spec{};
 };
 
 class ReplicationPlane {

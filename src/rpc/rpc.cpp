@@ -7,6 +7,10 @@
 
 namespace bs::rpc {
 
+namespace {
+constexpr double kNicBps = net::gbit_per_sec(1.0);  ///< per direction
+}  // namespace
+
 namespace detail {
 std::size_t next_message_id() {
   static std::size_t next = 0;
@@ -19,8 +23,8 @@ Node::Node(Cluster& cluster, NodeId id, net::SiteId site,
     : cluster_(cluster), id_(id), site_(site), spec_(spec) {
   auto& flows = cluster.flows();
   const std::string base = "node" + std::to_string(id.value);
-  nic_tx_ = flows.create_resource(base + ".tx", spec.nic_bps);
-  nic_rx_ = flows.create_resource(base + ".rx", spec.nic_bps);
+  nic_tx_ = flows.create_resource(base + ".tx", kNicBps);
+  nic_rx_ = flows.create_resource(base + ".rx", kNicBps);
   disk_ = flows.create_resource(base + ".disk", spec.disk_bps);
   service_sem_ = std::make_unique<sim::Semaphore>(
       cluster.sim(), std::max<std::size_t>(1, spec.service_concurrency));
@@ -84,12 +88,10 @@ Node* Cluster::node(NodeId id) {
   return nodes_[id.value].get();
 }
 
-SimDuration Cluster::control_delay(const Node& a, const Node& b,
-                                   std::uint64_t bytes) {
+SimDuration Cluster::control_delay(std::uint64_t bytes) {
   // Control-plane message: pure serialization delay, no contention. Keeps
   // the flow scheduler's active set small while the data plane dominates.
-  const double rate = std::min(a.spec().nic_bps, b.spec().nic_bps);
-  return simtime::seconds(static_cast<double>(bytes) / rate);
+  return simtime::seconds(static_cast<double>(bytes) / kNicBps);
 }
 
 // Not a coroutine: the caller awaits the flow's own task directly.
@@ -224,7 +226,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
     co_await transmit(src, dst, req_bytes,
                       payload_to_disk ? dst->disk() : nullptr);
   } else if (req_bytes > 0) {
-    co_await sim_.delay(control_delay(*src, *dst, req_bytes));
+    co_await sim_.delay(control_delay(req_bytes));
   }
   if (!dst_alive()) {
     settle(Error{Errc::unavailable, "destination crashed"});
@@ -352,7 +354,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
     co_await transmit(dst, src, resp.wire_size,
                       resp.from_disk ? dst->disk() : nullptr);
   } else if (resp.wire_size > 0) {
-    co_await sim_.delay(control_delay(*dst, *src, resp.wire_size));
+    co_await sim_.delay(control_delay(resp.wire_size));
   }
   if (!dst_alive()) co_return;  // crashed before the last byte left
   if (!src_alive()) co_return;  // caller crashed while the response flew

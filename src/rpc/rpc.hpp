@@ -104,11 +104,10 @@ struct RequestInfo {
   Errc outcome{Errc::ok};
 };
 
-/// Hardware description of a simulated machine.
+/// Hardware description of a simulated machine. Every NIC runs at 1 Gb/s
+/// per direction, full duplex (`kNicBps` in rpc.cpp).
 struct NodeSpec {
-  double nic_bps{net::gbit_per_sec(1.0)};   ///< full-duplex per direction
   double disk_bps{net::mb_per_sec(400.0)};
-  std::uint64_t disk_capacity{64ull * units::GB};
   std::size_t service_concurrency{4};       ///< parallel request slots
   SimDuration service_overhead{simtime::micros(300)};  ///< per request
   /// Requests queued beyond this are rejected with `unavailable`
@@ -386,10 +385,8 @@ class Cluster {
                             bool payload_to_disk, CallOptions opts);
 
   /// Serialization delay of a control-plane message (under
-  /// kFlowThreshold) from a to b: no contention, the slower NIC sets the
-  /// rate.
-  static SimDuration control_delay(const Node& a, const Node& b,
-                                   std::uint64_t bytes);
+  /// kFlowThreshold) at NIC rate: no contention.
+  static SimDuration control_delay(std::uint64_t bytes);
 
   /// Moves a data-plane message of `bytes` (at least kFlowThreshold) from
   /// a to b as a flow over a's NIC, b's NIC and `extra`, if any (e.g. the

@@ -38,11 +38,12 @@ sim::Task<void> DetectionEngine::scan_loop() {
 }
 
 std::vector<Violation> DetectionEngine::scan() {
+  // Clients quiet for longer than this are skipped.
+  constexpr SimDuration kActivityHorizon = simtime::seconds(60);
   ++scans_;
   const SimTime now = sim_.now();
   std::vector<Violation> out;
-  for (ClientId client :
-       activity_.active_clients(options_.activity_horizon, now)) {
+  for (ClientId client : activity_.active_clients(kActivityHorizon, now)) {
     // A blocked client cannot act; skip to avoid double sanctions.
     if (enforcement_.is_blocked(client, now)) continue;
     bool violated_any = false;

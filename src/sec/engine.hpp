@@ -15,8 +15,6 @@ struct DetectionOptions {
   /// After firing, the same (client, policy) pair is not re-evaluated for
   /// this long (prevents re-flagging an already-sanctioned attack).
   SimDuration refractory{simtime::seconds(30)};
-  /// Clients quiet for longer than this are skipped.
-  SimDuration activity_horizon{simtime::seconds(60)};
 };
 
 class DetectionEngine {

@@ -125,7 +125,7 @@ enum class Tok {
 
 struct Token {
   Tok kind{Tok::end};
-  std::string text;
+  std::string text;  ///< identifier, string, or a number as written
   double number{0};
   std::string unit;  ///< suffix attached to a number (MB, s, ...)
   int line{1};
@@ -175,8 +175,8 @@ class Lexer {
             }
           }
         }
-        t.number = std::strtod(src_.substr(start, pos_ - start).c_str(),
-                               nullptr);
+        t.text = src_.substr(start, pos_ - start);
+        t.number = std::strtod(t.text.c_str(), nullptr);
         // Optional unit suffix glued to the number (10s, 500MB).
         while (pos_ < src_.size() &&
                std::isalpha(static_cast<unsigned char>(src_[pos_]))) {
@@ -441,7 +441,7 @@ class Parser {
   Result<double> number_with_unit(const Token& t) {
     if (t.unit.empty()) return t.number;
     // Try bytes then duration (durations normalize to seconds for eval).
-    const std::string text = std::to_string(t.number) + t.unit;
+    const std::string text = t.text + t.unit;
     if (auto b = parse_bytes(text); b.ok()) {
       return static_cast<double>(b.value());
     }
@@ -455,10 +455,11 @@ class Parser {
 
   Result<SimDuration> duration_arg() {
     if (peek().kind != Tok::number) return err("expected duration");
-    const Token t = take();
-    if (t.unit.empty()) return simtime::seconds(t.number);
-    auto d = parse_duration(std::to_string(t.number) + t.unit);
-    if (!d.ok()) return err("bad duration unit '" + t.unit + "'");
+    const Token& t = peek();  // taken once parsed, so errors quote its line
+    // A bare number counts seconds.
+    auto d = parse_duration(t.text + (t.unit.empty() ? "s" : t.unit));
+    if (!d.ok()) return err(d.error().message);
+    take();
     return d.value();
   }
 

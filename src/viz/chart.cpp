@@ -22,6 +22,9 @@ std::string format_si(double value) {
 }
 
 namespace {
+constexpr std::size_t kWidth = 72;   ///< line-chart plot columns
+constexpr std::size_t kHeight = 12;  ///< line-chart plot rows
+
 std::vector<double> resample_to(const std::vector<double>& in,
                                 std::size_t width) {
   std::vector<double> out(width, 0.0);
@@ -48,7 +51,7 @@ std::string line_chart(const std::string& title,
   double lo = 0, hi = 1e-9;
   std::vector<std::vector<double>> plots;
   for (const auto& s : series) {
-    plots.push_back(resample_to(s, options.width));
+    plots.push_back(resample_to(s, kWidth));
     for (double v : plots.back()) {
       lo = std::min(lo, v);
       hi = std::max(hi, v);
@@ -57,30 +60,29 @@ std::string line_chart(const std::string& title,
   const double span = hi - lo > 0 ? hi - lo : 1.0;
   static const char* kGlyphs = "*o+x#%@&";
 
-  std::vector<std::string> grid(
-      options.height, std::string(options.width, ' '));
+  std::vector<std::string> grid(kHeight, std::string(kWidth, ' '));
   for (std::size_t s = 0; s < plots.size(); ++s) {
     const char glyph = kGlyphs[s % 8];
-    for (std::size_t x = 0; x < options.width; ++x) {
+    for (std::size_t x = 0; x < kWidth; ++x) {
       const double norm = (plots[s][x] - lo) / span;
       auto y = static_cast<std::size_t>(
-          norm * static_cast<double>(options.height - 1) + 0.5);
-      y = std::min(y, options.height - 1);
-      grid[options.height - 1 - y][x] = glyph;
+          norm * static_cast<double>(kHeight - 1) + 0.5);
+      y = std::min(y, kHeight - 1);
+      grid[kHeight - 1 - y][x] = glyph;
     }
   }
 
   char label[32];
-  for (std::size_t r = 0; r < options.height; ++r) {
+  for (std::size_t r = 0; r < kHeight; ++r) {
     const double y_val =
-        hi - (static_cast<double>(r) / (options.height - 1)) * span;
+        hi - (static_cast<double>(r) / (kHeight - 1)) * span;
     std::snprintf(label, sizeof(label), "%10s |",
                   format_si(y_val).c_str());
     out += label;
     out += grid[r];
     out += '\n';
   }
-  out += std::string(11, ' ') + '+' + std::string(options.width, '-') + '\n';
+  out += std::string(11, ' ') + '+' + std::string(kWidth, '-') + '\n';
   if (!names.empty()) {
     out += "  legend: ";
     for (std::size_t s = 0; s < names.size(); ++s) {
@@ -97,8 +99,7 @@ std::string line_chart(const std::string& title,
 std::string series_chart(const std::string& title, const TimeSeries& ts,
                          SimTime from, SimTime to, ChartOptions options) {
   const SimDuration step =
-      std::max<SimDuration>((to - from) / static_cast<SimTime>(options.width),
-                            1);
+      std::max<SimDuration>((to - from) / static_cast<SimTime>(kWidth), 1);
   return line_chart(title, {}, {ts.resample(from, to, step)}, options);
 }
 

@@ -10,12 +10,10 @@
 namespace bs::viz {
 
 struct ChartOptions {
-  std::size_t width{72};   ///< plot columns
-  std::size_t height{12};  ///< plot rows
   std::string y_label;
 };
 
-/// Multi-series ASCII line chart; series are resampled to `width` buckets.
+/// Multi-series ASCII line chart, 12 rows by 72 resampled columns.
 std::string line_chart(const std::string& title,
                        const std::vector<std::string>& names,
                        const std::vector<std::vector<double>>& series,

@@ -4,6 +4,10 @@
 
 namespace bs::workload {
 
+namespace {
+constexpr std::uint64_t kAttackPayloadBytes = 4096;  ///< per attack request
+}  // namespace
+
 // bslint: allow(coro-ref-param): the harness owns every BlobClient for
 // the full run and joins all workload tasks before teardown
 sim::Task<void> Writer::run(blob::BlobClient& client, BlobId blob,
@@ -126,8 +130,7 @@ sim::Task<void> DosAttacker::run(rpc::Node& node, ClientId id,
     // Garbage chunks under a fabricated blob id — the attack bypasses the
     // version manager entirely.
     req.key = blob::ChunkKey{BlobId{0xDD05u}, id.value, seq++};
-    req.payload = blob::Payload::synthetic(options.payload_bytes,
-                                           rng.next_u64());
+    req.payload = blob::Payload::synthetic(kAttackPayloadBytes, rng.next_u64());
     if (stats != nullptr) ++stats->sent;
     // Fire-and-forget at the configured rate: a flooder does not wait for
     // responses before sending the next request.

@@ -51,7 +51,6 @@ class Reader {
 
 struct AttackerOptions {
   double request_rate{200.0};          ///< small writes per second
-  std::uint64_t payload_bytes{4096};
   SimTime start{0};
   SimTime deadline{simtime::kInfinite};
   std::uint64_t rng_seed{13};

@@ -30,6 +30,16 @@ using cloud::S3PutObjectResp;
 using cloud::S3UploadPartReq;
 using cloud::S3UploadPartResp;
 
+constexpr std::uint64_t kMinObjectChunks = 1;
+constexpr double kHotKeySkew = 0.9;  ///< zipf s over a tenant's key space
+/// Probability a fresh upload goes through the multipart path.
+constexpr double kMultipartFraction = 0.25;
+/// Probability an overwrite of an existing object ships a delta instead
+/// of the full payload.
+constexpr double kDeltaFraction = 0.6;
+constexpr double kDeltaChangeRatio = 0.25;  ///< chunks changed per delta
+constexpr std::uint64_t kSharedPool = 64;   ///< distinct shared contents
+
 /// A tenant's view of one of its objects: chunk layout and per-chunk
 /// content checksums, enough to compute deltas against the live version.
 struct KeyState {
@@ -75,7 +85,7 @@ sim::Task<void> run_tenant(rpc::Node& node, NodeId gw,
                            std::uint64_t* digest_slot) {
   auto& cluster = node.cluster();
   auto& sim = cluster.sim();
-  const ClientId user{cfg.first_tenant_id + tenant};
+  const ClientId user{kFirstTenantId + tenant};
   const std::string bucket = "t" + std::to_string(tenant);
   const std::uint64_t cs = cfg.chunk_size;
   Rng rng(hash_combine(cfg.rng_seed, tenant));
@@ -94,14 +104,14 @@ sim::Task<void> run_tenant(rpc::Node& node, NodeId gw,
   };
   auto content_sum = [&]() {
     if (rng.chance(cfg.shared_content_ratio)) {
-      return fnv1a_u64(0x5A5Aull ^ rng.next_below(cfg.shared_pool));
+      return fnv1a_u64(0x5A5Aull ^ rng.next_below(kSharedPool));
     }
     return fnv1a_u64((static_cast<std::uint64_t>(tenant) << 40) | ++uniq);
   };
   auto fresh_layout = [&]() {
     KeyState k;
     k.chunks = static_cast<std::uint64_t>(rng.uniform_int(
-        static_cast<std::int64_t>(cfg.min_object_chunks),
+        static_cast<std::int64_t>(kMinObjectChunks),
         static_cast<std::int64_t>(cfg.max_object_chunks)));
     k.tail = rng.chance(0.3) ? 1 + rng.next_below(cs) : cs;
     k.sums.resize(k.chunks);
@@ -118,7 +128,7 @@ sim::Task<void> run_tenant(rpc::Node& node, NodeId gw,
   }
 
   for (std::uint32_t op = 0; op < cfg.ops_per_tenant; ++op) {
-    const std::uint64_t rank = rng.zipf(cfg.keys_per_tenant, cfg.hot_key_skew);
+    const std::uint64_t rank = rng.zipf(cfg.keys_per_tenant, kHotKeySkew);
     const std::string key = "obj" + std::to_string(rank);
     fold(rank);
     auto it = objects.find(key);
@@ -126,13 +136,12 @@ sim::Task<void> run_tenant(rpc::Node& node, NodeId gw,
     const double roll = rng.next_double();
 
     if (roll < 0.55 || (roll < 0.85 && !exists)) {
-      if (exists && rng.chance(cfg.delta_fraction)) {
+      if (exists && rng.chance(kDeltaFraction)) {
         // Delta overwrite: same layout, a subset of chunks changed.
         KeyState next = it->second;
         const std::uint64_t changed = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   cfg.delta_change_ratio *
-                   static_cast<double>(next.chunks)));
+            1, static_cast<std::uint64_t>(kDeltaChangeRatio *
+                                          static_cast<double>(next.chunks)));
         S3PutDeltaReq req;
         req.bucket = bucket;
         req.key = key;
@@ -168,7 +177,7 @@ sim::Task<void> run_tenant(rpc::Node& node, NodeId gw,
         } else {
           fold_err(r.code());
         }
-      } else if (rng.chance(cfg.multipart_fraction)) {
+      } else if (rng.chance(kMultipartFraction)) {
         // Multipart ingest: parts of the same object uploaded concurrently.
         KeyState next = fresh_layout();
         const std::uint32_t parts = std::max<std::uint32_t>(

@@ -11,6 +11,9 @@
 
 namespace bs::workload {
 
+/// Tenant t runs as ClientId{kFirstTenantId + t}.
+inline constexpr std::uint64_t kFirstTenantId = 1000;
+
 struct GatewayTraceConfig {
   std::uint32_t tenants{4};
   std::uint32_t keys_per_tenant{32};
@@ -18,22 +21,12 @@ struct GatewayTraceConfig {
   /// Must match the gateway's object_chunk_size: delta ops and per-chunk
   /// content checksums are computed at this granularity.
   std::uint64_t chunk_size{4 * units::MB};
-  std::uint64_t min_object_chunks{1};
   std::uint64_t max_object_chunks{8};
-  double hot_key_skew{0.9};  ///< zipf s over a tenant's key space
-  /// Probability a fresh upload goes through the multipart path.
-  double multipart_fraction{0.25};
   std::uint32_t multipart_parts{4};
-  /// Probability an overwrite of an existing object ships a delta instead
-  /// of the full payload.
-  double delta_fraction{0.6};
-  double delta_change_ratio{0.25};  ///< fraction of chunks changed per delta
   /// Probability a chunk's content comes from the cross-tenant shared pool
   /// (the dedup opportunity); otherwise the content is tenant-unique.
   double shared_content_ratio{0.5};
-  std::uint64_t shared_pool{64};  ///< distinct shared chunk contents
   SimDuration think_time{simtime::millis(20)};
-  std::uint64_t first_tenant_id{1000};
   std::uint64_t rng_seed{42};
 };
 

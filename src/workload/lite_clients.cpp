@@ -7,6 +7,8 @@ namespace bs::workload {
 namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+/// Fraction of requests that also message a random remote site.
+constexpr double kCrossSiteFraction = 0.05;
 
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * kFnvPrime;
@@ -70,7 +72,7 @@ void LiteClientPool::on_tick(Shard& shard, std::uint32_t idx) {
   st.mix = fnv_mix(st.mix, (static_cast<std::uint64_t>(idx) << 20) ^ bytes);
 
   const std::size_t sites = shards_.size();
-  if (sites > 1 && shard.rng.chance(params_.cross_site_fraction)) {
+  if (sites > 1 && shard.rng.chance(kCrossSiteFraction)) {
     std::size_t dst = shard.rng.next_below(sites - 1);
     if (dst >= shard.site) ++dst;
     ++st.cross_sent;

@@ -29,8 +29,6 @@ struct LiteParams {
   SimTime end{simtime::minutes(120)};  ///< ticks past this are not rescheduled
   /// Mean think time between a client's requests at peak diurnal load.
   SimDuration mean_period{simtime::seconds(300)};
-  /// Fraction of requests that also message a random remote site.
-  double cross_site_fraction{0.05};
   std::uint64_t seed{0x11e7'c11e'7001ull};
   /// Declare the population to Simulation::reserve(), which engages the
   /// far ladder at scale. bench_million_clients turns it off for its

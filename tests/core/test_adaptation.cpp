@@ -4,9 +4,11 @@
 
 #include "core/controller.hpp"
 #include "core/elasticity.hpp"
+#include "core/protection.hpp"
 #include "core/removal.hpp"
 #include "core/replication.hpp"
 #include "mon/layer.hpp"
+#include "sec/framework.hpp"
 #include "test_util.hpp"
 #include "workload/clients.hpp"
 
@@ -337,6 +339,36 @@ TEST(Controller, ExecutorDrainMigratesChunks) {
   auto read = test::run_task(sim, client->read(*blob, 0, 20 * units::MB));
   ASSERT_TRUE(read.ok()) << read.error().to_string();
   EXPECT_EQ(read.value().bytes, 20 * units::MB);
+}
+
+TEST(Protection, RelaxesToTheScanIntervalItHardenedFrom) {
+  sim::Simulation sim;
+  intro::UserActivityHistory activity;
+  sec::SecurityConfig scfg;
+  scfg.detection.scan_interval = simtime::seconds(3);
+  sec::SecurityFramework security(sim, activity, scfg);
+  AgentContext ctx;
+  ctx.security = &security;
+  ProtectionModule mod;
+  KnowledgeBase kb;
+  // Runs one analysis at `rejected` rejections/s and applies what it plans.
+  auto step = [&](double rejected) {
+    intro::SystemSnapshot snap;
+    snap.rejected_rate = rejected;
+    kb.update(snap);
+    auto actions = test::run_task(sim, mod.analyze(kb, ctx));
+    for (const auto& a : actions) {
+      EXPECT_EQ(a.type, AdaptAction::Type::set_scan_interval);
+      security.engine().set_scan_interval(a.duration);
+    }
+    return actions.size();
+  };
+  EXPECT_EQ(step(50), 1u);  // under attack: harden
+  EXPECT_EQ(security.engine().scan_interval(), simtime::seconds(2));
+  EXPECT_EQ(step(50), 0u);  // already hardened
+  EXPECT_EQ(step(0), 1u);   // quiet: relax to the configured 3 s, not 5 s
+  EXPECT_EQ(security.engine().scan_interval(), simtime::seconds(3));
+  EXPECT_EQ(step(0), 0u);
 }
 
 TEST(Controller, KnowledgeHistoryBounded) {

@@ -149,7 +149,8 @@ ChaosOutcome run_chaos(std::uint64_t seed, const ChaosScenario& sc) {
     // Every object the gateway lists must read back whole, as its tenant.
     rpc::Cluster& cl = dep.cluster();
     for (std::uint32_t t = 0; t < tcfg.tenants; ++t) {
-      const rpc::CallOptions opts{.client = ClientId{tcfg.first_tenant_id + t}};
+      const rpc::CallOptions opts{
+          .client = ClientId{workload::kFirstTenantId + t}};
       cloud::S3ListObjectsReq ls;
       ls.bucket = "t" + std::to_string(t);
       auto listed = run_task(

@@ -519,7 +519,7 @@ TEST_P(CrashMatrix, SecondCrashInsideMountAbortsTheReplay) {
   crash();
   settle(simtime::seconds(1));
   node_->restart();
-  settle(blob::DiskModel{}.mount_latency / 2);
+  settle(blob::kMountLatency / 2);
   ASSERT_TRUE(recovering());
   crash();
   settle(simtime::seconds(10));
@@ -544,7 +544,7 @@ TEST_P(CrashMatrix, EveryReplayAttemptIsTracedAndCounted) {
   crash();
   settle(simtime::seconds(1));
   node_->restart();
-  settle(blob::DiskModel{}.mount_latency / 2);
+  settle(blob::kMountLatency / 2);
   crash();
   settle(simtime::seconds(1));
   restart_until_readable();

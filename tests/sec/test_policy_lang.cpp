@@ -67,6 +67,13 @@ TEST(PolicyParser, ByteAndDurationUnits) {
   auto r = parse_policies(
       "policy u { when total(write_bytes, 500ms) > 2GB; then log; }");
   ASSERT_TRUE(r.ok()) << r.error().to_string();
+  // Durations keep every written digit; a bare number counts seconds.
+  auto fine = parse_policies(
+      "policy f { when trust() < 1;"
+      "           then block(0.0000005s), throttle(1, 1.5); }");
+  ASSERT_TRUE(fine.ok()) << fine.error().to_string();
+  EXPECT_EQ(fine.value()[0].actions[0].duration, 500);
+  EXPECT_EQ(fine.value()[0].actions[1].duration, simtime::millis(1500));
 }
 
 TEST(PolicyParser, ErrorsCarryLineNumbers) {
@@ -80,6 +87,10 @@ TEST(PolicyParser, ErrorsCarryLineNumbers) {
       "policy p { when trust() < 1; then explode(); }",
       "policy p { when rate(write_ops, 1s) > 1; then block(10s) ",  // eof
       "policy p { when rate(write_ops, 1 parsecs) > 1; then log; }",
+      // Durations that are negative or overflow simulated nanoseconds.
+      "policy p { when trust() < 1; then block(1e12s); }",
+      "policy p { when trust() < 1; then block(1e12); }",
+      "policy p { when trust() < 1; then block(-60s); }",
   };
   for (const auto& src : cases) {
     auto r = parse_policies(src);
@@ -89,6 +100,11 @@ TEST(PolicyParser, ErrorsCarryLineNumbers) {
       EXPECT_NE(r.error().message.find("line"), std::string::npos);
     }
   }
+  // A bad duration quotes its own line, not the next token's.
+  auto r = parse_policies(
+      "policy p {\n  when trust() < 1;\n  then block(1e12s\n  );\n}\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().message.rfind("line 3: ", 0), 0u) << r.error().message;
 }
 
 TEST(PolicyParser, DefaultPolicySourceParses) {

@@ -163,6 +163,58 @@ TEST(SimLanes, PendingCountsAllTiers) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(SimLanes, FarPushTakesTheSlotItsPopVacated) {
+  // Far slots are reused most recently freed first: a push from a body the
+  // stage just popped lands in the slot that pop vacated, still in cache
+  // (DESIGN.md "One event queue and the far ladder"). Oldest first runs
+  // the same events, so only addresses show the difference: a
+  // 16-byte body notes the last move it made, whose source is the slot its
+  // pop vacated when it runs, and whose destination is the slot its push
+  // took when schedule_at returns. Only every other event re-arms, so a
+  // push finds several freed slots in the consumed hole; with one push per
+  // pop the hole holds one and both orders pick it.
+  struct Log {
+    Simulation sim;
+    const void* moved_from{nullptr};
+    const void* moved_to{nullptr};
+    std::uint64_t runs{0};
+    std::uint64_t pushes{0};
+    std::uint64_t own_slot{0};
+  };
+  struct Body {
+    Log* log;
+    SimDuration delay;
+    Body(Log* l, SimDuration d) : log(l), delay(d) {}
+    Body(Body&& o) noexcept : log(o.log), delay(o.delay) {
+      log->moved_from = &o;
+      log->moved_to = this;
+    }
+    void operator()() {
+      Log& l = *log;
+      const void* vacated = l.moved_from;
+      if (++l.runs % 2 != 0) return;
+      l.sim.schedule_at(l.sim.now() + delay, Body(log, delay));
+      ++l.pushes;
+      if (l.moved_to == vacated) ++l.own_slot;
+    }
+  };
+  static_assert(sizeof(Body) == 16 && InlineCallback::fits_inline<Body>());
+
+  constexpr std::size_t kEvents = 1 << 14;  // the engage threshold
+  Log log;
+  log.sim.reserve(kEvents);
+  // Distinct times, and re-arms beyond every queued one: each event runs
+  // off the stage and each push goes to the far pool.
+  constexpr auto kDelay = static_cast<SimDuration>(2 * kEvents);
+  for (std::size_t i = 1; i <= kEvents; ++i) {
+    log.sim.schedule_at(static_cast<SimTime>(i), Body(&log, kDelay));
+  }
+  log.sim.run();
+  EXPECT_EQ(log.runs, 2 * kEvents - 1);
+  EXPECT_EQ(log.pushes, kEvents - 1);
+  EXPECT_EQ(log.own_slot, log.pushes);
+}
+
 // ---------------------------------------------------------------- lite pool
 
 std::uint64_t lite_digest(bool ladder, std::uint64_t seed,
