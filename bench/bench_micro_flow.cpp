@@ -30,7 +30,8 @@ void BM_FlowArrivalDeparture(benchmark::State& state) {
   const bool shared = state.range(1) != 0;
   const bool incremental = state.range(2) != 0;
   sim::Simulation sim;
-  net::FlowScheduler flows(sim, {.incremental = incremental});
+  net::FlowScheduler flows(sim);
+  flows.set_incremental(incremental);
   auto* churn_link = flows.create_resource("churn", net::mb_per_sec(1000));
   auto* shared_link = flows.create_resource("shared", net::mb_per_sec(1000));
   for (int i = 0; i < background; ++i) {

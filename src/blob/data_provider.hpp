@@ -107,7 +107,7 @@ class DataProvider {
   };
 
  private:
-  friend class Durable<JournalRecord>;
+  friend class Durable<DataProvider, JournalRecord>;
 
   void register_handlers();
   sim::Task<void> heartbeat_loop(NodeId provider_manager,
@@ -126,7 +126,7 @@ class DataProvider {
   sim::Task<Result<RemoveChunkResp>> handle_remove(RemoveChunkReq req);
   sim::Task<Result<ReplicateChunkResp>> handle_replicate(ReplicateChunkReq req);
 
-  // Durable<JournalRecord> hooks.
+  // Durable<DataProvider, JournalRecord> hooks.
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
   [[nodiscard]] std::vector<Journal<JournalRecord>::Entry> encode_checkpoint(
@@ -137,7 +137,7 @@ class DataProvider {
   rpc::Node& node_;
   Options options_;
   std::unordered_map<ChunkKey, Payload> chunks_;
-  Durable<JournalRecord> durable_;
+  Durable<DataProvider, JournalRecord> durable_;
   std::uint64_t used_{0};
   SlidingWindowCounter stores_{simtime::seconds(10)};
   bool heartbeats_on_{false};

@@ -15,9 +15,9 @@
 //   replay()  — visit checkpoint + durable tail in order to rebuild state,
 //               after paying the ReplayPlan's disk cost.
 //
-// Durable<Record> wraps a Journal with the protocol every journaled actor
-// shares: the crash -> replay -> readable path, the commit barriers and the
-// checkpoint policy. Actors supply only their record hooks.
+// Durable<Actor, Record> wraps a Journal with the protocol every journaled
+// actor shares: the crash -> replay -> readable path, the commit barriers
+// and the checkpoint policy. Actors supply only their record hooks.
 //
 // The disk cost rides the FlowScheduler through the node's disk resource,
 // so fault-plane disk slowdowns stretch recovery exactly like they stretch
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -286,7 +285,8 @@ inline constexpr ImageIsStore image_is_store{};
 /// Hook contract — the actor passes itself and its gate message (a string
 /// literal: the `unavailable` text a request gets during a replay) to the
 /// constructor, registers every handler through serve(), befriends
-/// Durable<Record> and defines, as named member functions:
+/// Durable<Actor, Record> and defines, as named member functions (Durable
+/// calls them directly):
 ///
 ///   std::uint64_t record_bytes(const Record&)  (may be static)
 ///       on-disk size of one record; commits size each record once;
@@ -328,44 +328,25 @@ inline constexpr ImageIsStore image_is_store{};
 /// With the journal off every commit succeeds at once and crash() /
 /// restart() return false without doing anything: what a journal-off crash
 /// or restart means is each actor's own behaviour.
-template <class Record>
+template <class Actor, class Record>
 class Durable {
  public:
   using Entry = typename Journal<Record>::Entry;
 
-  template <class Actor>
   Durable(rpc::Node& node, JournalOptions opts, Actor& actor,
           const char* gate_message)
-      : node_(node),
-        journal_(opts),
-        gate_message_(gate_message),
-        record_bytes_(
-            [a = &actor](const Record& r) { return a->record_bytes(r); }),
-        apply_record_([a = &actor](const Record& r) { a->apply_record(r); }),
-        encode_checkpoint_(
-            [a = &actor](std::vector<Entry> previous,
-                         const std::vector<Entry>& tail) {
-              return a->encode_checkpoint(std::move(previous), tail);
-            }),
-        wipe_([a = &actor] { a->wipe(); }),
-        on_readable_(
-            [a = &actor](const RecoveryOutcome& o) { a->on_readable(o); }) {}
+      : node_(node), actor_(actor), journal_(opts),
+        gate_message_(gate_message) {}
 
   /// The opt-in form: recovery hands the actor the image through
   /// adopt_image and replays only the durable tail.
-  template <class Actor>
   Durable(rpc::Node& node, JournalOptions opts, Actor& actor,
           const char* gate_message, ImageIsStore)
       : Durable(node, opts, actor, gate_message) {
-    static_assert(
-        requires(Actor& a, const std::vector<Entry>& image) {
-          a.adopt_image(image);
-        },
-        "an actor constructed with image_is_store must define "
-        "adopt_image(const std::vector<Entry>&)");
-    adopt_image_ = [a = &actor](const std::vector<Entry>& image) {
-      a->adopt_image(image);
-    };
+    static_assert(adopts_image(),
+                  "an actor constructed with image_is_store must define "
+                  "adopt_image(const std::vector<Entry>&)");
+    image_is_store_ = true;
   }
   Durable(const Durable&) = delete;
   Durable& operator=(const Durable&) = delete;
@@ -402,7 +383,7 @@ class Durable {
   /// wiped as `c` says) and requests are gated until the replay ends.
   bool crash(const rpc::CrashOptions& c) {
     if (!journal_.enabled()) return false;
-    wipe_();
+    actor_.wipe();
     journal_.crash(c.lose_storage, c.torn_tail);
     recovering_ = true;
     return true;
@@ -419,7 +400,7 @@ class Durable {
   /// paths journal this way and the next commit's fsync seals the record.
   void append(Record rec) {
     if (!journal_.enabled()) return;
-    const std::uint64_t bytes = record_bytes_(rec);
+    const std::uint64_t bytes = actor_.record_bytes(rec);
     journal_.append(std::move(rec), bytes);
   }
 
@@ -429,7 +410,7 @@ class Durable {
   /// handler must not ack it.
   sim::Task<Result<void>> commit(Record rec) {
     if (!journal_.enabled()) co_return ok_result();
-    const std::uint64_t bytes = record_bytes_(rec);
+    const std::uint64_t bytes = actor_.record_bytes(rec);
     const std::uint64_t seq = journal_.append(std::move(rec), bytes);
     co_return co_await seal_after_fsync(seq, bytes);
   }
@@ -441,7 +422,7 @@ class Durable {
     if (!journal_.enabled() || recs.empty()) co_return ok_result();
     std::uint64_t bytes = 0;
     for (Record& rec : recs) {
-      const std::uint64_t b = record_bytes_(rec);
+      const std::uint64_t b = actor_.record_bytes(rec);
       bytes += b;
       journal_.append(std::move(rec), b);
     }
@@ -460,12 +441,20 @@ class Durable {
   /// caller waits on: a crash before the barrier drops the record.
   void commit_detached(Record rec) {
     if (!journal_.enabled()) return;
-    const std::uint64_t bytes = record_bytes_(rec);
+    const std::uint64_t bytes = actor_.record_bytes(rec);
     const std::uint64_t seq = journal_.append(std::move(rec), bytes);
     node_.cluster().sim().spawn(seal_detached(seq, bytes));
   }
 
  private:
+  /// A function, not a constant: its body is checked where Actor is
+  /// complete, with this class's friend access to the hook.
+  static constexpr bool adopts_image() {
+    return requires(Actor& a, const std::vector<Entry>& image) {
+      a.adopt_image(image);
+    };
+  }
+
   template <class Resp>
   static sim::Task<Result<Resp>> gated(const char* message) {
     co_return Error{Errc::unavailable, message};
@@ -493,7 +482,11 @@ class Durable {
 
   void maybe_checkpoint() {
     if (!journal_.checkpoint_due()) return;
-    if (!journal_.checkpoint(encode_checkpoint_)) return;
+    const bool installed = journal_.checkpoint(
+        [this](std::vector<Entry> previous, const std::vector<Entry>& tail) {
+          return actor_.encode_checkpoint(std::move(previous), tail);
+        });
+    if (!installed) return;
     obs::count("journal.checkpoints");
     charge_disk_write(node_, journal_.checkpoint_bytes());
   }
@@ -509,30 +502,31 @@ class Durable {
       co_return;
     }
     const RecoveryOutcome outcome = journal_.finish_recovery();
-    if (adopt_image_) {
-      adopt_image_(journal_.image());
-      journal_.replay_tail(apply_record_);
-    } else {
-      journal_.replay(apply_record_);
-    }
+    replay_into_actor();
     recovering_ = false;
     note_readable(node_, plan, outcome, started, span, stats_);
-    on_readable_(outcome);
+    actor_.on_readable(outcome);
+  }
+
+  void replay_into_actor() {
+    auto apply = [this](const Record& r) { actor_.apply_record(r); };
+    if constexpr (adopts_image()) {
+      if (image_is_store_) {
+        actor_.adopt_image(journal_.image());
+        journal_.replay_tail(apply);
+        return;
+      }
+    }
+    journal_.replay(apply);
   }
 
   rpc::Node& node_;
+  Actor& actor_;
   Journal<Record> journal_;
   const char* gate_message_;
+  bool image_is_store_{false};  ///< the opt-in
   bool recovering_{false};
   RecoveryStats stats_;
-  std::function<std::uint64_t(const Record&)> record_bytes_;
-  std::function<void(const Record&)> apply_record_;
-  std::function<std::vector<Entry>(std::vector<Entry>,
-                                   const std::vector<Entry>&)>
-      encode_checkpoint_;
-  std::function<void()> wipe_;
-  std::function<void(const RecoveryOutcome&)> on_readable_;
-  std::function<void(const std::vector<Entry>&)> adopt_image_;  ///< opt-in
 };
 
 }  // namespace bs::blob

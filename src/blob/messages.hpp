@@ -224,17 +224,6 @@ struct ProviderEntry {
                                        ///< heartbeat
 };
 
-struct ListProvidersReq {
-  static constexpr const char* kName = "blob.list_providers";
-  [[nodiscard]] std::uint64_t wire_size() const { return 16; }
-};
-struct ListProvidersResp {
-  std::vector<ProviderEntry> providers;
-  [[nodiscard]] std::uint64_t wire_size() const {
-    return 16 + 72 * providers.size();
-  }
-};
-
 /// Marks a provider as draining: no new allocations land on it.
 struct SetDecommissionReq {
   static constexpr const char* kName = "blob.set_decommission";

@@ -45,7 +45,7 @@ class MetadataProvider {
   };
 
  private:
-  friend class Durable<JournalRecord>;
+  friend class Durable<MetadataProvider, JournalRecord>;
   using Entry = Journal<JournalRecord>::Entry;
 
   /// The stored node at `key`, or nullptr: a recent put, else the
@@ -58,7 +58,8 @@ class MetadataProvider {
   /// Removes the node at `key`; false if none is stored.
   bool erase(const NodeKey& key);
 
-  // Durable<JournalRecord> hooks; the image is the store (image_is_store).
+  // Durable<MetadataProvider, JournalRecord> hooks; the image is the store
+  // (image_is_store).
   static std::uint64_t record_bytes(const JournalRecord& rec);
   void apply_record(const JournalRecord& rec);
   /// Folds the tail into the image, then empties recent_ and removed_.
@@ -81,7 +82,7 @@ class MetadataProvider {
   std::unordered_map<NodeKey, TreeNode> recent_;
   /// Image keys removed since the last checkpoint (tombstones).
   std::unordered_set<NodeKey> removed_;
-  Durable<JournalRecord> durable_;
+  Durable<MetadataProvider, JournalRecord> durable_;
   std::uint64_t count_{0};
   std::uint64_t bytes_{0};
 };

@@ -179,14 +179,6 @@ void ProviderManager::register_handlers() {
         co_return resp;
       });
 
-  node_.serve<ListProvidersReq, ListProvidersResp>(
-      [this](const ListProvidersReq&,
-             const rpc::Envelope&) -> sim::Task<Result<ListProvidersResp>> {
-        ListProvidersResp resp;
-        resp.providers = snapshot();
-        co_return resp;
-      });
-
   node_.serve<SetDecommissionReq, SetDecommissionResp>(
       [this](const SetDecommissionReq& req,
              const rpc::Envelope&) -> sim::Task<Result<SetDecommissionResp>> {

@@ -123,7 +123,7 @@ class VersionManager {
   };
 
  private:
-  friend class Durable<VmRecord>;
+  friend class Durable<VersionManager, VmRecord>;
 
   struct PendingWrite {
     WriteExtent extent;
@@ -193,7 +193,7 @@ class VersionManager {
   static BlobDescriptor descriptor_of(const BlobState& b);
   sim::Task<void> lease_sweeper_loop();
 
-  // Durable<VmRecord> hooks.
+  // Durable<VersionManager, VmRecord> hooks.
   static std::uint64_t record_bytes(const VmRecord&) { return 64; }
   void apply_record(const VmRecord& rec);
   [[nodiscard]] std::vector<Journal<VmRecord>::Entry> encode_checkpoint(
@@ -205,7 +205,7 @@ class VersionManager {
   rpc::Node& node_;
   Options opts_;
   std::map<std::uint64_t, BlobState> blobs_;  // by BlobId value
-  Durable<VmRecord> durable_;
+  Durable<VersionManager, VmRecord> durable_;
   std::uint64_t next_blob_{1};
   std::uint64_t leases_expired_{0};
   bool sweeper_enabled_{false};

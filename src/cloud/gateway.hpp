@@ -384,7 +384,7 @@ class S3Gateway {
     std::vector<NodeId> replicas;
     Acl acl;
   };
-  friend class blob::Durable<GwRecord>;
+  friend class blob::Durable<S3Gateway, GwRecord>;
 
   /// What one ingest pass resolved: the manifest (every entry holds one
   /// in-flight pin in the index) plus the journal records for chunks that
@@ -482,7 +482,7 @@ class S3Gateway {
   /// Fire-and-forget chunk removal on every replica of a reclaimed entry.
   void reclaim(std::vector<ChunkIndex::Entry> entries);
 
-  // blob::Durable<GwRecord> hooks.
+  // blob::Durable<S3Gateway, GwRecord> hooks.
   static std::uint64_t record_bytes(const GwRecord& rec);
   void apply_record(const GwRecord& rec);
   std::vector<blob::Journal<GwRecord>::Entry> encode_checkpoint(
@@ -509,7 +509,7 @@ class S3Gateway {
   std::map<std::uint64_t, Mpu> mpus_;
   std::uint64_t next_upload_id_{1};
 
-  blob::Durable<GwRecord> durable_;
+  blob::Durable<S3Gateway, GwRecord> durable_;
 };
 
 }  // namespace bs::cloud

@@ -26,8 +26,6 @@ enum class MetricKind : std::uint8_t {
   version_publish,   ///< a new blob version published (value = write bytes)
 };
 
-const char* metric_kind_name(MetricKind kind);
-
 /// Client-side operation codes carried in MetricEvent::aux for client_op.
 enum class ClientOpCode : std::uint32_t {
   create = 0,

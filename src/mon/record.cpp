@@ -4,25 +4,6 @@
 
 namespace bs::mon {
 
-const char* metric_kind_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::chunk_write: return "chunk_write";
-    case MetricKind::chunk_read: return "chunk_read";
-    case MetricKind::chunk_remove: return "chunk_remove";
-    case MetricKind::meta_op: return "meta_op";
-    case MetricKind::control_op: return "control_op";
-    case MetricKind::rejected_request: return "rejected_request";
-    case MetricKind::failed_request: return "failed_request";
-    case MetricKind::client_op: return "client_op";
-    case MetricKind::provider_storage: return "provider_storage";
-    case MetricKind::provider_chunks: return "provider_chunks";
-    case MetricKind::cpu_load: return "cpu_load";
-    case MetricKind::mem_used: return "mem_used";
-    case MetricKind::version_publish: return "version_publish";
-  }
-  return "unknown";
-}
-
 const char* domain_name(Domain d) {
   switch (d) {
     case Domain::client: return "client";

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/env.hpp"
-
 namespace bs::net {
 
 namespace {
@@ -24,17 +22,12 @@ bool id_less(const detail::Flow* a, const detail::Flow* b) {
 }
 }  // namespace
 
-FlowScheduler::Options FlowScheduler::Options::from_env() {
-  Options o;
-  // Index 0 is the default; every other accepted value names the reference.
-  if (const auto v = env_choice("BS_FLOW_SCHED",
-                                {"incremental", "reference", "global", "0"})) {
-    o.incremental = *v == 0;
-  }
-  return o;
-}
-
 FlowScheduler::~FlowScheduler() = default;
+
+void FlowScheduler::set_incremental(bool on) {
+  assert(next_flow_id_ == 0 && "switch paths before the first transfer");
+  incremental_ = on;
+}
 
 Resource* FlowScheduler::create_resource(std::string name,
                                          double capacity_bps) {
@@ -59,7 +52,7 @@ void FlowScheduler::set_capacity(Resource* r, double capacity_bps) {
   collect_component(r->flows_head_->flow, ++mark_epoch_, scratch_flows_,
                     scratch_resources_);
   r->capacity_ = capacity_bps;
-  if (opts_.incremental) {
+  if (incremental_) {
     refill_and_reschedule(scratch_flows_, scratch_resources_);
     compact_eta_heap();
     arm_wakeup();
@@ -93,7 +86,7 @@ sim::Task<void> FlowScheduler::transfer(double bytes,
   }
   active_.emplace(id, std::move(flow));
   link(f);
-  if (opts_.incremental) {
+  if (incremental_) {
     on_arrival_incremental(f);
   } else {
     // Same settle discipline as the incremental path: settle exactly the

@@ -15,9 +15,10 @@
 //    a lazy-deletion ETA min-heap keyed by (eta, flow id, rate epoch).
 //    Per-flow progress is lazy: `remaining` is settled only when the flow's
 //    own rate changes (or on demand via Resource::bytes_served()).
-//  - reference (Options{.incremental = false}): global progressive filling
-//    and a linear next-completion scan on every event. Quadratic, but
-//    simple; kept as the equivalence oracle for the property suite. Both
+//  - reference (set_incremental(false)): global progressive filling and a
+//    linear next-completion scan on every event. Quadratic, but simple;
+//    kept as the equivalence oracle for the property suite and the
+//    whole-stack mode tests (test_pool_chaos, test_determinism). Both
 //    modes share the settle discipline (settle exactly the affected
 //    component), the completion grouping and the stored per-flow ETAs, so
 //    their trajectories are bit-identical, not merely approximately equal.
@@ -105,16 +106,7 @@ class Resource {
 
 class FlowScheduler {
  public:
-  struct Options {
-    bool incremental = true;
-    /// Default options, overridable via the environment: setting
-    /// BS_FLOW_SCHED=reference (or "global" / "0") selects the reference
-    /// path so whole experiments can be A/B-ed without code changes.
-    static Options from_env();
-  };
-
-  explicit FlowScheduler(sim::Simulation& sim, Options opts = Options::from_env())
-      : sim_(sim), opts_(opts) {}
+  explicit FlowScheduler(sim::Simulation& sim) : sim_(sim) {}
   FlowScheduler(const FlowScheduler&) = delete;
   FlowScheduler& operator=(const FlowScheduler&) = delete;
   ~FlowScheduler();
@@ -138,7 +130,9 @@ class FlowScheduler {
   [[nodiscard]] std::size_t active_flow_count() const {
     return active_.size();
   }
-  [[nodiscard]] bool incremental() const { return opts_.incremental; }
+  /// Selects the incremental path (the default) or the reference oracle.
+  /// Only before the first transfer: the two paths keep different state.
+  void set_incremental(bool on);
 
   /// Read-only view of an active flow, for invariant checks in tests.
   struct FlowInfo {
@@ -201,7 +195,7 @@ class FlowScheduler {
   void on_completion_event(std::uint64_t generation);
 
   sim::Simulation& sim_;
-  Options opts_;
+  bool incremental_{true};
   std::vector<std::unique_ptr<Resource>> resources_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Flow>> active_;
   std::uint64_t next_flow_id_{0};

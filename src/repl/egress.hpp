@@ -149,7 +149,7 @@ class SiteEgress {
     blob::ChunkKey chunk{};      ///< apply_chunk: replica identity
     NodeId target{};             ///< apply_chunk: receiving provider
   };
-  friend class blob::Durable<EgressRecord>;
+  friend class blob::Durable<SiteEgress, EgressRecord>;
 
   struct DstState {
     explicit DstState(std::size_t bound, OverflowPolicy policy)
@@ -165,7 +165,7 @@ class SiteEgress {
   static std::uint64_t rec_bundle_bytes(const CustodyBundle& b) {
     return b.kind == BundleKind::chunk ? b.payload.size : b.bytes;
   }
-  // blob::Durable<EgressRecord> hooks.
+  // blob::Durable<SiteEgress, EgressRecord> hooks.
   static std::uint64_t record_bytes(const EgressRecord& rec);
   void apply_record(const EgressRecord& rec);
   std::vector<blob::Journal<EgressRecord>::Entry> encode_checkpoint(
@@ -202,7 +202,7 @@ class SiteEgress {
   /// (the publish dedup is the version map itself).
   std::set<std::pair<blob::ChunkKey, NodeId>> applied_chunks_;
 
-  blob::Durable<EgressRecord> durable_;
+  blob::Durable<SiteEgress, EgressRecord> durable_;
   std::uint64_t generation_{0};  ///< stales drain loops across crashes
   std::uint64_t next_bundle_id_{0};
   std::uint64_t applies_{0};

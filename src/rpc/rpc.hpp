@@ -131,8 +131,8 @@ using ErasedHandler =
 /// timeout watcher, and any of them may be the last to let go, so these
 /// bodies cannot live in one frame. std::allocate_shared with this
 /// allocator puts object and counts in one pooled chunk: a warm call never
-/// reaches malloc, and with BS_FRAME_POOL=off the chunk comes from the
-/// heap, as frames do.
+/// reaches malloc, and with the pool off the chunk comes from the heap,
+/// as frames do.
 template <class T>
 struct PoolAllocator {
   using value_type = T;

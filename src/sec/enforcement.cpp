@@ -94,13 +94,6 @@ bool PolicyEnforcement::is_blocked(ClientId client, SimTime now) const {
   return it != blocked_.end() && it->second > now;
 }
 
-std::optional<SimTime> PolicyEnforcement::blocked_until(
-    ClientId client) const {
-  auto it = blocked_.find(client.value);
-  if (it == blocked_.end()) return std::nullopt;
-  return it->second;
-}
-
 void PolicyEnforcement::pardon(ClientId client) {
   blocked_.erase(client.value);
   throttles_.erase(client.value);

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 
 #include "common/token_bucket.hpp"
 #include "rpc/rpc.hpp"
@@ -46,7 +45,6 @@ class PolicyEnforcement {
   void attach(rpc::Node& node);
 
   [[nodiscard]] bool is_blocked(ClientId client, SimTime now) const;
-  [[nodiscard]] std::optional<SimTime> blocked_until(ClientId client) const;
   [[nodiscard]] bool is_throttled(ClientId client, SimTime now) const {
     auto it = throttles_.find(client.value);
     return it != throttles_.end() && it->second.until > now;

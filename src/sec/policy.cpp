@@ -8,15 +8,6 @@
 
 namespace bs::sec {
 
-const char* severity_name(Severity s) {
-  switch (s) {
-    case Severity::low: return "low";
-    case Severity::medium: return "medium";
-    case Severity::high: return "high";
-  }
-  return "?";
-}
-
 namespace ast {
 
 double NumExpr::eval(const EvalContext& ctx) const {
@@ -292,9 +283,12 @@ class Parser {
   const Token& peek() const { return toks_[pos_]; }
   Token take() { return toks_[pos_++]; }
 
-  Error err(const std::string& message) {
+  /// An error at the next token (what it should have been).
+  Error err(const std::string& message) { return err(peek(), message); }
+  /// An error at `at`, a token already taken (what it turned out to be).
+  static Error err(const Token& at, const std::string& message) {
     return Error{Errc::parse_error,
-                 "line " + std::to_string(peek().line) + ": " + message};
+                 "line " + std::to_string(at.line) + ": " + message};
   }
 
   Result<void> expect(Tok kind, const char* what) {
@@ -315,10 +309,12 @@ class Parser {
     bool has_when = false, has_then = false;
     while (peek().kind != Tok::rbrace) {
       if (peek().kind != Tok::ident) return err("expected clause keyword");
-      const std::string kw = take().text;
+      const Token clause = take();
+      const std::string& kw = clause.text;
       if (kw == "severity") {
         if (peek().kind != Tok::ident) return err("expected severity level");
-        const std::string level = take().text;
+        const Token level_tok = take();
+        const std::string& level = level_tok.text;
         if (level == "low") {
           p.severity = Severity::low;
         } else if (level == "medium") {
@@ -326,7 +322,7 @@ class Parser {
         } else if (level == "high") {
           p.severity = Severity::high;
         } else {
-          return err("unknown severity '" + level + "'");
+          return err(level_tok, "unknown severity '" + level + "'");
         }
       } else if (kw == "description") {
         if (peek().kind != Tok::string) return err("expected string");
@@ -349,13 +345,17 @@ class Parser {
         }
         has_then = true;
       } else {
-        return err("unknown clause '" + kw + "'");
+        return err(clause, "unknown clause '" + kw + "'");
       }
       if (auto r = expect(Tok::semi, "';'"); !r.ok()) return r.error();
     }
-    take();  // rbrace
-    if (!has_when) return err("policy '" + p.name + "' missing when clause");
-    if (!has_then) return err("policy '" + p.name + "' missing then clause");
+    const Token rbrace = take();
+    if (!has_when) {
+      return err(rbrace, "policy '" + p.name + "' missing when clause");
+    }
+    if (!has_then) {
+      return err(rbrace, "policy '" + p.name + "' missing then clause");
+    }
     return p;
   }
 
@@ -474,7 +474,8 @@ class Parser {
       return node;
     }
     if (peek().kind != Tok::ident) return err("expected term");
-    const std::string fn = take().text;
+    const Token fn_tok = take();
+    const std::string& fn = fn_tok.text;
     if (auto r = expect(Tok::lparen, "'('"); !r.ok()) return r.error();
     if (fn == "trust") {
       node.kind = ast::NumExpr::Kind::trust;
@@ -482,15 +483,16 @@ class Parser {
       node.kind = fn == "rate" ? ast::NumExpr::Kind::rate
                                : ast::NumExpr::Kind::total;
       if (peek().kind != Tok::ident) return err("expected metric name");
-      auto metric = metric_from_name(take().text);
-      if (!metric.ok()) return err(metric.error().message);
+      const Token name = take();
+      auto metric = metric_from_name(name.text);
+      if (!metric.ok()) return err(name, metric.error().message);
       node.metric = metric.value();
       if (auto r = expect(Tok::comma, "','"); !r.ok()) return r.error();
       auto window = duration_arg();
       if (!window.ok()) return window.error();
       node.window = window.value();
     } else {
-      return err("unknown function '" + fn + "'");
+      return err(fn_tok, "unknown function '" + fn + "'");
     }
     if (auto r = expect(Tok::rparen, "')'"); !r.ok()) return r.error();
     return node;
@@ -498,7 +500,8 @@ class Parser {
 
   Result<Action> parse_action() {
     if (peek().kind != Tok::ident) return err("expected action");
-    const std::string name = take().text;
+    const Token name_tok = take();
+    const std::string& name = name_tok.text;
     Action a;
     if (name == "alert") {
       a.type = Action::Type::alert;
@@ -529,7 +532,7 @@ class Parser {
       if (peek().kind != Tok::number) return err("expected delta");
       a.value = take().number;
     } else {
-      return err("unknown action '" + name + "'");
+      return err(name_tok, "unknown action '" + name + "'");
     }
     if (auto r = expect(Tok::rparen, "')'"); !r.ok()) return r.error();
     return a;

@@ -30,7 +30,6 @@
 namespace bs::sec {
 
 enum class Severity : std::uint8_t { low = 0, medium, high };
-const char* severity_name(Severity s);
 
 /// Everything a policy condition may consult.
 struct EvalContext {

@@ -1,12 +1,15 @@
 #include "sim/frame_pool.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <new>
 
-#include "common/env.hpp"
+// Under AddressSanitizer a cached chunk is poisoned, so a use after free
+// of a pooled frame or RPC body is reported as it would be with the heap;
+// the pool unpoisons a chunk before it touches it again. The macros expand
+// to nothing in other builds.
 
 namespace bs::sim {
-
-FramePool::FramePool() : enabled_(env_switch("BS_FRAME_POOL", true)) {}
 
 FramePool& FramePool::instance() {
   thread_local FramePool pool;
@@ -23,6 +26,7 @@ void* FramePool::allocate(std::size_t n) {
   const std::size_t b = bucket_of(n);
   if (enabled_ && free_[b] != nullptr) {
     FreeNode* node = free_[b];
+    ASAN_UNPOISON_MEMORY_REGION(node, chunk_size(b));
     free_[b] = node->next;
     --cached_[b];
     ++stats_.pool_hits;
@@ -44,6 +48,7 @@ void FramePool::deallocate(void* p, std::size_t n) noexcept {
   if (enabled_ && cached_[b] < bucket_cap_) {
     auto* node = static_cast<FreeNode*>(p);
     node->next = free_[b];
+    ASAN_POISON_MEMORY_REGION(node, chunk_size(b));
     free_[b] = node;
     ++cached_[b];
     return;
@@ -55,6 +60,7 @@ void FramePool::trim() noexcept {
   for (std::size_t b = 0; b < kBuckets; ++b) {
     while (free_[b] != nullptr) {
       FreeNode* node = free_[b];
+      ASAN_UNPOISON_MEMORY_REGION(node, chunk_size(b));
       free_[b] = node->next;
       ::operator delete(node, chunk_size(b));
     }

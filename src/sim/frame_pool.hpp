@@ -7,11 +7,13 @@
 // Determinism: recycling only changes *which addresses* frames land on, and
 // no address is ever observable in simulation output (bslint's determinism
 // rules keep it that way), so pooled and unpooled runs are bit-identical —
-// tests/sim/test_frame_pool.cpp replays chaos seeds in both modes to prove
-// it. The pool is deliberately simple: sizes round up to 64-byte classes,
-// frames larger than the largest class (or beyond a bucket's configured
-// cache cap) fall back to the heap, and the free lists live in thread-local
-// storage because the simulation substrate is single-threaded by design.
+// tests/integration/test_pool_chaos.cpp and test_determinism.cpp replay
+// whole stacks in both modes to prove it. The pool is deliberately simple:
+// sizes round up to 64-byte classes, frames larger than the largest class
+// (or beyond a bucket's configured cache cap) fall back to the heap, and
+// the free lists live in thread-local storage because the simulation
+// substrate is single-threaded by design. Under AddressSanitizer a cached
+// chunk is poisoned until the pool hands it out again.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +31,7 @@ class FramePool {
   static constexpr std::size_t kBuckets = kMaxChunk / kGranularity;
 
   /// The pool serving the current thread (the simulation substrate is
-  /// single-threaded; each test thread gets its own pool). First use reads
-  /// BS_FRAME_POOL — "off"/"0" disables recycling process-wide, the
-  /// ablation mode the determinism tests compare against.
+  /// single-threaded; each test thread gets its own pool).
   static FramePool& instance();
 
   void* allocate(std::size_t n);
@@ -49,8 +49,9 @@ class FramePool {
   void reset_stats() { stats_ = Stats{}; }
 
   [[nodiscard]] bool enabled() const { return enabled_; }
-  /// Toggles recycling (tests/ablation). Chunks already cached stay valid;
-  /// disabling only routes future allocations to the heap.
+  /// Toggles recycling; off is the oracle the whole-stack mode tests
+  /// compare against. Chunks already cached stay valid; disabling only
+  /// routes future allocations to the heap.
   void set_enabled(bool on) { enabled_ = on; }
 
   /// Max chunks cached per size class; frees beyond the cap go to the heap
@@ -68,7 +69,7 @@ class FramePool {
   FramePool& operator=(const FramePool&) = delete;
 
  private:
-  FramePool();
+  FramePool() = default;
 
   /// Intrusive free list: a cached chunk's first word links to the next.
   struct FreeNode {

@@ -223,7 +223,6 @@ class Simulation {
   bool step() { return run_next(simtime::kInfinite); }
 
   void stop() { stopped_ = true; }
-  [[nodiscard]] bool stopped() const { return stopped_; }
 
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }

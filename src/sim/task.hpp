@@ -52,17 +52,6 @@ struct PromiseBase : PooledFrame {
   [[noreturn]] void unhandled_exception() const { std::terminate(); }
 };
 
-/// Fire-and-forget root coroutine used by spawn(); self-destroys on finish.
-struct Detached {
-  struct promise_type : PooledFrame {
-    Detached get_return_object() const noexcept { return {}; }
-    std::suspend_never initial_suspend() const noexcept { return {}; }
-    std::suspend_never final_suspend() const noexcept { return {}; }
-    void return_void() const noexcept {}
-    [[noreturn]] void unhandled_exception() const { std::terminate(); }
-  };
-};
-
 }  // namespace detail
 
 template <class T>
@@ -149,16 +138,5 @@ class [[nodiscard]] Task<void> {
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
   std::coroutine_handle<promise_type> h_;
 };
-
-namespace detail {
-inline Detached detach_impl(Task<void> t) { co_await std::move(t); }
-}  // namespace detail
-
-/// Starts `t` immediately (it runs until its first suspension) and detaches
-/// it; the coroutine frame frees itself on completion. NOTE: an untracked
-/// detached task that never completes leaks its frame chain — actors that
-/// may still be suspended at teardown must go through Simulation::spawn,
-/// which registers the root for destruction in ~Simulation.
-inline void spawn(Task<void> t) { detail::detach_impl(std::move(t)); }
 
 }  // namespace bs::sim

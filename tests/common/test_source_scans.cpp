@@ -1,7 +1,7 @@
-// The README's "Simulator knobs" table must name exactly the BS_* variables
-// the simulator reads: every env_switch / env_choice call under src/ whose
-// first argument is a "BS_..." string literal. A knob added to the code
-// without a README row, or a row left behind by a deleted knob, fails here.
+// Nothing under src/, bench/ or examples/ reads the environment: no call
+// of getenv or secure_getenv and no use of environ. Every mode of the
+// simulator is chosen in code, where a test names it, so no variable can
+// turn a comparison into an ablation or override an option a caller set.
 //
 // Every data member of an option struct under src/ must be assigned
 // somewhere under src/, bench/, perfbench/, examples/ or tests/: a field
@@ -32,76 +32,15 @@ std::string slurp(const fs::path& path) {
   return text.str();
 }
 
-/// Calls `fn` with the text of every C++ source under `root / dir`.
-void for_each_source(const fs::path& root, const std::string& dir,
-                     const std::function<void(const std::string&)>& fn) {
+/// Calls `fn` with the path and text of every C++ source under
+/// `root / dir`.
+void for_each_source(
+    const fs::path& root, const std::string& dir,
+    const std::function<void(const fs::path&, const std::string&)>& fn) {
   for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
     const fs::path ext = entry.path().extension();
-    if (ext == ".cpp" || ext == ".hpp") fn(slurp(entry.path()));
+    if (ext == ".cpp" || ext == ".hpp") fn(entry.path(), slurp(entry.path()));
   }
-}
-
-/// Names passed as a "BS_..." literal first argument to env_switch or
-/// env_choice in `text`.
-std::set<std::string> knobs_read_in(std::string_view text) {
-  std::set<std::string> out;
-  for (const std::string_view fn : {"env_switch(", "env_choice("}) {
-    for (std::size_t at = text.find(fn); at != std::string_view::npos;
-         at = text.find(fn, at + 1)) {
-      std::size_t i = at + fn.size();
-      while (i < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-        ++i;
-      }
-      if (text.substr(i, 4) != "\"BS_") continue;
-      const std::size_t end = text.find('"', i + 1);
-      out.emplace(text.substr(i + 1, end - i - 1));
-    }
-  }
-  return out;
-}
-
-/// Names in the first column of the table under "### Simulator knobs", up
-/// to the next heading.
-std::set<std::string> knobs_in_readme(std::string_view readme) {
-  std::set<std::string> out;
-  const std::size_t at = readme.find("### Simulator knobs");
-  if (at == std::string_view::npos) return out;
-  const std::size_t end = readme.find("\n#", at + 1);
-  std::istringstream section(std::string(readme.substr(at, end - at)));
-  constexpr std::string_view kRow = "| `BS_";
-  for (std::string line; std::getline(section, line);) {
-    if (line.compare(0, kRow.size(), kRow) != 0) continue;
-    const std::size_t name_end = line.find('`', 3);
-    out.insert(line.substr(3, name_end - 3));
-  }
-  return out;
-}
-
-TEST(ReadmeKnobs, ScannersFindLiteralKnobsOnly) {
-  EXPECT_EQ(knobs_read_in("env_switch(\"BS_A\", true);\n"
-                          "env_choice(\n    \"BS_B\", {\"x\"});\n"
-                          "env_choice(name, {\"x\"});\n"
-                          "env_switch(\"NOT_A_KNOB\", true);\n"),
-            (std::set<std::string>{"BS_A", "BS_B"}));
-  EXPECT_EQ(knobs_in_readme("### Simulator knobs\n\n"
-                            "| env var | values | effect |\n"
-                            "|---|---|---|\n"
-                            "| `BS_A` | `on` | a |\n"
-                            "\n## Next section\n"
-                            "| `BS_Z` | `on` | not a knob row |\n"),
-            (std::set<std::string>{"BS_A"}));
-}
-
-TEST(ReadmeKnobs, TableNamesExactlyTheKnobsReadUnderSrc) {
-  const fs::path root = BS_REPO_ROOT;
-  std::set<std::string> read;
-  for_each_source(root, "src", [&](const std::string& text) {
-    const std::set<std::string> found = knobs_read_in(text);
-    read.insert(found.begin(), found.end());
-  });
-  ASSERT_FALSE(read.empty());
-  EXPECT_EQ(knobs_in_readme(slurp(root / "README.md")), read);
 }
 
 bool word_char(char c) {
@@ -155,6 +94,56 @@ std::string code_only(std::string_view text) {
     }
   }
   return out;
+}
+
+/// Each environment read in `text`, in order: the word getenv,
+/// secure_getenv or environ in code (not in a comment or a literal), which
+/// covers calls, `std::` ones included, and reads of the array.
+std::vector<std::string> env_reads_in(std::string_view text) {
+  const std::string code = code_only(text);
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < code.size();) {
+    if (!word_char(code[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t end = word_end(code, i);
+    const std::string word = code.substr(i, end - i);
+    if (word == "getenv" || word == "secure_getenv" || word == "environ") {
+      out.push_back(word);
+    }
+    i = end;
+  }
+  return out;
+}
+
+TEST(EnvReads, ScannerFindsCallsAndEnvironOutsideCommentsAndLiterals) {
+  EXPECT_EQ(env_reads_in("const char* v = std::getenv(\"BS_X\");\n"
+                         "auto* s = secure_getenv(name);\n"
+                         "for (char** e = environ; *e; ++e) {}\n"
+                         "// getenv(\"BS_Y\") in a comment\n"
+                         "log(\"getenv is not called here\");\n"
+                         "my_getenv(); environment(); __environ;\n"),
+            (std::vector<std::string>{"getenv", "secure_getenv", "environ"}));
+}
+
+TEST(EnvReads, NothingUnderSrcBenchOrExamplesReadsTheEnvironment) {
+  const fs::path root = BS_REPO_ROOT;
+  std::string found;
+  for (const std::string dir : {"src", "bench", "examples"}) {
+    for_each_source(root, dir,
+                    [&](const fs::path& path, const std::string& text) {
+                      for (const std::string& read : env_reads_in(text)) {
+                        found += "\n  " +
+                                 path.lexically_relative(root).string() +
+                                 ": " + read;
+                      }
+                    });
+  }
+  EXPECT_TRUE(found.empty())
+      << "the simulator must read no environment variable; choose the "
+         "mode in code instead:"
+      << found;
 }
 
 /// Index of the brace that closes the one at `open`.
@@ -327,7 +316,7 @@ TEST(OptionFields, ScannersFindDataMembersAndAssignmentsOnly) {
 TEST(OptionFields, EveryOptionFieldIsSetSomewhere) {
   const fs::path root = BS_REPO_ROOT;
   std::vector<std::string> fields;
-  for_each_source(root, "src", [&](const std::string& text) {
+  for_each_source(root, "src", [&](const fs::path&, const std::string& text) {
     const std::vector<std::string> found = option_fields_in(text);
     fields.insert(fields.end(), found.begin(), found.end());
   });
@@ -335,7 +324,7 @@ TEST(OptionFields, EveryOptionFieldIsSetSomewhere) {
   std::set<std::string> assigned;
   for (const std::string dir :
        {"src", "bench", "perfbench", "examples", "tests"}) {
-    for_each_source(root, dir, [&](const std::string& text) {
+    for_each_source(root, dir, [&](const fs::path&, const std::string& text) {
       const std::set<std::string> found = assigned_in(text);
       assigned.insert(found.begin(), found.end());
     });

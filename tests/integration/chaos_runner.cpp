@@ -38,7 +38,64 @@ void mix_all(Digest& dg, std::initializer_list<std::uint64_t> xs) {
 
 }  // namespace
 
+ChaosScenario journaled_scenario() {
+  ChaosScenario sc;
+  sc.deployment.journal.enabled = true;
+  sc.schedule.torn_tail_prob = 0.25;
+  sc.schedule.power_losses = 1;
+  // worst_case_recovery pads the quiescent tail so the last replay
+  // finishes before the readability sweep.
+  sc.schedule.worst_case_recovery = simtime::seconds(10);
+  return sc;
+}
+
+ChaosScenario gateway_scenario() {
+  constexpr std::uint64_t kChunk = 1 * units::MB;
+  ChaosScenario sc;
+  sc.deployment.sites = 2;
+  sc.deployment.data_providers = 6;
+  sc.deployment.journal.enabled = true;
+  sc.short_leases = false;
+  // Two replicas: a crashed (never wiped) provider loses nothing.
+  sc.gateway = cloud::GatewayOptions{.object_chunk_size = kChunk,
+                                     .replication = 2,
+                                     .journal = {.enabled = true}};
+  // Provider and gateway crashes (torn tails, no wipes — the readability
+  // invariant is absolute), link faults and a disk slowdown, all quiesced
+  // before the sweep.
+  fault::ScheduleOptions& so = sc.schedule;
+  so.crashes = 4;
+  so.max_wipe_crashes = 0;
+  so.torn_tail_prob = 0.3;
+  so.degrades = 1;
+  so.worst_case_recovery = simtime::seconds(10);
+  sc.workload = workload::GatewayTraceConfig{
+      .tenants = 3, .keys_per_tenant = 8, .ops_per_tenant = 15,
+      .chunk_size = kChunk, .max_object_chunks = 4, .multipart_parts = 3,
+      .think_time = simtime::seconds(3)};
+  // Generous tail: crash-window ops ride out their RPC timeouts and the
+  // last recovery replays before the sweep.
+  sc.horizon = simtime::minutes(10);
+  return sc;
+}
+
+ChaosScenario repl_scenario() {
+  ChaosScenario sc = journaled_scenario();
+  // Its egress nodes join the crashable set.
+  sc.repl = repl::ReplOptions{.reconcile = {.interval = simtime::seconds(10)}};
+  fault::ScheduleOptions& so = sc.schedule;
+  so.long_partitions = 1;
+  so.min_long_partition = simtime::seconds(20);
+  so.max_long_partition = simtime::seconds(60);
+  so.degrades = 1;
+  // Every partition heals by minute 4; four more minutes of anti-entropy
+  // rounds drain whatever custody parked or lost.
+  sc.horizon = simtime::minutes(8);
+  return sc;
+}
+
 ChaosOutcome run_chaos(std::uint64_t seed, const ChaosScenario& sc) {
+  const ModeScope modes(sc.mode);
   sim::Simulation sim;
   const Appends* appends = std::get_if<Appends>(&sc.workload);
   blob::DeploymentConfig cfg = sc.deployment;
@@ -49,6 +106,7 @@ ChaosOutcome run_chaos(std::uint64_t seed, const ChaosScenario& sc) {
   }
   ChaosStack st(sim, cfg, sc.repl, sc.gateway);
   blob::Deployment& dep = st.dep;
+  modes.use_flow_path(dep.cluster());
 
   // The workload's nodes go up before the fault plane: the append clients
   // and the blob they share, or the trace's user node.

@@ -12,9 +12,37 @@
 #include "cloud/gateway.hpp"
 #include "fault/fault_plane.hpp"
 #include "repl/plane.hpp"
+#include "sim/frame_pool.hpp"
 #include "workload/gateway_trace.hpp"
 
 namespace bs::test {
+
+/// The modes the whole-stack oracles (test_pool_chaos, test_determinism)
+/// compare: the default flow scheduler and frame pool, the scheduler's
+/// reference path, and frame pooling off. A run gives the same outcome in
+/// every mode; only the reference path may process a different number of
+/// events, since it schedules its completion wakeups differently.
+enum class StackMode { standard, reference_flows, pool_off };
+
+/// Holds the thread's frame pool in `mode`'s state until destroyed:
+/// construct it before the simulation, and call use_flow_path on the
+/// cluster before anything runs on it.
+class ModeScope {
+ public:
+  explicit ModeScope(StackMode mode) : mode_(mode) {
+    sim::FramePool::instance().set_enabled(mode != StackMode::pool_off);
+  }
+  ~ModeScope() { sim::FramePool::instance().set_enabled(true); }
+  ModeScope(const ModeScope&) = delete;
+  ModeScope& operator=(const ModeScope&) = delete;
+
+  void use_flow_path(rpc::Cluster& cluster) const {
+    cluster.flows().set_incremental(mode_ != StackMode::reference_flows);
+  }
+
+ private:
+  StackMode mode_;
+};
 
 /// A deployment, then its optional repl plane (attached, started, egress
 /// journaled like the deployment) and gateway (own node at site 0): a
@@ -64,7 +92,21 @@ struct ChaosScenario {
   bool retries{true};
   bool read_sweep{true};  ///< read back every published version
   SimTime horizon{simtime::minutes(6)};
+  StackMode mode{StackMode::standard};
 };
+
+/// test_recovery_chaos: the defaults with every stateful service
+/// journaling, torn tails (p = 0.25) and one site power loss.
+ChaosScenario journaled_scenario();
+
+/// test_gateway_chaos: 2 sites, 6 providers, journal, the gateway; 4
+/// crashes (no wipes, torn p = 0.3), a degrade and a disk slowdown; the
+/// trace; a 10-minute horizon.
+ChaosScenario gateway_scenario();
+
+/// test_repl_chaos: the journaled scenario plus the repl plane, one 20–60 s
+/// WAN partition and one degrade, not two; an 8-minute horizon.
+ChaosScenario repl_scenario();
 
 /// What one run did. The digest folds every operation outcome, the sweep,
 /// every counter the run reads and the final sim time.

@@ -1,10 +1,14 @@
 // Determinism: the whole point of replacing Grid'5000 with a DES is
 // bit-identical replay. Run the same seeded full-stack scenario twice and
 // require identical event counts, throughput series, and security actions.
+// The monitored DoS stack (E-C1 in miniature) is also a whole-stack oracle
+// (ctest labels: chaos, kernel): frame pooling off and the reference flow
+// scheduler give the same outcome.
 #include <gtest/gtest.h>
 
 #include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
+#include "integration/chaos_runner.hpp"
 #include "mon/layer.hpp"
 #include "sec/framework.hpp"
 #include "test_util.hpp"
@@ -20,17 +24,22 @@ struct RunDigest {
   SimTime first_block{0};
   std::uint64_t monitoring_records{0};
   double trust_of_attacker{0};
-
-  bool operator==(const RunDigest& other) const {
-    return events == other.events && throughput == other.throughput &&
-           attacker_rejected == other.attacker_rejected &&
-           first_block == other.first_block &&
-           monitoring_records == other.monitoring_records &&
-           trust_of_attacker == other.trust_of_attacker;
-  }
 };
 
-RunDigest run_scenario() {
+/// `b` has exactly `a`'s outcome; its event count too when `with_events`.
+void expect_same(const RunDigest& a, const RunDigest& b, bool with_events) {
+  if (with_events) {
+    EXPECT_EQ(a.events, b.events);
+  }
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.attacker_rejected, b.attacker_rejected);
+  EXPECT_EQ(a.first_block, b.first_block);
+  EXPECT_EQ(a.monitoring_records, b.monitoring_records);
+  EXPECT_EQ(a.trust_of_attacker, b.trust_of_attacker);
+}
+
+RunDigest run_scenario(test::StackMode mode = test::StackMode::standard) {
+  const test::ModeScope modes(mode);
   sim::Simulation sim;
   blob::DeploymentConfig cfg;
   cfg.sites = 3;
@@ -40,6 +49,7 @@ RunDigest run_scenario() {
   cfg.node_spec.service_overhead = simtime::millis(5);
   cfg.node_spec.service_queue_limit = 64;
   blob::Deployment dep(sim, cfg);
+  modes.use_flow_path(dep.cluster());
 
   rpc::Node* intro_node = dep.cluster().add_node(0);
   intro::IntrospectionService intro(*intro_node);
@@ -87,20 +97,25 @@ RunDigest run_scenario() {
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalDigests) {
-  RunDigest a = run_scenario();
-  RunDigest b = run_scenario();
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.attacker_rejected, b.attacker_rejected);
-  EXPECT_EQ(a.first_block, b.first_block);
-  EXPECT_EQ(a.monitoring_records, b.monitoring_records);
-  EXPECT_DOUBLE_EQ(a.trust_of_attacker, b.trust_of_attacker);
-  ASSERT_EQ(a.throughput.size(), b.throughput.size());
-  for (std::size_t i = 0; i < a.throughput.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.throughput[i], b.throughput[i]) << "bin " << i;
-  }
+  const RunDigest a = run_scenario();
+  expect_same(a, run_scenario(), /*with_events=*/true);
   // And the scenario did something nontrivial.
   EXPECT_GT(a.events, 100000u);
   EXPECT_GT(a.attacker_rejected, 0u);
+}
+
+TEST(Determinism, OracleModesGiveTheSameOutcome) {
+  const RunDigest a = run_scenario();
+  {
+    SCOPED_TRACE("frame pool off");
+    expect_same(a, run_scenario(test::StackMode::pool_off),
+                /*with_events=*/true);
+  }
+  // The reference scheduler schedules other completion wakeups, so only
+  // its event count may differ.
+  SCOPED_TRACE("reference flow scheduler");
+  expect_same(a, run_scenario(test::StackMode::reference_flows),
+              /*with_events=*/false);
 }
 
 std::uint64_t run_faulted_scenario() {

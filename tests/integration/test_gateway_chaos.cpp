@@ -12,43 +12,12 @@
 namespace bs::test {
 namespace {
 
-constexpr std::uint64_t kChunk = 1 * units::MB;
-
-ChaosOutcome run_gateway_chaos(std::uint64_t seed) {
-  ChaosScenario sc;
-  sc.deployment.sites = 2;
-  sc.deployment.data_providers = 6;
-  sc.deployment.journal.enabled = true;
-  sc.short_leases = false;
-  // Two replicas: a crashed (never wiped) provider loses nothing.
-  sc.gateway = cloud::GatewayOptions{.object_chunk_size = kChunk,
-                                     .replication = 2,
-                                     .journal = {.enabled = true}};
-  // Provider and gateway crashes (torn tails, no wipes — the readability
-  // invariant below is absolute), link faults and a disk slowdown, all
-  // quiesced before the sweep.
-  fault::ScheduleOptions& so = sc.schedule;
-  so.crashes = 4;
-  so.max_wipe_crashes = 0;
-  so.torn_tail_prob = 0.3;
-  so.degrades = 1;
-  so.worst_case_recovery = simtime::seconds(10);
-  sc.workload = workload::GatewayTraceConfig{
-      .tenants = 3, .keys_per_tenant = 8, .ops_per_tenant = 15,
-      .chunk_size = kChunk, .max_object_chunks = 4, .multipart_parts = 3,
-      .think_time = simtime::seconds(3)};
-  // Generous tail: crash-window ops ride out their RPC timeouts and the
-  // last recovery replays before the sweep.
-  sc.horizon = simtime::minutes(10);
-  return run_chaos(seed, sc);
-}
-
 class GatewayChaosSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GatewayChaosSeeds, ReplayIsBitIdenticalAndNoListedObjectIsLost) {
   const std::uint64_t seed = GetParam();
-  const ChaosOutcome a = run_gateway_chaos(seed);
-  const ChaosOutcome b = run_gateway_chaos(seed);
+  const ChaosOutcome a = run_chaos(seed, gateway_scenario());
+  const ChaosOutcome b = run_chaos(seed, gateway_scenario());
 
   // Determinism, including dedup/reclaim and recovery accounting.
   EXPECT_EQ(a.digest, b.digest) << "seed " << seed;

@@ -10,23 +10,12 @@
 namespace bs::test {
 namespace {
 
-ChaosOutcome run(std::uint64_t seed) {
-  ChaosScenario sc;
-  sc.deployment.journal.enabled = true;
-  sc.schedule.torn_tail_prob = 0.25;
-  sc.schedule.power_losses = 1;
-  // worst_case_recovery pads the quiescent tail so the last replay
-  // finishes before the readability sweep.
-  sc.schedule.worst_case_recovery = simtime::seconds(10);
-  return run_chaos(seed, sc);
-}
-
 class RecoveryChaosSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RecoveryChaosSeeds, ReplayIsBitIdenticalAndRecoveryLosesNothing) {
   const std::uint64_t seed = GetParam();
-  const ChaosOutcome a = run(seed);
-  const ChaosOutcome b = run(seed);
+  const ChaosOutcome a = run_chaos(seed, journaled_scenario());
+  const ChaosOutcome b = run_chaos(seed, journaled_scenario());
 
   // Determinism, including the recovery counters.
   EXPECT_EQ(a.digest, b.digest) << "seed " << seed;

@@ -15,32 +15,12 @@
 namespace bs {
 namespace {
 
-const repl::ReplOptions kRepl{.reconcile = {.interval = simtime::seconds(10)}};
-
-test::ChaosOutcome run_repl_chaos(std::uint64_t seed) {
-  test::ChaosScenario sc;
-  sc.deployment.journal.enabled = true;
-  sc.repl = kRepl;  // its egress nodes join the crashable set
-  fault::ScheduleOptions& so = sc.schedule;
-  so.torn_tail_prob = 0.25;
-  so.long_partitions = 1;
-  so.min_long_partition = simtime::seconds(20);
-  so.max_long_partition = simtime::seconds(60);
-  so.degrades = 1;
-  so.power_losses = 1;
-  so.worst_case_recovery = simtime::seconds(10);
-  // Every partition heals by minute 4; four more minutes of anti-entropy
-  // rounds drain whatever custody parked or lost.
-  sc.horizon = simtime::minutes(8);
-  return test::run_chaos(seed, sc);
-}
-
 class ReplChaosSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReplChaosSeeds, ReplayIsBitIdenticalAndReconciliationConverges) {
   const std::uint64_t seed = GetParam();
-  const test::ChaosOutcome a = run_repl_chaos(seed);
-  const test::ChaosOutcome b = run_repl_chaos(seed);
+  const test::ChaosOutcome a = test::run_chaos(seed, test::repl_scenario());
+  const test::ChaosOutcome b = test::run_chaos(seed, test::repl_scenario());
 
   // Determinism, custody and version-map state included.
   EXPECT_EQ(a.digest, b.digest) << "seed " << seed;
@@ -76,7 +56,7 @@ TEST(ReplPartitionAcceptance, ThirtyMinuteCutIsInvisibleToClients) {
   sim::Simulation sim;
   blob::DeploymentConfig cfg = test::ChaosScenario{}.deployment;
   cfg.journal.enabled = true;
-  test::ChaosStack st(sim, cfg, kRepl);
+  test::ChaosStack st(sim, cfg, test::repl_scenario().repl);
   blob::Deployment& dep = st.dep;
   repl::ReplicationPlane& plane = *st.plane;
 

@@ -88,7 +88,8 @@ void check_maxmin_invariants(const FlowScheduler& flows) {
 
 RunResult run_trace(const Trace& t, bool incremental, bool check_invariants) {
   sim::Simulation sim;
-  FlowScheduler flows(sim, {.incremental = incremental});
+  FlowScheduler flows(sim);
+  flows.set_incremental(incremental);
   std::vector<Resource*> resources;
   for (std::size_t i = 0; i < t.caps.size(); ++i) {
     resources.push_back(
@@ -208,7 +209,8 @@ TEST(FlowCapacityChange, MidFlightSlowdownShiftsCompletionAnalytically) {
   // 50 MB done by the change, the remaining 50 MB takes 1 s -> 1.5 s total.
   for (const bool incremental : {true, false}) {
     sim::Simulation sim;
-    FlowScheduler flows(sim, {.incremental = incremental});
+    FlowScheduler flows(sim);
+    flows.set_incremental(incremental);
     auto* r = flows.create_resource("disk", 100e6);
     SimTime done = 0;
     sim::WaitGroup wg(sim);
@@ -236,7 +238,8 @@ TEST(FlowCapacityChange, IncrementalMatchesReferenceUnderCapacityFlaps) {
   std::vector<RunResult> results;
   for (const bool incremental : {true, false}) {
     sim::Simulation sim;
-    FlowScheduler flows(sim, {.incremental = incremental});
+    FlowScheduler flows(sim);
+    flows.set_incremental(incremental);
     std::vector<Resource*> resources;
     for (std::size_t i = 0; i < t.caps.size(); ++i) {
       resources.push_back(

@@ -145,7 +145,8 @@ TEST(Flow, DuplicateResourceEntriesCountOnce) {
   // share accounting: {r, r, r} behaves exactly like {r}.
   for (const bool incremental : {true, false}) {
     sim::Simulation sim;
-    FlowScheduler flows(sim, {.incremental = incremental});
+    FlowScheduler flows(sim);
+    flows.set_incremental(incremental);
     auto* r = flows.create_resource("link", mb_per_sec(100));
     test::run_task_void(sim, flows.transfer(200e6, {r, r, r}));
     EXPECT_NEAR(simtime::to_seconds(sim.now()), 2.0, 1e-3)
@@ -186,7 +187,8 @@ TEST(Flow, BytesServedPinnedToAnalyticTotals) {
   // flows crossing it (residue crediting makes the totals exact).
   for (const bool incremental : {true, false}) {
     sim::Simulation sim;
-    FlowScheduler flows(sim, {.incremental = incremental});
+    FlowScheduler flows(sim);
+    flows.set_incremental(incremental);
     auto* r1 = flows.create_resource("r1", 100e6);
     auto* r2 = flows.create_resource("r2", 40e6);
     sim::WaitGroup wg(sim);

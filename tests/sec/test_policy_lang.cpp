@@ -100,11 +100,28 @@ TEST(PolicyParser, ErrorsCarryLineNumbers) {
       EXPECT_NE(r.error().message.find("line"), std::string::npos);
     }
   }
-  // A bad duration quotes its own line, not the next token's.
-  auto r = parse_policies(
-      "policy p {\n  when trust() < 1;\n  then block(1e12s\n  );\n}\n");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().message.rfind("line 3: ", 0), 0u) << r.error().message;
+  // Each error quotes the line of the token at fault, not the next one's.
+  const std::pair<const char*, const char*> multi_line[] = {
+      {"policy p {\n  when trust() < 1;\n  then block(1e12s\n  );\n}\n",
+       "line 3: "},  // bad duration
+      {"policy p {\n  when rate(bogus_metric\n  , 1s) > 1;\n  then log;\n}\n",
+       "line 2: unknown metric"},
+      {"policy p {\n  when trust() < 1;\n  then explode\n  ();\n}\n",
+       "line 3: unknown action"},
+      {"policy p {\n  severity extreme\n  ;\n}\n", "line 2: unknown severity"},
+      {"policy p {\n  when frobnicate\n  (write_ops, 1s) > 1;\n}\n",
+       "line 2: unknown function"},
+      {"policy p {\n  colour\n  red;\n}\n", "line 2: unknown clause"},
+      {"policy p {\n  when trust() < 1;\n}\n\n",
+       "line 3: policy 'p' missing then"},
+      {"policy p {\n  then log;\n}\n\n", "line 3: policy 'p' missing when"},
+  };
+  for (const auto& [src, prefix] : multi_line) {
+    auto r = parse_policies(src);
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.error().message.rfind(prefix, 0), 0u)
+        << r.error().message << " (expected " << prefix << ")";
+  }
 }
 
 TEST(PolicyParser, DefaultPolicySourceParses) {

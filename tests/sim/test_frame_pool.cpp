@@ -3,6 +3,7 @@
 // destruction of suspended actors, and FIFO pinning for the same-time
 // scheduling fast lane (delay_until-in-the-past included).
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <coroutine>
 #include <cstdint>
@@ -48,6 +49,31 @@ TEST(FramePool, RecyclesChunksWithinSizeClass) {
   void* b = pool.allocate(128);
   EXPECT_EQ(b, a);
   pool.deallocate(b, 128);
+}
+
+// Under AddressSanitizer a cached chunk is unaddressable, so a use after
+// free of a pooled frame or RPC body is reported; a reissued one is not.
+TEST(FramePool, CachedChunksArePoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  PoolGuard guard;
+  auto& pool = FramePool::instance();
+  pool.set_enabled(true);
+  pool.trim();
+
+  auto* a = static_cast<char*>(pool.allocate(100));  // 128-byte class
+  pool.deallocate(a, 100);
+  ASSERT_EQ(pool.cached_chunks(), 1u);
+  EXPECT_TRUE(__asan_address_is_poisoned(a));
+  EXPECT_TRUE(__asan_address_is_poisoned(a + 127));
+
+  auto* b = static_cast<char*>(pool.allocate(128));
+  ASSERT_EQ(b, a);
+  EXPECT_FALSE(__asan_address_is_poisoned(b));
+  EXPECT_FALSE(__asan_address_is_poisoned(b + 127));
+  pool.deallocate(b, 128);
+#else
+  GTEST_SKIP() << "built without AddressSanitizer";
+#endif
 }
 
 TEST(FramePool, OversizeFramesBypassThePool) {
