@@ -512,14 +512,7 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
     // Idempotent commit: a retry after a lost CommitWriteResp must report
     // the outcome the first commit produced, not a spurious conflict.
     if (auto pub = b.published.find(req.version); pub != b.published.end()) {
-      CommitWriteResp resp;
-      resp.published = true;
-      resp.info = pub->second;
-      // The publish record may still be volatile (racing group commit);
-      // an acked publish must never be lost to a crash.
-      auto sealed = co_await durable_.commit_tail();
-      if (!sealed.ok()) co_return sealed.error();
-      co_return resp;
+      co_return co_await reply_published(pub->second);
     }
     co_return Error{Errc::conflict, "no such pending write"};
   }
@@ -546,27 +539,17 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
   pit = b2.pending.find(req.version);
   if (pit == b2.pending.end()) {
     if (auto pub = b2.published.find(req.version); pub != b2.published.end()) {
-      CommitWriteResp resp;
-      resp.published = true;
-      resp.info = pub->second;
-      auto sealed = co_await durable_.commit_tail();
-      if (!sealed.ok()) co_return sealed.error();
-      co_return resp;
+      co_return co_await reply_published(pub->second);
     }
     co_return Error{Errc::conflict, "write aborted before publication"};
   }
   PendingWrite& w2 = pit->second;
-  CommitWriteResp resp;
   if (w2.published) {
-    resp.published = true;
-    resp.info = b2.published.at(req.version);
+    // publish_one appended the publish record synchronously.
     b2.pending.erase(pit);
-    // publish_one appended the publish record synchronously; make it (and
-    // everything before it) durable before the writer hears "published".
-    auto sealed = co_await durable_.commit_tail();
-    if (!sealed.ok()) co_return sealed.error();
-    co_return resp;
+    co_return co_await reply_published(b2.published.at(req.version));
   }
+  CommitWriteResp resp;
   resp.rebuild_needed = true;
   resp.abort_epoch = b2.abort_epoch;
   resp.borders = meta_ops::border_versions(b2.history, w2.extent,
@@ -578,6 +561,16 @@ sim::Task<Result<CommitWriteResp>> VersionManager::handle_commit(
                     }));
   w2.committed = false;  // awaiting re-commit after the rebuild
   w2.lease_from = node_.cluster().sim().now();
+  co_return resp;
+}
+
+sim::Task<Result<CommitWriteResp>> VersionManager::reply_published(
+    VersionInfo info) {
+  auto sealed = co_await durable_.commit_tail();
+  if (!sealed.ok()) co_return sealed.error();
+  CommitWriteResp resp;
+  resp.published = true;
+  resp.info = info;
   co_return resp;
 }
 

@@ -172,6 +172,10 @@ class VersionManager {
                                                  ClientId writer);
   sim::Task<Result<CommitWriteResp>> handle_commit(CommitWriteReq req);
   sim::Task<Result<AbortWriteResp>> handle_abort(AbortWriteReq req);
+  /// The "published" commit reply, sent once the journal tail is durable:
+  /// the publish record may still be volatile (racing group commit), and
+  /// an acked publish must never be lost to a crash.
+  sim::Task<Result<CommitWriteResp>> reply_published(VersionInfo info);
 
   /// Walks the pending queue in version order, settling decisions.
   void try_publish(BlobState& b);

@@ -38,9 +38,9 @@ void S3Gateway::wipe() {
   chunk_index_.clear();
   mpus_.clear();
   // Wake every coroutine parked on an in-flight store so it can observe
-  // the incarnation change and bail. The cached per-user BlobClients are
-  // NOT destroyed: zombie handler frames still reference them, and they
-  // hold no durable state.
+  // the incarnation change and bail. The per-user BlobClients are NOT
+  // destroyed: zombie handler frames still reference them, and they hold
+  // no durable state.
   for (auto& [hash, ev] : pending_stores_) ev->set();
   pending_stores_.clear();
   if (store_creating_) {
@@ -54,41 +54,11 @@ void S3Gateway::wipe() {
 
 // ------------------------------------------------------------ user clients
 
-S3Gateway::ClientLease S3Gateway::lease_client(ClientId user) {
-  UserClient& uc = clients_[user.value];
-  if (!uc.client) {
-    uc.client = std::make_unique<blob::BlobClient>(
-        node_, user, endpoints_, blob::ClientConfig{},
-        /*rng_seed=*/0x53C4E7 + user.value);
-  }
-  uc.last_used = ++lru_tick_;
-  ++uc.active;
-  evict_idle_clients();
-  return ClientLease(this, user.value, uc.client.get());
-}
-
-void S3Gateway::unpin_client(std::uint64_t key, blob::BlobClient* client) {
-  auto it = clients_.find(key);
-  if (it == clients_.end() || it->second.client.get() != client) return;
-  if (it->second.active > 0) --it->second.active;
-}
-
-void S3Gateway::evict_idle_clients() {
-  if (options_.max_user_clients == 0) return;
-  while (clients_.size() > options_.max_user_clients) {
-    auto victim = clients_.end();
-    for (auto it = clients_.begin(); it != clients_.end(); ++it) {
-      if (it->second.active > 0) continue;
-      if (victim == clients_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == clients_.end()) return;  // everything pinned in-flight
-    clients_.erase(victim);
-    ++stats_.clients_evicted;
-    obs::count("gateway.clients_evicted");
-  }
+blob::BlobClient& S3Gateway::user_client(ClientId user) {
+  return clients_
+      .try_emplace(user.value, node_, user, endpoints_, blob::ClientConfig{},
+                   /*rng_seed=*/0x53C4E7 + user.value)
+      .first->second;
 }
 
 // ----------------------------------------------------------------- buckets
@@ -166,19 +136,17 @@ sim::Task<Result<BlobId>> S3Gateway::ensure_store_blob() {
     }
     store_creating_ = std::make_shared<sim::Event>(node_.cluster().sim());
     auto ev = store_creating_;
-    {
-      ClientLease store = lease_client(kStoreIdentity);
-      auto created = co_await (*store).create(options_.object_chunk_size,
-                                              options_.replication);
-      if (node_.incarnation() != inc || recovering()) {
-        ev->set();  // wake fellow zombies so they bail too
-        co_return Error{Errc::unavailable, "gateway restarted"};
-      }
-      if (store_creating_ == ev) store_creating_.reset();
-      ev->set();
-      if (!created.ok()) co_return created.error();
-      store_blob_ = created.value();
+    auto created = co_await user_client(kStoreIdentity)
+                       .create(options_.object_chunk_size,
+                               options_.replication);
+    if (node_.incarnation() != inc || recovering()) {
+      ev->set();  // wake fellow zombies so they bail too
+      co_return Error{Errc::unavailable, "gateway restarted"};
     }
+    if (store_creating_ == ev) store_creating_.reset();
+    ev->set();
+    if (!created.ok()) co_return created.error();
+    store_blob_ = created.value();
     GwRecord rec;
     rec.kind = GwRecord::Kind::store_blob;
     rec.a = store_blob_.value;
@@ -188,8 +156,8 @@ sim::Task<Result<BlobId>> S3Gateway::ensure_store_blob() {
   co_return store_blob_;
 }
 
-// bslint: allow(coro-ref-param): client is pinned by the handler's
-// ClientLease, held across the co_await of this task
+// bslint: allow(coro-ref-param): client is a per-user client, which the
+// gateway keeps for its life
 // bslint: allow(perf-large-byvalue): every caller moves the freshly split
 // batch; Payload bodies are shared_ptr-backed either way
 sim::Task<Result<S3Gateway::IngestResult>> S3Gateway::ingest_chunks(
@@ -765,8 +733,8 @@ void S3Gateway::register_handlers() {
         if (!split.ok()) co_return split.error();
 
         const std::uint64_t inc = node_.incarnation();
-        ClientLease client = lease_client(env.client);
-        auto ing = co_await ingest_chunks(*client, std::move(split.value()));
+        blob::BlobClient& client = user_client(env.client);
+        auto ing = co_await ingest_chunks(client, std::move(split.value()));
         if (!ing.ok()) co_return ing.error();
         if (node_.incarnation() != inc || recovering()) {
           co_return Error{Errc::unavailable, "gateway restarted"};
@@ -859,7 +827,7 @@ void S3Gateway::register_handlers() {
         }
 
         const std::uint64_t inc = node_.incarnation();
-        ClientLease client = lease_client(env.client);
+        blob::BlobClient& client = user_client(env.client);
         auto& sim = node_.cluster().sim();
         {
           sim::Semaphore sem(sim, kGetParallelism);
@@ -872,7 +840,7 @@ void S3Gateway::register_handlers() {
               slot.result = co_await c.read(slot.ref.store_blob,
                                             slot.store_lo, slot.rlen,
                                             slot.ref.store_version);
-            }(*client, sem, f));
+            }(client, sem, f));
           }
           co_await wg.wait();
         }
@@ -1040,12 +1008,12 @@ void S3Gateway::register_handlers() {
         if (!split.ok()) co_return split.error();
 
         const std::uint64_t inc = node_.incarnation();
-        ClientLease client = lease_client(env.client);
+        blob::BlobClient& client = user_client(env.client);
         ++stats_.parts_in_flight;
         obs::gauge_set("gateway.parts_in_flight",
                        static_cast<double>(stats_.parts_in_flight),
                        node_.cluster().sim().now());
-        auto ing = co_await ingest_chunks(*client, std::move(split.value()));
+        auto ing = co_await ingest_chunks(client, std::move(split.value()));
         if (stats_.parts_in_flight > 0) --stats_.parts_in_flight;
         obs::gauge_set("gateway.parts_in_flight",
                        static_cast<double>(stats_.parts_in_flight),
@@ -1231,10 +1199,10 @@ void S3Gateway::register_handlers() {
         for (const auto& [i, c] : shipped) payloads.push_back(c->payload);
 
         const std::uint64_t inc = node_.incarnation();
-        ClientLease client = lease_client(env.client);
+        blob::BlobClient& client = user_client(env.client);
         IngestResult ingested;
         if (!payloads.empty()) {
-          auto ing = co_await ingest_chunks(*client, std::move(payloads));
+          auto ing = co_await ingest_chunks(client, std::move(payloads));
           if (!ing.ok()) co_return ing.error();
           if (node_.incarnation() != inc || recovering()) {
             co_return Error{Errc::unavailable, "gateway restarted"};

@@ -280,8 +280,6 @@ struct GatewayOptions {
   /// the same manifest/refcount machinery but makes every ingested chunk
   /// unique, so every chunk pays a provider write (the ablation baseline).
   bool dedup{true};
-  /// Bound on cached per-user BlobClients, idle-LRU evicted; 0 = unbounded.
-  std::size_t max_user_clients{64};
   /// WAL for bucket/object metadata and the dedup index (PR 7 model).
   blob::JournalOptions journal{};
 };
@@ -305,7 +303,6 @@ struct GatewayStats {
   std::uint64_t delta_bytes_shared{0};
   std::uint64_t chunks_reclaimed{0};
   std::uint64_t bytes_reclaimed{0};
-  std::uint64_t clients_evicted{0};
   std::uint64_t parts_in_flight{0};
 };
 
@@ -317,9 +314,6 @@ class S3Gateway {
   [[nodiscard]] NodeId id() const { return node_.id(); }
   [[nodiscard]] const GatewayStats& stats() const { return stats_; }
   [[nodiscard]] const ChunkIndex& index() const { return chunk_index_; }
-  [[nodiscard]] std::size_t user_client_count() const {
-    return clients_.size();
-  }
   [[nodiscard]] bool recovering() const { return durable_.recovering(); }
   [[nodiscard]] const blob::RecoveryStats& recovery_stats() const {
     return durable_.stats();
@@ -349,12 +343,6 @@ class S3Gateway {
     ClientId owner{};
     std::map<std::uint32_t, PartInfo> parts;
   };
-  struct UserClient {
-    std::unique_ptr<blob::BlobClient> client;
-    std::uint64_t last_used{0};  ///< LRU tick
-    std::uint32_t active{0};     ///< in-flight handlers using it
-  };
-
   /// Journal record. Field use is kind-specific; `a`/`b`/`c` are scalar
   /// slots (hash/upload id/refs/…) documented per kind in gateway.cpp.
   struct GwRecord {
@@ -398,38 +386,13 @@ class S3Gateway {
     std::uint64_t bytes_stored{0};
   };
 
-  /// RAII pin on a cached per-user client so LRU eviction never destroys a
-  /// BlobClient an in-flight handler still references.
-  class ClientLease {
-   public:
-    ClientLease(S3Gateway* gw, std::uint64_t key, blob::BlobClient* client)
-        : gw_(gw), key_(key), client_(client) {}
-    ClientLease(const ClientLease&) = delete;
-    ClientLease& operator=(const ClientLease&) = delete;
-    ClientLease(ClientLease&& o) noexcept
-        : gw_(o.gw_), key_(o.key_), client_(o.client_) {
-      o.gw_ = nullptr;
-    }
-    ClientLease& operator=(ClientLease&&) = delete;
-    ~ClientLease() {
-      if (gw_ != nullptr) gw_->unpin_client(key_, client_);
-    }
-    [[nodiscard]] blob::BlobClient& operator*() const { return *client_; }
-
-   private:
-    S3Gateway* gw_;
-    std::uint64_t key_;
-    blob::BlobClient* client_;
-  };
-
   void register_handlers();
 
   /// Per-user BlobSeer client on the gateway node, so BlobSeer attributes
-  /// the traffic to the end user (required for self-protection). The lease
-  /// pins the entry against LRU eviction for the handler's lifetime.
-  ClientLease lease_client(ClientId user);
-  void unpin_client(std::uint64_t key, blob::BlobClient* client);
-  void evict_idle_clients();
+  /// the traffic to the end user (required for self-protection). Built on
+  /// first use and kept for the gateway's life, so a handler's reference
+  /// stays valid across its awaits.
+  blob::BlobClient& user_client(ClientId user);
 
   Result<Bucket*> bucket_checked(const std::string& name, ClientId who,
                                  Permission want);
@@ -453,8 +416,8 @@ class S3Gateway {
   /// are appended to the store blob in one new version through the user's
   /// client (bounded-parallel puts). On return every manifest entry holds
   /// one pin; commit with commit_ref or roll back with rollback_ingest.
-  // bslint: allow(coro-ref-param): client is pinned by the handler's
-  // ClientLease, held across the co_await of this task
+  // bslint: allow(coro-ref-param): client is a per-user client, which the
+  // gateway keeps for its life
   // bslint: allow(perf-large-byvalue): every caller moves the freshly
   // split batch; Payload bodies are shared_ptr-backed either way
   sim::Task<Result<IngestResult>> ingest_chunks(
@@ -495,8 +458,7 @@ class S3Gateway {
   blob::BlobClient::Endpoints endpoints_;
   GatewayOptions options_;
   std::map<std::string, Bucket> buckets_;
-  std::map<std::uint64_t, UserClient> clients_;
-  std::uint64_t lru_tick_{0};
+  std::map<std::uint64_t, blob::BlobClient> clients_;
   GatewayStats stats_;
 
   ChunkIndex chunk_index_;

@@ -20,7 +20,17 @@ constexpr double kMaxEtaNanos = 9.0e18;
 bool id_less(const detail::Flow* a, const detail::Flow* b) {
   return a->id < b->id;
 }
+
+// Binary-search order of the active-flow slots against a flow id.
+constexpr auto slot_before = [](const auto& slot, std::uint64_t id) {
+  return slot.id < id;
+};
 }  // namespace
+
+FlowScheduler::Flow* FlowScheduler::find_active(std::uint64_t id) const {
+  auto it = std::lower_bound(active_.begin(), active_.end(), id, slot_before);
+  return it != active_.end() && it->id == id ? it->flow.get() : nullptr;
+}
 
 FlowScheduler::~FlowScheduler() = default;
 
@@ -84,7 +94,7 @@ sim::Task<void> FlowScheduler::transfer(double bytes,
         [r](const FlowLink& l) { return l.resource == r; });
     if (!seen) f->links.push_back(FlowLink{f, r, nullptr, nullptr});
   }
-  active_.emplace(id, std::move(flow));
+  active_.push_back({id, std::move(flow)});
   link(f);
   if (incremental_) {
     on_arrival_incremental(f);
@@ -364,9 +374,8 @@ void FlowScheduler::on_wakeup() {
     std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
     const EtaEntry e = eta_heap_.back();
     eta_heap_.pop_back();
-    auto it = active_.find(e.id);
-    if (it == active_.end()) continue;  // flow already completed: stale
-    Flow* f = it->second.get();
+    Flow* f = find_active(e.id);
+    if (f == nullptr) continue;  // flow already completed: stale
     if (f->rate_epoch != e.epoch) continue;  // rate changed since: stale
     due.push_back(f);
   }
@@ -418,8 +427,15 @@ std::uint64_t FlowScheduler::complete_due() {
     ++completed_;
   }
   for (auto it = comp.begin(); it != mid; ++it) {
-    const std::uint64_t fid = (*it)->id;
-    active_.erase(fid);
+    auto slot = std::lower_bound(active_.begin(), active_.end(), (*it)->id,
+                                 slot_before);
+    assert(slot != active_.end() && slot->flow.get() == *it);
+    slot->flow.reset();
+    ++holes_;
+  }
+  if (holes_ * 2 > active_.size()) {
+    std::erase_if(active_, [](const ActiveFlow& a) { return !a.flow; });
+    holes_ = 0;
   }
   comp.erase(comp.begin(), mid);
   return due_mark;
@@ -429,11 +445,9 @@ void FlowScheduler::rebuild_eta_heap() {
   // Exact rebuild from the live flows (each stores its current ETA):
   // O(active) with no hash lookups, and leaves zero stale entries.
   eta_heap_.clear();
-  // bslint: allow(det-unordered-iter): heap order is a strict total order
-  // on (eta, id), so pop order is independent of build order
-  for (auto& [id, f] : active_) {
-    if (f->eta < simtime::kInfinite) {
-      eta_heap_.push_back(EtaEntry{f->eta, id, f->rate_epoch});
+  for (const ActiveFlow& a : active_) {
+    if (a.flow && a.flow->eta < simtime::kInfinite) {
+      eta_heap_.push_back(EtaEntry{a.flow->eta, a.id, a.flow->rate_epoch});
     }
   }
   std::make_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
@@ -442,7 +456,9 @@ void FlowScheduler::rebuild_eta_heap() {
 void FlowScheduler::compact_eta_heap() {
   // Lazy deletion can leave stale entries behind; rebuild when they
   // dominate so the heap stays O(active flows).
-  if (eta_heap_.size() < 64 || eta_heap_.size() < 4 * active_.size()) return;
+  if (eta_heap_.size() < 64 || eta_heap_.size() < 4 * active_flow_count()) {
+    return;
+  }
   rebuild_eta_heap();
 }
 
@@ -459,11 +475,11 @@ void FlowScheduler::recompute_rates_global() {
   scratch_flows_.clear();
   scratch_resources_.clear();
   const std::uint64_t epoch = ++mark_epoch_;
-  // bslint: allow(det-unordered-iter): max-min fixpoint and settle are
-  // order-insensitive; completions are sorted by id before resuming
-  for (auto& [id, f] : active_) {
+  for (const ActiveFlow& a : active_) {
+    Flow* f = a.flow.get();
+    if (f == nullptr) continue;
     f->prev_rate = f->rate;
-    scratch_flows_.push_back(f.get());
+    scratch_flows_.push_back(f);
     for (auto& l : f->links) {
       if (l.resource->mark_ != epoch) {
         l.resource->mark_ = epoch;
@@ -483,8 +499,9 @@ void FlowScheduler::recompute_rates_global() {
 void FlowScheduler::schedule_next_completion() {
   ++generation_;
   SimTime min_eta = simtime::kInfinite;
-  // bslint: allow(det-unordered-iter): pure min over all flows
-  for (auto& [id, f] : active_) min_eta = std::min(min_eta, f->eta);
+  for (const ActiveFlow& a : active_) {
+    if (a.flow) min_eta = std::min(min_eta, a.flow->eta);
+  }
   if (min_eta >= simtime::kInfinite) return;
   const std::uint64_t gen = generation_;
   auto completion = [this, gen] { on_completion_event(gen); };
@@ -500,10 +517,8 @@ void FlowScheduler::on_completion_event(std::uint64_t generation) {
   // event (any change bumps generation_), so the stored values are current.
   auto& due = scratch_due_;
   due.clear();
-  // bslint: allow(det-unordered-iter): due set is stable_partitioned and
-  // sorted by flow id before completions resume waiters
-  for (auto& [id, f] : active_) {
-    if (f->eta <= now) due.push_back(f.get());
+  for (const ActiveFlow& a : active_) {
+    if (a.flow && a.flow->eta <= now) due.push_back(a.flow.get());
   }
   if (due.empty()) {  // defensive: spurious event
     schedule_next_completion();
@@ -516,19 +531,18 @@ void FlowScheduler::on_completion_event(std::uint64_t generation) {
     recompute_rates_global();  // clobbers the scratch; not needed below
     // Defensive: a due survivor whose rate came back unchanged kept a
     // stale (<= now) ETA; refresh it from its post-settle remaining.
-    // bslint: allow(det-unordered-iter): per-flow ETA refresh; updates are
-    // independent and feed the strict-total-order heap
-    for (auto& [id, f] : active_) {
-      if (f->mark == due_mark && f->rate == f->prev_rate && f->rate > 0) {
+    for (const ActiveFlow& a : active_) {
+      Flow* f = a.flow.get();
+      if (f != nullptr && f->mark == due_mark && f->rate == f->prev_rate &&
+          f->rate > 0) {
         update_eta(*f);
       }
     }
   } else {
     // No completion at all: every due flow is the defensive case.
-    // bslint: allow(det-unordered-iter): per-flow ETA refresh; updates are
-    // independent and feed the strict-total-order heap
-    for (auto& [id, f] : active_) {
-      if (f->mark == due_mark && f->rate > 0) update_eta(*f);
+    for (const ActiveFlow& a : active_) {
+      Flow* f = a.flow.get();
+      if (f != nullptr && f->mark == due_mark && f->rate > 0) update_eta(*f);
     }
   }
   schedule_next_completion();
@@ -537,16 +551,15 @@ void FlowScheduler::on_completion_event(std::uint64_t generation) {
 std::vector<FlowScheduler::FlowInfo> FlowScheduler::active_flows_snapshot()
     const {
   std::vector<FlowInfo> out;
-  out.reserve(active_.size());
-  // bslint: allow(det-unordered-iter): snapshot is sorted before returning
-  for (const auto& [id, f] : active_) {
-    FlowInfo info{id, f->rate, f->remaining, {}};
+  out.reserve(active_flow_count());
+  for (const ActiveFlow& a : active_) {
+    const Flow* f = a.flow.get();
+    if (f == nullptr) continue;
+    FlowInfo info{a.id, f->rate, f->remaining, {}};
     info.resources.reserve(f->links.size());
     for (const auto& l : f->links) info.resources.push_back(l.resource);
     out.push_back(std::move(info));
   }
-  std::sort(out.begin(), out.end(),
-            [](const FlowInfo& a, const FlowInfo& b) { return a.id < b.id; });
   return out;
 }
 

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -128,7 +127,7 @@ class FlowScheduler {
 
   [[nodiscard]] std::uint64_t completed_flows() const { return completed_; }
   [[nodiscard]] std::size_t active_flow_count() const {
-    return active_.size();
+    return active_.size() - holes_;
   }
   /// Selects the incremental path (the default) or the reference oracle.
   /// Only before the first transfer: the two paths keep different state.
@@ -159,6 +158,13 @@ class FlowScheduler {
       return a.id > b.id;
     }
   };
+  struct ActiveFlow {
+    std::uint64_t id;
+    std::unique_ptr<Flow> flow;  // null: completed (a hole)
+  };
+
+  // The active flow `id`, or null once it has completed.
+  [[nodiscard]] Flow* find_active(std::uint64_t id) const;
 
   // Shared by both paths.
   void link(Flow* f);
@@ -197,7 +203,12 @@ class FlowScheduler {
   sim::Simulation& sim_;
   bool incremental_{true};
   std::vector<std::unique_ptr<Resource>> resources_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Flow>> active_;
+  // Active flows in id order: transfer appends (ids only grow), and a
+  // completed flow leaves a hole under its id, so lookups binary-search
+  // and every walk visits flows in id order. complete_due compacts the
+  // holes once they are half the vector.
+  std::vector<ActiveFlow> active_;
+  std::size_t holes_{0};
   std::uint64_t next_flow_id_{0};
   std::uint64_t completed_{0};
   std::uint64_t mark_epoch_{0};

@@ -4,12 +4,10 @@
 // at the site egress. Custody is released only on durable handoff — the
 // remote egress journals + fsyncs the apply before acking — and a bundle
 // whose delivery attempt times out is re-forwarded, so the receiver dedups
-// by version id. Queue overflow follows a policy: drop_newest refuses the
-// incoming bundle (the version-map reconciler finds and re-schedules it
-// after heal), spill keeps it but pays a disk round-trip on both enqueue
-// and release. No policy evicts a queued bundle, so the head the drain
-// loop has in flight stays the head until the loop releases it (a crash or
-// wipe ends that loop first).
+// by version id. A bundle beyond the queue bound spills: it is kept, but
+// pays a disk round-trip on both enqueue and release. Nothing evicts a
+// queued bundle, so the head the drain loop has in flight stays the head
+// until the loop releases it (a crash or wipe ends that loop first).
 #pragma once
 
 #include <algorithm>
@@ -49,19 +47,15 @@ struct CustodyBundle {
   bool catch_up{false};       ///< re-synthesized by reconciliation
 };
 
-enum class OverflowPolicy : std::uint8_t { drop_newest, spill };
-
 /// What push() did with the bundle.
 enum class EnqueueOutcome : std::uint8_t {
   ok,
-  spilled,      ///< accepted, but parked on disk (bound exceeded)
-  dropped_new,  ///< refused: the incoming bundle was dropped
+  spilled,  ///< accepted, but parked on disk (bound exceeded)
 };
 
 struct CustodyQueueStats {
   std::uint64_t enqueued{0};
   std::uint64_t released{0};  ///< custody handed off (acked by remote)
-  std::uint64_t dropped{0};
   std::uint64_t spilled{0};
   std::uint64_t reforwards{0};
   std::uint64_t peak_depth{0};
@@ -72,21 +66,12 @@ struct CustodyQueueStats {
 /// the wire and the journal snapshots it (bslint det-custody-order).
 class CustodyQueue {
  public:
-  CustodyQueue(std::size_t bound, OverflowPolicy policy)
-      : bound_(bound), policy_(policy) {}
+  explicit CustodyQueue(std::size_t bound) : bound_(bound) {}
 
   EnqueueOutcome push(CustodyBundle b) {
     if (bundles_.size() >= bound_) {
-      switch (policy_) {
-        case OverflowPolicy::drop_newest:
-          ++stats_.dropped;
-          forget(b);
-          return EnqueueOutcome::dropped_new;
-        case OverflowPolicy::spill:
-          b.spilled = true;
-          ++stats_.spilled;
-          break;
-      }
+      b.spilled = true;
+      ++stats_.spilled;
     }
     remember(b);
     const bool spilled = b.spilled;
@@ -148,7 +133,6 @@ class CustodyQueue {
   }
 
   std::size_t bound_;
-  OverflowPolicy policy_;
   std::deque<CustodyBundle> bundles_;
   std::set<std::pair<std::uint64_t, blob::Version>> pending_publishes_;
   CustodyQueueStats stats_;

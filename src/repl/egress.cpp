@@ -71,8 +71,8 @@ std::uint64_t SiteEgress::record_bytes(const EgressRecord& rec) {
 void SiteEgress::apply_record(const EgressRecord& rec) {
   switch (rec.kind) {
     case EgressRecord::Kind::enqueue: {
-      // Replaying the push re-runs the overflow policy with the same bound,
-      // so drops and spills recur exactly as they did before the crash.
+      // Replaying the push re-runs it against the same bound, so spills
+      // recur exactly as they did before the crash.
       next_bundle_id_ = std::max(next_bundle_id_, rec.bundle.id);
       dst_state(rec.dst).queue.push(rec.bundle);
       break;
@@ -215,10 +215,9 @@ void SiteEgress::note_published(BlobId blob, blob::Version v,
   durable_.commit_detached(std::move(rec));
 }
 
-EnqueueOutcome SiteEgress::enqueue_publish(net::SiteId dst, BlobId blob,
-                                           blob::Version v,
-                                           std::uint64_t bytes,
-                                           bool catch_up) {
+void SiteEgress::enqueue_publish(net::SiteId dst, BlobId blob,
+                                 blob::Version v, std::uint64_t bytes,
+                                 bool catch_up) {
   CustodyBundle b;
   b.id = ++next_bundle_id_;
   b.kind = BundleKind::publish;
@@ -229,13 +228,11 @@ EnqueueOutcome SiteEgress::enqueue_publish(net::SiteId dst, BlobId blob,
   b.bytes = bytes;
   b.enqueued_at = node_.cluster().sim().now();
   b.catch_up = catch_up;
-  return enqueue(std::move(b));
+  enqueue(std::move(b));
 }
 
-EnqueueOutcome SiteEgress::enqueue_chunk(net::SiteId dst,
-                                         const blob::ChunkKey& key,
-                                         NodeId target,
-                                         blob::Payload payload) {
+void SiteEgress::enqueue_chunk(net::SiteId dst, const blob::ChunkKey& key,
+                               NodeId target, blob::Payload payload) {
   CustodyBundle b;
   b.id = ++next_bundle_id_;
   b.kind = BundleKind::chunk;
@@ -248,10 +245,10 @@ EnqueueOutcome SiteEgress::enqueue_chunk(net::SiteId dst,
   b.target = target;
   b.payload = std::move(payload);
   b.enqueued_at = node_.cluster().sim().now();
-  return enqueue(std::move(b));
+  enqueue(std::move(b));
 }
 
-EnqueueOutcome SiteEgress::enqueue(CustodyBundle b) {
+void SiteEgress::enqueue(CustodyBundle b) {
   const net::SiteId dst = b.dst_site;
   const std::uint64_t held = rec_bundle_bytes(b);
   EgressRecord rec;
@@ -259,26 +256,16 @@ EnqueueOutcome SiteEgress::enqueue(CustodyBundle b) {
   rec.dst = dst;
   rec.bundle = b;
   const EnqueueOutcome outcome = dst_state(dst).queue.push(std::move(b));
-  // Journaled regardless of the outcome: the replay re-runs the same push
-  // against the same bound, so the same drop/spill decision recurs.
+  // The replay re-runs the same push against the same bound, so the same
+  // spill decision recurs.
   durable_.commit_detached(std::move(rec));
-  switch (outcome) {
-    case EnqueueOutcome::ok:
-      obs::count("repl.enqueued");
-      break;
-    case EnqueueOutcome::spilled:
-      obs::count("repl.enqueued");
-      obs::count("repl.spilled");
-      blob::charge_disk_write(node_, held);
-      break;
-    case EnqueueOutcome::dropped_new:
-      obs::count("repl.enqueued");
-      obs::count("repl.dropped");
-      break;
+  obs::count("repl.enqueued");
+  if (outcome == EnqueueOutcome::spilled) {
+    obs::count("repl.spilled");
+    blob::charge_disk_write(node_, held);
   }
   ensure_drain(dst);
   update_depth_gauge();
-  return outcome;
 }
 
 void SiteEgress::retire_version(BlobId blob, blob::Version v) {
@@ -324,8 +311,7 @@ SiteEgress::DstState& SiteEgress::dst_state(net::SiteId dst) {
   if (it == dsts_.end()) {
     it = dsts_
              .emplace(std::piecewise_construct, std::forward_as_tuple(dst),
-                      std::forward_as_tuple(options_.queue_bound,
-                                            options_.overflow))
+                      std::forward_as_tuple(options_.queue_bound))
              .first;
   }
   return it->second;
@@ -537,13 +523,10 @@ sim::Task<Result<ReplMapResp>> SiteEgress::handle_map(ReplMapReq req) {
     for (auto vit = rit->second.applied.lower_bound(mr.from);
          vit != rit->second.applied.end() && *vit <= mr.to; ++vit) {
       if (q.holds_publish(BlobId{mr.blob}, *vit)) continue;
-      const EnqueueOutcome out =
-          enqueue_publish(req.from_site, BlobId{mr.blob}, *vit,
-                          published_bytes(BlobId{mr.blob}, *vit),
-                          /*catch_up=*/true);
-      // dropped_new means the bundle never became resident — nothing was
-      // actually scheduled towards the caller.
-      if (out != EnqueueOutcome::dropped_new) ++resp.catch_up_enqueued;
+      enqueue_publish(req.from_site, BlobId{mr.blob}, *vit,
+                      published_bytes(BlobId{mr.blob}, *vit),
+                      /*catch_up=*/true);
+      ++resp.catch_up_enqueued;
     }
   }
   resp.map = map_.encode_wire();
@@ -613,7 +596,6 @@ CustodyQueueStats SiteEgress::total_stats() const {
     const CustodyQueueStats& s = st.queue.stats();
     total.enqueued += s.enqueued;
     total.released += s.released;
-    total.dropped += s.dropped;
     total.spilled += s.spilled;
     total.reforwards += s.reforwards;
     total.peak_depth = std::max(total.peak_depth, s.peak_depth);

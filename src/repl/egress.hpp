@@ -12,7 +12,7 @@
 // The egress also owns its site's VersionMap. The origin site's map is
 // authoritative (applied == published); remote maps advance on durable
 // applies, and the reconciler exchanges them after heal to schedule
-// catch-up for whatever custody lost (drops, wipes, torn tails).
+// catch-up for whatever custody lost (wipes, torn tails).
 #pragma once
 
 #include <cstdint>
@@ -37,11 +37,9 @@
 namespace bs::repl {
 
 struct EgressOptions {
-  /// Custody bound per destination queue; beyond it the overflow policy
-  /// applies (spill keeps the bundle at a disk-cost, drop_newest refuses it
-  /// and leaves it to reconciliation).
+  /// Custody bound per destination queue; a bundle beyond it spills (it
+  /// is kept, at a disk cost).
   std::size_t queue_bound{1024};
-  OverflowPolicy overflow{OverflowPolicy::spill};
   /// Per delivery attempt; an attempt that exceeds it is re-forwarded.
   SimDuration custody_timeout{simtime::seconds(5)};
   /// Pause between failed delivery attempts on a link nobody declared down.
@@ -51,7 +49,7 @@ struct EgressOptions {
 
 /// Per-(blob, version) size retained at the origin so reconciliation can
 /// re-synthesize catch-up bundles for versions whose original custody was
-/// dropped or never queued.
+/// lost or never queued.
 class SiteEgress {
  public:
   using PeerResolver = std::function<NodeId(net::SiteId)>;
@@ -76,13 +74,12 @@ class SiteEgress {
   /// Records a publication at the origin (authoritative map + size table)
   /// without queueing custody. Durable via the egress journal.
   void note_published(BlobId blob, blob::Version v, std::uint64_t bytes);
-  /// Parks a publish bundle for `dst`. Returns what the queue did with it.
-  EnqueueOutcome enqueue_publish(net::SiteId dst, BlobId blob,
-                                 blob::Version v, std::uint64_t bytes,
-                                 bool catch_up = false);
+  /// Parks a publish bundle for `dst`.
+  void enqueue_publish(net::SiteId dst, BlobId blob, blob::Version v,
+                       std::uint64_t bytes, bool catch_up = false);
   /// Parks a chunk-replica bundle for `dst` (custody of the actual bytes).
-  EnqueueOutcome enqueue_chunk(net::SiteId dst, const blob::ChunkKey& key,
-                               NodeId target, blob::Payload payload);
+  void enqueue_chunk(net::SiteId dst, const blob::ChunkKey& key,
+                     NodeId target, blob::Payload payload);
   /// Version trimmed away at the origin: no longer owed to anyone.
   void retire_version(BlobId blob, blob::Version v);
   /// Blob deleted: drop its region everywhere custody still references it.
@@ -152,8 +149,7 @@ class SiteEgress {
   friend class blob::Durable<SiteEgress, EgressRecord>;
 
   struct DstState {
-    explicit DstState(std::size_t bound, OverflowPolicy policy)
-        : queue(bound, policy) {}
+    explicit DstState(std::size_t bound) : queue(bound) {}
     CustodyQueue queue;
     bool partitioned{false};
     bool draining{false};
@@ -174,7 +170,7 @@ class SiteEgress {
   void wipe();
   void on_readable(const blob::RecoveryOutcome& outcome);
 
-  EnqueueOutcome enqueue(CustodyBundle b);
+  void enqueue(CustodyBundle b);
 
   DstState& dst_state(net::SiteId dst);
   void ensure_drain(net::SiteId dst);

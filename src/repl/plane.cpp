@@ -186,7 +186,6 @@ CustodyQueueStats ReplicationPlane::total_custody_stats() const {
     const CustodyQueueStats e = ps.egress->total_stats();
     total.enqueued += e.enqueued;
     total.released += e.released;
-    total.dropped += e.dropped;
     total.spilled += e.spilled;
     total.reforwards += e.reforwards;
     total.peak_depth = std::max(total.peak_depth, e.peak_depth);

@@ -1,7 +1,7 @@
 // Reconciliation actor: after a heal (or periodically, as anti-entropy),
 // every remote site exchanges its version map with the origin. The origin
 // computes the missing ranges, re-synthesizes catch-up custody bundles for
-// whatever divergence the custody queues lost (drops, wipes), and the
+// whatever divergence the custody queues lost (wipes, torn tails), and the
 // remote merges the origin's frontier. A round visits the remote sites in
 // ascending site order, one exchange at a time, so replays are
 // deterministic.

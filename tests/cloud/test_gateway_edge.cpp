@@ -1,42 +1,15 @@
 // Gateway edge cases: range-GET clamping at chunk boundaries and EOF,
-// list_objects prefix paging with markers, the bounded per-user client
-// cache (idle LRU eviction), and the ACL grant/revoke matrix.
-#include <gtest/gtest.h>
-
-#include "blob/deployment.hpp"
-#include "cloud/gateway.hpp"
-#include "test_util.hpp"
+// list_objects prefix paging with markers, and the ACL grant/revoke matrix.
+#include "cloud/gateway_stack.hpp"
 
 namespace bs::cloud {
 namespace {
 
-constexpr std::uint64_t kChunk = 1 * units::MB;
-
-class GatewayEdgeTest : public ::testing::Test {
+class GatewayEdgeTest : public GatewayStack {
  protected:
-  GatewayEdgeTest() {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 2;
-    cfg.data_providers = 4;
-    cfg.metadata_providers = 2;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-    gw_node_ = dep_->cluster().add_node(0);
-    GatewayOptions opts;
-    opts.object_chunk_size = kChunk;
-    opts.max_user_clients = 2;
-    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
-                                           opts);
-    user_node_ = dep_->cluster().add_node(1);
-  }
-
-  template <class Req, class Resp>
-  Result<Resp> as(ClientId user, Req req) {
-    rpc::CallOptions opts;
-    opts.client = user;
-    return test::run_task(
-        sim_, dep_->cluster().call<Req, Resp>(*user_node_, gw_node_->id(),
-                                              std::move(req), opts));
-  }
+  GatewayEdgeTest()
+      : GatewayStack(two_site_deployment(), {.object_chunk_size = kChunk},
+                     {1}) {}
 
   void SetUp() override {
     S3CreateBucketReq mk;
@@ -45,13 +18,6 @@ class GatewayEdgeTest : public ::testing::Test {
         (as<S3CreateBucketReq, S3CreateBucketResp>(alice_, mk)).ok());
   }
 
-  sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
-  rpc::Node* gw_node_;
-  std::unique_ptr<S3Gateway> gateway_;
-  rpc::Node* user_node_;
-  const ClientId alice_{101};
-  const ClientId bob_{102};
   const ClientId carol_{103};
 };
 
@@ -169,29 +135,6 @@ TEST_F(GatewayEdgeTest, ListObjectsPagesWithMarkers) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().objects.size(), 25u);
   EXPECT_FALSE(r.value().truncated);
-}
-
-TEST_F(GatewayEdgeTest, UserClientCacheIsBoundedWithLru) {
-  // Three users take turns; the cache holds at most two BlobClients.
-  for (ClientId user : {alice_, bob_, carol_}) {
-    S3CreateBucketReq mk;
-    mk.bucket = "u" + std::to_string(user.value);
-    ASSERT_TRUE((as<S3CreateBucketReq, S3CreateBucketResp>(user, mk)).ok());
-    S3PutObjectReq put;
-    put.bucket = mk.bucket;
-    put.key = "k";
-    put.payload = blob::Payload::synthetic(kChunk, user.value);
-    ASSERT_TRUE((as<S3PutObjectReq, S3PutObjectResp>(user, put)).ok());
-    EXPECT_LE(gateway_->user_client_count(), 2u);
-  }
-  EXPECT_GT(gateway_->stats().clients_evicted, 0u);
-
-  // An evicted user's next request just rebuilds their client.
-  S3GetObjectReq get;
-  get.bucket = "u" + std::to_string(alice_.value);
-  get.key = "k";
-  EXPECT_TRUE((as<S3GetObjectReq, S3GetObjectResp>(alice_, get)).ok());
-  EXPECT_LE(gateway_->user_client_count(), 2u);
 }
 
 TEST_F(GatewayEdgeTest, AclGrantRevokeMatrix) {

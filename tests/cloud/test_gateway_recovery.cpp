@@ -4,46 +4,21 @@
 // against the providers before being trusted — a wiped provider forces a
 // fresh store instead of a dangling manifest, and stale pre-crash manifests
 // cannot move the regenerated entry's refcount.
-#include <gtest/gtest.h>
-
-#include "blob/deployment.hpp"
-#include "cloud/gateway.hpp"
-#include "test_util.hpp"
+#include "cloud/gateway_stack.hpp"
 
 namespace bs::cloud {
 namespace {
 
-constexpr std::uint64_t kChunk = 1 * units::MB;
-
-class GatewayRecoveryTest : public ::testing::Test {
+class GatewayRecoveryTest : public GatewayStack {
  protected:
   explicit GatewayRecoveryTest(std::size_t data_providers = 4,
-                               std::size_t replication = 1) {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 2;
-    cfg.data_providers = data_providers;
-    cfg.metadata_providers = 2;
-    cfg.journal.enabled = true;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-    gw_node_ = dep_->cluster().add_node(0);
-    GatewayOptions opts;
-    opts.object_chunk_size = kChunk;
-    opts.replication = static_cast<std::uint32_t>(replication);
-    opts.journal.enabled = true;
-    opts.journal.checkpoint_records = 64;
-    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
-                                           opts);
-    user_node_ = dep_->cluster().add_node(1);
-  }
-
-  template <class Req, class Resp>
-  Result<Resp> as(ClientId user, Req req) {
-    rpc::CallOptions opts;
-    opts.client = user;
-    return test::run_task(
-        sim_, dep_->cluster().call<Req, Resp>(*user_node_, gw_node_->id(),
-                                              std::move(req), opts));
-  }
+                               std::uint32_t replication = 1)
+      : GatewayStack({.sites = 2, .data_providers = data_providers,
+                      .metadata_providers = 2, .journal = {.enabled = true}},
+                     {.object_chunk_size = kChunk,
+                      .replication = replication,
+                      .journal = {.enabled = true, .checkpoint_records = 64}},
+                     {1}) {}
 
   void put_ids(ClientId user, const std::string& bucket,
                const std::string& key,
@@ -71,14 +46,6 @@ class GatewayRecoveryTest : public ::testing::Test {
     sim_.run_until(sim_.now() + simtime::seconds(10));
     ASSERT_FALSE(gateway_->recovering());
   }
-
-  sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
-  rpc::Node* gw_node_;
-  std::unique_ptr<S3Gateway> gateway_;
-  rpc::Node* user_node_;
-  const ClientId alice_{101};
-  const ClientId bob_{102};
 };
 
 TEST_F(GatewayRecoveryTest, MetadataAndIndexSurviveCrash) {

@@ -9,45 +9,24 @@
 #include <gtest/gtest.h>
 
 #include "alloc_probe.hpp"
-#include "blob/deployment.hpp"
-#include "cloud/gateway.hpp"
-#include "test_util.hpp"
+#include "cloud/gateway_stack.hpp"
 
 namespace bs::cloud {
 namespace {
 
-constexpr std::uint64_t kChunk = 1 * units::MB;
 constexpr std::uint64_t kObject = 6 * kChunk;
 
-class GetCost : public ::testing::Test {
+class GetCost : public GatewayStack {
  protected:
-  GetCost() {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 1;
-    cfg.data_providers = 4;
-    cfg.metadata_providers = 2;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-    gw_node_ = dep_->cluster().add_node(0);
-    GatewayOptions opts;
-    opts.object_chunk_size = kChunk;
-    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
-                                           opts);
-    user_node_ = dep_->cluster().add_node(0);
-  }
-
-  template <class Req, class Resp>
-  Result<Resp> call(Req req) {
-    rpc::CallOptions opts;
-    opts.client = alice_;
-    return test::run_task(
-        sim_, dep_->cluster().call<Req, Resp>(*user_node_, gw_node_->id(),
-                                              std::move(req), opts));
-  }
+  GetCost()
+      : GatewayStack({.sites = 1, .data_providers = 4,
+                      .metadata_providers = 2},
+                     {.object_chunk_size = kChunk}, {0}) {}
 
   void SetUp() override {
     S3CreateBucketReq mk;
     mk.bucket = "b";
-    ASSERT_TRUE((call<S3CreateBucketReq, S3CreateBucketResp>(mk)).ok());
+    ASSERT_TRUE((as<S3CreateBucketReq, S3CreateBucketResp>(alice_, mk)).ok());
   }
 
   /// Puts a synthetic (bytes-free) object of `size` bytes; returns its etag.
@@ -57,7 +36,7 @@ class GetCost : public ::testing::Test {
     put.key = key;
     put.payload.size = size;
     put.payload.checksum = fnv1a_u64(size);
-    auto r = call<S3PutObjectReq, S3PutObjectResp>(std::move(put));
+    auto r = as<S3PutObjectReq, S3PutObjectResp>(alice_, std::move(put));
     EXPECT_TRUE(r.ok());
     return r.ok() ? r.value().etag : 0;
   }
@@ -70,15 +49,8 @@ class GetCost : public ::testing::Test {
     req.key = key;
     req.offset = offset;
     req.length = length;
-    return call<S3GetObjectReq, S3GetObjectResp>(std::move(req));
+    return as<S3GetObjectReq, S3GetObjectResp>(alice_, std::move(req));
   }
-
-  sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
-  rpc::Node* gw_node_{nullptr};
-  std::unique_ptr<S3Gateway> gateway_;
-  rpc::Node* user_node_{nullptr};
-  const ClientId alice_{101};
 };
 
 TEST_F(GetCost, SyntheticGetAllocatesLessThanOneChunk) {
@@ -115,7 +87,8 @@ TEST_F(GetCost, MixedInlineAndSyntheticManifestReturnsNoBytes) {
   S3CreateMultipartReq mk;
   mk.bucket = "b";
   mk.key = "mixed";
-  const auto upload = call<S3CreateMultipartReq, S3CreateMultipartResp>(mk);
+  const auto upload =
+      as<S3CreateMultipartReq, S3CreateMultipartResp>(alice_, mk);
   ASSERT_TRUE(upload.ok());
   std::vector<std::uint8_t> content(kChunk);
   for (std::size_t i = 0; i < content.size(); ++i) {
@@ -127,7 +100,8 @@ TEST_F(GetCost, MixedInlineAndSyntheticManifestReturnsNoBytes) {
   inline_part.upload_id = upload.value().upload_id;
   inline_part.part_number = 1;
   inline_part.payload = blob::Payload::from_bytes(content);
-  ASSERT_TRUE((call<S3UploadPartReq, S3UploadPartResp>(inline_part)).ok());
+  ASSERT_TRUE(
+      (as<S3UploadPartReq, S3UploadPartResp>(alice_, inline_part)).ok());
   S3UploadPartReq synthetic_part;
   synthetic_part.bucket = "b";
   synthetic_part.key = "mixed";
@@ -135,14 +109,15 @@ TEST_F(GetCost, MixedInlineAndSyntheticManifestReturnsNoBytes) {
   synthetic_part.part_number = 2;
   synthetic_part.payload.size = kChunk;
   synthetic_part.payload.checksum = fnv1a_u64(2);
-  ASSERT_TRUE((call<S3UploadPartReq, S3UploadPartResp>(synthetic_part)).ok());
+  ASSERT_TRUE(
+      (as<S3UploadPartReq, S3UploadPartResp>(alice_, synthetic_part)).ok());
   S3CompleteMultipartReq done;
   done.bucket = "b";
   done.key = "mixed";
   done.upload_id = upload.value().upload_id;
   done.part_count = 2;
   const auto completed =
-      call<S3CompleteMultipartReq, S3CompleteMultipartResp>(done);
+      as<S3CompleteMultipartReq, S3CompleteMultipartResp>(alice_, done);
   ASSERT_TRUE(completed.ok());
 
   const auto full = get("mixed", 0, 2 * kChunk);

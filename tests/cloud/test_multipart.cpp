@@ -1,42 +1,16 @@
 // Multipart upload: out-of-order and concurrent part ingest, per-part
 // resume after a crashed/retried part, validation at complete, and chunk
 // release on abort/replace.
-#include <gtest/gtest.h>
-
-#include "blob/deployment.hpp"
-#include "cloud/gateway.hpp"
-#include "test_util.hpp"
+#include "cloud/gateway_stack.hpp"
 
 namespace bs::cloud {
 namespace {
 
-constexpr std::uint64_t kChunk = 1 * units::MB;
-
-class MultipartTest : public ::testing::Test {
+class MultipartTest : public GatewayStack {
  protected:
-  MultipartTest() {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 2;
-    cfg.data_providers = 4;
-    cfg.metadata_providers = 2;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-    gw_node_ = dep_->cluster().add_node(0);
-    GatewayOptions opts;
-    opts.object_chunk_size = kChunk;
-    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
-                                           opts);
-    alice_node_ = dep_->cluster().add_node(1);
-    bob_node_ = dep_->cluster().add_node(1);
-  }
-
-  template <class Req, class Resp>
-  Result<Resp> as(rpc::Node& node, ClientId user, Req req) {
-    rpc::CallOptions opts;
-    opts.client = user;
-    return test::run_task(
-        sim_, dep_->cluster().call<Req, Resp>(node, gw_node_->id(),
-                                              std::move(req), opts));
-  }
+  MultipartTest()
+      : GatewayStack(two_site_deployment(), {.object_chunk_size = kChunk},
+                     {1, 1}) {}
 
   std::uint64_t start_upload(const std::string& key) {
     S3CreateMultipartReq mk;
@@ -74,14 +48,8 @@ class MultipartTest : public ::testing::Test {
                     .ok());
   }
 
-  sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
-  rpc::Node* gw_node_;
-  std::unique_ptr<S3Gateway> gateway_;
-  rpc::Node* alice_node_;
-  rpc::Node* bob_node_;
-  const ClientId alice_{101};
-  const ClientId bob_{102};
+  rpc::Node* alice_node_ = users_[0];
+  rpc::Node* bob_node_ = users_[1];
 };
 
 TEST_F(MultipartTest, OutOfOrderPartsAssembleInPartOrder) {

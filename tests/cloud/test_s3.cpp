@@ -1,48 +1,18 @@
 // S3 gateway: bucket/object lifecycle, ACL enforcement, BlobSeer-backed
 // content fidelity.
-#include <gtest/gtest.h>
-
-#include "blob/deployment.hpp"
-#include "cloud/gateway.hpp"
-#include "test_util.hpp"
+#include "cloud/gateway_stack.hpp"
 
 namespace bs::cloud {
 namespace {
 
-class S3Test : public ::testing::Test {
+class S3Test : public GatewayStack {
  protected:
-  S3Test() {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 2;
-    cfg.data_providers = 4;
-    cfg.metadata_providers = 2;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-    gw_node_ = dep_->cluster().add_node(0);
-    GatewayOptions opts;
-    opts.object_chunk_size = 1 * units::MB;
-    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
-                                           opts);
-    alice_node_ = dep_->cluster().add_node(1);
-    bob_node_ = dep_->cluster().add_node(1);
-  }
+  S3Test()
+      : GatewayStack(two_site_deployment(), {.object_chunk_size = kChunk},
+                     {1, 1}) {}
 
-  template <class Req, class Resp>
-  Result<Resp> as(rpc::Node& node, ClientId user, Req req) {
-    rpc::CallOptions opts;
-    opts.client = user;
-    return test::run_task(
-        sim_, dep_->cluster().call<Req, Resp>(node, gw_node_->id(),
-                                              std::move(req), opts));
-  }
-
-  sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
-  rpc::Node* gw_node_;
-  std::unique_ptr<S3Gateway> gateway_;
-  rpc::Node* alice_node_;
-  rpc::Node* bob_node_;
-  const ClientId alice_{101};
-  const ClientId bob_{102};
+  rpc::Node* alice_node_ = users_[0];
+  rpc::Node* bob_node_ = users_[1];
 };
 
 TEST_F(S3Test, BucketLifecycle) {

@@ -2,25 +2,18 @@
 // attributed to the END USER (not the gateway), so a user abusing the
 // gateway gets detected and blocked by the security framework while other
 // tenants keep working.
-#include <gtest/gtest.h>
-
-#include "cloud/gateway.hpp"
+#include "cloud/gateway_stack.hpp"
 #include "mon/layer.hpp"
 #include "sec/framework.hpp"
-#include "test_util.hpp"
 
 namespace bs::cloud {
 namespace {
 
-class S3SecurityTest : public ::testing::Test {
+class S3SecurityTest : public GatewayStack {
  protected:
-  S3SecurityTest() {
-    blob::DeploymentConfig cfg;
-    cfg.sites = 2;
-    cfg.data_providers = 6;
-    cfg.metadata_providers = 2;
-    dep_ = std::make_unique<blob::Deployment>(sim_, cfg);
-
+  S3SecurityTest()
+      : GatewayStack(
+            {.sites = 2, .data_providers = 6, .metadata_providers = 2}) {
     intro_node_ = dep_->cluster().add_node(0);
     intro_ = std::make_unique<intro::IntrospectionService>(*intro_node_);
     intro_->start();
@@ -39,33 +32,19 @@ class S3SecurityTest : public ::testing::Test {
     security_->attach_deployment(*dep_);
     security_->start();
 
-    gw_node_ = dep_->cluster().add_node(0);
-    GatewayOptions gopts;
-    gopts.object_chunk_size = 1 * units::MB;
-    gateway_ = std::make_unique<S3Gateway>(*gw_node_, dep_->endpoints(),
-                                           gopts);
-    user_node_ = dep_->cluster().add_node(1);
+    add_gateway({.object_chunk_size = kChunk}, {1});
   }
 
   template <class Req, class Resp>
   Result<Resp> as(ClientId user, Req req) {
-    rpc::CallOptions opts;
-    opts.client = user;
-    opts.timeout = simtime::minutes(2);
-    return test::run_task(
-        sim_, dep_->cluster().call<Req, Resp>(*user_node_, gw_node_->id(),
-                                              std::move(req), opts));
+    return GatewayStack::as<Req, Resp>(*users_[0], user, std::move(req),
+                                       {.timeout = simtime::minutes(2)});
   }
 
-  sim::Simulation sim_;
-  std::unique_ptr<blob::Deployment> dep_;
   rpc::Node* intro_node_;
   std::unique_ptr<intro::IntrospectionService> intro_;
   std::unique_ptr<mon::MonitoringLayer> monitoring_;
   std::unique_ptr<sec::SecurityFramework> security_;
-  rpc::Node* gw_node_;
-  std::unique_ptr<S3Gateway> gateway_;
-  rpc::Node* user_node_;
 };
 
 TEST_F(S3SecurityTest, AbusiveGatewayUserIsBlockedOthersUnaffected) {
@@ -93,7 +72,7 @@ TEST_F(S3SecurityTest, AbusiveGatewayUserIsBlockedOthersUnaffected) {
       if (!r.ok()) failing = true;
       co_await s.delay(simtime::millis(100));
     }
-  }(sim_, dep_->cluster(), *user_node_, gw_node_->id(), abuser,
+  }(sim_, dep_->cluster(), *users_[0], gw_node_->id(), abuser,
     abuser_started_failing));
 
   sim_.run_until(simtime::seconds(60));

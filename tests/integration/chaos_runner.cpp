@@ -247,7 +247,7 @@ ChaosOutcome run_chaos(std::uint64_t seed, const ChaosScenario& sc) {
     out.heals = plane.heals_observed();
     const repl::CustodyQueueStats& cs = out.custody;
     mix_all(dg, {out.coherent, plane.digest(), cs.enqueued, cs.released,
-                 cs.dropped, cs.spilled, cs.reforwards, out.heals,
+                 cs.spilled, cs.reforwards, out.heals,
                  plane.reconciler().rounds(),
                  plane.reconciler().catch_up_scheduled(),
                  plane.chunks_routed()});

@@ -11,12 +11,13 @@
 //     across repeated partition/heal cycles;
 //   * custody acked into the journal survives a crash+restart of the
 //     egress node, and a wiped remote is rebuilt by reconciliation;
-//   * bundles lost to drop policies are re-scheduled by the version-map
-//     reconciler after the heal.
+//   * custody beyond the queue bound spills and is still delivered, chunk
+//     replicas from a data provider's replicate router included.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "blob/data_provider.hpp"
 #include "blob/messages.hpp"
 #include "common/hash.hpp"
 #include "fault/fault_plane.hpp"
@@ -68,7 +69,6 @@ TEST(CustodyProperties, HealthyLinksDeliverEverythingExactlyOnce) {
   const repl::CustodyQueueStats st = rig.plane->total_custody_stats();
   EXPECT_EQ(st.enqueued, 20u);  // 10 versions x 2 remote sites
   EXPECT_EQ(st.released, 20u);
-  EXPECT_EQ(st.dropped, 0u);
   EXPECT_EQ(st.reforwards, 0u);
   EXPECT_EQ(rig.plane->egress(0).queue_depth(), 0u);
 }
@@ -85,7 +85,6 @@ TEST(CustodyProperties, PartitionParksCustodyWithoutLossOrAttempts) {
   EXPECT_EQ(rig.plane->egress(0).queue_depth(1), 20u);
   EXPECT_EQ(rig.plane->egress(2).applies(), 20u);
   EXPECT_EQ(rig.plane->total_custody_stats().reforwards, 0u);
-  EXPECT_EQ(rig.plane->total_custody_stats().dropped, 0u);
   EXPECT_FALSE(rig.plane->site_coherent(1));
   EXPECT_TRUE(rig.plane->site_coherent(2));
 
@@ -127,7 +126,6 @@ TEST(CustodyProperties, UndeclaredOutageReforwardsAndDedups) {
   EXPECT_EQ(rig.plane->egress(1).applies(), 5u);
   EXPECT_TRUE(rig.plane->coherent());
   EXPECT_EQ(rig.plane->egress(0).queue_depth(), 0u);
-  EXPECT_EQ(rig.plane->total_custody_stats().dropped, 0u);
 }
 
 TEST(CustodyProperties, CraftedDuplicateDeliverIsRecognised) {
@@ -300,40 +298,9 @@ TEST(CustodyProperties, WipedRemoteIsRebuiltByReconciliation) {
   EXPECT_GE(rig.plane->reconciler().catch_up_scheduled(), 6u);
 }
 
-TEST(CustodyProperties, DroppedBundlesAreRecoveredByTheReconciler) {
-  repl::ReplOptions ro;
-  ro.egress.queue_bound = 4;
-  ro.egress.overflow = repl::OverflowPolicy::drop_newest;
-  ro.reconcile.interval = simtime::seconds(10);
-  Rig rig(ro);
-
-  rig.fp.partition(0, 1);
-  rig.fp.partition(0, 2);
-  rig.settle(simtime::seconds(1));
-  for (blob::Version v = 1; v <= 12; ++v) rig.publish(v);
-  rig.settle(simtime::seconds(5));
-
-  // 4 under custody per destination, 8 dropped per destination.
-  const repl::CustodyQueueStats mid = rig.plane->total_custody_stats();
-  EXPECT_EQ(rig.plane->egress(0).queue_depth(1), 4u);
-  EXPECT_EQ(rig.plane->egress(0).queue_depth(2), 4u);
-  EXPECT_EQ(mid.dropped, 16u);
-
-  rig.fp.heal(0, 1);
-  rig.fp.heal(0, 2);
-  rig.settle(simtime::seconds(60));
-
-  // Custody delivered what it held; the reconciler found the rest.
-  EXPECT_TRUE(rig.plane->coherent());
-  EXPECT_EQ(rig.plane->egress(1).map().applied_count(), 12u);
-  EXPECT_EQ(rig.plane->egress(2).map().applied_count(), 12u);
-  EXPECT_GE(rig.plane->reconciler().catch_up_scheduled(), 16u);
-}
-
 TEST(CustodyProperties, SpillPolicyHoldsEverythingAboveTheBound) {
   repl::ReplOptions ro;
   ro.egress.queue_bound = 4;
-  ro.egress.overflow = repl::OverflowPolicy::spill;
   Rig rig(ro);
 
   rig.fp.partition(0, 1);
@@ -342,13 +309,66 @@ TEST(CustodyProperties, SpillPolicyHoldsEverythingAboveTheBound) {
   rig.settle(simtime::seconds(5));
 
   EXPECT_EQ(rig.plane->egress(0).queue_depth(1), 12u);
-  EXPECT_EQ(rig.plane->total_custody_stats().dropped, 0u);
   EXPECT_GE(rig.plane->total_custody_stats().spilled, 8u);
 
   rig.fp.heal(0, 1);
   rig.settle(simtime::seconds(60));
   EXPECT_TRUE(rig.plane->coherent());
   EXPECT_EQ(rig.plane->egress(1).applies(), 12u);
+}
+
+TEST(CustodyProperties, ChunkReplicasBeyondTheBoundSpillAndLand) {
+  // A replicate call is acked as soon as the router takes custody, and
+  // reconciliation re-creates publish bundles only: a chunk replica past
+  // the queue bound must spill and still reach its target provider.
+  repl::ReplOptions ro;
+  ro.egress.queue_bound = 4;
+  Rig rig(ro);
+  blob::DataProvider src(*rig.cluster.add_node(0));
+  blob::DataProvider dst(*rig.cluster.add_node(1));
+  rig.plane->attach_data_provider(src);
+  rpc::Node& client = *rig.cluster.add_node(0);
+
+  constexpr std::uint64_t kChunks = 12;
+  auto key = [](std::uint64_t i) { return blob::ChunkKey{kBlob, 1, i}; };
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    blob::PutChunkReq put;
+    put.key = key(i);
+    put.payload = blob::Payload::synthetic(kBytes, i);
+    ASSERT_TRUE(test::run_task(rig.sim,
+                               rig.cluster.call<blob::PutChunkReq,
+                                                blob::PutChunkResp>(
+                                   client, src.id(), std::move(put)))
+                    .ok());
+  }
+
+  rig.fp.partition(0, 1);
+  rig.settle(simtime::seconds(1));
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    blob::ReplicateChunkReq rep;
+    rep.key = key(i);
+    rep.target = dst.id();
+    ASSERT_TRUE(test::run_task(rig.sim,
+                               rig.cluster.call<blob::ReplicateChunkReq,
+                                                blob::ReplicateChunkResp>(
+                                   client, src.id(), std::move(rep)))
+                    .ok())
+        << "chunk " << i;
+  }
+  rig.settle(simtime::seconds(5));
+  EXPECT_EQ(rig.plane->chunks_routed(), kChunks);
+  EXPECT_EQ(rig.plane->egress(0).queue_depth(1), kChunks);
+  EXPECT_EQ(rig.plane->total_custody_stats().spilled, kChunks - 4);
+  EXPECT_EQ(dst.chunk_count(), 0u);
+
+  rig.fp.heal(0, 1);
+  rig.settle(simtime::seconds(60));
+  EXPECT_EQ(rig.plane->egress(0).queue_depth(), 0u);
+  const repl::CustodyQueueStats st = rig.plane->total_custody_stats();
+  EXPECT_EQ(st.released, st.enqueued);
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    EXPECT_TRUE(dst.has_chunk(key(i))) << "chunk " << i;
+  }
 }
 
 TEST(CustodyProperties, CoherentAtEveryPostHealQuiescentPoint) {
@@ -370,7 +390,6 @@ TEST(CustodyProperties, CoherentAtEveryPostHealQuiescentPoint) {
   }
   EXPECT_EQ(rig.plane->egress(1).applies(), 20u);
   EXPECT_EQ(rig.plane->egress(2).applies(), 20u);
-  EXPECT_EQ(rig.plane->total_custody_stats().dropped, 0u);
 }
 
 TEST(CustodyProperties, TrimDuringPartitionRetiresCleanly) {

@@ -1,7 +1,7 @@
 // Unit coverage of the divergence-tracking primitives the geo-replication
 // plane is built from: VersionMap / VersionRange (RethinkDB-shaped
-// version_map_t) and the bounded CustodyQueue with its three overflow
-// policies. Pure logic — no simulation.
+// version_map_t) and the bounded CustodyQueue, which spills beyond its
+// bound. Pure logic — no simulation.
 #include <gtest/gtest.h>
 
 #include "repl/custody.hpp"
@@ -195,36 +195,21 @@ CustodyBundle publish_bundle(std::uint64_t id, blob::Version v,
   return b;
 }
 
-TEST(CustodyQueue, DropNewestRefusesAtTheBound) {
-  CustodyQueue q(2, OverflowPolicy::drop_newest);
-  EXPECT_EQ(q.push(publish_bundle(1, 1)), EnqueueOutcome::ok);
-  EXPECT_EQ(q.push(publish_bundle(2, 2)), EnqueueOutcome::ok);
-  EXPECT_EQ(q.push(publish_bundle(3, 3)), EnqueueOutcome::dropped_new);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.front().version, 1u);  // FIFO head untouched
-  EXPECT_EQ(q.stats().dropped, 1u);
-  EXPECT_EQ(q.stats().enqueued, 2u);
-  // The refused publish is NOT under custody — reconciliation must see it.
-  EXPECT_TRUE(q.holds_publish(kBlob, 1));
-  EXPECT_FALSE(q.holds_publish(kBlob, 3));
-}
-
 TEST(CustodyQueue, SpillKeepsEverythingBeyondTheBound) {
-  CustodyQueue q(2, OverflowPolicy::spill);
+  CustodyQueue q(2);
   q.push(publish_bundle(1, 1));
   q.push(publish_bundle(2, 2));
   EXPECT_EQ(q.push(publish_bundle(3, 3)), EnqueueOutcome::spilled);
   EXPECT_EQ(q.size(), 3u);
   EXPECT_FALSE(q.bundles()[1].spilled);
   EXPECT_TRUE(q.bundles()[2].spilled);
-  EXPECT_EQ(q.stats().dropped, 0u);
   EXPECT_EQ(q.stats().spilled, 1u);
   EXPECT_EQ(q.stats().peak_depth, 3u);
   EXPECT_TRUE(q.holds_publish(kBlob, 3));
 }
 
 TEST(CustodyQueue, ReleaseFrontIsFifoAndForgets) {
-  CustodyQueue q(8, OverflowPolicy::spill);
+  CustodyQueue q(8);
   for (std::uint64_t i = 1; i <= 3; ++i) q.push(publish_bundle(i, i));
   const CustodyBundle b = q.release_front();
   EXPECT_EQ(b.version, 1u);
