@@ -43,7 +43,10 @@ struct ScenarioResult {
   double outage_min{0};
   double cadence_ms{0};
   int published{0};  ///< versions published while the link was down
-  repl::CustodyQueueStats cut_queue;  ///< origin -> partitioned site
+  /// Origin -> partitioned site: peak depth, enqueued and spilled at the
+  /// heal; released and reforwards at the end of the run, after custody
+  /// drained.
+  repl::CustodyQueueStats cut_queue;
   bool all_released{false};  ///< cut_queue released all it took, at the end
   SimDuration observed_lag{0};  ///< heal -> coherent, polled at 50 ms
   SimDuration reported_lag{0};  ///< plane's own reconciliation-lag metric
@@ -119,6 +122,8 @@ ScenarioResult run_outage(SimDuration outage, SimDuration cadence) {
   // digest snapshot.
   sim.run_until(sim.now() + simtime::seconds(30));
   if (const auto* st = plane.egress(0).queue_stats(kCutSite)) {
+    r.cut_queue.released = st->released;
+    r.cut_queue.reforwards = st->reforwards;
     r.all_released = st->released == st->enqueued;
   }
 

@@ -414,22 +414,30 @@ std::uint64_t FlowScheduler::complete_due() {
   for (Flow* f : scratch_due_) f->mark = due_mark;
   // Complete everything in the subgraph that is within the rounding residue
   // of done, waking waiters in flow-id order for deterministic downstream
-  // ordering.
-  auto mid = std::stable_partition(
-      comp.begin(), comp.end(),
-      [](Flow* f) { return f->remaining <= kCompleteEps; });
-  std::sort(comp.begin(), mid, id_less);
-  for (auto it = comp.begin(); it != mid; ++it) {
-    Flow* f = *it;
+  // ordering. The survivors keep their order in comp; the done flows move
+  // to a reused buffer, so a wakeup allocates nothing here.
+  auto& done = scratch_done_;
+  done.clear();
+  std::size_t kept = 0;
+  for (Flow* f : comp) {
+    if (f->remaining <= kCompleteEps) {
+      done.push_back(f);
+    } else {
+      comp[kept++] = f;
+    }
+  }
+  comp.resize(kept);
+  std::sort(done.begin(), done.end(), id_less);
+  for (Flow* f : done) {
     unlink(f);
     credit_residue(*f);
     f->done.set();
     ++completed_;
   }
-  for (auto it = comp.begin(); it != mid; ++it) {
-    auto slot = std::lower_bound(active_.begin(), active_.end(), (*it)->id,
-                                 slot_before);
-    assert(slot != active_.end() && slot->flow.get() == *it);
+  for (Flow* f : done) {
+    auto slot =
+        std::lower_bound(active_.begin(), active_.end(), f->id, slot_before);
+    assert(slot != active_.end() && slot->flow.get() == f);
     slot->flow.reset();
     ++holes_;
   }
@@ -437,7 +445,6 @@ std::uint64_t FlowScheduler::complete_due() {
     std::erase_if(active_, [](const ActiveFlow& a) { return !a.flow; });
     holes_ = 0;
   }
-  comp.erase(comp.begin(), mid);
   return due_mark;
 }
 

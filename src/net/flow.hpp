@@ -220,6 +220,7 @@ class FlowScheduler {
   std::vector<Flow*> scratch_flows_;
   std::vector<Resource*> scratch_resources_;
   std::vector<Flow*> scratch_due_;
+  std::vector<Flow*> scratch_done_;  // complete_due's finished flows
 
   // Reference-path state.
   std::uint64_t generation_{0};

@@ -18,7 +18,9 @@ void Span::finish(const char* status) {
 }
 
 TraceSink::TraceSink(TraceSinkOptions opts)
-    : ring_(std::max<std::size_t>(1, opts.capacity)) {}
+    : capacity_(std::max<std::size_t>(1, opts.capacity)) {
+  ring_.reserve(capacity_);
+}
 
 Span TraceSink::span(const char* name, const char* cat, SpanId parent,
                      TraceArg a, TraceArg b) {
@@ -78,18 +80,18 @@ void TraceSink::instant(const char* name, const char* cat, SpanId parent,
 
 void TraceSink::push(TraceRecord r) {
   last_time_ = std::max(last_time_, r.time);
-  if (size_ == ring_.size()) {
-    ring_[head_] = r;
-    head_ = (head_ + 1) % ring_.size();
-    ++dropped_;
-  } else {
-    ring_[(head_ + size_) % ring_.size()] = r;
-    ++size_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(r);
+    return;
   }
+  ring_[head_] = r;
+  head_ = (head_ + 1) % capacity_;
+  ++dropped_;
 }
 
 void TraceSink::clear() {
-  head_ = size_ = 0;
+  ring_.clear();  // keeps the reservation
+  head_ = 0;
   dropped_ = stray_ends_ = 0;
   last_time_ = 0;
   next_id_ = 1;

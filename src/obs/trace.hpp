@@ -119,13 +119,13 @@ class TraceSink {
   /// Visits records oldest-first.
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < size_; ++i) {
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
       fn(ring_[(head_ + i) % ring_.size()]);
     }
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t stray_ends() const { return stray_ends_; }
   [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
@@ -147,9 +147,13 @@ class TraceSink {
   void push(TraceRecord r);
 
   std::function<SimTime()> clock_;
+  /// Reserved to capacity_, and each record constructed when it is first
+  /// written: a run that writes fewer records never touches the rest of
+  /// the reservation. Until it is full the ring is in write order and
+  /// head_ is 0; afterwards head_ is the oldest record.
   std::vector<TraceRecord> ring_;
+  std::size_t capacity_;
   std::size_t head_{0};
-  std::size_t size_{0};
   SpanId next_id_{1};
   std::uint64_t dropped_{0};
   std::uint64_t stray_ends_{0};

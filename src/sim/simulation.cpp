@@ -20,7 +20,9 @@ constexpr auto kUnindexed = [](const auto&, std::size_t) {};
 // heap, the stage rung and the far pool order by (time, seq), and the ring
 // is FIFO (so seq-ordered) at time == now_. run_next() merges the near
 // tiers and the timer root under the same key, which is exactly the pop
-// order of one heap over all events, wherever each one was placed.
+// order of one heap over all events, wherever each one was placed. The
+// counter is 32 bits and renumbers the pending events when it reaches its
+// ceiling (renumber_pending), which keeps that order.
 //
 // Clock invariant: now_ only advances when the minimal key sits in the
 // heap, the stage or the timer heap strictly above now_ — at that moment
@@ -29,7 +31,7 @@ constexpr auto kUnindexed = [](const auto&, std::size_t) {};
 
 void Simulation::schedule_at(SimTime t, Callback cb) {
   assert(t >= now_ && "cannot schedule events in the past");
-  const std::uint64_t seq = seq_++;
+  const std::uint32_t seq = next_seq();
   if (t <= now_) {
     ring_push(seq, std::move(cb));
   } else if (t >= q_.far_bar) {
@@ -67,7 +69,7 @@ void Simulation::engage_far() {
   q_.far_bar = mx < simtime::kInfinite - 1 ? mx + 1 : simtime::kInfinite;
 }
 
-void Simulation::far_push(SimTime t, std::uint64_t seq, Callback cb) {
+void Simulation::far_push(SimTime t, std::uint32_t seq, Callback cb) {
   Queue& q = q_;
   std::size_t at;
   std::uint32_t slot;
@@ -148,7 +150,7 @@ void Simulation::refill() {
   q.far_bar = bar;
 }
 
-void Simulation::heap_push(SimTime t, std::uint64_t seq, Callback cb) {
+void Simulation::heap_push(SimTime t, std::uint32_t seq, Callback cb) {
   // The most recently freed slot first, or a new one.
   std::uint32_t slot;
   if (q_.free_slots.empty()) {
@@ -230,7 +232,7 @@ TimerId Simulation::schedule_timer_in(SimDuration dt, Callback cb) {
   }
   TimerSlot& s = timer_slots_[slot];
   s.cb = std::move(cb);
-  timer_heap_.push_back(HeapEntry{now_ + dt, seq_++, slot});
+  timer_heap_.push_back(HeapEntry{now_ + dt, next_seq(), slot});
   sift_up(timer_heap_, timer_heap_.size() - 1, TimerPlaced{this});
   return TimerId{slot, s.gen};
 }
@@ -277,7 +279,7 @@ void Simulation::fire_timer() {
   cb();
 }
 
-void Simulation::ring_push(std::uint64_t seq, Callback cb) {
+void Simulation::ring_push(std::uint32_t seq, Callback cb) {
   if (q_.ring_size == q_.ring.size()) ring_grow();
   const std::size_t tail =
       (q_.ring_head + q_.ring_size) & (q_.ring.size() - 1);
@@ -303,10 +305,10 @@ void Simulation::ring_grow() {
   q_.ring_head = 0;
 }
 
-int Simulation::peek_near(SimTime* t, std::uint64_t* seq) const {
+int Simulation::peek_near(SimTime* t, std::uint32_t* seq) const {
   int src = -1;
   SimTime bt = simtime::kInfinite;
-  std::uint64_t bs = kNoSeq;
+  std::uint32_t bs = kNoSeq;
   if (q_.ring_size != 0) {
     bt = now_;  // ring entries carry the current time implicitly
     bs = q_.ring[q_.ring_head].seq;
@@ -335,7 +337,7 @@ int Simulation::peek_near(SimTime* t, std::uint64_t* seq) const {
 
 bool Simulation::run_next(SimTime limit) {
   SimTime pt;
-  std::uint64_t ps;
+  std::uint32_t ps;
   int src = peek_near(&pt, &ps);
   // The near minimum is the queue head only while a near tier is occupied;
   // an empty near side pulls the next far rung in first.
@@ -376,6 +378,44 @@ void Simulation::run_until(SimTime t) {
 
 std::size_t Simulation::pending() const {
   return timer_heap_.size() + q_.heap.size() + q_.ring_size + far_held();
+}
+
+void Simulation::renumber_pending() {
+  // Visits the sequence number of every pending event with its time: the
+  // ring's (at now_), the heap's, the pooled and rung far keys and the
+  // timers'. Consumed and spare far keys name free slots; no one reads
+  // their seq.
+  const auto each = [this](auto&& f) {
+    Queue& q = q_;
+    for (std::size_t i = 0; i < q.ring_size; ++i) {
+      f(now_, q.ring[(q.ring_head + i) & (q.ring.size() - 1)].seq);
+    }
+    for (HeapEntry& e : q.heap) f(e.time, e.seq);
+    for (std::size_t i = 0; i < q.far_front; ++i) {
+      f(q.far[i].time, q.far[i].seq);
+    }
+    for (std::size_t i = q.stage_head; i < q.far_end; ++i) {
+      f(q.far[i].time, q.far[i].seq);
+    }
+    for (HeapEntry& e : timer_heap_) f(e.time, e.seq);
+  };
+  std::vector<HeapEntry> keys;
+  keys.reserve(pending());
+  each([&keys](SimTime t, std::uint32_t seq) {
+    keys.push_back(HeapEntry{t, seq, 0});
+  });
+  assert(keys.size() < kNoSeq && "more pending events than sequence numbers");
+  std::sort(keys.begin(), keys.end(), earlier);
+  // A key's rank among the pending keys is its new seq. Ranks keep every
+  // pairwise (time, seq) comparison, so the heaps, the sorted rung and the
+  // FIFO ring stay as they are.
+  each([&keys](SimTime t, std::uint32_t& seq) {
+    seq = static_cast<std::uint32_t>(
+        std::lower_bound(keys.begin(), keys.end(), HeapEntry{t, seq, 0},
+                         earlier) -
+        keys.begin());
+  });
+  seq_ = static_cast<std::uint32_t>(keys.size());
 }
 
 // ------------------------------------------------------------------- teardown

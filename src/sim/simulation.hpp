@@ -4,18 +4,24 @@
 //
 // Hot-path structure (see DESIGN.md "Event queue & memory model" and "One
 // event queue and the far ladder"):
-//  * Future events sit in a 4-ary implicit heap of 24-byte (time, seq,
+//  * Future events sit in a 4-ary implicit heap of 16-byte (time, seq,
 //    slot) keys whose move-only callbacks live in a slot pool on the side;
 //    events at the *current* time (coroutine wakeups through
 //    schedule_resume(), zero-delay reschedules) bypass it through a
 //    growable FIFO ring.
 //  * A population-scale workload declares its expected queue size with
 //    reserve(), which engages the far ladder: events beyond a moving bar
-//    keep one 24-byte key in a far key array and reach execution through
+//    keep one 16-byte key in a far key array and reach execution through
 //    sorted rungs cut from its front, instead of sifting through a
 //    million-entry heap. Each event's 24-byte body is stored once, in its
 //    far slot, from push until it runs; a key whose event has run names
-//    its freed slot, so the ladder keeps no free list.
+//    its freed slot, so the ladder keeps no free list. A pending far event
+//    costs 40 bytes.
+//  * The sequence number is 32 bits. When the counter reaches its ceiling,
+//    renumber_pending() gives the pending events 0..n-1 in (time, seq)
+//    order and counting goes on from n: the relative order, and with it
+//    every heap and rung invariant, is unchanged, so a run of any length
+//    executes exactly as with an unbounded counter.
 //  * Cancellable timers (schedule_timer_in/cancel) sit in one indexed 4-ary
 //    heap beside the queue, merged by the same (time, seq) key. Each slot
 //    records its entry's heap position, so cancel() removes the entry and
@@ -281,15 +287,21 @@ class Simulation {
 
   // ------------------------------------------------------------ event queue
 
-  static constexpr std::uint64_t kNoSeq = ~0ull;
+  /// The empty near side's sequence number. The counter never hands it
+  /// out: reaching it renumbers the pending events first.
+  static constexpr std::uint32_t kNoSeq = ~0u;
 
-  /// Heap key: 24 bytes, trivially movable. The callback body lives in
-  /// q_.slots[slot]; sifting never touches it.
+  /// Event key: 16 bytes, trivially movable, in the event heap, the far key
+  /// array and the timer heap alike. The callback body lives in the slot
+  /// the key names; sifting never touches it.
   struct HeapEntry {
     SimTime time;
-    std::uint64_t seq;
+    std::uint32_t seq;
     std::uint32_t slot;
   };
+  static_assert(sizeof(HeapEntry) == 16,
+                "an event key must stay 16 bytes: one per pending far "
+                "event, beside its 24-byte body");
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
@@ -297,7 +309,7 @@ class Simulation {
 
   /// Same-time FIFO ring entry (time is implicitly now_).
   struct NowEvent {
-    std::uint64_t seq;
+    std::uint32_t seq;
     Callback cb;
   };
 
@@ -361,7 +373,7 @@ class Simulation {
     SimTime far_bar{simtime::kInfinite};
   };
 
-  void heap_push(SimTime t, std::uint64_t seq, Callback cb);
+  void heap_push(SimTime t, std::uint32_t seq, Callback cb);
   /// Pops the heap root; returns its callback (slot recycled).
   Callback heap_pop();
   /// 4-ary sifts shared by the event heap and the timer heap. `placed(e, i)`
@@ -374,7 +386,7 @@ class Simulation {
   static void sift_down(std::vector<HeapEntry>& heap, std::size_t i,
                         Placed placed);
 
-  void far_push(SimTime t, std::uint64_t seq, Callback cb);
+  void far_push(SimTime t, std::uint32_t seq, Callback cb);
   /// Pops the stage front; returns its callback. The consumed key stays
   /// behind and names the slot the pop freed.
   Callback stage_pop();
@@ -395,6 +407,16 @@ class Simulation {
   /// beyond it builds the ladder. Idempotent.
   void engage_far();
 
+  /// The next sequence number. At the ceiling the pending events are
+  /// renumbered first, so the new event still follows every pending one.
+  std::uint32_t next_seq() {
+    if (seq_ == kNoSeq) [[unlikely]] renumber_pending();
+    return seq_++;
+  }
+  /// Gives the pending events, in every tier, the sequence numbers 0..n-1
+  /// in (time, seq) order and restarts the counter at n.
+  void renumber_pending();
+
   /// Which near tier peek_near() found the queue minimum in.
   enum NearSource : int { kFromRing = 0, kFromHeap = 1, kFromStage = 2 };
   /// Far slots holding a body: the pooled events plus the rung's unrun ones.
@@ -403,11 +425,11 @@ class Simulation {
   }
   /// Smallest (time, seq) key across the near tiers. Returns the owning
   /// tier, or -1 with (kInfinite, kNoSeq) when all are empty.
-  int peek_near(SimTime* t, std::uint64_t* seq) const;
+  int peek_near(SimTime* t, std::uint32_t* seq) const;
   /// Runs the next event if its time is <= `limit`; returns whether one ran.
   bool run_next(SimTime limit);
 
-  void ring_push(std::uint64_t seq, Callback cb);
+  void ring_push(std::uint32_t seq, Callback cb);
   Callback ring_pop();
   void ring_grow();
 
@@ -490,11 +512,14 @@ class Simulation {
   std::vector<TimerSlot> timer_slots_;
   std::vector<std::uint32_t> free_timers_;
   SimTime now_{0};
-  std::uint64_t seq_{0};
+  std::uint32_t seq_{0};
   std::uint64_t processed_{0};
   bool stopped_{false};
   RootTask::promise_type* roots_{nullptr};
   std::size_t live_roots_{0};
+
+  // Tests start the counter near its ceiling through this peer.
+  friend struct SimulationTestPeer;
 };
 
 }  // namespace bs::sim

@@ -1,9 +1,9 @@
 // Pooled lightweight client actors for production-scale populations: one
 // flat POD record per client instead of a coroutine frame, woken by
 // InlineCallback ticks on the simulator's event queue. With the far ladder
-// engaged a client costs about 52 bytes: its 4-byte record and its one
-// pending event's 24-byte far key and 24-byte body. The million-client
-// experiment of bench_million_clients thus peaks near 60 MB, where
+// engaged a client costs about 44 bytes: its 4-byte record and its one
+// pending event's 16-byte far key and 24-byte body. The million-client
+// experiment of bench_million_clients thus peaks near 51 MB, where
 // coroutine-frame actors (workload/clients.hpp) would not fit.
 //
 // Every tick touches only its site's shard (stats, per-site Rng); a

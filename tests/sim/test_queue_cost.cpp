@@ -1,14 +1,14 @@
 // Footprint guards for the far ladder. A pooled population keeps about one
 // pending event per client, and the engaged ladder stores each one once:
-// a 24-byte key in the far key array (the rung is its sorted prefix) and a
+// a 16-byte key in the far key array (the rung is its sorted prefix) and a
 // 24-byte body in its far slot from push until it runs. No free list sits
 // beside them: a key whose event has run names the slot it freed, and a
 // later far push reuses that slot through it. The probe window opens
 // before the pool is built, so the reservation the pool declares counts
-// along with everything running the population asks for: under 75 bytes
-// per client in all. A rung gathered into an array of its own, a body
-// buffer past 16 bytes, a free list, or a key array that outgrows its
-// reservation costs more than that.
+// along with everything running the population asks for: under 62 bytes
+// per client in all. A key with a 64-bit sequence number, a rung gathered
+// into an array of its own, a body buffer past 16 bytes, a free list, or a
+// key array that outgrows its reservation costs more than that.
 //
 // alloc_probe.hpp replaces the global operator new, so this must stay the
 // only translation unit of its binary that includes it.
@@ -26,7 +26,7 @@
 namespace bs::sim {
 namespace {
 
-TEST(QueueCost, LitePoolRequestsUnder75BytesPerClient) {
+TEST(QueueCost, LitePoolRequestsUnder62BytesPerClient) {
   constexpr std::size_t kClients = 50'000;  // past the ladder's engage point
   Simulation sim;
   const net::Topology topo = net::Topology::grid5000(9);
@@ -43,7 +43,7 @@ TEST(QueueCost, LitePoolRequestsUnder75BytesPerClient) {
   const std::uint64_t done = bench::alloc_probe::bytes_allocated();
 
   EXPECT_GT(pool.total_ops(), 5 * kClients);  // the population really ran
-  EXPECT_LT(done - before, 75 * kClients)
+  EXPECT_LT(done - before, 62 * kClients)
       << static_cast<double>(built - before) / kClients
       << " bytes per client to build, "
       << static_cast<double>(done - built) / kClients << " to run";
@@ -81,8 +81,8 @@ TEST(QueueCost, FarPushesReuseSlotsRefillsParked) {
   const std::uint64_t before = bench::alloc_probe::bytes_allocated();
   sim.reserve(kEvents);
   const std::uint64_t reserved = bench::alloc_probe::bytes_allocated();
-  // The reservation: a 24-byte key and a body per declared event.
-  EXPECT_EQ(reserved - before, kEvents * (24 + sizeof(InlineCallback)));
+  // The reservation: a 16-byte key and a body per declared event.
+  EXPECT_EQ(reserved - before, kEvents * (16 + sizeof(InlineCallback)));
 
   for (std::size_t i = 0; i < kEvents; ++i) {
     sim.schedule_at(static_cast<SimTime>(i + 1) * kPeriod, Once{box});
